@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hsgt.config import external_gains, load_config
+from hsgt.config import load_config
 from hsgt.equiv import to_v_form, to_w_form
 from hsgt.gains import small_gain_check
 from hsgt.hybrid import InputSignal, SimOptions
@@ -27,9 +27,6 @@ CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "e1.json")
 
 def main() -> int:
     cfg = load_config(CONFIG)
-    for cand, g in zip(cfg.candidates, external_gains(cfg.raw, cfg.network.n)):
-        if cand.gamma_external.is_zero and not g.is_zero:
-            cand.gamma_external = g
 
     verdict = small_gain_check(cfg.gain_matrix, cfg.sg_options)
     print(f"small gain: holds={verdict.holds} margin={verdict.margin:.3f}")

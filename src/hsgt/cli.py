@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, ProjectConfig, external_gains, load_config
+from .config import ConfigError, ProjectConfig, load_config
 from .equiv import TransformError, to_v_form, to_w_form
 from .gains import SmallGainError, small_gain_check
 from .hybrid import InputSignal, write_trajectory_csv, simulate
@@ -72,9 +72,6 @@ def cmd_build_lyapunov(args) -> int:
         _emit({"command": "build-lyapunov", "seed": cfg.seed,
                "small_gain": verdict.to_json()}, args.out)
         return FAIL
-    for cand, g in zip(cfg.candidates, external_gains(cfg.raw, cfg.network.n)):
-        if cand.gamma_external.is_zero and not g.is_zero:
-            cand.gamma_external = g
     cert = build_composite(cfg.candidates, cfg.gain_matrix, cfg.network,
                            anchor=cfg.anchor, verdict=verdict, options=cfg.sg_options)
     report = {"command": "build-lyapunov", "seed": cfg.seed,
@@ -91,9 +88,6 @@ def cmd_verify(args) -> int:
     reports = []
     ok = True
     if args.which == "subsystem":
-        for cand, g in zip(cfg.candidates, external_gains(cfg.raw, cfg.network.n)):
-            if cand.gamma_external.is_zero and not g.is_zero:
-                cand.gamma_external = g
         for i in range(cfg.network.n):
             rep = verify_subsystem(cfg.candidates, i, cfg.network, cfg.sampler,
                                    cfg.tolerances)
@@ -108,9 +102,6 @@ def cmd_verify(args) -> int:
             _emit({"command": "verify", "which": args.which, "seed": cfg.seed,
                    "small_gain": verdict.to_json()}, args.out)
             return FAIL
-        for cand, g in zip(cfg.candidates, external_gains(cfg.raw, cfg.network.n)):
-            if cand.gamma_external.is_zero and not g.is_zero:
-                cand.gamma_external = g
         cert = build_composite(cfg.candidates, cfg.gain_matrix, cfg.network,
                                anchor=cfg.anchor, verdict=verdict, options=cfg.sg_options)
         if args.which == "composite":

@@ -8,6 +8,7 @@ Validation errors carry a config path and, for expressions, the parse offset.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import expr as ex
 from .gains import GainMatrix, SmallGainOptions
 from .hybrid import InputSignal, NetworkSpec, SimOptions, SubsystemSpec, compose_network
-from .kfun import KFun, pointwise_max
+from .kfun import Classification, KFun, at_least, pointwise_max
 from .lyapunov import SubsystemLyapunov, VerifyTolerances
 from .sampling import SamplerSpec
 from .trajectories import (AGEstimate, Beta, ISSEstimate, PreGSEstimate,
@@ -37,6 +38,26 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
             _fail(path, f"missing required key '{key}'")
         return default
     return d[key]
+
+
+def _as_int(value, path: str, minimum: int) -> int:
+    try:
+        out = int(value)
+    except (TypeError, ValueError):
+        _fail(path, f"expected an integer, got {value!r}")
+    if out < minimum:
+        _fail(path, f"must be at least {minimum}, got {out}")
+    return out
+
+
+def _finite_vector(values, size: int, path: str) -> np.ndarray:
+    try:
+        out = np.asarray([float(v) for v in values])
+    except (TypeError, ValueError):
+        _fail(path, "expected a list of numbers")
+    if out.shape != (size,) or not np.all(np.isfinite(out)):
+        _fail(path, f"need {size} finite components")
+    return out
 
 
 def _parse_expr(text, allowed, path: str) -> ex.Expr:
@@ -62,6 +83,22 @@ def _parse_gain_entry(entry, path: str) -> KFun:
         jump = _parse_kfun(_get(entry, "jump", path), f"{path}.jump")
         return pointwise_max([flow, jump])
     return _parse_kfun(entry, path)
+
+
+def _gain_list(entries, n: int, path: str) -> List[KFun]:
+    if entries is None:
+        return [KFun.zero()] * n
+    if not isinstance(entries, list) or len(entries) != n:
+        _fail(path, f"need one entry per subsystem ({n})")
+    return [_parse_gain_entry(e, f"{path}[{i}]") for i, e in enumerate(entries)]
+
+
+def _gain_rows(rows, n: int, path: str) -> List[List[KFun]]:
+    if rows is None:
+        return [[KFun.zero()] * n for _ in range(n)]
+    if not isinstance(rows, list) or len(rows) != n:
+        _fail(path, f"need an {n} x {n} matrix of entries")
+    return [_gain_list(row, n, f"{path}[{i}]") for i, row in enumerate(rows)]
 
 
 @dataclass
@@ -127,6 +164,8 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
     analysis = raw.get("analysis", {})
     seed = int(analysis.get("seed", 0))
     priority = analysis.get("priority", "jump")
+    if priority not in ("jump", "flow"):
+        _fail("analysis.priority", f"expected 'jump' or 'flow', got {priority!r}")
     anchor = analysis.get("anchor")
     if anchor is not None:
         anchor = np.asarray([float(v) for v in anchor])
@@ -164,10 +203,11 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
     gain_matrix = None
     if "gains" in raw:
         gain_matrix = _build_gain_matrix(raw["gains"], n)
+    externals = _gain_list(raw.get("gains", {}).get("external"), n, "gains.external")
 
     candidates = None
     if "lyapunov" in raw:
-        candidates = _build_candidates(raw["lyapunov"], net, gain_matrix)
+        candidates = _build_candidates(raw["lyapunov"], net, gain_matrix, externals)
 
     simulation = None
     if "simulation" in analysis:
@@ -185,18 +225,19 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
 
 
 def _build_network(cfg: dict) -> NetworkSpec:
-    input_dim = int(_get(cfg, "input_dim", "network"))
+    input_dim = _as_int(_get(cfg, "input_dim", "network"), "network.input_dim", 0)
     subs_cfg = _get(cfg, "subsystems", "network")
     if not isinstance(subs_cfg, list) or not subs_cfg:
         _fail("network.subsystems", "need a nonempty list of subsystems")
-    state_dim = sum(int(_get(s, "dim", f"network.subsystems[{i}]"))
-                    for i, s in enumerate(subs_cfg))
+    dims = [_as_int(_get(s, "dim", f"network.subsystems[{i}]"),
+                    f"network.subsystems[{i}].dim", 1) for i, s in enumerate(subs_cfg)]
+    state_dim = sum(dims)
     allowed = tuple(f"x_{i + 1}" for i in range(state_dim)) + \
         tuple(f"u_{m + 1}" for m in range(input_dim))
     specs = []
     for i, s in enumerate(subs_cfg):
         base = f"network.subsystems[{i}]"
-        dim = int(_get(s, "dim", base))
+        dim = dims[i]
         flow_cfg = _get(s, "flow", base)
         jump_cfg = _get(s, "jump", base)
         if len(flow_cfg) != dim or len(jump_cfg) != dim:
@@ -216,28 +257,22 @@ def _build_network(cfg: dict) -> NetworkSpec:
 
 
 def _build_gain_matrix(cfg: dict, n: int) -> GainMatrix:
-    internal = _get(cfg, "internal", "gains")
-    if len(internal) != n or any(len(row) != n for row in internal):
-        _fail("gains.internal", f"need an {n} x {n} matrix of entries")
-    rows = []
-    for i, row in enumerate(internal):
-        rows.append([_parse_gain_entry(e, f"gains.internal[{i}][{j}]")
-                     for j, e in enumerate(row)])
+    rows = _gain_rows(_get(cfg, "internal", "gains"), n, "gains.internal")
+    for i, row in enumerate(rows):
+        for j, g in enumerate(row):
+            if g.is_zero:
+                continue
+            if i == j:
+                _fail(f"gains.internal[{i}][{j}]", "diagonal entries must be zero")
+            if not at_least(g.classification, Classification.CLASS_K_INF):
+                _fail(f"gains.internal[{i}][{j}]",
+                      f"classified {g.classification.value}; nonzero gains must be class-Kinf")
     return GainMatrix.from_rows(rows)
 
 
-def external_gains(raw: dict, n: int) -> List[KFun]:
-    cfg = raw.get("gains", {})
-    ext = cfg.get("external")
-    if ext is None:
-        return [KFun.zero()] * n
-    if len(ext) != n:
-        _fail("gains.external", f"need one entry per subsystem ({n})")
-    return [_parse_gain_entry(e, f"gains.external[{i}]") for i, e in enumerate(ext)]
-
-
-def _build_candidates(cfg: dict, net: NetworkSpec,
-                      gm: Optional[GainMatrix]) -> List[SubsystemLyapunov]:
+def _build_candidates(cfg: dict, net: NetworkSpec, gm: Optional[GainMatrix],
+                      externals: Sequence[KFun]) -> List[SubsystemLyapunov]:
+    """Candidates per subsystem; one without its own external gain takes gains.external[i]."""
     subs = _get(cfg, "subsystems", "lyapunov")
     if len(subs) != net.n:
         _fail("lyapunov.subsystems", f"need one candidate per subsystem ({net.n})")
@@ -252,21 +287,15 @@ def _build_candidates(cfg: dict, net: NetworkSpec,
         lam = _parse_kfun(_get(s, "lambda", base), f"{base}.lambda")
         internal = {}
         if "internal_gains" in s:
-            row = s["internal_gains"]
-            if len(row) != net.n:
-                _fail(f"{base}.internal_gains", f"need {net.n} entries")
-            for j, e in enumerate(row):
-                g = _parse_gain_entry(e, f"{base}.internal_gains[{j}]")
-                if not g.is_zero:
-                    internal[j] = g
+            row = _gain_list(s["internal_gains"], net.n, f"{base}.internal_gains")
+            internal = {j: g for j, g in enumerate(row) if not g.is_zero}
         elif gm is not None:
             for j in range(net.n):
                 if j != i and not gm.entries[i][j].is_zero:
                     internal[j] = gm.entries[i][j]
-        if "external_gain" in s:
-            external = _parse_gain_entry(s["external_gain"], f"{base}.external_gain")
-        else:
-            external = KFun.zero()
+        external = _parse_gain_entry(s.get("external_gain"), f"{base}.external_gain")
+        if external.is_zero:
+            external = externals[i]
         out.append(SubsystemLyapunov(v=v, psi1=psi1, psi2=psi2, alpha=alpha, lam=lam,
                                      gamma_internal=internal, gamma_external=external))
     return out
@@ -295,45 +324,35 @@ def _build_input(cfg, net: NetworkSpec, path: str) -> InputSignal:
     _fail(path, f"unknown input type '{kind}'")
 
 
+def _sim_options(cfg: dict, priority: str, base: str) -> SimOptions:
+    try:
+        step = float(cfg.get("step", 1e-3))
+    except (TypeError, ValueError):
+        _fail(f"{base}.step", f"expected a number, got {cfg.get('step')!r}")
+    if not (math.isfinite(step) and step > 0.0):
+        _fail(f"{base}.step", f"need a positive finite step, got {step!r}")
+    return SimOptions(step=step, priority=priority,
+                      record_every=int(cfg.get("record_every", 1)))
+
+
 def _build_simulation(cfg: dict, net: NetworkSpec, priority: str) -> SimulationSection:
     base = "analysis.simulation"
-    x0 = np.asarray([float(v) for v in _get(cfg, "x0", base)])
-    if x0.shape != (net.state_dim,):
-        _fail(f"{base}.x0", f"need {net.state_dim} components")
+    x0 = _finite_vector(_get(cfg, "x0", base), net.state_dim, f"{base}.x0")
     u = _build_input(cfg.get("input"), net, f"{base}.input")
-    opts = SimOptions(step=float(cfg.get("step", 1e-3)), priority=priority,
-                      record_every=int(cfg.get("record_every", 1)))
+    opts = _sim_options(cfg, priority, base)
     return SimulationSection(x0=x0, input_signal=u,
                              horizon=float(_get(cfg, "horizon", base)),
                              max_jumps=int(_get(cfg, "max_jumps", base)),
                              options=opts)
 
 
-def _traj_gains(cfg: dict, n: int, base: str) -> TrajectoryGains:
-    internal_cfg = cfg.get("internal_gains")
-    if internal_cfg is None:
-        rows = [[KFun.zero()] * n for _ in range(n)]
-    else:
-        if len(internal_cfg) != n or any(len(r) != n for r in internal_cfg):
-            _fail(f"{base}.internal_gains", f"need an {n} x {n} matrix")
-        rows = [[_parse_gain_entry(e, f"{base}.internal_gains[{i}][{j}]")
-                 for j, e in enumerate(row)] for i, row in enumerate(internal_cfg)]
-    external_cfg = cfg.get("external_gains")
-    if external_cfg is None:
-        ext = [KFun.zero()] * n
-    else:
-        if len(external_cfg) != n:
-            _fail(f"{base}.external_gains", f"need {n} entries")
-        ext = [_parse_gain_entry(e, f"{base}.external_gains[{i}]")
-               for i, e in enumerate(external_cfg)]
-    return TrajectoryGains(rows, ext)
-
-
 def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
                         seed: int) -> TrajectorySection:
     base = "analysis.trajectories"
     kind = _get(cfg, "kind", base)
-    gains = _traj_gains(cfg, net.n, base)
+    gains = TrajectoryGains(
+        _gain_rows(cfg.get("internal_gains"), net.n, f"{base}.internal_gains"),
+        _gain_list(cfg.get("external_gains"), net.n, f"{base}.external_gains"))
     if kind == "iss":
         beta_cfg = _get(cfg, "beta", base)
         if "expr" in beta_cfg:
@@ -369,13 +388,10 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
                                      float(_get(ic_cfg, "radius", f"{base}.initial_conditions")),
                                      net.state_dim, seed=int(ic_cfg.get("seed", seed)))
     else:
-        ics = [np.asarray([float(v) for v in row]) for row in ic_cfg]
-        for row in ics:
-            if row.shape != (net.state_dim,):
-                _fail(f"{base}.initial_conditions", f"each point needs {net.state_dim} components")
+        ics = [_finite_vector(row, net.state_dim, f"{base}.initial_conditions[{i}]")
+               for i, row in enumerate(ic_cfg)]
     levels = [float(v) for v in cfg.get("input_levels", [0.0])]
-    opts = SimOptions(step=float(cfg.get("step", 1e-3)), priority=priority,
-                      record_every=int(cfg.get("record_every", 1)))
+    opts = _sim_options(cfg, priority, base)
     gain_fit = cfg.get("gain_fit")
     zero_input = cfg.get("zero_input")
     return TrajectorySection(kind=kind, estimate=estimate, initial_conditions=ics,

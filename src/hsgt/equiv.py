@@ -18,15 +18,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import expr as ex
 from .hybrid import NetworkSpec
 from .kfun import (Classification, KFun, at_least, compose, inverse_kfun,
                    kfun_to_json, pointwise_max, require_class)
-from .lyapunov import (CompositeCertificate, VerifyTolerances, _sigma_inv_slope,
-                       active_set)
-from .reporting import VerificationReport, Violation
-from .sampling import SamplerEmptyError, SamplerSpec, flow_set_samples, \
-    jump_set_samples, sphere_directions
+from .lyapunov import (CompositeCertificate, VerifyTolerances, _active_flow_bound,
+                       _check_samples, _draw_samples, _max_norm)
+from .reporting import VerificationReport
+from .sampling import SamplerEmptyError, SamplerSpec, jump_set_samples, sphere_directions
 
 
 class TransformError(Exception):
@@ -154,59 +152,33 @@ def _verify_w_form(wf: WFormCertificate, net: NetworkSpec, sampler: SamplerSpec,
                    tol: VerifyTolerances) -> VerificationReport:
     cert = wf.v_form
     report = VerificationReport(condition="norm-threshold-form")
-    state_vars = net.state_vars()
-    try:
-        flow_pts = flow_set_samples(net, sampler)
-        if net.jump_set_structurally_empty():
-            jump_pts = []
-            report.notes.append("empty jump set: jump condition is vacuous")
-        else:
-            jump_pts = jump_set_samples(net,
-                                        dataclasses.replace(sampler, seed=sampler.seed + 3))
-    except SamplerEmptyError as exc:
-        report.verdict = "inconclusive"
-        report.notes.append(str(exc))
+    drawn = _draw_samples(report, net, sampler, jump_seed=3)
+    if drawn is None:
         return report
+    flow_pts, jump_pts = drawn
 
-    for s_idx, (x, u) in enumerate(flow_pts):
-        report.samples_tested += 1
-        x_mag = float(np.max(np.abs(x)))
-        u_mag = float(np.max(np.abs(u))) if len(u) else 0.0
-        if not wf.gamma_bar.is_zero and x_mag < wf.gamma_bar(u_mag):
-            continue
-        report.samples_checked += 1
-        f_val = net.flow_value(x, u)
-        env = dict(zip(state_vars, map(float, x)))
-        seed = dict(zip(state_vars, map(float, f_val)))
-        worst = -math.inf
-        for i in active_set(cert, x):
-            w = cert.subsystem_value(i, x)
-            slope = _sigma_inv_slope(cert.path, i, w if w > 0 else max(x_mag, 1e-9))
-            _v, _lo, hi = ex.directional_bounds(cert.candidates[i].v, env, seed)
-            worst = max(worst, slope * hi)
-        required = -wf.alpha1_bar(x_mag)
-        report.add_margin(required + tol.flow - worst)
-        if worst > required + tol.flow:
-            report.violations.append(Violation(
-                sample_index=s_idx, point={"x": [float(v) for v in x],
-                                           "u": [float(v) for v in u]},
-                measured=worst, required=required, detail="norm-threshold flow decay"))
+    def state_norm_above_threshold(x, u) -> Optional[float]:
+        x_mag = _max_norm(x)
+        if not wf.gamma_bar.is_zero and x_mag < wf.gamma_bar(_max_norm(u)):
+            return None
+        return x_mag
 
-    for s_idx, (x, u) in enumerate(jump_pts):
-        report.samples_tested += 1
-        x_mag = float(np.max(np.abs(x)))
-        u_mag = float(np.max(np.abs(u))) if len(u) else 0.0
-        if not wf.gamma_bar.is_zero and x_mag < wf.gamma_bar(u_mag):
-            continue
-        report.samples_checked += 1
+    def flow(x, u):
+        x_mag = state_norm_above_threshold(x, u)
+        if x_mag is None:
+            return None
+        worst, _i = _active_flow_bound(cert, net, x, u, x_mag)
+        return worst, -wf.alpha1_bar(x_mag), tol.flow, "norm-threshold flow decay"
+
+    def jump(x, u):
+        x_mag = state_norm_above_threshold(x, u)
+        if x_mag is None:
+            return None
         drop = wf.value(net.jump_value(x, u)) - wf.value(x)
-        required = -wf.alpha2_bar(x_mag)
-        report.add_margin(required + tol.flow - drop)
-        if drop > required + tol.flow:
-            report.violations.append(Violation(
-                sample_index=1_000_000 + s_idx,
-                point={"x": [float(v) for v in x], "u": [float(v) for v in u]},
-                measured=drop, required=required, detail="norm-threshold jump decrease"))
+        return drop, -wf.alpha2_bar(x_mag), tol.flow, "norm-threshold jump decrease"
+
+    _check_samples(report, "flow", flow_pts, flow)
+    _check_samples(report, "jump", jump_pts, jump)
     if report.samples_checked == 0:
         report.verdict = "inconclusive"
         report.notes.append("no sample passed the norm threshold")
@@ -256,30 +228,20 @@ def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
 
     gamma_tilde = _fit_jump_input_gain(wf, gamma, sampler)
 
-    if net.jump_set_structurally_empty():
-        report.notes.append("empty jump set: jump condition is vacuous")
-        return gamma, lam, report.finalize()
-    try:
-        pts = jump_set_samples(net, dataclasses.replace(sampler, seed=sampler.seed + 5))
-    except SamplerEmptyError as exc:
-        report.verdict = "inconclusive"
-        report.notes.append(str(exc))
+    drawn = _draw_samples(report, net, sampler, flow=False, jump_seed=5)
+    if drawn is None:
         return gamma, lam, report
-    for s_idx, (x, u) in enumerate(pts):
-        report.samples_tested += 1
-        report.samples_checked += 1
-        u_mag = float(np.max(np.abs(u))) if len(u) else 0.0
-        lhs = wf.value(net.jump_value(x, u))
+    if not drawn[1]:  # empty jump set: vacuous, and no input gain to report
+        return gamma, lam, report.finalize()
+
+    def jump(x, u):
         rhs = lam(wf.value(x))
         if not gamma_tilde.is_zero:
-            rhs = max(rhs, gamma_tilde(u_mag))
-        slack = max(tol.flow, tol.jump_rel * abs(rhs))
-        report.add_margin(rhs + slack - lhs)
-        if lhs > rhs + slack:
-            report.violations.append(Violation(
-                sample_index=s_idx, point={"x": [float(v) for v in x],
-                                           "u": [float(v) for v in u]},
-                measured=lhs, required=rhs, detail="recovered jump inequality"))
+            rhs = max(rhs, gamma_tilde(_max_norm(u)))
+        return (wf.value(net.jump_value(x, u)), rhs,
+                max(tol.flow, tol.jump_rel * abs(rhs)), "recovered jump inequality")
+
+    _check_samples(report, "jump", drawn[1], jump)
     report.extras["gamma_tilde"] = kfun_to_json(gamma_tilde)
     return gamma, lam, report.finalize()
 

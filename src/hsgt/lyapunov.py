@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -261,6 +261,93 @@ def clarke_directional_bound(pieces: Sequence[ex.Expr], x: Dict[str, float],
 
 
 # ---------------------------------------------------------------------------
+# sampled checks
+
+
+def _check_samples(report: VerificationReport, check: str, samples, condition) -> None:
+    """Run one sampled inequality ``measured <= required + slack`` into ``report``.
+
+    ``condition(x, u)`` returns None where the premise fails, else
+    ``(measured, required, slack, detail)``.  Every sample counts as tested;
+    those meeting the premise count as checked and add the margin
+    ``required + slack - measured``.
+    """
+    for s_idx, (x, u) in enumerate(samples):
+        report.samples_tested += 1
+        outcome = condition(x, u)
+        if outcome is None:
+            continue
+        measured, required, slack, detail = outcome
+        report.samples_checked += 1
+        report.add_margin(required + slack - measured)
+        if measured > required + slack:
+            report.violations.append(Violation(
+                sample_index=s_idx, point=_point_json(x, u), measured=measured,
+                required=required, detail=detail, check=check))
+
+
+def _draw_samples(report: VerificationReport, net: NetworkSpec, sampler: SamplerSpec,
+                  flow: bool = True, jump_seed: Optional[int] = None,
+                  sub: Optional[int] = None):
+    """Flow and jump samples for one report, or None if a sampler came up empty.
+
+    Jump samples use the seed ``sampler.seed + jump_seed`` and are skipped
+    when ``jump_seed`` is None; a structurally empty jump set yields none and
+    a note.  An empty sampler marks the report inconclusive.
+    """
+    flow_pts, jump_pts = [], []
+    try:
+        if flow:
+            flow_pts = flow_set_samples(net, sampler, sub=sub)
+        if jump_seed is not None:
+            if net.jump_set_structurally_empty(sub):
+                report.notes.append("empty jump set: jump condition is vacuous")
+            else:
+                jump_pts = jump_set_samples(
+                    net, dataclasses.replace(sampler, seed=sampler.seed + jump_seed), sub=sub)
+    except SamplerEmptyError as exc:
+        report.verdict = "inconclusive"
+        report.notes.append(str(exc))
+        return None
+    return flow_pts, jump_pts
+
+
+def _max_norm(v) -> float:
+    """Max norm of a sample vector; 0 for an empty input vector."""
+    return float(np.max(np.abs(v))) if len(v) else 0.0
+
+
+def _flow_direction(net: NetworkSpec, x, u) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """State environment and flow direction at one sample, keyed by state variable."""
+    state_vars = net.state_vars()
+    env = dict(zip(state_vars, map(float, x)))
+    return env, dict(zip(state_vars, map(float, net.flow_value(x, u))))
+
+
+def _active_flow_bound(cert: CompositeCertificate, net: NetworkSpec, x, u,
+                       fallback_level: float) -> Tuple[float, int]:
+    """Worst scaled directional derivative over the active pieces, and its index.
+
+    A piece at level zero takes the inverse-path slope at ``fallback_level``.
+    With no active piece the bound is -inf and the index -1.
+    """
+    env, direction = _flow_direction(net, x, u)
+    worst, worst_i = -math.inf, -1
+    for i in active_set(cert, x):
+        w = cert.subsystem_value(i, x)
+        slope = _sigma_inv_slope(cert.path, i, w if w > 0 else max(fallback_level, 1e-9))
+        _v, _lo, hi = ex.directional_bounds(cert.candidates[i].v, env, direction)
+        piece = slope * hi
+        if piece > worst:
+            worst, worst_i = piece, i
+    return worst, worst_i
+
+
+def _point_json(x, u) -> dict:
+    return {"x": [float(v) for v in x], "u": [float(v) for v in u]}
+
+
+# ---------------------------------------------------------------------------
 # verifiers
 
 
@@ -276,68 +363,41 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
     tol = tolerances or VerifyTolerances()
     cand = cands[index]
     report = VerificationReport(condition=f"subsystem-{index + 1}")
+    drawn = _draw_samples(report, net, sampler, jump_seed=1, sub=index)
+    if drawn is None:
+        return report
+    flow_pts, jump_pts = drawn
     v_fns = [ex.compile_expr(c.v, net.state_vars()) for c in cands]
-    state_vars = net.state_vars()
     sub_slice = net.slices[index]
     jump_exprs = net.subsystems[index].jump
 
-    try:
-        flow_pts = flow_set_samples(net, sampler, sub=index)
-        if net.jump_set_structurally_empty(index):
-            jump_pts = []
-            report.notes.append("empty jump set: jump condition is vacuous")
-        else:
-            jump_pts = jump_set_samples(
-                net, dataclasses.replace(sampler, seed=sampler.seed + 1), sub=index)
-    except SamplerEmptyError as exc:
-        report.verdict = "inconclusive"
-        report.notes.append(str(exc))
-        return report
+    def neighbour_gains(vals):
+        return [cand.internal_gain(j)(v_fns[j](vals)) for j in range(net.n) if j != index]
 
-    checked_flow = 0
-    for s_idx, (x, u) in enumerate(flow_pts):
-        report.samples_tested += 1
+    def input_gain(u):
+        return [] if cand.gamma_external.is_zero else [cand.gamma_external(_max_norm(u))]
+
+    def flow(x, u):
         vals = tuple(x)
         vi = v_fns[index](vals)
-        _check_sandwich(report, cand, x[sub_slice], vi, s_idx, tol)
-        premise = max([cand.internal_gain(j)(v_fns[j](vals)) for j in range(net.n)
-                       if j != index] + [cand.gamma_external(float(np.max(np.abs(u)))) if not
-                                         cand.gamma_external.is_zero else 0.0])
-        if vi < premise:
-            continue
-        checked_flow += 1
-        report.samples_checked += 1
-        f_val = net.flow_value(x, u)
-        env = dict(zip(state_vars, map(float, x)))
-        seed = dict(zip(state_vars, map(float, f_val)))
-        _val, _lo, hi = ex.directional_bounds(cand.v, env, seed)
-        bound = -cand.alpha(vi)
-        report.add_margin(bound + tol.flow - hi)
-        if hi > bound + tol.flow:
-            report.violations.append(Violation(
-                sample_index=s_idx, point=_point_json(x, u),
-                measured=hi, required=bound,
-                detail="flow decay under the gain premise"))
+        if vi < max(neighbour_gains(vals) + (input_gain(u) or [0.0])):
+            return None
+        _val, _lo, hi = ex.directional_bounds(cand.v, *_flow_direction(net, x, u))
+        return hi, -cand.alpha(vi), tol.flow, "flow decay under the gain premise"
 
-    for s_idx, (x, u) in enumerate(jump_pts):
-        report.samples_tested += 1
-        report.samples_checked += 1
+    def jump(x, u):
         vals = tuple(x)
-        vi = v_fns[index](vals)
         x_new = np.array(x, dtype=float)
         x_new[sub_slice] = [ex.evaluate(e, _full_env(net, x, u)) for e in jump_exprs]
-        lhs = v_fns[index](tuple(x_new))
-        rhs = max([cand.lam(vi)]
-                  + [cand.internal_gain(j)(v_fns[j](vals)) for j in range(net.n) if j != index]
-                  + ([cand.gamma_external(float(np.max(np.abs(u))))]
-                     if not cand.gamma_external.is_zero else []))
-        slack = max(tol.jump_abs, tol.jump_rel * abs(rhs))
-        report.add_margin(rhs + slack - lhs)
-        if lhs > rhs + slack:
-            report.violations.append(Violation(
-                sample_index=10_000_000 + s_idx, point=_point_json(x, u),
-                measured=lhs, required=rhs, detail="jump contraction"))
+        rhs = max([cand.lam(v_fns[index](vals))] + neighbour_gains(vals) + input_gain(u))
+        return (v_fns[index](tuple(x_new)), rhs,
+                max(tol.jump_abs, tol.jump_rel * abs(rhs)), "jump contraction")
 
+    for s_idx, (x, _u) in enumerate(flow_pts):
+        _check_sandwich(report, cand, x[sub_slice], v_fns[index](tuple(x)), s_idx, tol)
+    _check_samples(report, "flow", flow_pts, flow)
+    checked_flow = report.samples_checked
+    _check_samples(report, "jump", jump_pts, jump)
     if checked_flow == 0:
         report.verdict = "inconclusive"
         report.notes.append("no flow sample satisfied the gain premise")
@@ -346,25 +406,20 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
 
 
 def _check_sandwich(report, cand, x_sub, vi, s_idx, tol):
-    mag = float(np.max(np.abs(x_sub)))
+    mag = _max_norm(x_sub)
     lo, hi = cand.psi1(mag), cand.psi2(mag)
     slack = tol.sandwich_rel * max(1.0, abs(vi))
     if vi < lo - slack or vi > hi + slack:
         report.violations.append(Violation(
-            sample_index=20_000_000 + s_idx,
-            point={"x_i": [float(v) for v in x_sub]},
+            sample_index=s_idx, point={"x_i": [float(v) for v in x_sub]},
             measured=vi, required=lo if vi < lo else hi,
-            detail="sandwich bound"))
+            detail="sandwich bound", check="sandwich"))
 
 
 def _full_env(net: NetworkSpec, x, u) -> dict:
     env = dict(zip(net.state_vars(), map(float, x)))
     env.update(zip(net.input_vars(), map(float, u)))
     return env
-
-
-def _point_json(x, u) -> dict:
-    return {"x": [float(v) for v in x], "u": [float(v) for v in u]}
 
 
 def _require_shared_jump_set(net: NetworkSpec):
@@ -387,44 +442,24 @@ def verify_composite_flow(cert: CompositeCertificate, net: NetworkSpec,
     tol = tolerances or VerifyTolerances()
     _require_shared_jump_set(net)
     report = VerificationReport(condition="composite-flow")
-    try:
-        pts = flow_set_samples(net, sampler)
-    except SamplerEmptyError as exc:
-        report.verdict = "inconclusive"
-        report.notes.append(str(exc))
+    drawn = _draw_samples(report, net, sampler)
+    if drawn is None:
         return report
 
-    state_vars = net.state_vars()
     alpha_ratio = math.inf
-    for s_idx, (x, u) in enumerate(pts):
-        report.samples_tested += 1
+
+    def flow(x, u):
+        nonlocal alpha_ratio
         value = cert.value(x)
-        u_mag = float(np.max(np.abs(u))) if len(u) else 0.0
-        if not cert.gamma.is_zero and value < cert.gamma(u_mag):
-            continue
-        report.samples_checked += 1
-        f_val = net.flow_value(x, u)
-        env = dict(zip(state_vars, map(float, x)))
-        seed = dict(zip(state_vars, map(float, f_val)))
-        required = -cert.alpha(value)
-        worst = -math.inf
-        worst_i = None
-        for i in active_set(cert, x):
-            w = cert.subsystem_value(i, x)
-            slope = _sigma_inv_slope(cert.path, i, w) if w > 0 else \
-                _sigma_inv_slope(cert.path, i, max(value, 1e-9))
-            _v, _lo, hi = ex.directional_bounds(cert.candidates[i].v, env, seed)
-            piece = slope * hi
-            if piece > worst:
-                worst, worst_i = piece, i
-        report.add_margin(required + tol.flow - worst)
+        if not cert.gamma.is_zero and value < cert.gamma(_max_norm(u)):
+            return None
+        worst, worst_i = _active_flow_bound(cert, net, x, u, value)
         if value > 0.0 and -worst / value < alpha_ratio:
             alpha_ratio = -worst / value
-        if worst > required + tol.flow:
-            report.violations.append(Violation(
-                sample_index=s_idx, point=_point_json(x, u),
-                measured=worst, required=required,
-                detail=f"flow decay at active index {worst_i + 1}"))
+        return (worst, -cert.alpha(value), tol.flow,
+                f"flow decay at active index {worst_i + 1}")
+
+    _check_samples(report, "flow", drawn[0], flow)
     if math.isfinite(alpha_ratio):
         report.extras["empirical_alpha_min_ratio"] = alpha_ratio
     if report.samples_checked == 0:
@@ -441,29 +476,16 @@ def verify_composite_jump(cert: CompositeCertificate, net: NetworkSpec,
     tol = tolerances or VerifyTolerances()
     _require_shared_jump_set(net)
     report = VerificationReport(condition="composite-jump")
-    if net.jump_set_structurally_empty():
-        report.notes.append("empty jump set: jump condition is vacuous")
-        return report.finalize()
-    try:
-        pts = jump_set_samples(net, sampler)
-    except SamplerEmptyError as exc:
-        report.verdict = "inconclusive"
-        report.notes.append(str(exc))
+    drawn = _draw_samples(report, net, sampler, flow=False, jump_seed=0)
+    if drawn is None:
         return report
 
-    for s_idx, (x, u) in enumerate(pts):
-        report.samples_tested += 1
-        report.samples_checked += 1
-        value = cert.value(x)
-        u_mag = float(np.max(np.abs(u))) if len(u) else 0.0
-        lhs = cert.value(net.jump_value(x, u))
-        rhs = cert.lam(value)
+    def jump(x, u):
+        rhs = cert.lam(cert.value(x))
         if not cert.gamma.is_zero:
-            rhs = max(rhs, cert.gamma(u_mag))
-        slack = max(tol.jump_abs, tol.jump_rel * abs(rhs))
-        report.add_margin(rhs + slack - lhs)
-        if lhs > rhs + slack:
-            report.violations.append(Violation(
-                sample_index=s_idx, point=_point_json(x, u),
-                measured=lhs, required=rhs, detail="composite jump contraction"))
+            rhs = max(rhs, cert.gamma(_max_norm(u)))
+        return (cert.value(net.jump_value(x, u)), rhs,
+                max(tol.jump_abs, tol.jump_rel * abs(rhs)), "composite jump contraction")
+
+    _check_samples(report, "jump", drawn[1], jump)
     return report.finalize()

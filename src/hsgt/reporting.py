@@ -9,16 +9,17 @@ from typing import List, Optional
 
 @dataclass
 class Violation:
-    sample_index: int
+    sample_index: int  # position in the sample list of its check
     point: dict
     measured: float
     required: float
     detail: str = ""
+    check: str = ""  # which sampled check failed: flow | jump | sandwich
 
     def to_json(self) -> dict:
-        return {"sample_index": self.sample_index, "point": self.point,
-                "measured": self.measured, "required": self.required,
-                "detail": self.detail}
+        return {"check": self.check, "sample_index": self.sample_index,
+                "point": self.point, "measured": self.measured,
+                "required": self.required, "detail": self.detail}
 
 
 @dataclass
@@ -43,7 +44,7 @@ class VerificationReport:
         """Set the verdict; violations surviving one re-evaluation decide failure."""
         if reverify is not None:
             self.violations = [v for v in self.violations if reverify(v)]
-        self.violations.sort(key=lambda v: v.sample_index)
+        self.violations.sort(key=lambda v: (v.check, v.sample_index))
         if self.violations:
             self.verdict = "fail"
         elif self.verdict != "inconclusive":

@@ -132,11 +132,7 @@ def e1_config():
 def e1_cert(e1_config):
     from hsgt.gains import small_gain_check
     from hsgt.lyapunov import build_composite
-    from hsgt.config import external_gains
     cfg = e1_config
-    for cand, g in zip(cfg.candidates, external_gains(cfg.raw, cfg.network.n)):
-        if cand.gamma_external.is_zero and not g.is_zero:
-            cand.gamma_external = g
     verdict = small_gain_check(cfg.gain_matrix, cfg.sg_options)
     return build_composite(cfg.candidates, cfg.gain_matrix, cfg.network,
                            anchor=cfg.anchor, verdict=verdict, options=cfg.sg_options)

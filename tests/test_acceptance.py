@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (config_path, linear_gain_matrix, load_json, maxlin_radius,
                       random_linear_ensemble)
-from hsgt.config import external_gains, load_config
+from hsgt.config import load_config
 from hsgt.equiv import to_v_form, to_w_form
 from hsgt.gains import build_omega_path, gamma_max_apply, small_gain_check
 from hsgt.hybrid import InputSignal, SimOptions, simulate
@@ -65,9 +65,6 @@ def accepted_paths(linear_ensemble):
 @pytest.fixture(scope="module")
 def e1_setup():
     cfg = load_config(config_path("e1.json"))
-    for cand, g in zip(cfg.candidates, external_gains(cfg.raw, cfg.network.n)):
-        if cand.gamma_external.is_zero and not g.is_zero:
-            cand.gamma_external = g
     verdict = small_gain_check(cfg.gain_matrix, cfg.sg_options)
     cert = build_composite(cfg.candidates, cfg.gain_matrix, cfg.network,
                            anchor=cfg.anchor, verdict=verdict, options=cfg.sg_options)

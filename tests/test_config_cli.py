@@ -65,6 +65,44 @@ def test_dimension_mismatch_rejected():
         build_config(cfg)
 
 
+def test_candidates_inherit_external_gains_at_load():
+    cfg = load_json("e1.json")
+    del cfg["lyapunov"]["subsystems"][0]["external_gain"]
+    cfg["lyapunov"]["subsystems"][1]["external_gain"] = "0.25*s"
+    cands = build_config(cfg).candidates
+    assert cands[0].gamma_external(2.0) == pytest.approx(1.0)
+    assert cands[1].gamma_external(2.0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("command", ["check-gains", "build-lyapunov", "verify", "simulate"])
+def test_malformed_external_gains_rejected_by_every_command(tmp_path, capsys, command):
+    cfg = load_json("e1.json")
+    cfg["gains"]["external"] = ["0.5*s"]
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert "gains.external" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,path,command,edit", [
+    ("e1.json", "network.subsystems[0].dim", "check-gains",
+     lambda c: c["network"]["subsystems"][0].update(dim="abc")),
+    ("e1.json", "gains.internal[0][1]", "check-gains",
+     lambda c: c["gains"]["internal"][0].__setitem__(1, "log(s+1)")),
+    ("e1.json", "analysis.simulation.step", "simulate",
+     lambda c: c["analysis"]["simulation"].update(step=0)),
+    ("e1_traj_iss.json", "analysis.trajectories.step", "check-traj",
+     lambda c: c["analysis"]["trajectories"].update(step=0)),
+    ("e1.json", "analysis.simulation.x0", "simulate",
+     lambda c: c["analysis"]["simulation"].update(x0=[float("nan"), 0.0])),
+    ("e1.json", "analysis.priority", "simulate",
+     lambda c: c["analysis"].update(priority="bogus")),
+], ids=["dim", "gain-not-kinf", "step", "traj-step", "x0-nan", "priority"])
+def test_malformed_config_exits_2_with_path(tmp_path, capsys, name, path, command, edit):
+    cfg = load_json(name)
+    edit(cfg)
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert path in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -130,6 +168,18 @@ def test_verify_subsystem_detects_broken_coupling(tmp_path):
     cfg["analysis"]["sampler"]["n_samples"] = 1500
     path = write_cfg(tmp_path, cfg)
     assert main(["verify", "--config", path, "--which", "subsystem"]) == 1
+
+
+def test_verify_subsystem_without_inputs(tmp_path, capsys):
+    cfg = load_json("e1.json")
+    cfg["network"]["input_dim"] = 0
+    for i, sub in enumerate(cfg["network"]["subsystems"]):
+        sub["flow"] = [f"-x_{i + 1} + 0.25*x_{2 - i}"]
+    del cfg["analysis"]["sampler"]["u_box"]
+    del cfg["analysis"]["simulation"]["input"]
+    cfg["analysis"]["sampler"]["n_samples"] = 300
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--which", "subsystem"]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 2
 
 
 def test_verify_refuses_differing_jump_sets(tmp_path):
