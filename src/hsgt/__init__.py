@@ -1,6 +1,6 @@
 """Small-gain analysis toolkit for interconnected hybrid (flow + jump) systems."""
 
-from .expr import EvalDomainError, Expr, ParseError, evaluate, parse, render
+from .expr import EvalDomainError, EvalOverflowError, Expr, ParseError, evaluate, parse, render
 from .kfun import Classification, KFun, classify, compose, invert, \
     pointwise_max, pointwise_min
 from .gains import GainMatrix, OmegaPath, SmallGainOptions, SmallGainVerdict, \

@@ -7,7 +7,8 @@
     hsgt check-traj      --config cfg.json [--out report.json]
 
 Exit codes: 0 when the requested condition holds, 1 when an analysis fails
-(a condition is violated), 2 on configuration or usage errors.  Reports are
+(a condition is violated, or an expression, comparison function, scaling path
+or simulation cannot be evaluated), 2 on configuration or usage errors.  Reports are
 deterministic for a fixed config and seed.
 """
 
@@ -23,11 +24,12 @@ import numpy as np
 
 from .config import ConfigError, ProjectConfig, load_config
 from .equiv import TransformError, to_v_form, to_w_form
-from .gains import SmallGainError, small_gain_check
-from .hybrid import InputSignal, write_trajectory_csv, simulate
-from .kfun import kfun_to_json
-from .lyapunov import (CertificateError, JumpSetMismatchError, build_composite,
-                       verify_composite_flow, verify_composite_jump, verify_subsystem)
+from .expr import EvalDomainError
+from .gains import OmegaPathError, SmallGainError, small_gain_check
+from .hybrid import HybridError, InputSignal, write_trajectory_csv, simulate
+from .kfun import KFunError, kfun_to_json
+from .lyapunov import (CertificateError, build_composite, verify_composite_flow,
+                       verify_composite_jump, verify_subsystem)
 from .trajectories import (TrajectoryError, check_zero_input_prestability,
                            fit_empirical_gain, run_estimate_batch)
 
@@ -184,10 +186,8 @@ def cmd_check_traj(args) -> int:
     if traj.zero_input:
         zi = traj.zero_input
         zbatch = check_zero_input_prestability(
-            cfg.network, zi["delta_grid"], zi["eps_grid"],
-            float(zi.get("horizon", traj.horizon)),
-            int(zi.get("max_jumps", traj.max_jumps)), traj.options,
-            seed=cfg.seed)
+            cfg.network, zi["delta_grid"], zi["eps_grid"], zi["horizon"], zi["max_jumps"],
+            traj.options, seed=cfg.seed)
         report["zero_input"] = zbatch.to_json()
         ok = ok and zbatch.passed
         if args.out:
@@ -246,7 +246,8 @@ def main(argv=None) -> int:
     except (ConfigError, TrajectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (SmallGainError, CertificateError, JumpSetMismatchError, TransformError) as exc:
+    except (SmallGainError, CertificateError, TransformError, OmegaPathError, KFunError,
+            HybridError, EvalDomainError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return FAIL
 

@@ -50,13 +50,41 @@ def _as_int(value, path: str, minimum: int) -> int:
     return out
 
 
-def _finite_vector(values, size: int, path: str) -> np.ndarray:
+def _number(cfg: dict, key: str, path: str, default=None, cast=float):
+    """``cfg[key]`` converted by ``cast``; required when ``default`` is None."""
+    value = _get(cfg, key, path, required=default is None, default=default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        _fail(f"{path}.{key}", f"expected a number, got {value!r}")
+
+
+def _finite_vector(values, size: Optional[int], path: str) -> np.ndarray:
+    """Finite numbers, exactly ``size`` of them unless ``size`` is None."""
     try:
         out = np.asarray([float(v) for v in values])
     except (TypeError, ValueError):
         _fail(path, "expected a list of numbers")
-    if out.shape != (size,) or not np.all(np.isfinite(out)):
-        _fail(path, f"need {size} finite components")
+    if (size is not None and out.shape != (size,)) or not np.all(np.isfinite(out)):
+        _fail(path, "need finite numbers" if size is None else f"need {size} finite components")
+    return out
+
+
+def _u_box(entries, input_dim: int, path: str) -> Optional[List[Tuple[float, float]]]:
+    """Input sampling ranges: one finite ``[lo, hi]`` pair with lo <= hi per input."""
+    if entries is None:
+        return None
+    if not isinstance(entries, list) or len(entries) != input_dim:
+        _fail(path, f"need {input_dim} component ranges")
+    out = []
+    for j, pair in enumerate(entries):
+        try:
+            lo, hi = (float(v) for v in pair)
+        except (TypeError, ValueError):
+            _fail(f"{path}[{j}]", f"expected a [lo, hi] pair of numbers, got {pair!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            _fail(f"{path}[{j}]", f"need finite lo <= hi, got {pair!r}")
+        out.append((lo, hi))
     return out
 
 
@@ -73,6 +101,14 @@ def _parse_kfun(text, path: str) -> KFun:
     if text is None or text == "0":
         return KFun.zero()
     return KFun.from_expr(_parse_expr(text, ("s",), path))
+
+
+def _classed_kfun(cfg: dict, key: str, base: str, floor: Classification) -> KFun:
+    """``cfg[key]`` as a comparison function of at least class ``floor``."""
+    f = _parse_kfun(_get(cfg, key, base), f"{base}.{key}")
+    if not at_least(f.classification, floor):
+        _fail(f"{base}.{key}", f"classified {f.classification.value}; must be {floor.value}")
+    return f
 
 
 def _parse_gain_entry(entry, path: str) -> KFun:
@@ -162,43 +198,39 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
     n = net.n
 
     analysis = raw.get("analysis", {})
-    seed = int(analysis.get("seed", 0))
+    seed = _number(analysis, "seed", "analysis", 0, int)
     priority = analysis.get("priority", "jump")
     if priority not in ("jump", "flow"):
         _fail("analysis.priority", f"expected 'jump' or 'flow', got {priority!r}")
     anchor = analysis.get("anchor")
     if anchor is not None:
-        anchor = np.asarray([float(v) for v in anchor])
-        if anchor.shape != (n,) or np.any(anchor <= 0):
+        anchor = _finite_vector(anchor, n, "analysis.anchor")
+        if np.any(anchor <= 0):
             _fail("analysis.anchor", f"need {n} positive entries")
 
     grid_cfg = analysis.get("grid", {})
     sg_options = SmallGainOptions(
-        grid_lo=float(grid_cfg.get("lo", 1e-8)),
-        grid_hi=float(grid_cfg.get("hi", 1e8)),
-        grid_points=int(grid_cfg.get("points", 128)),
+        grid_lo=_number(grid_cfg, "lo", "analysis.grid", 1e-8),
+        grid_hi=_number(grid_cfg, "hi", "analysis.grid", 1e8),
+        grid_points=_number(grid_cfg, "points", "analysis.grid", 128, int),
         seed=seed)
 
+    base = "analysis.sampler"
     sampler_cfg = analysis.get("sampler", {})
-    u_box = sampler_cfg.get("u_box")
-    if u_box is not None:
-        u_box = [(float(lo), float(hi)) for lo, hi in u_box]
-        if len(u_box) != net.input_dim:
-            _fail("analysis.sampler.u_box", f"need {net.input_dim} component ranges")
     sampler = SamplerSpec(
-        n_samples=int(sampler_cfg.get("n_samples", 10000)),
-        box_radius=float(sampler_cfg.get("box_radius", 1.0)),
-        u_box=u_box,
-        boundary_fraction=float(sampler_cfg.get("boundary_fraction", 0.2)),
-        tie_fraction=float(sampler_cfg.get("tie_fraction", 0.2)),
-        seed=int(sampler_cfg.get("seed", seed)))
+        n_samples=_number(sampler_cfg, "n_samples", base, 10000, int),
+        box_radius=_number(sampler_cfg, "box_radius", base, 1.0),
+        u_box=_u_box(sampler_cfg.get("u_box"), net.input_dim, f"{base}.u_box"),
+        boundary_fraction=_number(sampler_cfg, "boundary_fraction", base, 0.2),
+        tie_fraction=_number(sampler_cfg, "tie_fraction", base, 0.2),
+        seed=_number(sampler_cfg, "seed", base, seed, int))
+    if not (math.isfinite(sampler.box_radius) and sampler.box_radius > 0.0):
+        _fail(f"{base}.box_radius", f"need a positive finite radius, got {sampler.box_radius!r}")
 
     tol_cfg = analysis.get("tolerances", {})
     tolerances = VerifyTolerances(
-        flow=float(tol_cfg.get("flow", 1e-7)),
-        jump_rel=float(tol_cfg.get("jump_rel", 1e-9)),
-        jump_abs=float(tol_cfg.get("jump_abs", 1e-12)),
-        sandwich_rel=float(tol_cfg.get("sandwich_rel", 1e-9)))
+        **{key: _number(tol_cfg, key, "analysis.tolerances", getattr(VerifyTolerances, key))
+           for key in ("flow", "jump_rel", "jump_abs", "sandwich_rel")})
 
     gain_matrix = None
     if "gains" in raw:
@@ -281,10 +313,10 @@ def _build_candidates(cfg: dict, net: NetworkSpec, gm: Optional[GainMatrix],
         base = f"lyapunov.subsystems[{i}]"
         sub_vars = net.state_vars()[net.slices[i]]
         v = _parse_expr(_get(s, "v", base), sub_vars, f"{base}.v")
-        psi1 = _parse_kfun(_get(s, "psi1", base), f"{base}.psi1")
-        psi2 = _parse_kfun(_get(s, "psi2", base), f"{base}.psi2")
-        alpha = _parse_kfun(_get(s, "alpha", base), f"{base}.alpha")
-        lam = _parse_kfun(_get(s, "lambda", base), f"{base}.lambda")
+        psi1, psi2, alpha, lam = (_classed_kfun(s, key, base, floor) for key, floor in (
+            ("psi1", Classification.CLASS_K_INF), ("psi2", Classification.CLASS_K_INF),
+            ("alpha", Classification.POSITIVE_DEFINITE),
+            ("lambda", Classification.POSITIVE_DEFINITE)))
         internal = {}
         if "internal_gains" in s:
             row = _gain_list(s["internal_gains"], net.n, f"{base}.internal_gains")
@@ -325,14 +357,11 @@ def _build_input(cfg, net: NetworkSpec, path: str) -> InputSignal:
 
 
 def _sim_options(cfg: dict, priority: str, base: str) -> SimOptions:
-    try:
-        step = float(cfg.get("step", 1e-3))
-    except (TypeError, ValueError):
-        _fail(f"{base}.step", f"expected a number, got {cfg.get('step')!r}")
+    step = _number(cfg, "step", base, 1e-3)
     if not (math.isfinite(step) and step > 0.0):
         _fail(f"{base}.step", f"need a positive finite step, got {step!r}")
     return SimOptions(step=step, priority=priority,
-                      record_every=int(cfg.get("record_every", 1)))
+                      record_every=_number(cfg, "record_every", base, 1, int))
 
 
 def _build_simulation(cfg: dict, net: NetworkSpec, priority: str) -> SimulationSection:
@@ -340,9 +369,8 @@ def _build_simulation(cfg: dict, net: NetworkSpec, priority: str) -> SimulationS
     x0 = _finite_vector(_get(cfg, "x0", base), net.state_dim, f"{base}.x0")
     u = _build_input(cfg.get("input"), net, f"{base}.input")
     opts = _sim_options(cfg, priority, base)
-    return SimulationSection(x0=x0, input_signal=u,
-                             horizon=float(_get(cfg, "horizon", base)),
-                             max_jumps=int(_get(cfg, "max_jumps", base)),
+    return SimulationSection(x0=x0, input_signal=u, horizon=_number(cfg, "horizon", base),
+                             max_jumps=_number(cfg, "max_jumps", base, cast=int),
                              options=opts)
 
 
@@ -359,8 +387,8 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
             beta = Beta.from_expr(_parse_expr(beta_cfg["expr"], ("r", "t", "k"),
                                               f"{base}.beta.expr"))
         else:
-            beta = Beta.exponential(float(_get(beta_cfg, "scale", f"{base}.beta")),
-                                    float(_get(beta_cfg, "rate", f"{base}.beta")))
+            beta = Beta.exponential(_number(beta_cfg, "scale", f"{base}.beta"),
+                                    _number(beta_cfg, "rate", f"{base}.beta"))
         beta.validate()
         estimate = ISSEstimate(betas=[beta] * net.n, gains=gains)
     elif kind == "pre-gs":
@@ -378,28 +406,38 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
         comp_gamma = _parse_kfun(cfg["composite_gamma"], f"{base}.composite_gamma") \
             if "composite_gamma" in cfg else None
         estimate = AGEstimate(gains=gains, composite_gamma=comp_gamma,
-                              tail_fraction=float(cfg.get("tail_fraction", 0.2)))
+                              tail_fraction=_number(cfg, "tail_fraction", base, 0.2))
     else:
         _fail(f"{base}.kind", f"unknown estimate kind '{kind}' (iss | pre-gs | ag)")
 
     ic_cfg = _get(cfg, "initial_conditions", base)
     if isinstance(ic_cfg, dict):
-        ics = initial_condition_grid(int(_get(ic_cfg, "count", f"{base}.initial_conditions")),
-                                     float(_get(ic_cfg, "radius", f"{base}.initial_conditions")),
-                                     net.state_dim, seed=int(ic_cfg.get("seed", seed)))
+        ic_base = f"{base}.initial_conditions"
+        ics = initial_condition_grid(_number(ic_cfg, "count", ic_base, cast=int),
+                                     _number(ic_cfg, "radius", ic_base), net.state_dim,
+                                     seed=_number(ic_cfg, "seed", ic_base, seed, int))
     else:
         ics = [_finite_vector(row, net.state_dim, f"{base}.initial_conditions[{i}]")
                for i, row in enumerate(ic_cfg)]
-    levels = [float(v) for v in cfg.get("input_levels", [0.0])]
-    opts = _sim_options(cfg, priority, base)
-    gain_fit = cfg.get("gain_fit")
+    levels = _finite_vector(cfg.get("input_levels", [0.0]), None, f"{base}.input_levels")
+    horizon = _number(cfg, "horizon", base)
+    max_jumps = _number(cfg, "max_jumps", base, cast=int)
+    gain_fit, gain_fit_levels = cfg.get("gain_fit"), None
+    if gain_fit:
+        gain_fit_levels = _finite_vector(_get(gain_fit, "levels", f"{base}.gain_fit"), None,
+                                         f"{base}.gain_fit.levels").tolist() or None
     zero_input = cfg.get("zero_input")
+    if zero_input:
+        zbase = f"{base}.zero_input"
+        zero_input = {
+            "delta_grid": _finite_vector(_get(zero_input, "delta_grid", zbase), None,
+                                         f"{zbase}.delta_grid").tolist(),
+            "eps_grid": _finite_vector(_get(zero_input, "eps_grid", zbase), None,
+                                       f"{zbase}.eps_grid").tolist(),
+            "horizon": _number(zero_input, "horizon", zbase, horizon),
+            "max_jumps": _number(zero_input, "max_jumps", zbase, max_jumps, int)}
     return TrajectorySection(kind=kind, estimate=estimate, initial_conditions=ics,
-                             input_levels=levels,
-                             horizon=float(_get(cfg, "horizon", base)),
-                             max_jumps=int(_get(cfg, "max_jumps", base)),
-                             options=opts,
-                             tail_fraction=float(cfg.get("tail_fraction", 0.2)),
-                             gain_fit_levels=[float(v) for v in gain_fit["levels"]]
-                             if gain_fit else None,
-                             zero_input=zero_input)
+                             input_levels=levels.tolist(), horizon=horizon,
+                             max_jumps=max_jumps, options=_sim_options(cfg, priority, base),
+                             tail_fraction=_number(cfg, "tail_fraction", base, 0.2),
+                             gain_fit_levels=gain_fit_levels, zero_input=zero_input)

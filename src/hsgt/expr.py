@@ -10,6 +10,10 @@ The grammar (also documented in the README) is a small infix language:
 with ``func`` one of ``abs``, ``min``, ``max``, ``exp``, ``log``.  Offsets in
 parse errors are 1-based character positions; errors at end of input report
 one position past the last character.
+
+One code generator backs :func:`compile_expr` and :func:`compile_bounds`;
+:func:`evaluate` is the reference interpreter.  All of them raise
+:class:`EvalDomainError` on a domain error, :class:`EvalOverflowError` on overflow.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from types import CodeType
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence
 
 
 class ExprError(Exception):
@@ -38,6 +43,10 @@ class UnknownIdentifierError(ParseError):
 
 class EvalDomainError(ExprError):
     """Division by zero, log of a non-positive value, invalid power, overflow."""
+
+
+class EvalOverflowError(EvalDomainError):
+    """A result too large to represent (exp or power overflow)."""
 
 
 class UnboundVariableError(ExprError):
@@ -301,15 +310,8 @@ def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     return Max(tuple(substitute(a, mapping) for a in expr.args))
 
 
-def _pow(base: float, exponent: float) -> float:
-    try:
-        return math.pow(base, exponent)
-    except (ValueError, OverflowError) as exc:
-        raise EvalDomainError(f"invalid power {base!r}^{exponent!r}") from exc
-
-
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate at a full binding of the free variables."""
+    """Evaluate at a full binding of the free variables (the reference interpreter)."""
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Var):
@@ -325,12 +327,16 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
         if isinstance(expr, Mul):
             return evaluate(expr.a, env) * evaluate(expr.b, env)
         if isinstance(expr, Div):
-            denom = evaluate(expr.b, env)
+            num, denom = evaluate(expr.a, env), evaluate(expr.b, env)
             if denom == 0.0:
                 raise EvalDomainError("division by zero")
-            return evaluate(expr.a, env) / denom
+            return num / denom
         if isinstance(expr, Pow):
-            return _pow(evaluate(expr.base, env), expr.exponent)
+            base = evaluate(expr.base, env)
+            try:
+                return math.pow(base, expr.exponent)
+            except ValueError as exc:
+                raise EvalDomainError(f"invalid power {base!r}^{expr.exponent!r}") from exc
         if isinstance(expr, Abs):
             return abs(evaluate(expr.a, env))
         if isinstance(expr, Exp):
@@ -345,61 +351,148 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
         if isinstance(expr, Max):
             return max(evaluate(a, env) for a in expr.args)
     except OverflowError as exc:
-        raise EvalDomainError("overflow during evaluation") from exc
+        raise EvalOverflowError("overflow during evaluation") from exc
     raise TypeError(f"unknown node {expr!r}")
 
 
-def compile_expr(expr: Expr, var_order: Sequence[str]) -> Callable:
-    """Compile to a closure over a positional value sequence.
+# ---------------------------------------------------------------------------
+# code generation: one backend for values and directional bounds
 
-    The returned callable raises the raw arithmetic exceptions
-    (ZeroDivisionError, ValueError, OverflowError); hot loops wrap them once.
+_TIE_TOL = 1e-12  # relative tolerance for a tie between abs/min/max branches
+
+
+def _scale(c: str, lo: str, hi: str, out: str = "l{j}, h{j}") -> str:
+    """Line setting ``out`` to ``c * [lo, hi]``, endpoints ordered by the sign of c."""
+    return f"{out} = ({c} * {lo}, {c} * {hi}) if {c} >= 0.0 else ({c} * {hi}, {c} * {lo})"
+
+
+# Per node type: the value line, then the directional-bound (chain-rule) lines.
+# v{j} l{j} h{j} are node j's value and bounds, {a} {b} number its children,
+# k{k} is its bound constant or exponent, {i} its variable index; c m n t w{j}
+# are scratch.  {args} and {parts} end in a comma, so one argument makes a tuple.
+_MINMAX = ("t{j} = TIE_TOL * max(1.0, abs(v{j}))",
+           "w{j} = [p for p in ({parts}) if abs(p[0] - v{j}) <= t{j}]",
+           "l{j} = min([p[1] for p in w{j}])", "h{j} = max([p[2] for p in w{j}])")
+_RULES = {
+    Const: ("v{j} = k{k}", ("l{j} = h{j} = 0.0",)),
+    Var: ("v{j} = vals[{i}]", ("l{j} = h{j} = dirs[{i}]",)),
+    Add: ("v{j} = v{a} + v{b}", ("l{j} = l{a} + l{b}", "h{j} = h{a} + h{b}")),
+    Sub: ("v{j} = v{a} - v{b}", ("l{j} = l{a} - h{b}", "h{j} = h{a} - l{b}")),
+    Mul: ("v{j} = v{a} * v{b}", (_scale("v{b}", "l{a}", "h{a}"),
+                                 _scale("v{a}", "l{b}", "h{b}", "m{j}, n{j}"),
+                                 "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}")),
+    Div: ("v{j} = v{a} / v{b}", ("c{j} = 1.0 / v{b}", _scale("c{j}", "l{a}", "h{a}"),
+                                 "c{j} = -v{a} / (v{b} * v{b})",
+                                 _scale("c{j}", "l{b}", "h{b}", "m{j}, n{j}"),
+                                 "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}")),
+    Pow: ("v{j} = pow(v{a}, k{k})", ("if k{k} == 0.0: l{j} = h{j} = 0.0",
+                                     "else: c{j} = k{k} * pow(v{a}, k{k} - 1.0); "
+                                     + _scale("c{j}", "l{a}", "h{a}"))),
+    Abs: ("v{j} = abs(v{a})", ("t{j} = TIE_TOL * max(1.0, abs(v{a}))",
+                               "if v{a} > t{j}: l{j} = l{a}; h{j} = h{a}",
+                               "elif v{a} < -t{j}: l{j} = -h{a}; h{j} = -l{a}",
+                               "else: l{j} = min(l{a}, -h{a}); h{j} = max(h{a}, -l{a})")),
+    Exp: ("v{j} = exp(v{a})", (_scale("v{j}", "l{a}", "h{a}"),)),
+    Log: ("v{j} = log(v{a})", ("c{j} = 1.0 / v{a}", _scale("c{j}", "l{a}", "h{a}"))),
+    Min: ("v{j} = min(({args}))", _MINMAX),
+    Max: ("v{j} = max(({args}))", _MINMAX),
+}
+
+# Every generated function maps arithmetic failures to the evaluation-error contract.
+_FUNCTION = """\
+def f({params}):
+    try:
+{body}    except OverflowError as exc:
+        raise EvalOverflowError(f"{{exc}} in {{render(EXPR)}}") from exc
+    except (ZeroDivisionError, ValueError) as exc:
+        raise EvalDomainError(f"{{exc}} in {{render(EXPR)}}") from exc
+"""
+_NAMESPACE = {"pow": math.pow, "exp": math.exp, "log": math.log, "isfinite": math.isfinite,
+              "TIE_TOL": _TIE_TOL, "EvalDomainError": EvalDomainError,
+              "EvalOverflowError": EvalOverflowError}
+_CODE: Dict[str, CodeType] = {}
+
+
+def _children(node: Expr) -> tuple:
+    if isinstance(node, (Min, Max)):
+        return node.args
+    return tuple(v for v in vars(node).values() if isinstance(v, Expr))
+
+
+def _generate(expr: Expr, var_order: Sequence[str], bounds: bool) -> Callable:
+    """Emit straight-line Python for ``expr`` (one temporary per node), compile, bind.
+
+    One post-order walk emits each node's rule lines, so the arithmetic is the
+    tree's, in the tree's order.  Constants and exponents are bound by name,
+    so no config text reaches ``compile`` and trees of one shape share a code
+    object.
     """
     index = {name: i for i, name in enumerate(var_order)}
     missing = free_vars(expr) - set(index)
     if missing:
         raise UnboundVariableError(sorted(missing)[0])
+    preorder, stack = [], [expr]
+    while stack:  # reversed right-first preorder is left-first post-order
+        node = stack.pop()
+        kids = _children(node)
+        preorder.append((node, len(kids)))
+        stack.extend(kids)
+    consts: Dict[str, float] = {}
+    lines: List[str] = []
+    temps: List[int] = []
+    for j, (node, arity) in enumerate(reversed(preorder)):
+        split = len(temps) - arity
+        kids, temps[split:] = temps[split:], [j]
+        fields = dict(zip("ab", kids), j=j)
+        if isinstance(node, (Const, Pow)):
+            fields["k"] = len(consts)
+            consts[f"k{len(consts)}"] = node.value if isinstance(node, Const) else node.exponent
+        elif isinstance(node, Var):
+            fields["i"] = index[node.name]
+        elif isinstance(node, (Min, Max)):
+            fields["args"] = "".join(f"v{kid}, " for kid in kids)
+            fields["parts"] = "".join(f"(v{kid}, l{kid}, h{kid}), " for kid in kids)
+        value, chain = _RULES[type(node)]
+        lines.append(value.format(**fields))
+        if bounds:
+            lines.extend(rule.format(**fields) for rule in chain)
+    root = len(preorder) - 1
+    if bounds:
+        lines += [f"if not (isfinite(l{root}) and isfinite(h{root})):",
+                  "    raise EvalDomainError('non-finite gradient estimate in ' + render(EXPR))",
+                  f"return v{root}, l{root}, h{root}"]
+    else:
+        lines.append(f"return v{root}")
+    source = _FUNCTION.format(params="vals, dirs" if bounds else "vals",
+                              body="".join(f"        {line}\n" for line in lines))
+    code = _CODE.get(source)
+    if code is None:
+        code = _CODE[source] = compile(source, "<hsgt expression>", "exec")
+    namespace = {**_NAMESPACE, **consts, "EXPR": expr, "render": render}
+    exec(code, namespace)
+    return namespace["f"]
 
-    def rec(node):
-        if isinstance(node, Const):
-            c = node.value
-            return lambda vals: c
-        if isinstance(node, Var):
-            i = index[node.name]
-            return lambda vals: vals[i]
-        if isinstance(node, Add):
-            fa, fb = rec(node.a), rec(node.b)
-            return lambda vals: fa(vals) + fb(vals)
-        if isinstance(node, Sub):
-            fa, fb = rec(node.a), rec(node.b)
-            return lambda vals: fa(vals) - fb(vals)
-        if isinstance(node, Mul):
-            fa, fb = rec(node.a), rec(node.b)
-            return lambda vals: fa(vals) * fb(vals)
-        if isinstance(node, Div):
-            fa, fb = rec(node.a), rec(node.b)
-            return lambda vals: fa(vals) / fb(vals)
-        if isinstance(node, Pow):
-            fb, p = rec(node.base), node.exponent
-            return lambda vals: math.pow(fb(vals), p)
-        if isinstance(node, Abs):
-            fa = rec(node.a)
-            return lambda vals: abs(fa(vals))
-        if isinstance(node, Exp):
-            fa = rec(node.a)
-            return lambda vals: math.exp(fa(vals))
-        if isinstance(node, Log):
-            fa = rec(node.a)
-            return lambda vals: math.log(fa(vals))
-        if isinstance(node, Min):
-            fs = tuple(rec(a) for a in node.args)
-            return lambda vals: min(f(vals) for f in fs)
-        if isinstance(node, Max):
-            fs = tuple(rec(a) for a in node.args)
-            return lambda vals: max(f(vals) for f in fs)
-        raise TypeError(f"unknown node {node!r}")
 
-    return rec(expr)
+def compile_expr(expr: Expr, var_order: Sequence[str]) -> Callable:
+    """Value function of ``expr`` over a positional sequence ordered as ``var_order``."""
+    return _generate(expr, var_order, bounds=False)
+
+
+def compile_bounds(expr: Expr, var_order: Sequence[str]) -> Callable:
+    """Bounds function ``fn(vals, dirs) -> (value, lo, hi)`` of ``expr``.
+
+    ``[lo, hi]`` encloses the generalized gradient's inner products with
+    ``dirs`` and collapses to the chain-rule derivative where every
+    abs/min/max branch is unambiguous.
+    """
+    return _generate(expr, var_order, bounds=True)
+
+
+def directional_bounds(expr: Expr, env: Mapping[str, float], seed: Mapping[str, float]):
+    """:func:`compile_bounds` at a point and direction given by name (unnamed: 0)."""
+    names = tuple(env)
+    return compile_bounds(expr, names)([env[n] for n in names],
+                                       [seed.get(n, 0.0) for n in names])
 
 
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
@@ -440,89 +533,3 @@ def _render(expr: Expr, parent_prec: int) -> str:
         return "max(" + ", ".join(_render(a, 0) for a in expr.args) + ")"
     raise TypeError(f"unknown node {expr!r}")
 
-
-def directional_bounds(expr: Expr, env: Mapping[str, float],
-                       seed: Mapping[str, float], tie_tol: float = 1e-12):
-    """Value and directional-derivative bounds along a direction.
-
-    Returns ``(value, lo, hi)`` where ``[lo, hi]`` encloses the inner products
-    of the generalized gradient with the direction given by ``seed``.  At
-    points where every abs/min/max branch choice is unambiguous the interval
-    collapses to the classical chain-rule derivative.
-    """
-    value, lo, hi = _dbounds(expr, env, seed, tie_tol)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise EvalDomainError("non-finite gradient estimate")
-    return value, lo, hi
-
-
-def _scale(c: float, lo: float, hi: float):
-    return (c * lo, c * hi) if c >= 0.0 else (c * hi, c * lo)
-
-
-def _dbounds(expr: Expr, env, seed, tie_tol):
-    if isinstance(expr, Const):
-        return expr.value, 0.0, 0.0
-    if isinstance(expr, Var):
-        d = seed.get(expr.name, 0.0)
-        return env[expr.name], d, d
-    if isinstance(expr, Add):
-        va, la, ha = _dbounds(expr.a, env, seed, tie_tol)
-        vb, lb, hb = _dbounds(expr.b, env, seed, tie_tol)
-        return va + vb, la + lb, ha + hb
-    if isinstance(expr, Sub):
-        va, la, ha = _dbounds(expr.a, env, seed, tie_tol)
-        vb, lb, hb = _dbounds(expr.b, env, seed, tie_tol)
-        return va - vb, la - hb, ha - lb
-    if isinstance(expr, Mul):
-        va, la, ha = _dbounds(expr.a, env, seed, tie_tol)
-        vb, lb, hb = _dbounds(expr.b, env, seed, tie_tol)
-        l1, h1 = _scale(vb, la, ha)
-        l2, h2 = _scale(va, lb, hb)
-        return va * vb, l1 + l2, h1 + h2
-    if isinstance(expr, Div):
-        va, la, ha = _dbounds(expr.a, env, seed, tie_tol)
-        vb, lb, hb = _dbounds(expr.b, env, seed, tie_tol)
-        if vb == 0.0:
-            raise EvalDomainError("division by zero")
-        l1, h1 = _scale(1.0 / vb, la, ha)
-        l2, h2 = _scale(-va / (vb * vb), lb, hb)
-        return va / vb, l1 + l2, h1 + h2
-    if isinstance(expr, Pow):
-        vb, lb, hb = _dbounds(expr.base, env, seed, tie_tol)
-        value = _pow(vb, expr.exponent)
-        if expr.exponent == 0.0:
-            return value, 0.0, 0.0
-        c = expr.exponent * _pow(vb, expr.exponent - 1.0)
-        lo, hi = _scale(c, lb, hb)
-        return value, lo, hi
-    if isinstance(expr, Abs):
-        va, la, ha = _dbounds(expr.a, env, seed, tie_tol)
-        tol = tie_tol * max(1.0, abs(va))
-        if va > tol:
-            return abs(va), la, ha
-        if va < -tol:
-            return abs(va), -ha, -la
-        return abs(va), min(la, -ha), max(ha, -la)
-    if isinstance(expr, Exp):
-        va, la, ha = _dbounds(expr.a, env, seed, tie_tol)
-        try:
-            value = math.exp(va)
-        except OverflowError as exc:
-            raise EvalDomainError("overflow during evaluation") from exc
-        lo, hi = _scale(value, la, ha)
-        return value, lo, hi
-    if isinstance(expr, Log):
-        va, la, ha = _dbounds(expr.a, env, seed, tie_tol)
-        if va <= 0.0:
-            raise EvalDomainError(f"log of non-positive value {va!r}")
-        lo, hi = _scale(1.0 / va, la, ha)
-        return math.log(va), lo, hi
-    if isinstance(expr, (Min, Max)):
-        parts = [_dbounds(a, env, seed, tie_tol) for a in expr.args]
-        values = [p[0] for p in parts]
-        best = max(values) if isinstance(expr, Max) else min(values)
-        tol = tie_tol * max(1.0, abs(best))
-        active = [p for p in parts if abs(p[0] - best) <= tol]
-        return best, min(p[1] for p in active), max(p[2] for p in active)
-    raise TypeError(f"unknown node {expr!r}")

@@ -471,53 +471,50 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
     h = opts.step
     steps_since_record = 0
 
-    while True:
-        u_now = u.values(t, k)
-        if not all(map(math.isfinite, x)):
-            return rec.finalize("numerical_failure", False, jumps)
-        vals = x + u_now
-        try:
+    try:
+        while True:
+            u_now = u.values(t, k)
+            if not all(map(math.isfinite, x)):
+                return rec.finalize("numerical_failure", False, jumps)
+            vals = x + u_now
             in_c = net.c_raw(vals) <= 0.0
             in_d = net.d_raw(vals) <= 0.0
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return rec.finalize("numerical_failure", False, jumps)
-        if not in_c and not in_d:
-            return rec.finalize("left_domain", False, jumps)
-        do_jump = in_d and (jump_priority or not in_c)
-        if do_jump:
-            if jumps >= max_jumps:
-                return rec.finalize("max_jumps", True, jumps)
-            x = net.jump_raw(vals)
-            k += 1
-            jumps += 1
-            rec.open_interval(t, k)
-            rec.record(t, x, u.values(t, k))
-            steps_since_record = 0
-            continue
+            if not in_c and not in_d:
+                return rec.finalize("left_domain", False, jumps)
+            do_jump = in_d and (jump_priority or not in_c)
+            if do_jump:
+                if jumps >= max_jumps:
+                    return rec.finalize("max_jumps", True, jumps)
+                x, u_now = net.jump_raw(vals), u.values(t, k + 1)
+                k += 1
+                jumps += 1
+                rec.open_interval(t, k)
+                rec.record(t, x, u_now)
+                steps_since_record = 0
+                continue
 
-        # flow phase
-        if t >= horizon - 1e-15:
-            return rec.finalize("horizon", True, jumps)
-        h_step = min(h, horizon - t)
-        try:
+            # flow phase
+            if t >= horizon - 1e-15:
+                return rec.finalize("horizon", True, jumps)
+            h_step = min(h, horizon - t)
             x_prop = _rk4(net, x, u, t, k, h_step)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return rec.finalize("numerical_failure", False, jumps)
-        if not all(map(math.isfinite, x_prop)):
-            return rec.finalize("numerical_failure", False, jumps)
-        if _flow_event(net, x_prop, u.values(t + h_step, k), jump_priority):
-            theta = _bisect_event(net, x, u, t, k, h_step, jump_priority, opts.time_tol)
-            x = _rk4(net, x, u, t, k, theta * h_step)
-            t = t + theta * h_step
-            rec.record(t, x, u.values(t, k))
-            steps_since_record = 0
-            continue
-        x = x_prop
-        t = t + h_step
-        steps_since_record += 1
-        if steps_since_record >= opts.record_every or t >= horizon - 1e-15:
-            rec.record(t, x, u.values(t, k))
-            steps_since_record = 0
+            if not all(map(math.isfinite, x_prop)):
+                return rec.finalize("numerical_failure", False, jumps)
+            if _flow_event(net, x_prop, u.values(t + h_step, k), jump_priority):
+                theta = _bisect_event(net, x, u, t, k, h_step, jump_priority, opts.time_tol)
+                x = _rk4(net, x, u, t, k, theta * h_step)
+                t = t + theta * h_step
+                rec.record(t, x, u.values(t, k))
+                steps_since_record = 0
+                continue
+            x = x_prop
+            t = t + h_step
+            steps_since_record += 1
+            if steps_since_record >= opts.record_every or t >= horizon - 1e-15:
+                rec.record(t, x, u.values(t, k))
+                steps_since_record = 0
+    except ex.EvalDomainError:  # a guard, flow, jump or input expression left its domain
+        return rec.finalize("numerical_failure", False, jumps)
 
 
 def _flow_event(net: NetworkSpec, x: list, u_val: list, jump_priority: bool) -> bool:

@@ -87,12 +87,7 @@ class KFun:
     def __call__(self, s: float) -> float:
         if self.linear_slope is not None:
             return self.linear_slope * s
-        try:
-            return self.fn(s)
-        except ZeroDivisionError as exc:
-            raise ex.EvalDomainError("division by zero") from exc
-        except (ValueError, OverflowError) as exc:
-            raise ex.EvalDomainError(str(exc)) from exc
+        return self.fn(s)
 
     @property
     def is_zero(self) -> bool:
@@ -214,14 +209,16 @@ def _linear_slope(fn: Callable[[float], float], grid: np.ndarray) -> Optional[fl
 
 
 def classify_callable(fn: Callable[[float], float], grid: np.ndarray) -> Classification:
-    """Strongest class consistent with sampled checks; never claims a refuted one."""
+    """Strongest class consistent with sampled checks; never claims a refuted one.
+
+    ``fn`` follows the expression error contract: an overflow (``EvalOverflowError``)
+    counts as unbounded growth, any other ``EvalDomainError`` as undefined.
+    """
     if len(grid) < 64 or grid[0] > 1e-6 or grid[-1] < 1e6:
         raise ValueError("classification grid must have >= 64 points spanning [1e-6, 1e6]")
     try:
         v0 = fn(0.0)
-    except (ZeroDivisionError, ValueError):
-        return Classification.UNVERIFIED
-    except OverflowError:
+    except ex.EvalDomainError:
         return Classification.UNVERIFIED
     if not math.isfinite(v0) or abs(v0) > _ZERO_AT_ZERO_TOL:
         return Classification.UNVERIFIED
@@ -231,11 +228,9 @@ def classify_callable(fn: Callable[[float], float], grid: np.ndarray) -> Classif
     for r in grid:
         try:
             v = fn(float(r))
-        except OverflowError:
+        except ex.EvalOverflowError:
             overflowed = True
             break
-        except (ZeroDivisionError, ValueError) as exc:
-            raise ex.EvalDomainError(str(exc)) from exc
         if math.isinf(v):
             overflowed = True
             break
@@ -255,10 +250,10 @@ def classify_callable(fn: Callable[[float], float], grid: np.ndarray) -> Classif
         for r in _UNBOUNDED_PROBE:
             try:
                 v = fn(float(r))
-            except OverflowError:
+            except ex.EvalOverflowError:
                 unbounded = True
                 break
-            except (ZeroDivisionError, ValueError):
+            except ex.EvalDomainError:
                 break
             if math.isinf(v) or v > _UNBOUNDED_LEVEL:
                 unbounded = True

@@ -92,6 +92,7 @@ class CompositeCertificate:
     candidates: List[SubsystemLyapunov]
     net: NetworkSpec
     _v_fns: list = field(default_factory=list, repr=False)
+    _bound_fns: list = field(default_factory=list, repr=False)
 
     @property
     def n(self) -> int:
@@ -190,6 +191,7 @@ def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
                                 lam=lam, psi1=psi1, psi2=psi2, alpha=alpha,
                                 candidates=cands, net=net)
     cert._v_fns = [ex.compile_expr(c.v, net.state_vars()) for c in cands]
+    cert._bound_fns = [ex.compile_bounds(c.v, net.state_vars()) for c in cands]
     return cert
 
 
@@ -317,11 +319,12 @@ def _max_norm(v) -> float:
     return float(np.max(np.abs(v))) if len(v) else 0.0
 
 
-def _flow_direction(net: NetworkSpec, x, u) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """State environment and flow direction at one sample, keyed by state variable."""
-    state_vars = net.state_vars()
-    env = dict(zip(state_vars, map(float, x)))
-    return env, dict(zip(state_vars, map(float, net.flow_value(x, u))))
+def _flow_direction(net: NetworkSpec, x, u) -> Tuple[List[float], List[float]]:
+    """State and flow direction at one sample, in state-variable order.
+
+    Plain floats, so a division by zero raises; numpy scalars would give inf.
+    """
+    return [float(v) for v in x], [float(v) for v in net.flow_value(x, u)]
 
 
 def _active_flow_bound(cert: CompositeCertificate, net: NetworkSpec, x, u,
@@ -331,12 +334,12 @@ def _active_flow_bound(cert: CompositeCertificate, net: NetworkSpec, x, u,
     A piece at level zero takes the inverse-path slope at ``fallback_level``.
     With no active piece the bound is -inf and the index -1.
     """
-    env, direction = _flow_direction(net, x, u)
+    vals, direction = _flow_direction(net, x, u)
     worst, worst_i = -math.inf, -1
     for i in active_set(cert, x):
         w = cert.subsystem_value(i, x)
         slope = _sigma_inv_slope(cert.path, i, w if w > 0 else max(fallback_level, 1e-9))
-        _v, _lo, hi = ex.directional_bounds(cert.candidates[i].v, env, direction)
+        _v, _lo, hi = cert._bound_fns[i](vals, direction)
         piece = slope * hi
         if piece > worst:
             worst, worst_i = piece, i
@@ -368,8 +371,8 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
         return report
     flow_pts, jump_pts = drawn
     v_fns = [ex.compile_expr(c.v, net.state_vars()) for c in cands]
+    bound_fn = ex.compile_bounds(cand.v, net.state_vars())
     sub_slice = net.slices[index]
-    jump_exprs = net.subsystems[index].jump
 
     def neighbour_gains(vals):
         return [cand.internal_gain(j)(v_fns[j](vals)) for j in range(net.n) if j != index]
@@ -382,13 +385,14 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
         vi = v_fns[index](vals)
         if vi < max(neighbour_gains(vals) + (input_gain(u) or [0.0])):
             return None
-        _val, _lo, hi = ex.directional_bounds(cand.v, *_flow_direction(net, x, u))
+        _val, _lo, hi = bound_fn(*_flow_direction(net, x, u))
         return hi, -cand.alpha(vi), tol.flow, "flow decay under the gain premise"
 
     def jump(x, u):
         vals = tuple(x)
         x_new = np.array(x, dtype=float)
-        x_new[sub_slice] = [ex.evaluate(e, _full_env(net, x, u)) for e in jump_exprs]
+        xu = net._vals(x, u)
+        x_new[sub_slice] = [fn(xu) for fn in net._jump_fns[index]]
         rhs = max([cand.lam(v_fns[index](vals))] + neighbour_gains(vals) + input_gain(u))
         return (v_fns[index](tuple(x_new)), rhs,
                 max(tol.jump_abs, tol.jump_rel * abs(rhs)), "jump contraction")
@@ -414,12 +418,6 @@ def _check_sandwich(report, cand, x_sub, vi, s_idx, tol):
             sample_index=s_idx, point={"x_i": [float(v) for v in x_sub]},
             measured=vi, required=lo if vi < lo else hi,
             detail="sandwich bound", check="sandwich"))
-
-
-def _full_env(net: NetworkSpec, x, u) -> dict:
-    env = dict(zip(net.state_vars(), map(float, x)))
-    env.update(zip(net.input_vars(), map(float, u)))
-    return env
 
 
 def _require_shared_jump_set(net: NetworkSpec):

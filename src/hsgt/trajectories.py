@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .hybrid import InputSignal, NetworkSpec, SimOptions, SolutionPair, simulate
+from .hybrid import HybridError, InputSignal, NetworkSpec, SimOptions, SolutionPair, simulate
 from .kfun import KFun
 
 
@@ -347,6 +347,10 @@ def check_ag(sol: SolutionPair, estimate: AGEstimate, net: NetworkSpec,
     return batch
 
 
+# What a run that cannot be carried out raises; anything else is a bug and propagates.
+_RUN_ERRORS = (HybridError, ex.EvalDomainError, TrajectoryError)
+
+
 def check_zero_input_prestability(net: NetworkSpec, delta_grid: Sequence[float],
                                   eps_grid: Sequence[float], horizon: float,
                                   max_jumps: int, opts: Optional[SimOptions] = None,
@@ -370,7 +374,7 @@ def check_zero_input_prestability(net: NetworkSpec, delta_grid: Sequence[float],
         for d in dirs:
             try:
                 sol = simulate(net, d * delta, u, horizon, max_jumps, opts)
-            except Exception:  # outside the flow and jump sets: no admissible run
+            except _RUN_ERRORS:  # outside the flow and jump sets: no admissible run
                 worst_sup = math.inf
                 break
             mags = [float(np.max(np.abs(v))) for _t, _k, v, _j in sol.x.iter_samples()]
@@ -410,7 +414,7 @@ def fit_empirical_gain(net: NetworkSpec, input_levels: Sequence[float], horizon:
             sol = simulate(net, start, u, horizon, max_jumps, opts)
             norms = WindowedNorms(sol, net)
             mask, _thr, _top = _tail_mask(norms, tail_fraction)
-        except Exception:
+        except _RUN_ERRORS:
             table.append((level, None))
             continue
         value = float(np.max(norms.full_mag[mask]))

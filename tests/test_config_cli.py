@@ -95,12 +95,47 @@ def test_malformed_external_gains_rejected_by_every_command(tmp_path, capsys, co
      lambda c: c["analysis"]["simulation"].update(x0=[float("nan"), 0.0])),
     ("e1.json", "analysis.priority", "simulate",
      lambda c: c["analysis"].update(priority="bogus")),
-], ids=["dim", "gain-not-kinf", "step", "traj-step", "x0-nan", "priority"])
+    ("e1.json", "lyapunov.subsystems[0].psi1", "verify",
+     lambda c: c["lyapunov"]["subsystems"][0].update(psi1="log(s+1)")),
+    ("e1.json", "analysis.anchor", "build-lyapunov",
+     lambda c: c["analysis"].update(anchor=[float("nan"), 1.0])),
+    ("e1.json", "analysis.sampler.box_radius", "verify",
+     lambda c: c["analysis"]["sampler"].update(box_radius=-1)),
+    ("e1.json", "analysis.sampler.u_box[0]", "verify",
+     lambda c: c["analysis"]["sampler"].update(u_box=[[0]])),
+    ("e1.json", "analysis.simulation.horizon", "simulate",
+     lambda c: c["analysis"]["simulation"].update(horizon="abc")),
+], ids=["dim", "gain-not-kinf", "step", "traj-step", "x0-nan", "priority", "psi1-not-kinf",
+        "anchor-nan", "box-radius", "u-box-pair", "horizon"])
 def test_malformed_config_exits_2_with_path(tmp_path, capsys, name, path, command, edit):
     cfg = load_json(name)
     edit(cfg)
     assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,commands,code,message", [
+    (lambda c: c["network"]["subsystems"][0].update(jump=["log(x_1-5)"]),
+     [["simulate"]], 0, "termination=numerical_failure"),
+    (lambda c: c["lyapunov"]["subsystems"][0].update(v="log(x_1)"),
+     [["verify", "--which", w] for w in ("subsystem", "composite", "wform")], 1,
+     "analysis failed: math domain error in log(x_1)"),
+    (lambda c: c["network"]["subsystems"][0].update(flow_guard="log(x_1) - 1"),
+     [["verify", "--which", w] for w in ("subsystem", "composite", "wform")], 1,
+     "analysis failed: math domain error in log(x_1) - 1.0"),
+    (lambda c: c["network"]["subsystems"][0].update(flow=["log(x_1-5)"]),
+     [["verify", "--which", w] for w in ("subsystem", "composite", "wform")], 1,
+     "analysis failed: math domain error in log(x_1 - 5.0)"),
+], ids=["jump-map", "candidate", "flow-guard", "flow-map"])
+def test_expression_domain_errors_end_without_traceback(tmp_path, capsys, edit, commands,
+                                                        code, message):
+    cfg = load_json("e1_decoupled.json")
+    cfg["analysis"]["sampler"]["n_samples"] = 300
+    edit(cfg)
+    path = write_cfg(tmp_path, cfg)
+    for command in commands:
+        assert main(command + ["--config", path]) == code
+        assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Parser, evaluator, renderer, and directional-derivative tests."""
+"""Parser, reference evaluator, generated backend, renderer, and directional-bound tests."""
 
 import math
 
@@ -143,3 +143,81 @@ def test_substitute_composes():
     inner = ex.parse("2*s", ["s"])
     composed = ex.substitute(outer, {"s": inner})
     assert ex.evaluate(composed, {"s": 3.0}) == pytest.approx(36.0 + 6.0)
+
+
+# ---------------------------------------------------------------------------
+# the generated backend against the reference interpreter
+
+_POINTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 1e300, 710.0]) \
+    | st.floats(min_value=-1e6, max_value=1e6)
+
+
+def _trees():
+    leaves = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, -0.5, 1e-12, 1e300, 1e999])
+                       .map(ex.Const), st.sampled_from(["x", "y"]).map(ex.Var))
+
+    def extend(ch):
+        pair = st.tuples(ch, ch)
+        args = st.lists(ch, min_size=1, max_size=3).map(tuple)
+        return st.one_of(
+            pair.map(lambda p: ex.Add(*p)), pair.map(lambda p: ex.Sub(*p)),
+            pair.map(lambda p: ex.Mul(*p)), pair.map(lambda p: ex.Div(*p)),
+            st.tuples(ch, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, -1.0, 1e3]))
+            .map(lambda p: ex.Pow(*p)),
+            ch.map(ex.Abs), ch.map(ex.Exp), ch.map(ex.Log),
+            args.map(ex.Min), args.map(ex.Max))
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except ex.EvalDomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees(), _POINTS, _POINTS, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_generated_code_matches_reference_interpreter(tree, x, y, dx, dy):
+    reference = _outcome(lambda: ex.evaluate(tree, {"x": x, "y": y}))
+    assert _outcome(lambda: ex.compile_expr(tree, ("x", "y"))((x, y))) == reference
+    try:
+        value, lo, hi = ex.compile_bounds(tree, ("x", "y"))([x, y], [dx, dy])
+    except ex.EvalDomainError:
+        return  # a chain-rule factor may be undefined where the value is not
+    assert repr(value) == reference
+    assert lo <= hi
+
+
+def test_long_sum_compiles_straight_line():
+    tree = ex.parse(" + ".join(["s"] * 600), ["s"])
+    assert ex.compile_expr(tree, ("s",))((0.5,)) == ex.evaluate(tree, {"s": 0.5}) == 300.0
+    assert ex.directional_bounds(tree, {"s": 0.5}, {"s": 1.0}) == (300.0, 600.0, 600.0)
+
+
+def test_infinite_constant_is_bound_not_printed():
+    tree = ex.parse("s + 1e999", ["s"])
+    assert ex.compile_expr(tree, ("s",))((1.0,)) == math.inf
+    assert ex.directional_bounds(tree, {"s": 1.0}, {"s": 1.0})[0] == math.inf
+
+
+@pytest.mark.parametrize("text", ["min(s)", "max(s)"])
+def test_single_argument_min_max(text):
+    tree = ex.parse(text, ["s"])
+    assert repr(ex.compile_expr(tree, ("s",))((-0.0,))) == "-0.0"
+    assert ex.directional_bounds(tree, {"s": 2.0}, {"s": 3.0}) == (2.0, 3.0, 3.0)
+
+
+def test_exp_overflow_raises_overflow_error():
+    tree = ex.parse("exp(s)", ["s"])
+    for fn in (lambda: ex.compile_expr(tree, ("s",))((1000.0,)),
+               lambda: ex.compile_bounds(tree, ("s",))([1000.0], [1.0]),
+               lambda: ex.evaluate(tree, {"s": 1000.0})):
+        with pytest.raises(ex.EvalOverflowError):
+            fn()
+
+
+def test_generated_domain_errors_follow_the_contract():
+    for text, value in (("1/s", 0.0), ("log(s)", -1.0), ("s^0.5", -2.0)):
+        with pytest.raises(ex.EvalDomainError):
+            ex.compile_expr(ex.parse(text, ["s"]), ("s",))((value,))

@@ -25,6 +25,13 @@ def test_classification(text, expected):
     assert KFun.from_text(text).classification is expected
 
 
+@pytest.mark.parametrize("text", ["exp(s)-1", "s^2", "exp(s)"])
+def test_classify_agrees_with_construction(text):
+    # overflow on the grid counts as unbounded growth on both paths
+    f = KFun.from_text(text)
+    assert classify(f) is f.classification
+
+
 def test_classify_rejects_coarse_grid():
     f = KFun.from_text("2*s")
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import two_sub_network
+from hsgt import trajectories
 from hsgt.hybrid import InputSignal, SimOptions, simulate, sup_norm
 from hsgt.kfun import KFun
 from hsgt.trajectories import (AGEstimate, Beta, ISSEstimate, PreGSEstimate,
@@ -250,6 +251,16 @@ def test_fit_empirical_gain_matches_equilibria(e1_net):
 def test_fit_empirical_gain_zero_level(e1_net):
     table = fit_empirical_gain(e1_net, [0.0], horizon=10.0, max_jumps=4, opts=OPTS)
     assert table[0][1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_run_errors_other_than_failed_runs_propagate(e1_net, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a failed run")
+    monkeypatch.setattr(trajectories, "simulate", broken)
+    with pytest.raises(TypeError):
+        check_zero_input_prestability(e1_net, [0.5], [1.0], horizon=1.0, max_jumps=2)
+    with pytest.raises(TypeError):
+        fit_empirical_gain(e1_net, [0.5], horizon=1.0, max_jumps=2)
 
 
 # ---------------------------------------------------------------------------
