@@ -214,6 +214,11 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
         grid_hi=_number(grid_cfg, "hi", "analysis.grid", 1e8),
         grid_points=_number(grid_cfg, "points", "analysis.grid", 128, int),
         seed=seed)
+    if sg_options.grid_points < 16:
+        _fail("analysis.grid.points", f"need at least 16 points, got {sg_options.grid_points}")
+    if not (math.isfinite(sg_options.grid_hi) and 0.0 < sg_options.grid_lo < sg_options.grid_hi):
+        _fail("analysis.grid", "need finite 0 < lo < hi, got "
+              f"lo={sg_options.grid_lo!r}, hi={sg_options.grid_hi!r}")
 
     base = "analysis.sampler"
     sampler_cfg = analysis.get("sampler", {})
@@ -226,6 +231,15 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
         seed=_number(sampler_cfg, "seed", base, seed, int))
     if not (math.isfinite(sampler.box_radius) and sampler.box_radius > 0.0):
         _fail(f"{base}.box_radius", f"need a positive finite radius, got {sampler.box_radius!r}")
+    if sampler.n_samples < 1:
+        _fail(f"{base}.n_samples", f"need at least 1 sample, got {sampler.n_samples}")
+    for key in ("boundary_fraction", "tie_fraction"):
+        if not getattr(sampler, key) >= 0.0:
+            _fail(f"{base}.{key}", f"need a fraction >= 0, got {getattr(sampler, key)!r}")
+    if not sampler.boundary_fraction + sampler.tie_fraction < 1.0:
+        # the uniform draws seed the boundary and tie points, so they keep a share
+        _fail(base, "need boundary_fraction + tie_fraction < 1, got "
+              f"{sampler.boundary_fraction!r} + {sampler.tie_fraction!r}")
 
     tol_cfg = analysis.get("tolerances", {})
     tolerances = VerifyTolerances(

@@ -11,9 +11,10 @@ with ``func`` one of ``abs``, ``min``, ``max``, ``exp``, ``log``.  Offsets in
 parse errors are 1-based character positions; errors at end of input report
 one position past the last character.
 
-One code generator backs :func:`compile_expr` and :func:`compile_bounds`;
-:func:`evaluate` is the reference interpreter.  All of them raise
-:class:`EvalDomainError` on a domain error, :class:`EvalOverflowError` on overflow.
+One code generator backs :func:`compile_expr`, :func:`compile_bounds` and
+:func:`compile_array`; :func:`evaluate` is the reference interpreter.  All of
+them raise :class:`EvalDomainError` on a domain error, :class:`EvalOverflowError`
+on overflow.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import re
 from dataclasses import dataclass
 from types import CodeType
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -413,19 +416,64 @@ _NAMESPACE = {"pow": math.pow, "exp": math.exp, "log": math.log, "isfinite": mat
 _CODE: Dict[str, CodeType] = {}
 
 
+# Array mode runs the same value lines on column arrays.  +, -, *, / and abs are
+# numpy's, which round as Python floats do; exp, log and pow stay libm's, lane by
+# lane, because numpy's own differ in the last bit.  ``bad`` marks every lane
+# where the scalar function could raise; those lanes are redone by it.
+_ARRAY_FUNCTION = """\
+def f(vals):
+    bad = False
+{body}"""
+_NAN_MARK = "bad = bad | (v{j} != v{j})"
+_MARKS = {Div: "bad = bad | (v{b} == 0.0)", Pow: _NAN_MARK, Exp: _NAN_MARK, Log: _NAN_MARK}
+
+
+def _lanewise(fn: Callable) -> Callable:
+    """``fn`` applied lane by lane; a lane where it raises holds NaN."""
+    def apply(a, *args):
+        if not isinstance(a, np.ndarray):
+            return fn(a, *args)
+        out = []
+        for v in a.tolist():
+            try:
+                out.append(fn(v, *args))
+            except (ArithmeticError, ValueError):
+                out.append(math.nan)
+        return np.array(out, dtype=float)
+    return apply
+
+
+def _keep_first(builtin: Callable, better: Callable) -> Callable:
+    """``builtin`` min or max over lanes: a later argument wins only if strictly better."""
+    def fold(args):
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return builtin(args)
+        out = args[0]
+        for b in args[1:]:
+            out = np.where(better(b, out), b, out)
+        return out
+    return fold
+
+
+_ARRAY_NAMESPACE = {**_NAMESPACE, "pow": _lanewise(math.pow), "exp": _lanewise(math.exp),
+                    "log": _lanewise(math.log), "min": _keep_first(min, np.less),
+                    "max": _keep_first(max, np.greater)}
+
+
 def _children(node: Expr) -> tuple:
     if isinstance(node, (Min, Max)):
         return node.args
     return tuple(v for v in vars(node).values() if isinstance(v, Expr))
 
 
-def _generate(expr: Expr, var_order: Sequence[str], bounds: bool) -> Callable:
+def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
     """Emit straight-line Python for ``expr`` (one temporary per node), compile, bind.
 
     One post-order walk emits each node's rule lines, so the arithmetic is the
-    tree's, in the tree's order.  Constants and exponents are bound by name,
-    so no config text reaches ``compile`` and trees of one shape share a code
-    object.
+    tree's, in the tree's order.  ``mode`` is ``value``, ``bounds`` (adds the
+    chain-rule lines) or ``array`` (adds the lane marks).  Constants and
+    exponents are bound by name, so no config text reaches ``compile`` and
+    trees of one shape share a code object.
     """
     index = {name: i for i, name in enumerate(var_order)}
     missing = free_vars(expr) - set(index)
@@ -454,28 +502,59 @@ def _generate(expr: Expr, var_order: Sequence[str], bounds: bool) -> Callable:
             fields["parts"] = "".join(f"(v{kid}, l{kid}, h{kid}), " for kid in kids)
         value, chain = _RULES[type(node)]
         lines.append(value.format(**fields))
-        if bounds:
+        if mode == "bounds":
             lines.extend(rule.format(**fields) for rule in chain)
+        elif mode == "array" and type(node) in _MARKS:
+            lines.append(_MARKS[type(node)].format(**fields))
     root = len(preorder) - 1
-    if bounds:
+    if mode == "bounds":
         lines += [f"if not (isfinite(l{root}) and isfinite(h{root})):",
                   "    raise EvalDomainError('non-finite gradient estimate in ' + render(EXPR))",
                   f"return v{root}, l{root}, h{root}"]
     else:
-        lines.append(f"return v{root}")
-    source = _FUNCTION.format(params="vals, dirs" if bounds else "vals",
-                              body="".join(f"        {line}\n" for line in lines))
+        lines.append(f"return v{root}, bad" if mode == "array" else f"return v{root}")
+    if mode == "array":
+        source = _ARRAY_FUNCTION.format(body="".join(f"    {line}\n" for line in lines))
+    else:
+        source = _FUNCTION.format(params="vals, dirs" if mode == "bounds" else "vals",
+                                  body="".join(f"        {line}\n" for line in lines))
     code = _CODE.get(source)
     if code is None:
         code = _CODE[source] = compile(source, "<hsgt expression>", "exec")
-    namespace = {**_NAMESPACE, **consts, "EXPR": expr, "render": render}
+    base = _ARRAY_NAMESPACE if mode == "array" else _NAMESPACE
+    namespace = {**base, **consts, "EXPR": expr, "render": render}
     exec(code, namespace)
     return namespace["f"]
 
 
 def compile_expr(expr: Expr, var_order: Sequence[str]) -> Callable:
     """Value function of ``expr`` over a positional sequence ordered as ``var_order``."""
-    return _generate(expr, var_order, bounds=False)
+    return _generate(expr, var_order, "value")
+
+
+def compile_array(expr: Expr, var_order: Sequence[str]) -> Callable:
+    """Array function of ``expr``: ``fn(vals)`` maps columns ``vals[i]`` to values.
+
+    The columns are equal-length float arrays ordered as ``var_order``.  Lane p
+    equals the :func:`compile_expr` value at ``[vals[i][p] for i]`` bit for bit;
+    if that function raises on some lane, ``fn`` raises the first such lane's
+    error, with the same class and message.
+    """
+    lanes_fn = _generate(expr, var_order, "array")
+    scalar = _generate(expr, var_order, "value")
+
+    def fn(vals):
+        lanes = len(vals[0])
+        try:
+            with np.errstate(all="ignore"):
+                value, bad = lanes_fn(vals)
+        except (ArithmeticError, ValueError):  # a constant subtree failed on every lane
+            value, bad = math.nan, True
+        out = np.array(np.broadcast_to(value, (lanes,)), dtype=float)
+        for p in np.flatnonzero(np.broadcast_to(bad, (lanes,))).tolist():
+            out[p] = scalar([float(v[p]) for v in vals])
+        return out
+    return fn
 
 
 def compile_bounds(expr: Expr, var_order: Sequence[str]) -> Callable:
@@ -485,7 +564,7 @@ def compile_bounds(expr: Expr, var_order: Sequence[str]) -> Callable:
     ``dirs`` and collapses to the chain-rule derivative where every
     abs/min/max branch is unambiguous.
     """
-    return _generate(expr, var_order, bounds=True)
+    return _generate(expr, var_order, "bounds")
 
 
 def directional_bounds(expr: Expr, env: Mapping[str, float], seed: Mapping[str, float]):

@@ -252,6 +252,7 @@ class NetworkSpec:
     _jump_fns: list = field(default_factory=list, repr=False)
     _c_fns: list = field(default_factory=list, repr=False)
     _d_fns: list = field(default_factory=list, repr=False)
+    _array_fns: dict = field(default_factory=dict, repr=False)  # compiled on first use
 
     @property
     def n(self) -> int:
@@ -281,6 +282,38 @@ class NetworkSpec:
         if sub is not None:
             return self._d_fns[sub](vals)
         return min(fn(vals) for fn in self._d_fns)
+
+    def c_array(self, X: np.ndarray, U: np.ndarray, sub: Optional[int] = None) -> np.ndarray:
+        """``c_value`` at each row of ``X`` (B, n) and ``U`` (B, m), bit for bit."""
+        return self._guard_array("c", X, U, sub)
+
+    def d_array(self, X: np.ndarray, U: np.ndarray, sub: Optional[int] = None) -> np.ndarray:
+        """``d_value`` at each row of ``X`` (B, n) and ``U`` (B, m), bit for bit."""
+        return self._guard_array("d", X, U, sub)
+
+    def _guard_array(self, kind: str, X, U, sub: Optional[int]) -> np.ndarray:
+        fns = self._array_fns.get(kind)
+        if fns is None:
+            fns = self._array_fns[kind] = [
+                ex.compile_array(s.c_guard if kind == "c" else s.d_guard, self.var_order)
+                for s in self.subsystems]
+        rows = np.concatenate([X, U], axis=1)
+        cols = rows.T.copy()
+        better = np.greater if kind == "c" else np.less  # the fold of c_raw / d_raw
+        try:
+            if sub is not None:
+                return fns[sub](cols)
+            out = fns[0](cols)
+            for fn in fns[1:]:
+                g = fn(cols)
+                out = np.where(better(g, out), g, out)
+            return out
+        except ex.EvalDomainError:
+            # the scalar fold raises at the first failing row, not the first failing guard
+            raw = self.c_raw if kind == "c" else self.d_raw
+            for vals in rows.tolist():
+                raw(vals, sub)
+            raise
 
     def in_C(self, x, u) -> bool:
         return self.c_value(x, u) <= 0.0

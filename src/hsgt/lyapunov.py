@@ -295,7 +295,8 @@ def _draw_samples(report: VerificationReport, net: NetworkSpec, sampler: Sampler
 
     Jump samples use the seed ``sampler.seed + jump_seed`` and are skipped
     when ``jump_seed`` is None; a structurally empty jump set yields none and
-    a note.  An empty sampler marks the report inconclusive.
+    a note.  An empty sampler marks the report inconclusive; a set with fewer
+    points than asked adds a note.
     """
     flow_pts, jump_pts = [], []
     try:
@@ -311,6 +312,10 @@ def _draw_samples(report: VerificationReport, net: NetworkSpec, sampler: Sampler
         report.verdict = "inconclusive"
         report.notes.append(str(exc))
         return None
+    for name, pts in (("flow", flow_pts), ("jump", jump_pts)):
+        if pts and len(pts) < sampler.n_samples:
+            report.notes.append(f"{name} samples: {len(pts)} of {sampler.n_samples} drawn; "
+                                "strata came up short")
     return flow_pts, jump_pts
 
 

@@ -105,8 +105,19 @@ def test_malformed_external_gains_rejected_by_every_command(tmp_path, capsys, co
      lambda c: c["analysis"]["sampler"].update(u_box=[[0]])),
     ("e1.json", "analysis.simulation.horizon", "simulate",
      lambda c: c["analysis"]["simulation"].update(horizon="abc")),
+    ("e1_decoupled.json", "analysis.grid.points", "check-gains",
+     lambda c: c["analysis"]["grid"].update(points=3)),
+    ("e1_decoupled.json", "analysis.grid", "verify",
+     lambda c: c["analysis"]["grid"].update(lo=10, hi=1)),
+    ("e1_decoupled.json", "analysis.sampler.n_samples", "verify",
+     lambda c: c["analysis"]["sampler"].update(n_samples=0)),
+    ("e1_decoupled.json", "analysis.sampler", "verify",
+     lambda c: c["analysis"]["sampler"].update(boundary_fraction=2.0)),
+    ("e1_decoupled.json", "analysis.sampler", "verify",
+     lambda c: c["analysis"]["sampler"].update(boundary_fraction=0.5, tie_fraction=0.5)),
 ], ids=["dim", "gain-not-kinf", "step", "traj-step", "x0-nan", "priority", "psi1-not-kinf",
-        "anchor-nan", "box-radius", "u-box-pair", "horizon"])
+        "anchor-nan", "box-radius", "u-box-pair", "horizon", "grid-points", "grid-order",
+        "n-samples", "boundary-fraction", "fraction-sum"])
 def test_malformed_config_exits_2_with_path(tmp_path, capsys, name, path, command, edit):
     cfg = load_json(name)
     edit(cfg)
@@ -215,6 +226,20 @@ def test_verify_subsystem_without_inputs(tmp_path, capsys):
     cfg["analysis"]["sampler"]["n_samples"] = 300
     assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--which", "subsystem"]) == 0
     assert capsys.readouterr().out.count("[PASS]") == 2
+
+
+def test_sampler_shortfall_is_noted_in_the_report(tmp_path):
+    cfg = load_json("e1_decoupled.json")
+    for sub in cfg["network"]["subsystems"]:
+        sub["flow_guard"] = "max(abs(x_1), abs(x_2)) - 0.05"
+    cfg["analysis"]["sampler"].update(n_samples=300, boundary_fraction=0.04, tie_fraction=0.0)
+    out = str(tmp_path / "v.json")
+    main(["verify", "--config", write_cfg(tmp_path, cfg), "--which", "composite", "--out", out])
+    flow, jump = json.load(open(out))["reports"]
+    short = [n for n in flow["notes"] if n.startswith("flow samples: ")]
+    assert len(short) == 1 and short[0].endswith(" of 300 drawn; strata came up short")
+    assert 0 < flow["samples_tested"] < 300
+    assert "notes" not in jump and jump["samples_tested"] == 300
 
 
 def test_verify_refuses_differing_jump_sets(tmp_path):

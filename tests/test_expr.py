@@ -1,6 +1,7 @@
 """Parser, reference evaluator, generated backend, renderer, and directional-bound tests."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -187,6 +188,30 @@ def test_generated_code_matches_reference_interpreter(tree, x, y, dx, dy):
         return  # a chain-rule factor may be undefined where the value is not
     assert repr(value) == reference
     assert lo <= hi
+
+
+_LANES = _POINTS | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def _raised(fn):
+    try:
+        return fn()
+    except ex.EvalDomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees(), st.lists(st.tuples(_LANES, _LANES), min_size=1, max_size=8))
+def test_array_code_matches_scalar_code_lane_by_lane(tree, points):
+    scalar = ex.compile_expr(tree, ("x", "y"))
+    got = _raised(lambda: ex.compile_array(tree, ("x", "y"))(np.array(points).T.copy()))
+    for point in points:  # the first lane that raises decides the array call's error
+        value = _raised(lambda: scalar(point))
+        if isinstance(value, tuple):
+            assert got == value
+            return
+    assert [struct.pack("<d", v) for v in got.tolist()] == \
+        [struct.pack("<d", scalar(point)) for point in points]
 
 
 def test_long_sum_compiles_straight_line():

@@ -1,0 +1,236 @@
+"""The block sampler against the one-attempt-at-a-time loop it replaced.
+
+``_reference_sample_set`` is that loop, kept verbatim as the oracle: for a fixed
+seed the block sampler must return the same points in the same order, bit for
+bit, and raise the same error where a guard fails.
+"""
+
+import dataclasses
+from typing import List, Tuple
+
+import numpy as np
+import pytest
+
+from conftest import load_json
+from hsgt import expr as ex
+from hsgt.config import build_config
+from hsgt.hybrid import SubsystemSpec, compose_network
+from hsgt.sampling import (SamplerEmptyError, SamplerSpec, flow_set_samples,
+                           jump_set_samples, sample_set)
+
+
+def _reference_sample_set(net, guard, spec) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Sample points with ``guard(x, u) <= 0`` using the stratified mix."""
+    rng = np.random.default_rng(spec.seed)
+    u_lo, u_hi = spec.u_low_high(net.input_dim)
+    R = spec.box_radius
+
+    def draw():
+        x = rng.uniform(-R, R, net.state_dim)
+        u = u_lo + rng.uniform(0.0, 1.0, net.input_dim) * (u_hi - u_lo)
+        return x, u
+
+    n_boundary = int(spec.n_samples * spec.boundary_fraction)
+    n_tie = int(spec.n_samples * spec.tie_fraction)
+    n_uniform = spec.n_samples - n_boundary - n_tie
+
+    inside: List[Tuple[np.ndarray, np.ndarray]] = []
+    outside: List[Tuple[np.ndarray, np.ndarray]] = []
+    attempts = 0
+    limit = spec.max_attempts_factor * max(spec.n_samples, 1)
+    while len(inside) < n_uniform and attempts < limit:
+        x, u = draw()
+        attempts += 1
+        if guard(x, u) <= 0.0:
+            inside.append((x, u))
+        elif len(outside) < n_boundary + 16:
+            outside.append((x, u))
+    if not inside:
+        raise SamplerEmptyError("no samples landed in the target set")
+
+    samples = list(inside)
+
+    # guard-boundary points: bisect segments between inside and outside draws
+    bi = 0
+    while len(samples) < n_uniform + n_boundary and bi < 4 * n_boundary:
+        bi += 1
+        xin, uin = inside[rng.integers(len(inside))]
+        if outside:
+            xout, uout = outside[rng.integers(len(outside))]
+        else:
+            xout, uout = draw()
+            if guard(xout, uout) <= 0.0:
+                continue
+        lo_pt, hi_pt = (xin, uin), (xout, uout)
+        for _ in range(40):
+            xm = 0.5 * (lo_pt[0] + hi_pt[0])
+            um = 0.5 * (lo_pt[1] + hi_pt[1])
+            if guard(xm, um) <= 0.0:
+                lo_pt = (xm, um)
+            else:
+                hi_pt = (xm, um)
+        samples.append(lo_pt)
+
+    # tie points: copy one subsystem block onto another up to sign
+    ti = 0
+    while len(samples) < spec.n_samples and ti < 8 * n_tie:
+        ti += 1
+        x, u = inside[rng.integers(len(inside))]
+        x = x.copy()
+        i, j = rng.integers(net.n), rng.integers(net.n)
+        if i == j or net.subsystems[i].dim != net.subsystems[j].dim:
+            continue
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        x[net.slices[j]] = sign * x[net.slices[i]]
+        if guard(x, u) <= 0.0:
+            samples.append((x, u))
+    # top up with plain inside draws if strata fell short
+    while len(samples) < spec.n_samples and attempts < limit:
+        x, u = draw()
+        attempts += 1
+        if guard(x, u) <= 0.0:
+            samples.append((x, u))
+    return samples
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ex.EvalDomainError, SamplerEmptyError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(net, spec, kind, sub=None):
+    """Block sampler == reference loop on the flow (``c``) or jump (``d``) set."""
+    scalar = net.c_value if kind == "c" else net.d_value
+    block = flow_set_samples if kind == "c" else jump_set_samples
+    expected = _outcome(lambda: _reference_sample_set(
+        net, lambda x, u: scalar(x, u, sub=sub), spec))
+    got = _outcome(lambda: block(net, spec, sub=sub))
+    if isinstance(expected, tuple):
+        assert got == expected
+        return expected
+    assert len(got) == len(expected)
+    for (x, u), (xr, ur) in zip(got, expected):
+        assert x.shape == xr.shape and u.shape == ur.shape
+        assert x.tobytes() == xr.tobytes() and u.tobytes() == ur.tobytes()
+    return got
+
+
+def _network(guards, dims=(1, 1), input_dim=1):
+    """Subsystems of the given dims with ``(flow_guard, jump_guard)`` texts."""
+    state_dim = sum(dims)
+    allowed = [f"x_{i + 1}" for i in range(state_dim)] + [f"u_{m + 1}" for m in range(input_dim)]
+    subs, offset = [], 0
+    for dim, (c_text, d_text) in zip(dims, guards):
+        own = [f"x_{offset + k + 1}" for k in range(dim)]
+        subs.append(SubsystemSpec(dim=dim, flow=[ex.parse(f"-{v}", allowed) for v in own],
+                                  jump=[ex.parse(f"0.5*{v}", allowed) for v in own],
+                                  c_guard=ex.parse(c_text, allowed),
+                                  d_guard=ex.parse(d_text, allowed)))
+        offset += dim
+    return compose_network(subs, input_dim=input_dim)
+
+
+@pytest.fixture(scope="module")
+def e1():
+    cfg = build_config(load_json("e1.json"))
+    return cfg.network, dataclasses.replace(cfg.sampler, n_samples=1000)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 5, 13])
+@pytest.mark.parametrize("kind", ["c", "d"])
+def test_e1_sets_match_reference(e1, seed, kind):
+    net, spec = e1
+    assert len(_assert_same(net, dataclasses.replace(spec, seed=seed), kind)) == 1000
+
+
+@pytest.mark.parametrize("sub", [0, 1])
+@pytest.mark.parametrize("kind", ["c", "d"])
+def test_per_subsystem_guards_match_reference(sub, kind):
+    net = _network([("abs(x_1) - 1", "1 - x_2^2 - u_1"),
+                    ("x_2 + 0.5*x_1*x_1 - 0.5", "min(x_1, x_2) + 0.25")])
+    spec = SamplerSpec(n_samples=800, box_radius=2.0, u_box=[(-1.0, 1.0)], seed=7)
+    _assert_same(net, spec, kind, sub=sub)
+    _assert_same(net, spec, kind)  # the max / min fold over both subsystems
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_mixed_dims_and_inputs_match_reference(seed):
+    """Dims 2 and 1 give no tie pairs, so the top-up stratum fills the set."""
+    net = _network([("max(abs(x_1), abs(x_2)) - 1 + 0.25*u_2", "x_3 - u_1"),
+                    ("abs(x_3) - 1.5", "x_1 + x_2")], dims=(2, 1), input_dim=2)
+    spec = SamplerSpec(n_samples=600, box_radius=1.5, u_box=[(-1.0, 1.0), (0.5, 2.0)],
+                       seed=seed)
+    for kind in ("c", "d"):
+        assert len(_assert_same(net, spec, kind)) == 600
+
+
+def test_no_inputs_match_reference():
+    net = _network([("max(abs(x_1), abs(x_2)) - 1", "1 - max(abs(x_1), abs(x_2))")] * 2,
+                   input_dim=0)
+    spec = SamplerSpec(n_samples=700, box_radius=2.0, seed=4)
+    for kind in ("c", "d"):
+        x, u = _assert_same(net, spec, kind)[0]
+        assert x.shape == (2,) and u.shape == (0,)
+
+
+def test_guard_without_outside_draws_matches_reference():
+    """Flow guard -1: every draw lands inside, the boundary stratum finds nothing."""
+    net = _network([("-1", "1")] * 2)
+    spec = SamplerSpec(n_samples=500, box_radius=2.0, seed=1)
+    assert len(_assert_same(net, spec, "c")) == 500
+    assert _assert_same(net, spec, "d") == (SamplerEmptyError,
+                                            "no samples landed in the target set")
+
+
+def test_tiny_target_set_comes_up_short_like_reference():
+    net = _network([("max(abs(x_1), abs(x_2)) - 0.05", "1")] * 2)
+    spec = SamplerSpec(n_samples=50, box_radius=2.0, boundary_fraction=0.04,
+                       tie_fraction=0.0, seed=0)
+    got = _assert_same(net, spec, "c")
+    assert 0 < len(got) < 50
+
+
+def test_raising_guard_raises_like_reference():
+    net = _network([("log(x_1) - 1", "1")] * 2)
+    spec = SamplerSpec(n_samples=300, box_radius=2.0, seed=0)
+    assert _assert_same(net, spec, "c") == (ex.EvalDomainError,
+                                            "math domain error in log(x_1) - 1.0")
+
+
+def test_error_in_bisection_is_the_first_in_draw_order():
+    """Bisecting all pairs at once meets a later pair's error first; the one-pair
+    order must decide which error is raised."""
+    net = _network([("max(abs(x_1), abs(x_2)) - 1", "1")] * 2)
+    spec = SamplerSpec(n_samples=400, box_radius=2.0, seed=3)
+
+    def fail_near_edge(X):  # the boundary is only approached by bisection
+        near = np.abs(np.max(np.abs(X), axis=1) - 1.0) < 1e-9
+        if near.any():
+            raise ex.EvalDomainError(f"near the edge at {X[np.argmax(near)].tolist()!r}")
+        return np.max(np.abs(X), axis=1) - 1.0
+
+    expected = _outcome(lambda: _reference_sample_set(
+        net, lambda x, u: fail_near_edge(x[None])[0], spec))
+    assert expected[0] is ex.EvalDomainError
+    assert _outcome(lambda: sample_set(net, lambda X, U: fail_near_edge(X), spec)) == expected
+
+
+def test_array_guards_match_scalar_guards_row_by_row():
+    net = _network([("x_1/x_2 - 1", "1 - x_1 - u_1"), ("max(x_2, 0.5) - 1", "min(x_1, u_1)")])
+    rng = np.random.default_rng(0)
+    X, U = rng.uniform(-2.0, 2.0, (64, 2)), rng.uniform(-1.0, 1.0, (64, 1))
+    for sub in (None, 0, 1):
+        for array, scalar in ((net.c_array, net.c_value), (net.d_array, net.d_value)):
+            assert [float(v) for v in array(X, U, sub)] == [
+                scalar(x, u, sub) for x, u in zip(X, U)]
+
+
+def test_array_guard_fold_raises_the_first_failing_row():
+    """Row 0 fails in the second guard and row 1 in the first; one row at a time,
+    the second guard's error comes first."""
+    net = _network([("log(x_1 + 1.9)", "1"), ("log(x_2)", "1")])
+    X, U = np.array([[1.0, -1.0], [-1.95, 1.0]]), np.zeros((2, 1))
+    with pytest.raises(ex.EvalDomainError, match=r"^math domain error in log\(x_2\)$"):
+        net.c_array(X, U)
