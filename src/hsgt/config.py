@@ -40,11 +40,18 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
     return d[key]
 
 
-def _as_int(value, path: str, minimum: int) -> int:
+def _integer(value, path: str) -> int:
+    """``value`` as an int; a float must be integral (16.0 reads as 16, 16.9 fails)."""
+    if isinstance(value, float) and not value.is_integer():
+        _fail(path, f"expected an integer, got {value!r}")
     try:
-        out = int(value)
+        return int(value)
     except (TypeError, ValueError):
         _fail(path, f"expected an integer, got {value!r}")
+
+
+def _as_int(value, path: str, minimum: int) -> int:
+    out = _integer(value, path)
     if out < minimum:
         _fail(path, f"must be at least {minimum}, got {out}")
     return out
@@ -53,6 +60,8 @@ def _as_int(value, path: str, minimum: int) -> int:
 def _number(cfg: dict, key: str, path: str, default=None, cast=float):
     """``cfg[key]`` converted by ``cast``; required when ``default`` is None."""
     value = _get(cfg, key, path, required=default is None, default=default)
+    if cast is int:
+        return _integer(value, f"{path}.{key}")
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):

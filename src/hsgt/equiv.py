@@ -27,6 +27,10 @@ from .reporting import VerificationReport
 from .sampling import SamplerEmptyError, SamplerSpec, jump_set_samples, sphere_directions
 
 
+# Radii on which both transformations build and check their functions.
+FORM_GRID = np.geomspace(1e-8, 1e8, 129)
+
+
 class TransformError(Exception):
     pass
 
@@ -118,7 +122,6 @@ def _fit_jump_decay(cert: CompositeCertificate, rho: KFun, box_radius: float,
 
 
 def to_w_form(cert: CompositeCertificate, net: NetworkSpec, sampler: SamplerSpec,
-              grid: Optional[Sequence[float]] = None,
               tolerances: Optional[VerifyTolerances] = None
               ) -> Tuple[WFormCertificate, VerificationReport]:
     """Derive the norm-threshold form from a verified gain-implication form.
@@ -129,8 +132,7 @@ def to_w_form(cert: CompositeCertificate, net: NetworkSpec, sampler: SamplerSpec
     enforces.
     """
     tol = tolerances or VerifyTolerances()
-    g = np.geomspace(1e-8, 1e8, 129) if grid is None else np.asarray(grid, dtype=float)
-    rho = majorize_lambda(cert.lam, g)
+    rho = majorize_lambda(cert.lam, FORM_GRID)
     rho_inv = inverse_kfun(rho)
     psi1_inv = inverse_kfun(cert.psi1)
     if cert.gamma.is_zero:
@@ -187,7 +189,6 @@ def _verify_w_form(wf: WFormCertificate, net: NetworkSpec, sampler: SamplerSpec,
 
 
 def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
-              grid: Optional[Sequence[float]] = None,
               tolerances: Optional[VerifyTolerances] = None
               ) -> Tuple[KFun, KFun, VerificationReport]:
     """Recover gain-implication data (gamma, lambda) from the norm-threshold form.
@@ -201,12 +202,11 @@ def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
     tol = tolerances or VerifyTolerances()
     net = wf.net
     cert = wf.v_form
-    g = np.geomspace(1e-8, 1e8, 129) if grid is None else np.asarray(grid, dtype=float)
 
     gamma = compose(wf.psi2_bar, wf.gamma_bar) if not wf.gamma_bar.is_zero else KFun.zero()
 
     psi2_inv = inverse_kfun(wf.psi2_bar)
-    xs = [float(r) for r in g if r > 0.0]
+    xs = [float(r) for r in FORM_GRID if r > 0.0]
     running = 0.0
     ys = []
     for r in xs:
@@ -222,7 +222,7 @@ def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
         report.verdict = "inconclusive"
         report.notes.append("identity minus the decrement failed monotonicity checks")
         return gamma, lam, report
-    for r in g:
+    for r in FORM_GRID:
         if lam(float(r)) >= float(r):
             raise TransformError(f"recovered contraction not below identity at t={float(r)!r}")
 

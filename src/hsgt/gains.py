@@ -9,16 +9,23 @@ nonnegative vector that the gain operator fails to strictly decrease.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from . import expr as ex
-from .kfun import (Classification, KFun, KFunError, at_least, classify_callable,
-                   default_grid, invert, kfun_to_json, pointwise_min)
+from .kfun import (Classification, KFun, at_least, inverse_kfun, kfun_to_json,
+                   pointwise_min)
+
+# Relative margin every strict decrease below the identity must clear.
+STRICTNESS = 1e-9
+# Largest network whose simple cycles are enumerated; larger ones get the
+# direct search alone.
+CYCLE_SIZE_LIMIT = 12
+# Direct search: random nonnegative directions and radii per direction.
+RANDOM_DIRECTIONS = 1000
+RADII_POINTS = 9
 
 
 class GainMatrixError(Exception):
@@ -128,11 +135,7 @@ class SmallGainOptions:
     grid_lo: float = 1e-8
     grid_hi: float = 1e8
     grid_points: int = 128
-    radii_points: int = 9
-    random_directions: int = 1000
     seed: int = 0
-    cycle_size_limit: int = 12
-    strictness: float = 1e-9
 
     def grid(self) -> np.ndarray:
         if self.grid_points < 16:
@@ -176,27 +179,44 @@ class SmallGainVerdict:
         return out
 
 
-def gain_digraph(gm: GainMatrix) -> nx.DiGraph:
-    """Directed graph with an edge j -> i whenever the (i, j) gain is nonzero."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(gm.n))
-    for i, row in enumerate(gm.entries):
-        for j, entry in enumerate(row):
-            if not entry.is_zero:
-                g.add_edge(j, i)
-    return g
-
-
 def simple_gain_cycles(gm: GainMatrix) -> List[List[int]]:
-    return [list(c) for c in nx.simple_cycles(gain_digraph(gm))]
+    """Every simple cycle of the gain digraph, which has an edge j -> i
+    whenever the (i, j) gain is nonzero.
+
+    Each cycle appears once, as the list of its 0-based nodes starting at its
+    smallest index.  The list is in lexicographic order: a depth-first search
+    from each start node in turn, through successors in ascending order.
+    """
+    n = gm.n
+    succ = [[b for b in range(n) if not gm.entries[b][a].is_zero] for a in range(n)]
+    cycles = []
+    for start in range(n):
+        path, on_path = [start], [False] * n
+        stack = [iter(succ[start])]
+        while stack:
+            for b in stack[-1]:
+                if b == start:
+                    cycles.append(list(path))
+                elif b > start and not on_path[b]:
+                    path.append(b)
+                    on_path[b] = True
+                    stack.append(iter(succ[b]))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
+    return cycles
 
 
-def compose_cycle(gm: GainMatrix, cycle: Sequence[int], r: float) -> float:
-    """Gain composed once around the cycle, starting and ending at radius r."""
+def compose_cycle(gm: GainMatrix, cycle: Sequence[int], r: float, factor: float = 1.0) -> float:
+    """Gain composed once around the cycle, starting and ending at radius r.
+
+    Each gain is scaled by ``factor`` before the next one is applied.
+    """
     v = r
     nodes = list(cycle)
     for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-        v = gm.entries[b][a](v)
+        v = factor * gm.entries[b][a](v)
     return v
 
 
@@ -211,7 +231,7 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
     grid = opts.grid()
     verdict = SmallGainVerdict(holds=True, margin=0.0)
 
-    if gm.n <= opts.cycle_size_limit:
+    if gm.n <= CYCLE_SIZE_LIMIT:
         for cycle in simple_gain_cycles(gm):
             for r in grid:
                 v = compose_cycle(gm, cycle, float(r))
@@ -226,7 +246,7 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
                         break
             if verdict.witness_cycle is not None:
                 break
-        if verdict.witness_cycle is None and verdict.margin > 1.0 - opts.strictness:
+        if verdict.witness_cycle is None and verdict.margin > 1.0 - STRICTNESS:
             verdict.holds = False
             verdict.inconclusive = True
             verdict.notes.append("cycle gain inside the strictness band; verdict inconclusive")
@@ -235,7 +255,7 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
         verdict.notes.append(
             f"n={gm.n} exceeds the cycle enumeration limit; direct search only")
 
-    s_witness = _direct_search(gm, grid, opts)
+    s_witness = _direct_search(gm, opts.seed)
     if s_witness is not None:
         image = gamma_max_apply(gm, s_witness)
         if np.all(image >= s_witness) and np.any(s_witness > 0.0):
@@ -248,19 +268,19 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
     return verdict
 
 
-def _direct_search(gm: GainMatrix, grid: np.ndarray, opts: SmallGainOptions) -> Optional[np.ndarray]:
+def _direct_search(gm: GainMatrix, seed: int) -> Optional[np.ndarray]:
     n = gm.n
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     directions = []
     if n <= 10:
         for mask in itertools.product((0.0, 1.0), repeat=n):
             if any(mask):
                 directions.append(np.asarray(mask))
-    extra = np.abs(rng.standard_normal((opts.random_directions, n)))
+    extra = np.abs(rng.standard_normal((RANDOM_DIRECTIONS, n)))
     norms = extra.max(axis=1)
     keep = norms > 0
     directions.extend(extra[keep] / norms[keep, None])
-    radii = np.geomspace(1e-6, 1e6, opts.radii_points)
+    radii = np.geomspace(1e-6, 1e6, RADII_POINTS)
     for d in directions:
         for r in radii:
             s = d * r
@@ -338,17 +358,14 @@ def _inflation_candidates(gm: GainMatrix, margin: float, cycles_exist: bool) -> 
     return out
 
 
-def _inflated_cycles_ok(gm: GainMatrix, inflation: float, grid: np.ndarray, strictness: float) -> bool:
+def _inflated_cycles_ok(gm: GainMatrix, cycles: List[List[int]], inflation: float,
+                        grid: np.ndarray) -> bool:
     if inflation == 0.0:
         return True
     factor = 1.0 + inflation
-    for cycle in simple_gain_cycles(gm):
+    for cycle in cycles:
         for r in grid:
-            v = float(r)
-            nodes = list(cycle)
-            for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-                v = factor * gm.entries[b][a](v)
-            if v > (1.0 - strictness) * r:
+            if compose_cycle(gm, cycle, float(r), factor) > (1.0 - STRICTNESS) * r:
                 return False
     return True
 
@@ -375,10 +392,10 @@ def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
     if a.shape != (gm.n,) or np.any(a <= 0.0):
         raise OmegaPathError("anchor must be a positive vector matching the matrix size")
 
-    cycles_exist = bool(simple_gain_cycles(gm)) if gm.n <= opts.cycle_size_limit else True
+    cycles = simple_gain_cycles(gm) if gm.n <= CYCLE_SIZE_LIMIT else None
     worst_r = None
-    for inflation in _inflation_candidates(gm, verdict.margin, cycles_exist):
-        if gm.n <= opts.cycle_size_limit and not _inflated_cycles_ok(gm, inflation, grid, opts.strictness):
+    for inflation in _inflation_candidates(gm, verdict.margin, cycles is None or bool(cycles)):
+        if cycles is not None and not _inflated_cycles_ok(gm, cycles, inflation, grid):
             continue
         vec_fn = _path_vector_fn(gm, a, inflation)
         ok = True
@@ -388,13 +405,13 @@ def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
             image = gamma_max_apply(gm, sig)
             ratios = image / sig
             margin = max(margin, float(ratios.max()))
-            if np.any(image > (1.0 - opts.strictness) * sig):
+            if np.any(image > (1.0 - STRICTNESS) * sig):
                 ok = False
                 worst_r = float(r)
                 break
         if ok:
-            sigmas = [_sigma_component(vec_fn, i, gm.n) for i in range(gm.n)]
-            sigma_invs = [_sigma_inverse(sigmas[i]) for i in range(gm.n)]
+            sigmas = [_sigma_component(vec_fn, i) for i in range(gm.n)]
+            sigma_invs = [inverse_kfun(sigma) for sigma in sigmas]
             return OmegaPath(sigmas=sigmas, sigma_invs=sigma_invs, anchor=a,
                              gain_matrix=gm, grid=grid, inflation=inflation,
                              margin=margin, vector_eval=vec_fn)
@@ -403,7 +420,7 @@ def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
         "the small-gain verdict may be a false positive")
 
 
-def _sigma_component(vec_fn: Callable[[float], np.ndarray], i: int, n: int) -> KFun:
+def _sigma_component(vec_fn: Callable[[float], np.ndarray], i: int) -> KFun:
     fn = lambda r: float(vec_fn(r)[i])
     f = KFun.from_callable(fn, f"sigma_{i + 1}")
     if not at_least(f.classification, Classification.CLASS_K_INF):
@@ -411,15 +428,7 @@ def _sigma_component(vec_fn: Callable[[float], np.ndarray], i: int, n: int) -> K
     return f
 
 
-def _sigma_inverse(sigma: KFun) -> KFun:
-    if sigma.linear_slope is not None:
-        inv = KFun.linear(1.0 / sigma.linear_slope)
-        return inv
-    fn = lambda y: invert(sigma, y)
-    return KFun.from_callable(fn, f"{sigma.describe()}^-1")
-
-
-def compose_phi(path: OmegaPath, strict_tol: float = 1e-9) -> KFun:
+def compose_phi(path: OmegaPath) -> KFun:
     """Common lower envelope of the path components, checked against the gains."""
     phi = pointwise_min(path.sigmas)
     gm = path.gain_matrix
@@ -431,29 +440,8 @@ def compose_phi(path: OmegaPath, strict_tol: float = 1e-9) -> KFun:
             for j in range(path.n):
                 if j != i and not gm.entries[i][j].is_zero:
                     lhs = max(lhs, gm.entries[i][j](float(sig[j])))
-            if lhs > sig[i] * (1.0 + strict_tol):
+            if lhs > sig[i] * (1.0 + STRICTNESS):
                 raise OmegaPathError(
                     f"envelope bound violated at r={float(r)!r}, component {i + 1}")
     return phi
 
-
-def operator_radius_power_iteration(gm: GainMatrix, iterations: int = 840,
-                                    window: int = 600) -> float:
-    """Growth rate of the iterated gain operator from repeated normalized application.
-
-    For max-linear gains this converges to the max cycle geometric mean, the
-    quantity whose position relative to 1 decides the small-gain condition.
-    The window is a multiple of every possible period of the normalized orbit
-    for sizes up to 6, so the averaged growth settles once the orbit does.
-    """
-    s = np.ones(gm.n)
-    logs = []
-    for _ in range(iterations):
-        t = gamma_max_apply(gm, s)
-        lam = float(np.max(t))
-        if lam <= 0.0:
-            return 0.0
-        logs.append(math.log(lam))
-        s = t / lam
-    tail = logs[-window:]
-    return math.exp(sum(tail) / len(tail))

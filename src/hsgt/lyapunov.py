@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .gains import GainMatrix, OmegaPath, SmallGainOptions, SmallGainVerdict, \
+from .gains import STRICTNESS, GainMatrix, OmegaPath, SmallGainOptions, SmallGainVerdict, \
     build_omega_path, compose_phi
 from .hybrid import NetworkSpec
 from .kfun import Classification, KFun, at_least, compose, inverse_kfun, \
@@ -136,11 +136,8 @@ def active_set(cert: CompositeCertificate, x: np.ndarray, tol: float = 1e-9) -> 
 
 def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
                     net: NetworkSpec, anchor: Optional[Sequence[float]] = None,
-                    grid: Optional[np.ndarray] = None,
                     verdict: Optional[SmallGainVerdict] = None,
-                    options: Optional[SmallGainOptions] = None,
-                    alpha: Optional[KFun] = None,
-                    strictness: float = 1e-9) -> CompositeCertificate:
+                    options: Optional[SmallGainOptions] = None) -> CompositeCertificate:
     """Assemble the interconnection certificate from subsystem candidates.
 
     Requires the small-gain condition for the supplied gain matrix; the
@@ -152,7 +149,7 @@ def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
     if len(cands) != gm.n or gm.n != net.n:
         raise CertificateError("candidate list, gain matrix, and network sizes differ")
     opts = options or SmallGainOptions()
-    g = opts.grid() if grid is None else np.asarray(grid, dtype=float)
+    g = opts.grid()
     for i, cand in enumerate(cands):
         cand.validate(g[(g > 0) & (g < 1e9)])
         for j in range(gm.n):
@@ -177,14 +174,13 @@ def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
                                          compose(gm.entries[i][j], path.sigmas[j])))
     lam = pointwise_max(lam_terms)
     for r in g:
-        if lam(float(r)) > (1.0 - strictness) * float(r):
+        if lam(float(r)) > (1.0 - STRICTNESS) * float(r):
             raise CertificateError(f"jump contraction is not below identity at t={float(r)!r}")
 
     psi1 = pointwise_min([compose(path.sigma_invs[i], cands[i].psi1) for i in range(gm.n)])
     psi2 = pointwise_max([compose(path.sigma_invs[i], cands[i].psi2) for i in range(gm.n)])
 
-    if alpha is None:
-        alpha = _default_alpha(path, cands)
+    alpha = _default_alpha(path, cands)
     require_class(alpha, Classification.POSITIVE_DEFINITE, "alpha")
 
     cert = CompositeCertificate(path=path, phi=phi, phi_inv=phi_inv, gamma=gamma,

@@ -40,10 +40,8 @@ class VerificationReport:
         total = (self.margin_mean or 0.0) * (self.samples_checked - 1) + margin
         self.margin_mean = total / self.samples_checked if self.samples_checked else margin
 
-    def finalize(self, reverify=None) -> "VerificationReport":
-        """Set the verdict; violations surviving one re-evaluation decide failure."""
-        if reverify is not None:
-            self.violations = [v for v in self.violations if reverify(v)]
+    def finalize(self) -> "VerificationReport":
+        """Set the verdict from the sorted violations."""
         self.violations.sort(key=lambda v: (v.check, v.sample_index))
         if self.violations:
             self.verdict = "fail"

@@ -42,6 +42,23 @@ def test_load_main_config():
     assert cfg.sampler.n_samples == 10000
 
 
+def test_integer_fields_take_integral_floats():
+    cfg = load_json("e1.json")
+    cfg["analysis"]["grid"] = {"points": 16.0}
+    cfg["analysis"]["sampler"]["n_samples"] = 300.0
+    cfg["analysis"]["simulation"]["max_jumps"] = 5.0
+    built = build_config(cfg)
+    assert built.sg_options.grid_points == 16 and type(built.sg_options.grid_points) is int
+    assert built.sampler.n_samples == 300 and built.simulation.max_jumps == 5
+
+
+def test_integer_fields_reject_fractions():
+    cfg = load_json("e1_traj_iss.json")
+    cfg["analysis"]["trajectories"]["max_jumps"] = 2.5
+    with pytest.raises(ConfigError, match=r"analysis\.trajectories\.max_jumps"):
+        build_config(cfg)
+
+
 def test_malformed_expression_carries_offset(tmp_path):
     cfg = load_json("e1.json")
     cfg["gains"]["internal"][0][1] = "0.5*s +"
@@ -115,9 +132,14 @@ def test_malformed_external_gains_rejected_by_every_command(tmp_path, capsys, co
      lambda c: c["analysis"]["sampler"].update(boundary_fraction=2.0)),
     ("e1_decoupled.json", "analysis.sampler", "verify",
      lambda c: c["analysis"]["sampler"].update(boundary_fraction=0.5, tie_fraction=0.5)),
+    ("e1_decoupled.json", "analysis.grid.points", "check-gains",
+     lambda c: c["analysis"]["grid"].update(points=16.9)),
+    ("e1_decoupled.json", "analysis.sampler.n_samples", "verify",
+     lambda c: c["analysis"]["sampler"].update(n_samples=1.5)),
 ], ids=["dim", "gain-not-kinf", "step", "traj-step", "x0-nan", "priority", "psi1-not-kinf",
         "anchor-nan", "box-radius", "u-box-pair", "horizon", "grid-points", "grid-order",
-        "n-samples", "boundary-fraction", "fraction-sum"])
+        "n-samples", "boundary-fraction", "fraction-sum", "grid-points-fraction",
+        "n-samples-fraction"])
 def test_malformed_config_exits_2_with_path(tmp_path, capsys, name, path, command, edit):
     cfg = load_json(name)
     edit(cfg)

@@ -1,15 +1,20 @@
 """Gain operator, small-gain condition, and scaling-path construction."""
 
+import os
+import random
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_gain_matrix, maxlin_radius, random_linear_ensemble
+import hsgt.gains as gains
+from conftest import REPO_ROOT, linear_gain_matrix, maxlin_radius, random_linear_ensemble
 from hsgt.gains import (GainMatrix, GainMatrixError, OmegaPathError, SmallGainError,
                         SmallGainOptions, build_omega_path, compose_cycle, compose_phi,
-                        gamma_max_apply, iterate_gamma, operator_radius_power_iteration,
-                        simple_gain_cycles, small_gain_check)
+                        gamma_max_apply, iterate_gamma, simple_gain_cycles, small_gain_check)
 from hsgt.kfun import Classification, KFun
 
 
@@ -120,17 +125,6 @@ def test_linear_oracle_agreement_small_ensemble():
         assert verdict.holds == (rho < 1.0)
 
 
-def test_operator_radius_matches_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(8):
-        n = int(rng.integers(2, 5))
-        coeffs = rng.uniform(0.0, 1.5, (n, n))
-        np.fill_diagonal(coeffs, 0.0)
-        gm = linear_gain_matrix(coeffs)
-        assert operator_radius_power_iteration(gm) == pytest.approx(
-            maxlin_radius(coeffs), rel=1e-3, abs=1e-9)
-
-
 def test_omega_path_symmetric_half_gains_is_identity():
     gm = linear_gain_matrix([[0, 0.5], [0.5, 0]])
     path = build_omega_path(gm, [1.0, 1.0])
@@ -201,3 +195,99 @@ def test_cycle_enumeration_matches_nonzero_pattern():
     gm = linear_gain_matrix([[0, 0.5, 0], [0, 0, 0.5], [0.5, 0, 0]])
     cycles = simple_gain_cycles(gm)
     assert len(cycles) == 1 and sorted(cycles[0]) == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# cycle enumeration: order contract, networkx as the oracle, no import
+
+
+def _adjacency_matrix(adj):
+    """Gain matrix whose digraph has exactly the edges a -> b with adj[a][b]."""
+    n = len(adj)
+    return linear_gain_matrix([[0.5 if adj[a][b] else 0.0 for a in range(n)]
+                               for b in range(n)])
+
+
+def _nx_cycles(nx, adj):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(adj)))
+    g.add_edges_from((a, b) for a, row in enumerate(adj) for b, e in enumerate(row) if e)
+    return [list(c) for c in nx.simple_cycles(g)]
+
+
+def _min_rotated(cycle):
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
+
+
+def test_cycle_order_is_lexicographic_from_smallest_node():
+    # edges 0->1, 0->3, 1->0, 1->2, 2->0, 2->1, 3->0
+    adj = [[False, True, False, True],
+           [True, False, True, False],
+           [True, True, False, False],
+           [True, False, False, False]]
+    assert simple_gain_cycles(_adjacency_matrix(adj)) == [[0, 1], [0, 1, 2], [0, 3], [1, 2]]
+
+
+def test_cycle_enumeration_acyclic_and_single_node():
+    assert simple_gain_cycles(linear_gain_matrix([[0, 0.5, 0.5], [0, 0, 0.5], [0, 0, 0]])) == []
+    assert simple_gain_cycles(GainMatrix.from_rows([[None]])) == []
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cycles_match_networkx_order_on_complete_digraphs(n):
+    nx = pytest.importorskip("networkx")
+    adj = [[a != b for b in range(n)] for a in range(n)]
+    assert simple_gain_cycles(_adjacency_matrix(adj)) == _nx_cycles(nx, adj)
+
+
+def test_cycles_match_networkx_set_on_random_digraphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2010)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        p = rng.uniform(0.1, 0.6)
+        adj = [[a != b and rng.random() < p for b in range(n)] for a in range(n)]
+        ours = simple_gain_cycles(_adjacency_matrix(adj))
+        assert ours == sorted(_min_rotated(c) for c in _nx_cycles(nx, adj))
+
+
+def test_sparse_witness_is_first_violating_cycle_in_documented_order():
+    # Two disjoint violating 2-cycles.  networkx visits the component {3, 4}
+    # first; the documented order starts at the smallest node, so the witness
+    # is the cycle through 1 and 2, and it is genuine.
+    coeffs = [[0, 2.0, 0, 0], [1.0, 0, 0, 0], [0, 0, 0, 3.0], [0, 0, 1.0, 0]]
+    gm = linear_gain_matrix(coeffs)
+    verdict = small_gain_check(gm)
+    w = verdict.witness_cycle
+    assert not verdict.holds and w.indices == [0, 1]
+    assert compose_cycle(gm, w.indices, w.radius) >= w.radius
+    nx = pytest.importorskip("networkx")
+    adj = [[coeffs[b][a] != 0 for b in range(4)] for a in range(4)]
+    assert _nx_cycles(nx, adj)[0] == [2, 3]
+
+
+def test_compose_cycle_scales_every_gain():
+    gm = linear_gain_matrix([[0, 0.5, 0], [0, 0, 0.5], [0.5, 0, 0]])
+    assert compose_cycle(gm, [0, 2, 1], 8.0) == 1.0
+    assert compose_cycle(gm, [0, 2, 1], 8.0, factor=2.0) == 8.0
+
+
+def test_build_omega_path_enumerates_cycles_once(monkeypatch):
+    calls = []
+    enumerate_cycles = gains.simple_gain_cycles
+    monkeypatch.setattr(gains, "simple_gain_cycles",
+                        lambda gm: calls.append(gm) or enumerate_cycles(gm))
+    gm = linear_gain_matrix([[0, 2.0], [0.25, 0]])
+    verdict = small_gain_check(gm)
+    calls.clear()
+    path = build_omega_path(gm, [1.0, 1.0], verdict=verdict)
+    assert path.inflation > 0.0 and len(calls) == 1
+
+
+def test_import_leaves_networkx_out():
+    code = "import sys, hsgt, hsgt.cli; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
