@@ -4,7 +4,7 @@ from .expr import EvalDomainError, EvalOverflowError, Expr, ParseError, evaluate
 from .kfun import Classification, KFun, classify, compose, invert, \
     pointwise_max, pointwise_min
 from .gains import GainMatrix, OmegaPath, SmallGainOptions, SmallGainVerdict, \
-    build_omega_path, compose_phi, gamma_max_apply, iterate_gamma, small_gain_check
+    build_omega_path, compose_phi, gamma_max_apply, small_gain_check
 from .hybrid import HybridSignal, HybridTimeDomain, InputSignal, NetworkSpec, \
     SimOptions, SolutionPair, SubsystemSpec, compose_network, restrict, simulate, sup_norm
 from .lyapunov import CompositeCertificate, SubsystemLyapunov, VerifyTolerances, \

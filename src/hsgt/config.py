@@ -40,6 +40,12 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
     return d[key]
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, f"expected an object, got {type(value).__name__}")
+    return value
+
+
 def _integer(value, path: str) -> int:
     """``value`` as an int; a float must be integral (16.0 reads as 16, 16.9 fails)."""
     if isinstance(value, float) and not value.is_integer():
@@ -77,6 +83,17 @@ def _finite_vector(values, size: Optional[int], path: str) -> np.ndarray:
     if (size is not None and out.shape != (size,)) or not np.all(np.isfinite(out)):
         _fail(path, "need finite numbers" if size is None else f"need {size} finite components")
     return out
+
+
+def _budget(cfg: dict, base: str, horizon=None, max_jumps=None) -> Tuple[float, int]:
+    """A finite horizon >= 0 and a jump budget >= 0; required unless defaulted."""
+    horizon = _number(cfg, "horizon", base, horizon)
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        _fail(f"{base}.horizon", f"need a finite horizon >= 0, got {horizon!r}")
+    max_jumps = _number(cfg, "max_jumps", base, max_jumps, int)
+    if max_jumps < 0:
+        _fail(f"{base}.max_jumps", f"need a jump budget >= 0, got {max_jumps}")
+    return horizon, max_jumps
 
 
 def _u_box(entries, input_dim: int, path: str) -> Optional[List[Tuple[float, float]]]:
@@ -203,10 +220,10 @@ def load_config(path: str) -> ProjectConfig:
 
 
 def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
-    net = _build_network(_get(raw, "network", "config"))
+    net = _build_network(_object(_get(_object(raw, "config"), "network", "config"), "network"))
     n = net.n
 
-    analysis = raw.get("analysis", {})
+    analysis = _object(raw.get("analysis", {}), "analysis")
     seed = _number(analysis, "seed", "analysis", 0, int)
     priority = analysis.get("priority", "jump")
     if priority not in ("jump", "flow"):
@@ -217,7 +234,7 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
         if np.any(anchor <= 0):
             _fail("analysis.anchor", f"need {n} positive entries")
 
-    grid_cfg = analysis.get("grid", {})
+    grid_cfg = _object(analysis.get("grid", {}), "analysis.grid")
     sg_options = SmallGainOptions(
         grid_lo=_number(grid_cfg, "lo", "analysis.grid", 1e-8),
         grid_hi=_number(grid_cfg, "hi", "analysis.grid", 1e8),
@@ -230,7 +247,7 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
               f"lo={sg_options.grid_lo!r}, hi={sg_options.grid_hi!r}")
 
     base = "analysis.sampler"
-    sampler_cfg = analysis.get("sampler", {})
+    sampler_cfg = _object(analysis.get("sampler", {}), base)
     sampler = SamplerSpec(
         n_samples=_number(sampler_cfg, "n_samples", base, 10000, int),
         box_radius=_number(sampler_cfg, "box_radius", base, 1.0),
@@ -250,15 +267,16 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
         _fail(base, "need boundary_fraction + tie_fraction < 1, got "
               f"{sampler.boundary_fraction!r} + {sampler.tie_fraction!r}")
 
-    tol_cfg = analysis.get("tolerances", {})
+    tol_cfg = _object(analysis.get("tolerances", {}), "analysis.tolerances")
     tolerances = VerifyTolerances(
         **{key: _number(tol_cfg, key, "analysis.tolerances", getattr(VerifyTolerances, key))
            for key in ("flow", "jump_rel", "jump_abs", "sandwich_rel")})
 
     gain_matrix = None
+    gains_cfg = _object(raw.get("gains", {}), "gains")
     if "gains" in raw:
-        gain_matrix = _build_gain_matrix(raw["gains"], n)
-    externals = _gain_list(raw.get("gains", {}).get("external"), n, "gains.external")
+        gain_matrix = _build_gain_matrix(gains_cfg, n)
+    externals = _gain_list(gains_cfg.get("external"), n, "gains.external")
 
     candidates = None
     if "lyapunov" in raw:
@@ -284,6 +302,7 @@ def _build_network(cfg: dict) -> NetworkSpec:
     subs_cfg = _get(cfg, "subsystems", "network")
     if not isinstance(subs_cfg, list) or not subs_cfg:
         _fail("network.subsystems", "need a nonempty list of subsystems")
+    subs_cfg = [_object(s, f"network.subsystems[{i}]") for i, s in enumerate(subs_cfg)]
     dims = [_as_int(_get(s, "dim", f"network.subsystems[{i}]"),
                     f"network.subsystems[{i}].dim", 1) for i, s in enumerate(subs_cfg)]
     state_dim = sum(dims)
@@ -295,7 +314,7 @@ def _build_network(cfg: dict) -> NetworkSpec:
         dim = dims[i]
         flow_cfg = _get(s, "flow", base)
         jump_cfg = _get(s, "jump", base)
-        if len(flow_cfg) != dim or len(jump_cfg) != dim:
+        if not all(isinstance(c, list) and len(c) == dim for c in (flow_cfg, jump_cfg)):
             _fail(base, f"flow and jump maps must each have {dim} components")
         flow = [_parse_expr(t, allowed, f"{base}.flow[{j}]") for j, t in enumerate(flow_cfg)]
         jump = [_parse_expr(t, allowed, f"{base}.jump[{j}]") for j, t in enumerate(jump_cfg)]
@@ -328,12 +347,13 @@ def _build_gain_matrix(cfg: dict, n: int) -> GainMatrix:
 def _build_candidates(cfg: dict, net: NetworkSpec, gm: Optional[GainMatrix],
                       externals: Sequence[KFun]) -> List[SubsystemLyapunov]:
     """Candidates per subsystem; one without its own external gain takes gains.external[i]."""
-    subs = _get(cfg, "subsystems", "lyapunov")
-    if len(subs) != net.n:
+    subs = _get(_object(cfg, "lyapunov"), "subsystems", "lyapunov")
+    if not isinstance(subs, list) or len(subs) != net.n:
         _fail("lyapunov.subsystems", f"need one candidate per subsystem ({net.n})")
     out = []
     for i, s in enumerate(subs):
         base = f"lyapunov.subsystems[{i}]"
+        _object(s, base)
         sub_vars = net.state_vars()[net.slices[i]]
         v = _parse_expr(_get(s, "v", base), sub_vars, f"{base}.v")
         psi1, psi2, alpha, lam = (_classed_kfun(s, key, base, floor) for key, floor in (
@@ -359,23 +379,26 @@ def _build_candidates(cfg: dict, net: NetworkSpec, gm: Optional[GainMatrix],
 def _build_input(cfg, net: NetworkSpec, path: str) -> InputSignal:
     if cfg is None:
         return InputSignal.zero(net.input_dim)
-    kind = _get(cfg, "type", path)
+    kind = _get(_object(cfg, path), "type", path)
+    m = net.input_dim
     if kind == "constant":
-        values = _get(cfg, "value", path)
-        if len(values) != net.input_dim:
-            _fail(path, f"constant input needs {net.input_dim} components")
-        return InputSignal.constant([float(v) for v in values])
+        return InputSignal.constant(_finite_vector(_get(cfg, "value", path), m, f"{path}.value"))
     if kind == "expr":
         texts = _get(cfg, "exprs", path)
-        if len(texts) != net.input_dim:
+        if not isinstance(texts, list) or len(texts) != m:
             _fail(path, f"expression input needs {net.input_dim} components")
         exprs = [_parse_expr(t, ("t", "k"), f"{path}.exprs[{j}]")
                  for j, t in enumerate(texts)]
         return InputSignal.from_exprs(exprs)
     if kind == "piecewise":
-        times = [float(v) for v in _get(cfg, "times", path)]
-        values = [[float(v) for v in row] for row in _get(cfg, "values", path)]
-        return InputSignal.piecewise(times, values)
+        times = _finite_vector(_get(cfg, "times", path), None, f"{path}.times")
+        if len(times) == 0 or np.any(np.diff(times) <= 0.0):
+            _fail(f"{path}.times", "need nonempty, strictly increasing times")
+        rows = _get(cfg, "values", path)
+        if not isinstance(rows, list) or len(rows) != len(times):
+            _fail(f"{path}.values", f"need one row per time ({len(times)})")
+        return InputSignal.piecewise(times, [_finite_vector(row, m, f"{path}.values[{i}]")
+                                             for i, row in enumerate(rows)])
     _fail(path, f"unknown input type '{kind}'")
 
 
@@ -389,23 +412,23 @@ def _sim_options(cfg: dict, priority: str, base: str) -> SimOptions:
 
 def _build_simulation(cfg: dict, net: NetworkSpec, priority: str) -> SimulationSection:
     base = "analysis.simulation"
-    x0 = _finite_vector(_get(cfg, "x0", base), net.state_dim, f"{base}.x0")
+    x0 = _finite_vector(_get(_object(cfg, base), "x0", base), net.state_dim, f"{base}.x0")
     u = _build_input(cfg.get("input"), net, f"{base}.input")
     opts = _sim_options(cfg, priority, base)
-    return SimulationSection(x0=x0, input_signal=u, horizon=_number(cfg, "horizon", base),
-                             max_jumps=_number(cfg, "max_jumps", base, cast=int),
+    horizon, max_jumps = _budget(cfg, base)
+    return SimulationSection(x0=x0, input_signal=u, horizon=horizon, max_jumps=max_jumps,
                              options=opts)
 
 
 def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
                         seed: int) -> TrajectorySection:
     base = "analysis.trajectories"
-    kind = _get(cfg, "kind", base)
+    kind = _get(_object(cfg, base), "kind", base)
     gains = TrajectoryGains(
         _gain_rows(cfg.get("internal_gains"), net.n, f"{base}.internal_gains"),
         _gain_list(cfg.get("external_gains"), net.n, f"{base}.external_gains"))
     if kind == "iss":
-        beta_cfg = _get(cfg, "beta", base)
+        beta_cfg = _object(_get(cfg, "beta", base), f"{base}.beta")
         if "expr" in beta_cfg:
             beta = Beta.from_expr(_parse_expr(beta_cfg["expr"], ("r", "t", "k"),
                                               f"{base}.beta.expr"))
@@ -439,26 +462,29 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
         ics = initial_condition_grid(_number(ic_cfg, "count", ic_base, cast=int),
                                      _number(ic_cfg, "radius", ic_base), net.state_dim,
                                      seed=_number(ic_cfg, "seed", ic_base, seed, int))
+    elif not isinstance(ic_cfg, list):
+        _fail(f"{base}.initial_conditions", "expected an object or a list of states")
     else:
         ics = [_finite_vector(row, net.state_dim, f"{base}.initial_conditions[{i}]")
                for i, row in enumerate(ic_cfg)]
     levels = _finite_vector(cfg.get("input_levels", [0.0]), None, f"{base}.input_levels")
-    horizon = _number(cfg, "horizon", base)
-    max_jumps = _number(cfg, "max_jumps", base, cast=int)
+    horizon, max_jumps = _budget(cfg, base)
     gain_fit, gain_fit_levels = cfg.get("gain_fit"), None
     if gain_fit:
+        _object(gain_fit, f"{base}.gain_fit")
         gain_fit_levels = _finite_vector(_get(gain_fit, "levels", f"{base}.gain_fit"), None,
                                          f"{base}.gain_fit.levels").tolist() or None
     zero_input = cfg.get("zero_input")
     if zero_input:
         zbase = f"{base}.zero_input"
+        _object(zero_input, zbase)
+        z_horizon, z_max_jumps = _budget(zero_input, zbase, horizon, max_jumps)
         zero_input = {
             "delta_grid": _finite_vector(_get(zero_input, "delta_grid", zbase), None,
                                          f"{zbase}.delta_grid").tolist(),
             "eps_grid": _finite_vector(_get(zero_input, "eps_grid", zbase), None,
                                        f"{zbase}.eps_grid").tolist(),
-            "horizon": _number(zero_input, "horizon", zbase, horizon),
-            "max_jumps": _number(zero_input, "max_jumps", zbase, max_jumps, int)}
+            "horizon": z_horizon, "max_jumps": z_max_jumps}
     return TrajectorySection(kind=kind, estimate=estimate, initial_conditions=ics,
                              input_levels=levels.tolist(), horizon=horizon,
                              max_jumps=max_jumps, options=_sim_options(cfg, priority, base),

@@ -14,7 +14,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from . import expr as ex
 from .kfun import (Classification, KFun, at_least, inverse_kfun, kfun_to_json,
                    pointwise_min)
 
@@ -80,21 +79,6 @@ class GainMatrix:
                 out[i, j] = g.linear_slope
         return out
 
-    def scaled(self, factor: float) -> "GainMatrix":
-        if factor == 1.0:
-            return self
-        rows = []
-        for row in self.entries:
-            new_row = []
-            for g in row:
-                if g.is_zero:
-                    new_row.append(g)
-                else:
-                    scale = KFun.from_expr(ex.Mul(ex.Const(factor), ex.Var("s")))
-                    new_row.append(scale.compose(g))
-            rows.append(tuple(new_row))
-        return GainMatrix(tuple(rows))
-
     def to_json(self) -> dict:
         return {"n": self.n,
                 "entries": [[None if g.is_zero else kfun_to_json(g) for g in row]
@@ -119,15 +103,6 @@ def gamma_max_apply(gm: GainMatrix, s: Sequence[float]) -> np.ndarray:
                 best = v
         out[i] = best
     return out
-
-
-def iterate_gamma(gm: GainMatrix, s: Sequence[float], p: int) -> np.ndarray:
-    if p < 0:
-        raise GainMatrixError("iteration count must be nonnegative")
-    v = np.asarray(s, dtype=float).copy()
-    for _ in range(p):
-        v = gamma_max_apply(gm, v)
-    return v
 
 
 @dataclass
@@ -165,6 +140,8 @@ class SmallGainVerdict:
     cycles_checked: bool = True
     methods_disagreed: bool = False
     notes: List[str] = field(default_factory=list)
+    # simple_gain_cycles(gm) when enumerated, for build_omega_path; not reported
+    cycles: Optional[List[List[int]]] = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         out = {"holds": self.holds, "inconclusive": self.inconclusive,
@@ -232,7 +209,8 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
     verdict = SmallGainVerdict(holds=True, margin=0.0)
 
     if gm.n <= CYCLE_SIZE_LIMIT:
-        for cycle in simple_gain_cycles(gm):
+        verdict.cycles = simple_gain_cycles(gm)
+        for cycle in verdict.cycles:
             for r in grid:
                 v = compose_cycle(gm, cycle, float(r))
                 ratio = v / r
@@ -392,7 +370,9 @@ def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
     if a.shape != (gm.n,) or np.any(a <= 0.0):
         raise OmegaPathError("anchor must be a positive vector matching the matrix size")
 
-    cycles = simple_gain_cycles(gm) if gm.n <= CYCLE_SIZE_LIMIT else None
+    cycles = None
+    if gm.n <= CYCLE_SIZE_LIMIT:
+        cycles = simple_gain_cycles(gm) if verdict.cycles is None else verdict.cycles
     worst_r = None
     for inflation in _inflation_candidates(gm, verdict.margin, cycles is None or bool(cycles)):
         if cycles is not None and not _inflated_cycles_ok(gm, cycles, inflation, grid):

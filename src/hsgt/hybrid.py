@@ -62,14 +62,9 @@ class HybridTimeDomain:
     def jump_count(self) -> int:
         return len(self.intervals) - 1
 
-    @property
-    def max_tk(self) -> float:
-        lo, hi, k = self.intervals[-1]
-        return hi + k
-
-    def contains(self, t: float, k: int, tol: float = 1e-12) -> bool:
+    def contains(self, t: float, k: int) -> bool:
         for lo, hi, kk in self.intervals:
-            if kk == k and lo - tol <= t <= hi + tol:
+            if kk == k and lo - 1e-12 <= t <= hi + 1e-12:
                 return True
         return False
 
@@ -315,12 +310,6 @@ class NetworkSpec:
                 raw(vals, sub)
             raise
 
-    def in_C(self, x, u) -> bool:
-        return self.c_value(x, u) <= 0.0
-
-    def in_D(self, x, u) -> bool:
-        return self.d_value(x, u) <= 0.0
-
     def flow_value(self, x, u) -> np.ndarray:
         vals = self._vals(x, u)
         return np.array([fn(vals) for fn in self._flow_fns])
@@ -343,8 +332,7 @@ class NetworkSpec:
         return all(isinstance(g, ex.Const) and g.value > 0.0 for g in guards)
 
 
-def compose_network(specs: Sequence[SubsystemSpec], input_dim: int,
-                    equality_samples: int = 256, sample_radius: float = 2.0) -> NetworkSpec:
+def compose_network(specs: Sequence[SubsystemSpec], input_dim: int) -> NetworkSpec:
     """Stack subsystems into one network and record whether jump sets agree.
 
     The composed flow set is the intersection of the subsystem flow sets and
@@ -381,7 +369,7 @@ def compose_network(specs: Sequence[SubsystemSpec], input_dim: int,
         net._c_fns.append(ex.compile_expr(s.c_guard, var_order))
         net._d_fns.append(ex.compile_expr(s.d_guard, var_order))
 
-    net.jump_sets_equal = _jump_sets_equal(net, specs, equality_samples, sample_radius)
+    net.jump_sets_equal = _jump_sets_equal(net, specs)
     if not net.jump_sets_equal:
         net.warnings.append(
             "jump sets differ between subsystems; the Lyapunov and trajectory "
@@ -389,14 +377,16 @@ def compose_network(specs: Sequence[SubsystemSpec], input_dim: int,
     return net
 
 
-def _jump_sets_equal(net: NetworkSpec, specs, samples: int, radius: float) -> bool:
+def _jump_sets_equal(net: NetworkSpec, specs) -> bool:
+    """Structurally equal jump guards, or 256 seeded points in [-2, 2]^(n+m) that
+    every jump guard classifies alike."""
     first = specs[0].d_guard
     if all(s.d_guard == first for s in specs[1:]):
         return True
     rng = np.random.default_rng(20240801)
-    for _ in range(samples):
-        x = rng.uniform(-radius, radius, net.state_dim)
-        u = rng.uniform(-radius, radius, net.input_dim)
+    for _ in range(256):
+        x = rng.uniform(-2.0, 2.0, net.state_dim)
+        u = rng.uniform(-2.0, 2.0, net.input_dim)
         vals = net._vals(x, u)
         memberships = {fn(vals) <= 0.0 for fn in net._d_fns}
         if len(memberships) > 1:
@@ -408,11 +398,14 @@ def _jump_sets_equal(net: NetworkSpec, specs, samples: int, radius: float) -> bo
 # simulation
 
 
+TIME_TOL = 1e-9  # event bisection stops at this bracket length in time
+FLOW, JUMP, OUTSIDE_C = "flow", "jump", "outside C"  # the modes of ``_mode``
+
+
 @dataclass
 class SimOptions:
     step: float = 1e-3
     priority: str = "jump"  # resolution inside the overlap of flow and jump sets
-    time_tol: float = 1e-9
     record_every: int = 1
 
     def validate(self):
@@ -475,11 +468,11 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
              opts: Optional[SimOptions] = None) -> SolutionPair:
     """Simulate the composed network from ``x0`` under input ``u``.
 
-    Alternates jump and flow phases.  Flow integrates the stacked flow map
-    with fixed-step RK4; a step that leaves the flow set or (under jump
-    priority) enters the jump set is bisected down to the configured time
-    tolerance and the boundary point is recorded.  Completeness records that
-    the run used its full time or jump budget.
+    Each point is classified once, by ``_mode``.  A point outside C jumps if
+    it is in D and otherwise ends the run (``left_domain``); a point that
+    flows takes one fixed RK4 step.  A step whose end does not flow is
+    bisected down to ``TIME_TOL`` and the event point found is recorded.
+    Completeness records that the run used its full time or jump budget.
     """
     opts = opts or SimOptions()
     opts.validate()
@@ -503,70 +496,80 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
     jump_priority = opts.priority == "jump"
     h = opts.step
     steps_since_record = 0
+    mode = None  # the mode of (t, k, x), once known
 
     try:
         while True:
-            u_now = u.values(t, k)
             if not all(map(math.isfinite, x)):
                 return rec.finalize("numerical_failure", False, jumps)
-            vals = x + u_now
-            in_c = net.c_raw(vals) <= 0.0
-            in_d = net.d_raw(vals) <= 0.0
-            if not in_c and not in_d:
-                return rec.finalize("left_domain", False, jumps)
-            do_jump = in_d and (jump_priority or not in_c)
-            if do_jump:
+            if mode is None:  # the initial point or a jump's image
+                mode = _mode(net, x + u_now, jump_priority)
+            if mode != FLOW:  # OUTSIDE_C jumps if the jump guard is <= 0
+                if mode == OUTSIDE_C and not net.d_raw(x + u_now) <= 0.0:
+                    return rec.finalize("left_domain", False, jumps)
                 if jumps >= max_jumps:
                     return rec.finalize("max_jumps", True, jumps)
-                x, u_now = net.jump_raw(vals), u.values(t, k + 1)
+                x, u_now = net.jump_raw(x + u_now), u.values(t, k + 1)
                 k += 1
                 jumps += 1
                 rec.open_interval(t, k)
                 rec.record(t, x, u_now)
                 steps_since_record = 0
+                mode = None
                 continue
 
             # flow phase
             if t >= horizon - 1e-15:
                 return rec.finalize("horizon", True, jumps)
             h_step = min(h, horizon - t)
-            x_prop = _rk4(net, x, u, t, k, h_step)
-            if not all(map(math.isfinite, x_prop)):
+            x_end = _rk4(net, x, u, t, k, h_step)
+            if not all(map(math.isfinite, x_end)):
                 return rec.finalize("numerical_failure", False, jumps)
-            if _flow_event(net, x_prop, u.values(t + h_step, k), jump_priority):
-                theta = _bisect_event(net, x, u, t, k, h_step, jump_priority, opts.time_tol)
-                x = _rk4(net, x, u, t, k, theta * h_step)
+            u_end = u.values(t + h_step, k)
+            mode = _mode(net, x_end + u_end, jump_priority)
+            if mode != FLOW:
+                theta, x, u_now, mode = _bisect_event(net, x, u, t, k, h_step, jump_priority,
+                                                      (x_end, u_end, mode))
                 t = t + theta * h_step
-                rec.record(t, x, u.values(t, k))
+                rec.record(t, x, u_now)
                 steps_since_record = 0
                 continue
-            x = x_prop
+            x, u_now = x_end, u_end
             t = t + h_step
             steps_since_record += 1
             if steps_since_record >= opts.record_every or t >= horizon - 1e-15:
-                rec.record(t, x, u.values(t, k))
+                rec.record(t, x, u_now)
                 steps_since_record = 0
     except ex.EvalDomainError:  # a guard, flow, jump or input expression left its domain
         return rec.finalize("numerical_failure", False, jumps)
 
 
-def _flow_event(net: NetworkSpec, x: list, u_val: list, jump_priority: bool) -> bool:
-    vals = x + u_val
-    if net.c_raw(vals) > 0.0:
-        return True
-    return jump_priority and net.d_raw(vals) <= 0.0
+def _mode(net: NetworkSpec, vals: list, jump_priority: bool) -> str:
+    """OUTSIDE_C unless the flow guard is <= 0 (NaN is outside), else JUMP
+    under jump priority if the jump guard is <= 0, else FLOW.  The jump guard
+    is evaluated only where it decides the outcome; the caller settles OUTSIDE_C."""
+    if not net.c_raw(vals) <= 0.0:
+        return OUTSIDE_C
+    if jump_priority and net.d_raw(vals) <= 0.0:
+        return JUMP
+    return FLOW
 
 
-def _bisect_event(net, x, u, t, k, h_step, jump_priority, time_tol) -> float:
+def _bisect_event(net, x, u, t, k, h_step, jump_priority, end) -> tuple:
+    """Bisect the step from ``(t, x)`` whose ``end`` (state, input, mode) does
+    not flow; returns the step fraction, state, input and mode of the event."""
     lo, hi = 0.0, 1.0
-    while (hi - lo) * h_step > time_tol:
+    x_hi, u_hi, mode_hi = end
+    while (hi - lo) * h_step > TIME_TOL:
         mid = 0.5 * (lo + hi)
         x_mid = _rk4(net, x, u, t, k, mid * h_step)
-        if _flow_event(net, x_mid, u.values(t + mid * h_step, k), jump_priority):
-            hi = mid
-        else:
+        u_mid = u.values(t + mid * h_step, k)
+        mode = _mode(net, x_mid + u_mid, jump_priority)
+        if mode == FLOW:
             lo = mid
-    return hi
+        else:
+            hi, x_hi, u_hi, mode_hi = mid, x_mid, u_mid, mode
+    return hi, x_hi, u_hi, mode_hi
 
 
 def _rk4(net: NetworkSpec, x: list, u: InputSignal, t: float, k: int, h: float) -> list:

@@ -180,14 +180,6 @@ class KFun:
         out = KFun.from_callable(fn, description)
         return replace(out, nodes=nodes)
 
-    # -- algebra -----------------------------------------------------------
-
-    def compose(self, inner: "KFun", grid: Optional[np.ndarray] = None) -> "KFun":
-        return compose(self, inner, grid)
-
-    def invert(self, y: float, bracket_hint: Optional[float] = None) -> float:
-        return invert(self, y, bracket_hint)
-
 
 def _linear_slope(fn: Callable[[float], float], grid: np.ndarray) -> Optional[float]:
     """Slope when the sampled function is exactly proportional to its argument."""

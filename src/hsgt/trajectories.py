@@ -164,14 +164,8 @@ class WindowedNorms:
             raise TrajectoryError("window before the first sample")
         return idx
 
-    def sub(self, i: int, t: float, k: float) -> float:
-        return float(self.sub_prefix[i][self._index(t, k)])
-
     def full(self, t: float, k: float) -> float:
         return float(self.full_prefix[self._index(t, k)])
-
-    def u(self, t: float, k: float) -> float:
-        return float(self.u_prefix[self._index(t, k)])
 
     def sub_windowed(self, i: int) -> np.ndarray:
         return self.sub_prefix[i][self.window_idx]
@@ -229,11 +223,14 @@ class BatchResult:
                 "metadata": self.metadata}
 
 
+# Slack of every trajectory comparison, absolute and relative to the bound.
+SLACK = 1e-9
+
+
 def _pointwise_result(label: str, lhs: np.ndarray, rhs: np.ndarray,
-                      norms: WindowedNorms, tag: dict, rtol: float,
-                      atol: float) -> TrajectoryResult:
+                      norms: WindowedNorms, tag: dict) -> TrajectoryResult:
     excess = lhs - rhs
-    bad = excess > np.maximum(atol, rtol * np.abs(rhs))
+    bad = excess > np.maximum(SLACK, SLACK * np.abs(rhs))
     violations = int(np.count_nonzero(bad))
     p = int(np.argmax(excess))
     point = {"t": float(norms.t[p]), "k": int(norms.k[p])}
@@ -248,7 +245,7 @@ def _pointwise_result(label: str, lhs: np.ndarray, rhs: np.ndarray,
 
 
 def check_iss(sol: SolutionPair, estimate: ISSEstimate, net: NetworkSpec,
-              label: str = "iss", rtol: float = 1e-9, atol: float = 1e-9) -> BatchResult:
+              label: str = "iss") -> BatchResult:
     """Pointwise decaying-bound-or-gain estimate at every stored sample."""
     if len(estimate.betas) != net.n:
         raise TrajectoryError(f"need one decaying bound per subsystem ({net.n})")
@@ -265,12 +262,12 @@ def check_iss(sol: SolutionPair, estimate: ISSEstimate, net: NetworkSpec,
         if not estimate.gains.external[i].is_zero:
             rhs = np.maximum(rhs, _apply_kfun(estimate.gains.external[i], norms.u_windowed()))
         results.append(_pointwise_result(f"{label}-sub{i + 1}", lhs, rhs, norms,
-                                         {"subsystem": i + 1}, rtol, atol))
+                                         {"subsystem": i + 1}))
     return BatchResult(results=results)
 
 
 def check_pre_gs(sol: SolutionPair, estimate: PreGSEstimate, net: NetworkSpec,
-                 label: str = "pre-gs", rtol: float = 1e-9, atol: float = 1e-9) -> BatchResult:
+                 label: str = "pre-gs") -> BatchResult:
     """Uniform-bound estimate, per subsystem and (when supplied) composed."""
     if len(estimate.sigmas) != net.n:
         raise TrajectoryError(f"need one initial-state bound per subsystem ({net.n})")
@@ -287,14 +284,13 @@ def check_pre_gs(sol: SolutionPair, estimate: PreGSEstimate, net: NetworkSpec,
         if not estimate.gains.external[i].is_zero:
             rhs = np.maximum(rhs, _apply_kfun(estimate.gains.external[i], norms.u_windowed()))
         results.append(_pointwise_result(f"{label}-sub{i + 1}", lhs, rhs, norms,
-                                         {"subsystem": i + 1}, rtol, atol))
+                                         {"subsystem": i + 1}))
     if estimate.composite_sigma is not None:
         lhs = norms.full_mag
         rhs = np.full(len(lhs), estimate.composite_sigma(float(np.max(np.abs(x00)))))
         if estimate.composite_gamma is not None and not estimate.composite_gamma.is_zero:
             rhs = np.maximum(rhs, _apply_kfun(estimate.composite_gamma, norms.u_windowed()))
-        results.append(_pointwise_result(f"{label}-composed", lhs, rhs, norms, {},
-                                         rtol, atol))
+        results.append(_pointwise_result(f"{label}-composed", lhs, rhs, norms, {}))
     return BatchResult(results=results)
 
 
@@ -308,7 +304,7 @@ def _tail_mask(norms: WindowedNorms, tail_fraction: float) -> Tuple[np.ndarray, 
 
 
 def check_ag(sol: SolutionPair, estimate: AGEstimate, net: NetworkSpec,
-             label: str = "ag", rtol: float = 1e-9, atol: float = 1e-9) -> BatchResult:
+             label: str = "ag") -> BatchResult:
     """Tail-maximum surrogate for the asymptotic-gain estimate.
 
     Requires a run that exhausted its time or jump budget; boundedness is
@@ -328,7 +324,7 @@ def check_ag(sol: SolutionPair, estimate: AGEstimate, net: NetworkSpec,
                 rhs = max(rhs, estimate.gains.internal[i][j](norms.sub_inf(j)))
         if not estimate.gains.external[i].is_zero:
             rhs = max(rhs, estimate.gains.external[i](norms.u_inf()))
-        passed = lhs <= rhs + max(atol, rtol * abs(rhs))
+        passed = lhs <= rhs + max(SLACK, SLACK * abs(rhs))
         results.append(TrajectoryResult(
             label=f"{label}-sub{i + 1}", passed=passed, worst_excess=lhs - rhs,
             worst_point={"subsystem": i + 1, "tail_max": lhs},
@@ -337,7 +333,7 @@ def check_ag(sol: SolutionPair, estimate: AGEstimate, net: NetworkSpec,
         lhs = float(np.max(norms.full_mag[mask]))
         rhs = estimate.composite_gamma(norms.u_inf()) \
             if not estimate.composite_gamma.is_zero else 0.0
-        passed = lhs <= rhs + max(atol, rtol * abs(rhs))
+        passed = lhs <= rhs + max(SLACK, SLACK * abs(rhs))
         results.append(TrajectoryResult(
             label=f"{label}-composed", passed=passed, worst_excess=lhs - rhs,
             worst_point={"tail_max": lhs}, violations=0 if passed else 1))
@@ -354,10 +350,10 @@ _RUN_ERRORS = (HybridError, ex.EvalDomainError, TrajectoryError)
 def check_zero_input_prestability(net: NetworkSpec, delta_grid: Sequence[float],
                                   eps_grid: Sequence[float], horizon: float,
                                   max_jumps: int, opts: Optional[SimOptions] = None,
-                                  directions: int = 8, seed: int = 0) -> BatchResult:
+                                  seed: int = 0) -> BatchResult:
     """Search an admissible initial-state radius for each excursion bound.
 
-    Simulates zero-input runs from scaled sphere directions and tabulates,
+    Simulates zero-input runs from 8 scaled sphere directions and tabulates,
     for each bound, the largest grid radius whose runs never exceed it.
     """
     deltas = sorted(float(d) for d in delta_grid)
@@ -366,7 +362,7 @@ def check_zero_input_prestability(net: NetworkSpec, delta_grid: Sequence[float],
         raise TrajectoryError("radius and bound grids must be nonempty")
     rng = np.random.default_rng(seed)
     from .sampling import sphere_directions
-    dirs = sphere_directions(net.state_dim, directions, rng)
+    dirs = sphere_directions(net.state_dim, 8, rng)
     u = InputSignal.zero(net.input_dim)
     sups = {}
     for delta in deltas:
@@ -399,13 +395,12 @@ def check_zero_input_prestability(net: NetworkSpec, delta_grid: Sequence[float],
 
 def fit_empirical_gain(net: NetworkSpec, input_levels: Sequence[float], horizon: float,
                        max_jumps: int, tail_fraction: float = 0.2,
-                       opts: Optional[SimOptions] = None,
-                       x0: Optional[Sequence[float]] = None) -> List[Tuple[float, Optional[float]]]:
-    """Tail response per constant input level, monotonized by running max."""
+                       opts: Optional[SimOptions] = None) -> List[Tuple[float, Optional[float]]]:
+    """Tail response from the origin per constant input level, monotonized by running max."""
     levels = [float(v) for v in input_levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise TrajectoryError("input levels must strictly increase")
-    start = np.zeros(net.state_dim) if x0 is None else np.asarray(x0, dtype=float)
+    start = np.zeros(net.state_dim)
     table: List[Tuple[float, Optional[float]]] = []
     running = 0.0
     for level in levels:

@@ -136,10 +136,45 @@ def test_malformed_external_gains_rejected_by_every_command(tmp_path, capsys, co
      lambda c: c["analysis"]["grid"].update(points=16.9)),
     ("e1_decoupled.json", "analysis.sampler.n_samples", "verify",
      lambda c: c["analysis"]["sampler"].update(n_samples=1.5)),
+    ("e1_decoupled.json", "analysis.simulation.horizon", "simulate",
+     lambda c: c["analysis"]["simulation"].update(horizon=float("inf"))),
+    ("e1_decoupled.json", "analysis.simulation.horizon", "simulate",
+     lambda c: c["analysis"]["simulation"].update(horizon=float("nan"))),
+    ("e1_decoupled.json", "analysis.simulation.max_jumps", "simulate",
+     lambda c: c["analysis"]["simulation"].update(max_jumps=-3)),
+    ("e1_traj_iss.json", "analysis.trajectories.horizon", "check-traj",
+     lambda c: c["analysis"]["trajectories"].update(horizon=float("inf"))),
+    ("e1_traj_iss.json", "analysis.trajectories.zero_input.horizon", "check-traj",
+     lambda c: c["analysis"]["trajectories"].update(zero_input={
+         "delta_grid": [0.5], "eps_grid": [1.0], "horizon": float("nan")})),
+    ("e1_decoupled.json", "analysis.simulation.input.value", "simulate",
+     lambda c: c["analysis"]["simulation"]["input"].update(value=["a"])),
+    ("e1_decoupled.json", "analysis.simulation.input.value", "simulate",
+     lambda c: c["analysis"]["simulation"]["input"].update(value=1.0)),
+    ("e1_decoupled.json", "analysis.simulation.input.times", "simulate",
+     lambda c: c["analysis"]["simulation"].update(input={
+         "type": "piecewise", "times": ["a"], "values": [[0.0]]})),
+    ("e1_decoupled.json", "analysis.simulation.input.values[1]", "simulate",
+     lambda c: c["analysis"]["simulation"].update(input={
+         "type": "piecewise", "times": [0.0, 1.0], "values": [[0.0], []]})),
+    ("e1_decoupled.json", "analysis.simulation.input.values[0]", "simulate",
+     lambda c: c["analysis"]["simulation"].update(input={
+         "type": "piecewise", "times": [0.0], "values": [[0.0, 1.0]]})),
+    ("e1_decoupled.json", "analysis.simulation.input.times", "simulate",
+     lambda c: c["analysis"]["simulation"].update(input={
+         "type": "piecewise", "times": [1.0, 0.0], "values": [[0.0], [1.0]]})),
+    ("e1_decoupled.json", "network.subsystems[0]", "check-gains",
+     lambda c: c["network"]["subsystems"].__setitem__(0, 3)),
+    ("e1_decoupled.json", "analysis", "check-gains",
+     lambda c: c.update(analysis=[])),
 ], ids=["dim", "gain-not-kinf", "step", "traj-step", "x0-nan", "priority", "psi1-not-kinf",
         "anchor-nan", "box-radius", "u-box-pair", "horizon", "grid-points", "grid-order",
         "n-samples", "boundary-fraction", "fraction-sum", "grid-points-fraction",
-        "n-samples-fraction"])
+        "n-samples-fraction", "horizon-inf", "horizon-nan", "max-jumps-negative",
+        "traj-horizon-inf", "zero-input-horizon-nan", "constant-not-number",
+        "constant-not-list", "piecewise-time-not-number", "piecewise-ragged",
+        "piecewise-row-width", "piecewise-unsorted", "subsystem-not-object",
+        "analysis-not-object"])
 def test_malformed_config_exits_2_with_path(tmp_path, capsys, name, path, command, edit):
     cfg = load_json(name)
     edit(cfg)

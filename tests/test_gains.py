@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsgt.gains as gains
-from conftest import REPO_ROOT, linear_gain_matrix, maxlin_radius, random_linear_ensemble
+from conftest import (REPO_ROOT, linear_gain_matrix, maxlin_radius, random_linear_ensemble,
+                      two_sub_candidates, two_sub_network)
 from hsgt.gains import (GainMatrix, GainMatrixError, OmegaPathError, SmallGainError,
                         SmallGainOptions, build_omega_path, compose_cycle, compose_phi,
-                        gamma_max_apply, iterate_gamma, simple_gain_cycles, small_gain_check)
+                        gamma_max_apply, simple_gain_cycles, small_gain_check)
 from hsgt.kfun import Classification, KFun
+from hsgt.lyapunov import build_composite, gain_matrix_from_candidates
 
 
 def test_apply_two_sub_example():
@@ -38,14 +40,6 @@ def test_apply_dimension_mismatch():
     gm = linear_gain_matrix([[0, 0.5], [0.5, 0]])
     with pytest.raises(GainMatrixError):
         gamma_max_apply(gm, [1.0, 2.0, 3.0])
-
-
-def test_iterate():
-    gm = linear_gain_matrix([[0, 0.5], [0.5, 0]])
-    assert iterate_gamma(gm, [1.0, 1.0], 0) == pytest.approx([1.0, 1.0])
-    assert iterate_gamma(gm, [1.0, 1.0], 1) == pytest.approx(
-        gamma_max_apply(gm, [1.0, 1.0]))
-    assert iterate_gamma(gm, [1.0, 1.0], 2) == pytest.approx([0.25, 0.25])
 
 
 def test_nonzero_diagonal_rejected():
@@ -273,16 +267,33 @@ def test_compose_cycle_scales_every_gain():
     assert compose_cycle(gm, [0, 2, 1], 8.0, factor=2.0) == 8.0
 
 
-def test_build_omega_path_enumerates_cycles_once(monkeypatch):
+def count_enumerations(monkeypatch) -> list:
     calls = []
     enumerate_cycles = gains.simple_gain_cycles
     monkeypatch.setattr(gains, "simple_gain_cycles",
                         lambda gm: calls.append(gm) or enumerate_cycles(gm))
+    return calls
+
+
+def test_build_omega_path_enumerates_cycles_once(monkeypatch):
+    calls = count_enumerations(monkeypatch)
     gm = linear_gain_matrix([[0, 2.0], [0.25, 0]])
-    verdict = small_gain_check(gm)
-    calls.clear()
-    path = build_omega_path(gm, [1.0, 1.0], verdict=verdict)
+    path = build_omega_path(gm, [1.0, 1.0])  # checks the small-gain condition itself
     assert path.inflation > 0.0 and len(calls) == 1
+    calls.clear()
+    verdict = small_gain_check(gm)
+    assert verdict.cycles == [[0, 1]] and "cycles" not in verdict.to_json()
+    build_omega_path(gm, [1.0, 1.0], verdict=verdict)
+    assert len(calls) == 1  # the verdict's list is reused
+
+
+def test_build_composite_with_verdict_enumerates_once(monkeypatch):
+    calls = count_enumerations(monkeypatch)
+    cands = two_sub_candidates()
+    gm = gain_matrix_from_candidates(cands)
+    verdict = small_gain_check(gm)
+    build_composite(cands, gm, two_sub_network(), verdict=verdict)
+    assert len(calls) == 1
 
 
 def test_import_leaves_networkx_out():

@@ -1,15 +1,19 @@
 """Hybrid time domains, signals, composition semantics, and simulation."""
 
 import io
+import itertools
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
+from conftest import two_sub_network
 from hsgt import expr as ex
-from hsgt.hybrid import (DomainError, HybridSignal, HybridTimeDomain, InputSignal,
-                         SimOptions, SimulationError, SubsystemSpec, compose_network,
-                         restrict, simulate, sup_norm, write_trajectory_csv)
+from hsgt.hybrid import (TIME_TOL, DomainError, HybridSignal, HybridTimeDomain, InputSignal,
+                         NetworkSpec, SimOptions, SimulationError, SolutionPair, SubsystemSpec,
+                         _Recorder, _rk4, compose_network, restrict, simulate, sup_norm,
+                         write_trajectory_csv)
 
 
 def single_decaying_subsystem(rate="-x_1"):
@@ -296,3 +300,218 @@ def test_piecewise_input_holds_values():
 def test_expression_input():
     sig = InputSignal.from_exprs([ex.parse("exp(0 - t)", ("t", "k"))])
     assert sig(1.0, 0) == pytest.approx([math.exp(-1.0)])
+
+
+# ---------------------------------------------------------------------------
+# differential gate: one flow/jump decision per point against the former loop
+#
+# ``_reference_simulate`` is the former loop, verbatim but for the tolerance
+# constant.  It evaluated both guards at the top of every iteration and again
+# in ``_flow_event`` at each step end, and integrated each event point twice.
+
+
+def _reference_simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
+                        horizon: float, max_jumps: int,
+                        opts: Optional[SimOptions] = None) -> SolutionPair:
+    """Simulate the composed network from ``x0`` under input ``u``.
+
+    Alternates jump and flow phases.  Flow integrates the stacked flow map
+    with fixed-step RK4; a step that leaves the flow set or (under jump
+    priority) enters the jump set is bisected down to the configured time
+    tolerance and the boundary point is recorded.  Completeness records that
+    the run used its full time or jump budget.
+    """
+    opts = opts or SimOptions()
+    opts.validate()
+    if horizon <= 0.0 and max_jumps <= 0:
+        raise SimulationError("need a positive horizon or a positive jump budget")
+    x = [float(v) for v in x0]
+    if len(x) != net.state_dim:
+        raise SimulationError(f"initial state must have dimension {net.state_dim}")
+    if u.dim != net.input_dim:
+        raise SimulationError(f"input signal must have dimension {net.input_dim}")
+
+    t, k, jumps = 0.0, 0, 0
+    u_now = u.values(t, k)
+    vals = x + u_now
+    if not (net.c_raw(vals) <= 0.0 or net.d_raw(vals) <= 0.0):
+        raise SimulationError("initial point lies outside the union of flow and jump sets")
+
+    rec = _Recorder()
+    rec.open_interval(t, k)
+    rec.record(t, x, u_now)
+    jump_priority = opts.priority == "jump"
+    h = opts.step
+    steps_since_record = 0
+
+    try:
+        while True:
+            u_now = u.values(t, k)
+            if not all(map(math.isfinite, x)):
+                return rec.finalize("numerical_failure", False, jumps)
+            vals = x + u_now
+            in_c = net.c_raw(vals) <= 0.0
+            in_d = net.d_raw(vals) <= 0.0
+            if not in_c and not in_d:
+                return rec.finalize("left_domain", False, jumps)
+            do_jump = in_d and (jump_priority or not in_c)
+            if do_jump:
+                if jumps >= max_jumps:
+                    return rec.finalize("max_jumps", True, jumps)
+                x, u_now = net.jump_raw(vals), u.values(t, k + 1)
+                k += 1
+                jumps += 1
+                rec.open_interval(t, k)
+                rec.record(t, x, u_now)
+                steps_since_record = 0
+                continue
+
+            # flow phase
+            if t >= horizon - 1e-15:
+                return rec.finalize("horizon", True, jumps)
+            h_step = min(h, horizon - t)
+            x_prop = _rk4(net, x, u, t, k, h_step)
+            if not all(map(math.isfinite, x_prop)):
+                return rec.finalize("numerical_failure", False, jumps)
+            if _flow_event(net, x_prop, u.values(t + h_step, k), jump_priority):
+                theta = _bisect_event(net, x, u, t, k, h_step, jump_priority, TIME_TOL)
+                x = _rk4(net, x, u, t, k, theta * h_step)
+                t = t + theta * h_step
+                rec.record(t, x, u.values(t, k))
+                steps_since_record = 0
+                continue
+            x = x_prop
+            t = t + h_step
+            steps_since_record += 1
+            if steps_since_record >= opts.record_every or t >= horizon - 1e-15:
+                rec.record(t, x, u.values(t, k))
+                steps_since_record = 0
+    except ex.EvalDomainError:  # a guard, flow, jump or input expression left its domain
+        return rec.finalize("numerical_failure", False, jumps)
+
+
+def _flow_event(net: NetworkSpec, x: list, u_val: list, jump_priority: bool) -> bool:
+    vals = x + u_val
+    if net.c_raw(vals) > 0.0:
+        return True
+    return jump_priority and net.d_raw(vals) <= 0.0
+
+
+def _bisect_event(net, x, u, t, k, h_step, jump_priority, time_tol) -> float:
+    lo, hi = 0.0, 1.0
+    while (hi - lo) * h_step > time_tol:
+        mid = 0.5 * (lo + hi)
+        x_mid = _rk4(net, x, u, t, k, mid * h_step)
+        if _flow_event(net, x_mid, u.values(t + mid * h_step, k), jump_priority):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def one_dim(flow, c_guard, d_guard, jump="x_1"):
+    allowed = ("x_1", "u_1")
+    spec = SubsystemSpec(dim=1, flow=[ex.parse(flow, allowed)], jump=[ex.parse(jump, allowed)],
+                         c_guard=ex.parse(c_guard, allowed), d_guard=ex.parse(d_guard, allowed),
+                         name="solo")
+    return compose_network([spec], input_dim=1)
+
+
+def failing_network():
+    """A flow map that leaves its domain and one that blows up."""
+    allowed = ("x_1", "x_2", "u_1")
+    subs = [SubsystemSpec(dim=1, flow=[ex.parse(f, allowed)], jump=[ex.parse(j, allowed)],
+                          c_guard=ex.Const(-1.0), d_guard=ex.Const(1.0), name=name)
+            for f, j, name in (("log(x_1 + 0.5) - 1 + 0.1*u_1", "x_1", "log"),
+                               ("x_2*x_2*x_2", "x_2", "cube"))]
+    return compose_network(subs, input_dim=1)
+
+
+GRID_NETWORKS = {
+    "decoupled": (decoupled_two_sub, ([2.0, 0.0], [0.5, -0.3], [1.0, 1.0])),
+    "e1": (two_sub_network, ([0.9, -0.4], [1.5, 0.2], [-0.2, 0.1])),
+    "frozen": (frozen_network, ([1.0, 5.0], [0.5, 0.5], [2.0, -1.0])),
+    "runaway": (lambda: one_dim("x_1 + u_1", "abs(x_1) - 1", "1"), ([0.5], [-0.9], [0.0])),
+    # C is x <= 2 and D is x >= 1, so the two priorities resolve the overlap differently
+    "overlap": (lambda: one_dim("1 + u_1", "x_1 - 2", "1 - x_1", jump="x_1 - 1.5"),
+                ([0.0], [1.5], [2.5])),
+    "failing": (failing_network, ([1.0, 0.0], [1.0, 1.5], [3.0, 0.0])),
+}
+
+
+def grid_inputs():
+    return [InputSignal.zero(1), InputSignal.constant([0.7]),
+            InputSignal.from_exprs([ex.parse("0.5*exp(0 - t) + 0.1*k", ("t", "k"))]),
+            InputSignal.piecewise([0.0, 0.4, 1.1], [[0.2], [-1.2], [0.6]])]
+
+
+def fingerprint(run, net, x0, u, opts):
+    """Every byte the run produced, or the error it raised."""
+    try:
+        sol = run(net, x0, u, 1.5, 5, opts)
+    except SimulationError as err:
+        return ("raised", str(err))
+    return (sol.termination, sol.complete, sol.jumps_applied, repr(sol.domain.intervals),
+            [a.tobytes() for sig in (sol.x, sol.u) for a in sig.times + sig.values])
+
+
+def test_simulate_matches_reference_loop_bit_for_bit():
+    results = {}
+    for name, (make, initial_states) in GRID_NETWORKS.items():
+        net = make()
+        for (i, x0), (j, u), priority, every in itertools.product(
+                enumerate(initial_states), enumerate(grid_inputs()), ("jump", "flow"), (1, 3)):
+            opts = SimOptions(step=0.01, priority=priority, record_every=every)
+            new = fingerprint(simulate, net, x0, u, opts)
+            assert new == fingerprint(_reference_simulate, net, x0, u, opts), \
+                (name, x0, u.description, priority, every)
+            results[name, i, j, every, priority] = new
+    assert len(results) == 288
+    # the grid reaches every termination, jumps often, and the priority matters somewhere
+    assert {r[0] for r in results.values()} == {"horizon", "max_jumps", "left_domain",
+                                                "numerical_failure"}
+    assert sum(r[0] != "raised" and r[2] > 0 for r in results.values()) >= 90
+    assert any(r != results[key[:-1] + ("flow",)]
+               for key, r in results.items() if key[-1] == "jump")
+
+
+def test_each_accepted_step_evaluates_each_guard_once():
+    net = two_sub_network()
+    calls = {"c": 0, "d": 0}
+    c_raw, d_raw = net.c_raw, net.d_raw
+    net.c_raw = lambda vals, sub=None: calls.__setitem__("c", calls["c"] + 1) or c_raw(vals, sub)
+    net.d_raw = lambda vals, sub=None: calls.__setitem__("d", calls["d"] + 1) or d_raw(vals, sub)
+    sol = simulate(net, [0.5, 0.2], InputSignal.constant([0.3]), horizon=1.0, max_jumps=3,
+                   opts=SimOptions(step=0.01))
+    steps = len(sol.x.times[0]) - 1
+    assert sol.termination == "horizon" and sol.jumps_applied == 0 and steps == 100
+    # the start is seen by the union check and classified once; then one of each per step
+    assert calls == {"c": steps + 2, "d": steps + 1}
+
+
+def test_flow_priority_skips_the_jump_guard_inside_the_flow_set():
+    net = one_dim("-x_1", "-1", "log(x_1 - 5)")  # the jump guard is undefined at x = 1
+    flow = SimOptions(step=0.01, priority="flow")
+    jump = SimOptions(step=0.01, priority="jump")
+    before = _reference_simulate(net, [1.0], InputSignal.zero(1), 1.0, 3, flow)
+    assert before.termination == "numerical_failure" and before.domain.intervals == ((0.0, 0.0, 0),)
+    after = simulate(net, [1.0], InputSignal.zero(1), 1.0, 3, flow)
+    assert after.termination == "horizon" and after.complete
+    assert after.x.values[0][-1][0] == pytest.approx(math.exp(-1.0), abs=1e-9)
+    # under jump priority the guard decides between flow and jump, so it still fails there
+    assert fingerprint(simulate, net, [1.0], InputSignal.zero(1), jump) == \
+        fingerprint(_reference_simulate, net, [1.0], InputSignal.zero(1), jump)
+    assert simulate(net, [1.0], InputSignal.zero(1), 1.0, 3, jump).termination \
+        == "numerical_failure"
+
+
+def test_nan_flow_guard_counts_as_outside_the_flow_set():
+    # 0 at x = 0, and inf - inf = NaN for any x > 0
+    net = one_dim("1", "x_1*1e308*1e308 - x_1*1e308*1e308", "1")
+    sol = simulate(net, [0.0], InputSignal.zero(1), horizon=1.0, max_jumps=0,
+                   opts=SimOptions(step=0.01))
+    # the step is bisected down to the earliest NaN point, where the run leaves the domain
+    assert sol.termination == "left_domain" and 0.0 < sol.domain.intervals[-1][1] <= TIME_TOL
+    # the former step-end test counted NaN as inside C and the loop top as outside
+    before = _reference_simulate(net, [0.0], InputSignal.zero(1), 1.0, 0, SimOptions(step=0.01))
+    assert before.termination == "left_domain" and before.domain.intervals[-1][1] == 0.01
