@@ -469,6 +469,8 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
                for i, row in enumerate(ic_cfg)]
     levels = _finite_vector(cfg.get("input_levels", [0.0]), None, f"{base}.input_levels")
     horizon, max_jumps = _budget(cfg, base)
+    if horizon == 0.0 and max_jumps == 0:
+        _fail(base, "need a positive horizon or a positive jump budget")
     gain_fit, gain_fit_levels = cfg.get("gain_fit"), None
     if gain_fit:
         _object(gain_fit, f"{base}.gain_fit")

@@ -550,8 +550,13 @@ def compile_array(expr: Expr, var_order: Sequence[str]) -> Callable:
                 value, bad = lanes_fn(vals)
         except (ArithmeticError, ValueError):  # a constant subtree failed on every lane
             value, bad = math.nan, True
-        out = np.array(np.broadcast_to(value, (lanes,)), dtype=float)
-        for p in np.flatnonzero(np.broadcast_to(bad, (lanes,))).tolist():
+        out = np.empty(lanes)
+        out[...] = value  # a constant tree gives one float for every lane
+        if isinstance(bad, np.ndarray):
+            redo = np.flatnonzero(bad).tolist()
+        else:  # no lane reached a mark, or every lane did
+            redo = range(lanes) if bad else ()
+        for p in redo:
             out[p] = scalar([float(v[p]) for v in vals])
         return out
     return fn

@@ -8,6 +8,7 @@ nonnegative vector that the gain operator fails to strictly decrease.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -25,6 +26,8 @@ CYCLE_SIZE_LIMIT = 12
 # Direct search: random nonnegative directions and radii per direction.
 RANDOM_DIRECTIONS = 1000
 RADII_POINTS = 9
+# Direct-search directions evaluated together, each at every radius.
+SEARCH_BLOCK = 64
 
 
 class GainMatrixError(Exception):
@@ -62,6 +65,12 @@ class GainMatrix:
     def n(self) -> int:
         return len(self.entries)
 
+    @functools.cached_property
+    def nonzero_rows(self) -> tuple:
+        """Per row, its nonzero gains as ``(column, gain)`` pairs in column order."""
+        return tuple(tuple((j, g) for j, g in enumerate(row) if not g.is_zero)
+                     for row in self.entries)
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Optional[KFun]]]) -> "GainMatrix":
         fixed = tuple(tuple(KFun.zero() if g is None else g for g in row) for row in rows)
@@ -86,22 +95,35 @@ class GainMatrix:
 
 
 def gamma_max_apply(gm: GainMatrix, s: Sequence[float]) -> np.ndarray:
-    """Componentwise max of row gains applied to the vector; zero rows give 0."""
+    """Componentwise max of row gains applied to the vector; zero rows give 0.
+
+    ``s`` is one vector of length n or a (B, n) block of them.  A block is
+    evaluated one gain at a time over its column (``KFun.array``), and each
+    of its rows is bit for bit the image of that row on its own.  Either way
+    a later gain wins only if it is greater, starting from 0.0.
+    """
     s = np.asarray(s, dtype=float)
-    if s.shape != (gm.n,):
+    if s.ndim not in (1, 2) or s.shape[-1] != gm.n:
         raise GainMatrixError(f"expected a vector of length {gm.n}, got shape {s.shape}")
     if np.any(s < 0.0):
         raise GainMatrixError("gain operator arguments must be nonnegative")
-    out = np.zeros(gm.n)
-    for i, row in enumerate(gm.entries):
-        best = 0.0
-        for j, g in enumerate(row):
-            if g.is_zero:
-                continue
-            v = g(float(s[j]))
-            if v > best:
-                best = v
-        out[i] = best
+    if s.ndim == 1:
+        vals = s.tolist()
+        out = np.zeros(gm.n)
+        for i, row in enumerate(gm.nonzero_rows):
+            best = 0.0
+            for j, g in row:
+                v = g(vals[j])
+                if v > best:
+                    best = v
+            out[i] = best
+        return out
+    out = np.zeros(s.shape)
+    for i, row in enumerate(gm.nonzero_rows):
+        best = out[:, i]  # a view of column i
+        for j, g in row:
+            v = g.array(s[:, j])
+            np.copyto(best, v, where=v > best)
     return out
 
 
@@ -185,16 +207,45 @@ def simple_gain_cycles(gm: GainMatrix) -> List[List[int]]:
     return cycles
 
 
-def compose_cycle(gm: GainMatrix, cycle: Sequence[int], r: float, factor: float = 1.0) -> float:
+def compose_cycle(gm: GainMatrix, cycle: Sequence[int], r: float | np.ndarray,
+                  factor: float = 1.0) -> float | np.ndarray:
     """Gain composed once around the cycle, starting and ending at radius r.
 
-    Each gain is scaled by ``factor`` before the next one is applied.
+    Each gain is scaled by ``factor`` before the next one is applied.  ``r``
+    is one radius, or a 1-D array of radii composed together through
+    ``KFun.array``, lane p bit for bit the value at ``float(r[p])``.
     """
     v = r
+    lanes = isinstance(r, np.ndarray)
     nodes = list(cycle)
     for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-        v = factor * gm.entries[b][a](v)
+        g = gm.entries[b][a]
+        v = factor * (g.array(v) if lanes else g(v))
     return v
+
+
+def _rows_in_order(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray):
+    """Yield ``(0, fn(rows))``, or, if that raises, ``(p, fn(rows[p:p + 1]))``
+    for each row p in turn.
+
+    A scan that stops at its first hit thus meets only the errors that a
+    row-by-row scan would: an error past the hit never surfaces, and one
+    before it is raised again by its own row, with the same class and message.
+    """
+    try:
+        values = fn(rows)
+    except Exception:  # replayed below, not swallowed
+        for p in range(len(rows)):
+            yield p, fn(rows[p:p + 1])
+        return
+    yield 0, values
+
+
+def _running_max(start: float, values: np.ndarray) -> float:
+    """Running max of ``values`` from ``start``: a later value wins only if it
+    is greater, so NaN never wins.  The result is ``start`` or a value."""
+    above = values[values > start]
+    return above.max() if above.size else start
 
 
 def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None) -> SmallGainVerdict:
@@ -211,18 +262,7 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
     if gm.n <= CYCLE_SIZE_LIMIT:
         verdict.cycles = simple_gain_cycles(gm)
         for cycle in verdict.cycles:
-            for r in grid:
-                v = compose_cycle(gm, cycle, float(r))
-                ratio = v / r
-                if ratio > verdict.margin:
-                    verdict.margin = ratio
-                if v >= r:
-                    witness = CycleWitness(list(cycle), float(r), float(v))
-                    if compose_cycle(gm, cycle, witness.radius) >= witness.radius:
-                        verdict.holds = False
-                        verdict.witness_cycle = witness
-                        break
-            if verdict.witness_cycle is not None:
+            if _scan_cycle(gm, cycle, grid, verdict):
                 break
         if verdict.witness_cycle is None and verdict.margin > 1.0 - STRICTNESS:
             verdict.holds = False
@@ -246,25 +286,47 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
     return verdict
 
 
+def _scan_cycle(gm: GainMatrix, cycle: List[int], grid: np.ndarray,
+                verdict: SmallGainVerdict) -> bool:
+    """Scan one cycle over the grid in order; True once it yields a witness.
+
+    The margin is raised by every ratio up to and including the witness
+    radius, and the witness is re-evaluated with the scalar call first.
+    """
+    for start, values in _rows_in_order(lambda r: compose_cycle(gm, cycle, r), grid):
+        radii = grid[start:start + values.size]
+        stop = values.size
+        witness = None
+        for k in np.flatnonzero(values >= radii).tolist():
+            candidate = CycleWitness(list(cycle), float(radii[k]), float(values[k]))
+            if compose_cycle(gm, cycle, candidate.radius) >= candidate.radius:
+                stop, witness = k + 1, candidate
+                break
+        verdict.margin = _running_max(verdict.margin, values[:stop] / radii[:stop])
+        if witness is not None:
+            verdict.holds = False
+            verdict.witness_cycle = witness
+            return True
+    return False
+
+
 def _direct_search(gm: GainMatrix, seed: int) -> Optional[np.ndarray]:
+    """First nonnegative vector, over directions then radii, that the gain
+    operator does not strictly decrease in any component."""
     n = gm.n
     rng = np.random.default_rng(seed)
-    directions = []
-    if n <= 10:
-        for mask in itertools.product((0.0, 1.0), repeat=n):
-            if any(mask):
-                directions.append(np.asarray(mask))
+    masks = list(itertools.product((0.0, 1.0), repeat=n))[1:] if n <= 10 else []
     extra = np.abs(rng.standard_normal((RANDOM_DIRECTIONS, n)))
     norms = extra.max(axis=1)
     keep = norms > 0
-    directions.extend(extra[keep] / norms[keep, None])
+    directions = np.vstack([np.reshape(masks, (-1, n)), extra[keep] / norms[keep, None]])
     radii = np.geomspace(1e-6, 1e6, RADII_POINTS)
-    for d in directions:
-        for r in radii:
-            s = d * r
-            image = gamma_max_apply(gm, s)
-            if np.all(image >= s):
-                return s
+    for first in range(0, len(directions), SEARCH_BLOCK):
+        rows = (directions[first:first + SEARCH_BLOCK, None, :] * radii[:, None]).reshape(-1, n)
+        for start, image in _rows_in_order(lambda s: gamma_max_apply(gm, s), rows):
+            hits = np.flatnonzero(np.all(image >= rows[start:start + len(image)], axis=1))
+            if hits.size:
+                return rows[start + hits[0]].copy()
     return None
 
 
@@ -304,14 +366,14 @@ def _path_vector_fn(gm: GainMatrix, anchor: np.ndarray, inflation: float) -> Cal
                                   default=0.0) for i in range(n)])
             best = np.maximum(best, coeff)
 
-        def linear_fn(r: float, c=best) -> np.ndarray:
-            return c * r
+        def linear_fn(r, c=best) -> np.ndarray:
+            return c * np.asarray(r)[..., None]
         return linear_fn
 
     factor = 1.0 + inflation
 
-    def general_fn(r: float) -> np.ndarray:
-        v = anchor * r
+    def general_fn(r) -> np.ndarray:
+        v = anchor * np.asarray(r)[..., None]
         best = v.copy()
         for _ in range(n - 1):
             v = factor * gamma_max_apply(gm, v)
@@ -342,8 +404,9 @@ def _inflated_cycles_ok(gm: GainMatrix, cycles: List[List[int]], inflation: floa
         return True
     factor = 1.0 + inflation
     for cycle in cycles:
-        for r in grid:
-            if compose_cycle(gm, cycle, float(r), factor) > (1.0 - STRICTNESS) * r:
+        for start, values in _rows_in_order(lambda r: compose_cycle(gm, cycle, r, factor),
+                                            grid):
+            if np.any(values > (1.0 - STRICTNESS) * grid[start:start + values.size]):
                 return False
     return True
 
@@ -380,15 +443,13 @@ def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
         vec_fn = _path_vector_fn(gm, a, inflation)
         ok = True
         margin = 0.0
-        for r in grid:
-            sig = vec_fn(float(r))
-            image = gamma_max_apply(gm, sig)
-            ratios = image / sig
-            margin = max(margin, float(ratios.max()))
-            if np.any(image > (1.0 - STRICTNESS) * sig):
+        for start, (sig, image) in _rows_in_order(lambda r: _path_image(gm, vec_fn, r), grid):
+            fails = np.flatnonzero(np.any(image > (1.0 - STRICTNESS) * sig, axis=1))
+            if fails.size:  # the candidate is dropped, and its margin with it
                 ok = False
-                worst_r = float(r)
+                worst_r = float(grid[start + fails[0]])
                 break
+            margin = float(_running_max(margin, (image / sig).max(axis=1)))
         if ok:
             sigmas = [_sigma_component(vec_fn, i) for i in range(gm.n)]
             sigma_invs = [inverse_kfun(sigma) for sigma in sigmas]
@@ -398,6 +459,11 @@ def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
     raise OmegaPathError(
         f"scaling path not strictly decreased at r={worst_r!r}; "
         "the small-gain verdict may be a false positive")
+
+
+def _path_image(gm: GainMatrix, vec_fn: Callable, r: np.ndarray):
+    sig = vec_fn(r)
+    return sig, gamma_max_apply(gm, sig)
 
 
 def _sigma_component(vec_fn: Callable[[float], np.ndarray], i: int) -> KFun:

@@ -473,6 +473,8 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
     flows takes one fixed RK4 step.  A step whose end does not flow is
     bisected down to ``TIME_TOL`` and the event point found is recorded.
     Completeness records that the run used its full time or jump budget.
+    An expression that leaves its domain ends the run as ``numerical_failure``,
+    at the initial point too; an input undefined there is recorded as NaN.
     """
     opts = opts or SimOptions()
     opts.validate()
@@ -485,20 +487,20 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
         raise SimulationError(f"input signal must have dimension {net.input_dim}")
 
     t, k, jumps = 0.0, 0, 0
-    u_now = u.values(t, k)
-    vals = x + u_now
-    if not (net.c_raw(vals) <= 0.0 or net.d_raw(vals) <= 0.0):
-        raise SimulationError("initial point lies outside the union of flow and jump sets")
-
     rec = _Recorder()
     rec.open_interval(t, k)
-    rec.record(t, x, u_now)
     jump_priority = opts.priority == "jump"
     h = opts.step
     steps_since_record = 0
     mode = None  # the mode of (t, k, x), once known
+    u_now = [math.nan] * u.dim  # recorded at t = 0 if the input is undefined there
 
     try:
+        u_now = u.values(t, k)
+        vals = x + u_now
+        if not (net.c_raw(vals) <= 0.0 or net.d_raw(vals) <= 0.0):
+            raise SimulationError("initial point lies outside the union of flow and jump sets")
+        rec.record(t, x, u_now)
         while True:
             if not all(map(math.isfinite, x)):
                 return rec.finalize("numerical_failure", False, jumps)
@@ -541,6 +543,8 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
                 rec.record(t, x, u_now)
                 steps_since_record = 0
     except ex.EvalDomainError:  # a guard, flow, jump or input expression left its domain
+        if not rec.interval_times[0]:  # it failed at the initial point
+            rec.record(t, x, u_now)
         return rec.finalize("numerical_failure", False, jumps)
 
 

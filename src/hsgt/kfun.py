@@ -10,6 +10,7 @@ check refutes a class, a passed check records the grid it passed on.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -88,6 +89,23 @@ class KFun:
         if self.linear_slope is not None:
             return self.linear_slope * s
         return self.fn(s)
+
+    def array(self, S: np.ndarray) -> np.ndarray:
+        """Values at a 1-D float array: lane p is ``self(float(S[p]))`` bit for bit.
+
+        If the scalar call raises on some lane, this raises the first such
+        lane's error, with the same class and message.
+        """
+        if self.linear_slope is not None:
+            return self.linear_slope * S
+        if self.expr is not None:
+            return self._array_fn([S])
+        return np.array([self.fn(s) for s in S.tolist()], dtype=float)
+
+    @functools.cached_property
+    def _array_fn(self) -> Callable:
+        # Compiled on the first array call, so building a KFun does not pay for it.
+        return ex.compile_array(self.expr, ("s",))
 
     @property
     def is_zero(self) -> bool:

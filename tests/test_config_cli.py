@@ -144,6 +144,8 @@ def test_malformed_external_gains_rejected_by_every_command(tmp_path, capsys, co
      lambda c: c["analysis"]["simulation"].update(max_jumps=-3)),
     ("e1_traj_iss.json", "analysis.trajectories.horizon", "check-traj",
      lambda c: c["analysis"]["trajectories"].update(horizon=float("inf"))),
+    ("e1_traj_iss.json", "analysis.trajectories: need a positive horizon", "check-traj",
+     lambda c: c["analysis"]["trajectories"].update(horizon=0, max_jumps=0)),
     ("e1_traj_iss.json", "analysis.trajectories.zero_input.horizon", "check-traj",
      lambda c: c["analysis"]["trajectories"].update(zero_input={
          "delta_grid": [0.5], "eps_grid": [1.0], "horizon": float("nan")})),
@@ -171,7 +173,7 @@ def test_malformed_external_gains_rejected_by_every_command(tmp_path, capsys, co
         "anchor-nan", "box-radius", "u-box-pair", "horizon", "grid-points", "grid-order",
         "n-samples", "boundary-fraction", "fraction-sum", "grid-points-fraction",
         "n-samples-fraction", "horizon-inf", "horizon-nan", "max-jumps-negative",
-        "traj-horizon-inf", "zero-input-horizon-nan", "constant-not-number",
+        "traj-horizon-inf", "traj-zero-budget", "zero-input-horizon-nan", "constant-not-number",
         "constant-not-list", "piecewise-time-not-number", "piecewise-ragged",
         "piecewise-row-width", "piecewise-unsorted", "subsystem-not-object",
         "analysis-not-object"])
@@ -194,7 +196,13 @@ def test_malformed_config_exits_2_with_path(tmp_path, capsys, name, path, comman
     (lambda c: c["network"]["subsystems"][0].update(flow=["log(x_1-5)"]),
      [["verify", "--which", w] for w in ("subsystem", "composite", "wform")], 1,
      "analysis failed: math domain error in log(x_1 - 5.0)"),
-], ids=["jump-map", "candidate", "flow-guard", "flow-map"])
+    (lambda c: c["analysis"]["simulation"].update(
+        input={"type": "expr", "exprs": ["log(t - 0.5)"]}),
+     [["simulate"]], 0, "termination=numerical_failure, rows=1"),
+    (lambda c: c["analysis"]["simulation"].update(
+        input={"type": "expr", "exprs": ["log(0.0005 - t)"]}),
+     [["simulate"]], 0, "termination=numerical_failure, rows=3"),
+], ids=["jump-map", "candidate", "flow-guard", "flow-map", "input-at-start", "input-later"])
 def test_expression_domain_errors_end_without_traceback(tmp_path, capsys, edit, commands,
                                                         code, message):
     cfg = load_json("e1_decoupled.json")

@@ -1,9 +1,13 @@
 """Gain operator, small-gain condition, and scaling-path construction."""
 
+import itertools
+import json
 import os
 import random
+import struct
 import subprocess
 import sys
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -13,10 +17,14 @@ from hypothesis import strategies as st
 import hsgt.gains as gains
 from conftest import (REPO_ROOT, linear_gain_matrix, maxlin_radius, random_linear_ensemble,
                       two_sub_candidates, two_sub_network)
-from hsgt.gains import (GainMatrix, GainMatrixError, OmegaPathError, SmallGainError,
-                        SmallGainOptions, build_omega_path, compose_cycle, compose_phi,
-                        gamma_max_apply, simple_gain_cycles, small_gain_check)
-from hsgt.kfun import Classification, KFun
+from hsgt import expr as ex
+from hsgt.gains import (CYCLE_SIZE_LIMIT, RADII_POINTS, RANDOM_DIRECTIONS, SEARCH_BLOCK,
+                        STRICTNESS, CycleWitness, GainMatrix, GainMatrixError, OmegaPath,
+                        OmegaPathError, SmallGainError, SmallGainOptions, SmallGainVerdict,
+                        _inflation_candidates, _sigma_component, build_omega_path,
+                        compose_cycle, compose_phi, gamma_max_apply, simple_gain_cycles,
+                        small_gain_check)
+from hsgt.kfun import Classification, KFun, inverse_kfun
 from hsgt.lyapunov import build_composite, gain_matrix_from_candidates
 
 
@@ -302,3 +310,465 @@ def test_import_leaves_networkx_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# whole-grid small-gain layer against the former scalar loops
+#
+# The ``_reference_*`` functions are the former radius-by-radius and
+# row-by-row code, verbatim but for their names.  They are the oracles for
+# the array passes: same verdicts, margins, witnesses and errors, bit for bit.
+
+
+def _reference_gamma_max_apply(gm: GainMatrix, s: Sequence[float]) -> np.ndarray:
+    """Componentwise max of row gains applied to the vector; zero rows give 0."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (gm.n,):
+        raise GainMatrixError(f"expected a vector of length {gm.n}, got shape {s.shape}")
+    if np.any(s < 0.0):
+        raise GainMatrixError("gain operator arguments must be nonnegative")
+    out = np.zeros(gm.n)
+    for i, row in enumerate(gm.entries):
+        best = 0.0
+        for j, g in enumerate(row):
+            if g.is_zero:
+                continue
+            v = g(float(s[j]))
+            if v > best:
+                best = v
+        out[i] = best
+    return out
+
+
+def _reference_compose_cycle(gm: GainMatrix, cycle: Sequence[int], r: float, factor: float = 1.0) -> float:
+    """Gain composed once around the cycle, starting and ending at radius r.
+
+    Each gain is scaled by ``factor`` before the next one is applied.
+    """
+    v = r
+    nodes = list(cycle)
+    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+        v = factor * gm.entries[b][a](v)
+    return v
+
+
+def _reference_small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None) -> SmallGainVerdict:
+    """Decide the small-gain condition by cycle enumeration plus direct search.
+
+    Strict decrease of a composed cycle gain is accepted only with a relative
+    margin; grid points inside the margin band make the verdict inconclusive
+    instead of a pass.  Any witness is re-evaluated before being reported.
+    """
+    opts = options or SmallGainOptions()
+    grid = opts.grid()
+    verdict = SmallGainVerdict(holds=True, margin=0.0)
+
+    if gm.n <= CYCLE_SIZE_LIMIT:
+        verdict.cycles = simple_gain_cycles(gm)
+        for cycle in verdict.cycles:
+            for r in grid:
+                v = _reference_compose_cycle(gm, cycle, float(r))
+                ratio = v / r
+                if ratio > verdict.margin:
+                    verdict.margin = ratio
+                if v >= r:
+                    witness = CycleWitness(list(cycle), float(r), float(v))
+                    if _reference_compose_cycle(gm, cycle, witness.radius) >= witness.radius:
+                        verdict.holds = False
+                        verdict.witness_cycle = witness
+                        break
+            if verdict.witness_cycle is not None:
+                break
+        if verdict.witness_cycle is None and verdict.margin > 1.0 - STRICTNESS:
+            verdict.holds = False
+            verdict.inconclusive = True
+            verdict.notes.append("cycle gain inside the strictness band; verdict inconclusive")
+    else:
+        verdict.cycles_checked = False
+        verdict.notes.append(
+            f"n={gm.n} exceeds the cycle enumeration limit; direct search only")
+
+    s_witness = _reference_direct_search(gm, opts.seed)
+    if s_witness is not None:
+        image = _reference_gamma_max_apply(gm, s_witness)
+        if np.all(image >= s_witness) and np.any(s_witness > 0.0):
+            if verdict.cycles_checked and verdict.witness_cycle is None and not verdict.inconclusive:
+                verdict.methods_disagreed = True
+                verdict.notes.append("direct witness found although every cycle passed")
+            verdict.holds = False
+            verdict.witness_vector = s_witness
+            verdict.witness_image = image
+    return verdict
+
+
+def _reference_direct_search(gm: GainMatrix, seed: int) -> Optional[np.ndarray]:
+    n = gm.n
+    rng = np.random.default_rng(seed)
+    directions = []
+    if n <= 10:
+        for mask in itertools.product((0.0, 1.0), repeat=n):
+            if any(mask):
+                directions.append(np.asarray(mask))
+    extra = np.abs(rng.standard_normal((RANDOM_DIRECTIONS, n)))
+    norms = extra.max(axis=1)
+    keep = norms > 0
+    directions.extend(extra[keep] / norms[keep, None])
+    radii = np.geomspace(1e-6, 1e6, RADII_POINTS)
+    for d in directions:
+        for r in radii:
+            s = d * r
+            image = _reference_gamma_max_apply(gm, s)
+            if np.all(image >= s):
+                return s
+    return None
+
+
+def _reference_path_vector_fn(gm: GainMatrix, anchor: np.ndarray, inflation: float) -> Callable[[float], np.ndarray]:
+    slopes = gm.linear_slopes()
+    n = gm.n
+    if slopes is not None:
+        scaled = slopes * (1.0 + inflation)
+        coeff = anchor.copy()
+        best = anchor.copy()
+        for _ in range(n - 1):
+            coeff = np.array([max([scaled[i, j] * coeff[j] for j in range(n) if j != i],
+                                  default=0.0) for i in range(n)])
+            best = np.maximum(best, coeff)
+
+        def linear_fn(r: float, c=best) -> np.ndarray:
+            return c * r
+        return linear_fn
+
+    factor = 1.0 + inflation
+
+    def general_fn(r: float) -> np.ndarray:
+        v = anchor * r
+        best = v.copy()
+        for _ in range(n - 1):
+            v = factor * _reference_gamma_max_apply(gm, v)
+            best = np.maximum(best, v)
+        return best
+    return general_fn
+
+
+def _reference_inflated_cycles_ok(gm: GainMatrix, cycles: List[List[int]], inflation: float,
+                        grid: np.ndarray) -> bool:
+    if inflation == 0.0:
+        return True
+    factor = 1.0 + inflation
+    for cycle in cycles:
+        for r in grid:
+            if _reference_compose_cycle(gm, cycle, float(r), factor) > (1.0 - STRICTNESS) * r:
+                return False
+    return True
+
+
+def _reference_build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
+                     grid: Optional[np.ndarray] = None,
+                     verdict: Optional[SmallGainVerdict] = None,
+                     options: Optional[SmallGainOptions] = None) -> OmegaPath:
+    """Construct the scaling path from iterated gain-operator images of the anchor.
+
+    The plain construction (no inflation) is tried first.  When a grid point
+    fails the strict decrease, the iterates are recomputed with mildly
+    inflated gains, which restores strictness whenever the small-gain margin
+    allows; the path is always verified against the original operator.
+    """
+    opts = options or SmallGainOptions()
+    if grid is None:
+        grid = opts.grid()
+    if verdict is None:
+        verdict = _reference_small_gain_check(gm, opts)
+    if not verdict.holds:
+        raise SmallGainError("small-gain condition does not hold; no scaling path exists")
+    a = np.ones(gm.n) if anchor is None else np.asarray(anchor, dtype=float)
+    if a.shape != (gm.n,) or np.any(a <= 0.0):
+        raise OmegaPathError("anchor must be a positive vector matching the matrix size")
+
+    cycles = None
+    if gm.n <= CYCLE_SIZE_LIMIT:
+        cycles = simple_gain_cycles(gm) if verdict.cycles is None else verdict.cycles
+    worst_r = None
+    for inflation in _inflation_candidates(gm, verdict.margin, cycles is None or bool(cycles)):
+        if cycles is not None and not _reference_inflated_cycles_ok(gm, cycles, inflation, grid):
+            continue
+        vec_fn = _reference_path_vector_fn(gm, a, inflation)
+        ok = True
+        margin = 0.0
+        for r in grid:
+            sig = vec_fn(float(r))
+            image = _reference_gamma_max_apply(gm, sig)
+            ratios = image / sig
+            margin = max(margin, float(ratios.max()))
+            if np.any(image > (1.0 - STRICTNESS) * sig):
+                ok = False
+                worst_r = float(r)
+                break
+        if ok:
+            sigmas = [_sigma_component(vec_fn, i) for i in range(gm.n)]
+            sigma_invs = [inverse_kfun(sigma) for sigma in sigmas]
+            return OmegaPath(sigmas=sigmas, sigma_invs=sigma_invs, anchor=a,
+                             gain_matrix=gm, grid=grid, inflation=inflation,
+                             margin=margin, vector_eval=vec_fn)
+    raise OmegaPathError(
+        f"scaling path not strictly decreased at r={worst_r!r}; "
+        "the small-gain verdict may be a false positive")
+
+
+def _outcome(fn):
+    """The value, or the class and message of the error it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _verdict_key(v: SmallGainVerdict):
+    w = v.witness_cycle
+    return (json.dumps(v.to_json()), type(v.margin), _bits(v.margin), v.cycles,
+            v.methods_disagreed,
+            None if w is None else (w.indices, _bits(w.radius), _bits(w.value)),
+            None if v.witness_vector is None
+            else (v.witness_vector.tobytes(), v.witness_image.tobytes()))
+
+
+def _path_key(path: OmegaPath):
+    return (path.inflation, type(path.margin), _bits(path.margin),
+            [path.vector_eval(r).tobytes() for r in (1e-3, 0.7, 50.0)])
+
+
+def _sat(a: float, b: float) -> str:
+    return f"{a!r}*s/(1 + s) + {b!r}*s"
+
+
+def _entry(rng: random.Random, kind: str) -> str:
+    """A gain whose slope stays below 0.7, so every cycle of such gains holds."""
+    if kind == "linear":
+        return f"{round(rng.uniform(0.05, 0.6), 6)!r}*s"
+    sat = _sat(round(rng.uniform(0.05, 0.4), 6), round(rng.uniform(0.05, 0.3), 6))
+    if kind == "saturating":
+        return sat
+    return f"max({round(rng.uniform(0.05, 0.6), 6)!r}*s, {sat})"  # flow/jump max entry
+
+
+# Planted 2-cycles: violated at every radius, only at small radii, only past
+# r ~ 811 (mid-grid), and exactly at the identity.
+PLANTED = {"linear": ("1.1*s", "1.2*s"),
+           "early": (_sat(1.5, 0.2), "0.9*s"),
+           "late": ("0.3*s + 0.001*s^2", "0.9*s"),
+           "identity": ("0.5*s", "2.0*s")}
+
+
+def _texts(n: int, kind: str, seed: int, planted=None, pair=None):
+    rng = random.Random(f"{kind}/{n}/{seed}")
+    texts = [[None if i == j else _entry(rng, kind) for j in range(n)] for i in range(n)]
+    if planted is not None:
+        i, j = pair or tuple(rng.sample(range(n), 2))
+        texts[i][j], texts[j][i] = PLANTED[planted]
+    return texts
+
+
+def _from_texts(texts) -> GainMatrix:
+    return GainMatrix.from_rows([[None if t is None else KFun.from_text(t) for t in row]
+                                 for row in texts])
+
+
+def _ensemble():
+    """(label, gain texts, grid points, anchor) for the differential gate."""
+    cases = []
+    for n in range(2, 7):
+        for k, kind in enumerate(("linear", "saturating", "max")):
+            anchor = [1.0 + 0.25 * ((i + k) % 3) for i in range(n)]
+            points = 128 if n < 6 else 64
+            cases.append((f"{kind}{n}-holds", _texts(n, kind, n), points, anchor))
+            planted = list(PLANTED)[(n + k) % len(PLANTED)]
+            cases.append((f"{kind}{n}-{planted}", _texts(n, kind, n, planted), points, anchor))
+    cases.append(("saturating7-holds", _texts(7, "saturating", 7), 32, [1.0] * 7))
+    cases.append(("max7-late", _texts(7, "max", 7, "late"), 32, [1.0] * 7))
+    cases.append(("linear8-holds", _texts(8, "linear", 8), 16, [1.0] * 8))
+    cases.append(("saturating8-linear", _texts(8, "saturating", 8, "linear", (0, 1)), 128,
+                  [1.0] * 8))
+    # composed cycle gains 1 - 5e-10 times the identity: inside the strictness band
+    for kind in ("linear", "saturating"):
+        texts = _texts(3, kind, 11)
+        texts[0][1], texts[1][0] = "0.5*s", f"{2.0 * (1.0 - 5e-10)!r}*s"
+        cases.append((f"{kind}3-band", texts, 128, [1.0] * 3))
+    # beyond the enumeration limit: the direct search alone, on a sparse ring
+    n = CYCLE_SIZE_LIMIT + 1
+    ring = [[None] * n for _ in range(n)]
+    for i in range(n):
+        ring[i][(i + 1) % n] = _sat(0.2, 0.3)
+        ring[i][(i + 3) % n] = "0.4*s"
+    cases.append(("ring13-holds", ring, 16, [1.0] * n))
+    return cases
+
+
+ENSEMBLE = _ensemble()
+
+
+@pytest.fixture
+def quick_components(monkeypatch):
+    """Stand-ins for the path components and their inverses.  Both paths build
+    them with the same unchanged code from ``vector_eval``, which is compared."""
+    for module in (gains, sys.modules[__name__]):
+        monkeypatch.setattr(module, "_sigma_component", lambda vec_fn, i: KFun.linear(1.0))
+        monkeypatch.setattr(module, "inverse_kfun", lambda f: f)
+
+
+@pytest.mark.parametrize("label,texts,points,anchor", ENSEMBLE, ids=[c[0] for c in ENSEMBLE])
+def test_small_gain_layer_matches_scalar_loops(quick_components, label, texts, points, anchor):
+    gm = _from_texts(texts)
+    opts = SmallGainOptions(grid_points=points, seed=len(label))
+    new = small_gain_check(gm, opts)
+    ref = _reference_small_gain_check(gm, opts)
+    assert _verdict_key(new) == _verdict_key(ref)
+    built = _outcome(lambda: _path_key(build_omega_path(gm, anchor, verdict=new, options=opts)))
+    assert built == _outcome(lambda: _path_key(
+        _reference_build_omega_path(gm, anchor, verdict=ref, options=opts)))
+    if gm.n <= 5:
+        grid = np.geomspace(1e-8, 1e8, 32)
+        for inflation in (1e-6, 0.05, 0.5):
+            assert gains._inflated_cycles_ok(gm, new.cycles, inflation, grid) == \
+                _reference_inflated_cycles_ok(gm, new.cycles, inflation, grid)
+
+
+def test_ensemble_reaches_every_verdict():
+    kinds, late = set(), 0
+    for label, texts, points, _anchor in ENSEMBLE:
+        if len(texts) > 5:
+            continue
+        v = small_gain_check(_from_texts(texts), SmallGainOptions(grid_points=points))
+        kinds.add("inconclusive" if v.inconclusive else "holds" if v.holds else "violated")
+        if label.endswith("-late"):
+            late += 1
+            # the first violation is mid-grid, so the margin stops short of the grid's end
+            assert 1.0 <= v.margin < 2.0 and v.witness_cycle.radius > 100.0
+    assert kinds == {"holds", "violated", "inconclusive"} and late >= 2
+
+
+def test_inflated_path_matches_scalar_loops():
+    # the plain iterates tie, so the inflated retry runs _inflated_cycles_ok with
+    # nonlinear gains
+    gm = _from_texts([[None, "2.0*s"], [_sat(0.2, 0.2), None]])
+    path = build_omega_path(gm, [1.0, 1.0])
+    assert path.inflation > 0.0
+    assert _path_key(path) == _path_key(_reference_build_omega_path(gm, [1.0, 1.0]))
+
+
+def test_overflow_past_the_first_violation_does_not_raise():
+    # exp(2e-4 r) - 1 >= r from r ~ 6e4 on; exp overflows for r > 3.5e6
+    gm = _from_texts([[None, "exp(0.0001*s) - 1"], ["2*s", None]])
+    new, ref = small_gain_check(gm), _reference_small_gain_check(gm)
+    assert _verdict_key(new) == _verdict_key(ref)
+    assert 1e4 < new.witness_cycle.radius < 1e6
+    with pytest.raises(ex.EvalOverflowError):  # the whole grid at once would raise
+        compose_cycle(gm, [0, 1], SmallGainOptions().grid())
+    # node 0 feeds the overflowing gain; the violating pair 1, 2 is hit by the
+    # third mask, long before any row whose first component is positive
+    gm = _from_texts([[None, None, None], ["exp(s) - 1", None, "2*s"], [None, "2*s", None]])
+    new, ref = small_gain_check(gm), _reference_small_gain_check(gm)
+    assert _verdict_key(new) == _verdict_key(ref)
+    assert new.witness_vector.tolist() == [0.0, 1e-6, 1e-6]
+    with pytest.raises(ex.EvalOverflowError):  # the whole first block would raise
+        gamma_max_apply(gm, np.full((2, 3), 1e6))
+
+
+def test_overflow_before_the_first_violation_raises_the_same_error():
+    # the cycle gain stays below r/4 + 1e-320 exp(5e-5 r) < r until exp overflows,
+    # past r ~ 1.4e7; the saturating term keeps the gain from reading as linear
+    gm = _from_texts([[None, _sat(0.3, 0.2) + " + 1e-320*exp(0.0001*s)"], ["0.5*s", None]])
+    new = _outcome(lambda: small_gain_check(gm))
+    assert new[:2] == ("raised", ex.EvalOverflowError)
+    assert new == _outcome(lambda: _reference_small_gain_check(gm))
+    # a grid that stops short of the overflow holds; a path over the full grid raises
+    opts = SmallGainOptions(grid_hi=1e6)
+    verdict = small_gain_check(gm, opts)
+    assert verdict.holds
+    full = np.geomspace(1e-8, 1e8, 128)
+    new = _outcome(lambda: build_omega_path(gm, grid=full, verdict=verdict, options=opts))
+    assert new[:2] == ("raised", ex.EvalOverflowError)
+    assert new == _outcome(lambda: _reference_build_omega_path(
+        gm, grid=full, verdict=_reference_small_gain_check(gm, opts), options=opts))
+
+
+def _negative_zero_gain() -> KFun:
+    """A class-Kinf gain whose value at 0 is -0.0."""
+    return KFun.from_callable(lambda s: -0.0 if s == 0.0 else 0.5 * s + 0.1 * s * s,
+                              "signed zero at 0")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=9))
+def test_gamma_max_apply_block_rows_match_vectors(n, seed, rows):
+    rng = random.Random(seed)
+    kinds = ("linear", "saturating", "max", None, "signed-zero")
+    entries = [[None] * n for _ in range(n)]
+    for i, j in itertools.permutations(range(n), 2):
+        kind = rng.choice(kinds)
+        if kind == "signed-zero":
+            entries[i][j] = _negative_zero_gain()
+        elif kind is not None:
+            entries[i][j] = KFun.from_text(_entry(rng, kind))
+    gm = GainMatrix.from_rows(entries)
+    block = np.array([[rng.choice((0.0, 1e-6, 0.5, 3.0, 1e6, rng.uniform(0.0, 10.0)))
+                       for _ in range(n)] for _ in range(rows)])
+    image = gamma_max_apply(gm, block)
+    assert image.shape == block.shape
+    for row, out in zip(block, image):
+        assert out.tobytes() == _reference_gamma_max_apply(gm, row).tobytes()
+        assert out.tobytes() == gamma_max_apply(gm, row).tobytes()
+
+
+def test_gamma_max_apply_keeps_the_first_of_equal_values():
+    # 0.0 and -0.0 compare equal: a later gain wins only if it is greater
+    gm = GainMatrix.from_rows([[None, _negative_zero_gain()], [None, None]])
+    for s in (np.zeros(2), np.zeros((3, 2))):
+        assert gamma_max_apply(gm, s).tobytes() == np.zeros(s.shape).tobytes()
+
+
+def test_gamma_max_apply_rejects_bad_blocks():
+    gm = linear_gain_matrix([[0, 0.5], [0.5, 0]])
+    for bad in (np.ones((2, 3)), np.ones((2, 2, 2)), 1.0):
+        with pytest.raises(GainMatrixError):
+            gamma_max_apply(gm, bad)
+    with pytest.raises(GainMatrixError):
+        gamma_max_apply(gm, np.array([[1.0, 1.0], [1.0, -1.0]]))
+
+
+def test_direct_search_matches_scalar_search():
+    for texts in (_texts(4, "saturating", 3, "early"), _texts(3, "max", 5, "linear"),
+                  _texts(5, "linear", 2)):
+        gm = _from_texts(texts)
+        for seed in (0, 7):
+            new, ref = gains._direct_search(gm, seed), _reference_direct_search(gm, seed)
+            assert (new is None) == (ref is None)
+            if new is not None:
+                assert new.tobytes() == ref.tobytes()
+
+
+def test_holding_check_makes_only_grid_array_calls(monkeypatch):
+    rng = random.Random(2024)
+    n = 7
+    texts = [[None if i == j else _entry(rng, ("linear", "saturating")[(i + j) % 2])
+              for j in range(n)] for i in range(n)]
+    gm = _from_texts(texts)
+    scalar_calls, array_lanes = [], []
+    call, array = KFun.__call__, KFun.array
+    monkeypatch.setattr(KFun, "__call__", lambda f, s: scalar_calls.append(s) or call(f, s))
+    monkeypatch.setattr(KFun, "array",
+                        lambda f, S: array_lanes.append(len(S)) or array(f, S))
+    verdict = small_gain_check(gm)
+    assert verdict.holds and not verdict.inconclusive
+    # no witness, so nothing is re-evaluated with the scalar call
+    assert scalar_calls == []
+    # one array call per (cycle, edge) over the 128-point grid ...
+    edges = sum(len(c) for c in verdict.cycles)
+    assert array_lanes.count(128) <= edges and len(verdict.cycles) == 2365
+    # ... and one per nonzero gain and block of direct-search directions
+    blocks = -(-(2 ** n - 1 + RANDOM_DIRECTIONS) // SEARCH_BLOCK)
+    assert len(array_lanes) - array_lanes.count(128) <= blocks * n * (n - 1)

@@ -515,3 +515,26 @@ def test_nan_flow_guard_counts_as_outside_the_flow_set():
     # the former step-end test counted NaN as inside C and the loop top as outside
     before = _reference_simulate(net, [0.0], InputSignal.zero(1), 1.0, 0, SimOptions(step=0.01))
     assert before.termination == "left_domain" and before.domain.intervals[-1][1] == 0.01
+
+
+def test_expression_error_at_the_initial_point_ends_as_numerical_failure():
+    net = decoupled_two_sub()
+    opts = SimOptions(step=0.001)
+    undefined = InputSignal.from_exprs([ex.parse("log(t - 0.5)", ("t", "k"))])
+    sol = simulate(net, [2.0, 0.0], undefined, 1.0, 2, opts)
+    assert sol.termination == "numerical_failure" and not sol.complete
+    assert sol.domain.intervals == ((0.0, 0.0, 0),)
+    assert sol.x.values[0].tolist() == [[2.0, 0.0]] and math.isnan(sol.u.values[0][0, 0])
+    # the former loop read the first input outside its try and raised
+    with pytest.raises(ex.EvalDomainError):
+        _reference_simulate(net, [2.0, 0.0], undefined, 1.0, 2, opts)
+    # the same error one RK4 stage later ends the run the same way, in both loops
+    later = InputSignal.from_exprs([ex.parse("log(0.0005 - t)", ("t", "k"))])
+    assert simulate(net, [2.0, 0.0], later, 1.0, 2, opts).termination == "numerical_failure"
+    assert fingerprint(simulate, net, [2.0, 0.0], later, opts) == \
+        fingerprint(_reference_simulate, net, [2.0, 0.0], later, opts)
+    # guards undefined at the initial point: the union check fails the same way
+    net = one_dim("-x_1", "log(x_1 - 5)", "1")
+    sol = simulate(net, [1.0], InputSignal.constant([0.3]), 1.0, 2, SimOptions(step=0.01))
+    assert sol.termination == "numerical_failure"
+    assert sol.x.values[0].tolist() == [[1.0]] and sol.u.values[0].tolist() == [[0.3]]

@@ -1,6 +1,7 @@
 """Comparison-function algebra: classification, composition, inversion, lattice."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -183,3 +184,61 @@ def test_classified_k_functions_are_monotone_samples(text, a, b):
     lo, hi = sorted((a, b))
     if hi > lo:
         assert f(hi) >= f(lo)
+
+
+# ---------------------------------------------------------------------------
+# the array call against the scalar call, lane by lane
+
+
+def _array_kfuns():
+    cubic = KFun.from_text("s + s^3")
+    knots = KFun.piecewise_linear([1.0, 2.0, 4.0], [0.5, 1.5, 2.0])
+    return {
+        "linear": KFun.linear(0.37),
+        "linear-text": KFun.from_text("0.3*s"),
+        "saturating": KFun.from_text("0.3*s/(1 + s) + 0.2*s"),
+        "exp": KFun.from_text("exp(s) - 1"),
+        "log": KFun.from_text("log(s) + s"),
+        "pow": KFun.from_text("s^0.5 + max(s, 2*s - 1)"),
+        "min-max": KFun.from_text("min(s, 1) + max(0.2*s, s/(1 + s)) + log(1 + s)"),
+        "reciprocal": KFun.from_text("s + 1/s"),
+        "zero": KFun.zero(),
+        "piecewise": knots,
+        "callable": KFun.from_callable(lambda s: s / (1.0 + math.sqrt(s)), "s/(1+sqrt(s))"),
+        "inverse": inverse_kfun(cubic),
+        "piecewise-inverse": inverse_kfun(knots),
+        "composed": compose(cubic, knots),
+    }
+
+
+_ARRAY_KFUNS = _array_kfuns()
+_KFUN_LANES = st.floats(min_value=0.0, max_value=1e3) | st.sampled_from(
+    [0.0, -0.0, 1e-300, 0.25, 1.0, 709.0, 710.0, 1e300, -1.0, math.inf, math.nan])
+
+
+def _scalar_outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the lane loop of a callable passes on any error
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_ARRAY_KFUNS)), st.lists(_KFUN_LANES, min_size=1, max_size=12))
+def test_array_call_matches_scalar_call_lane_by_lane(name, lanes):
+    f = _ARRAY_KFUNS[name]
+    got = _scalar_outcome(lambda: f.array(np.array(lanes)))
+    for s in lanes:  # the first lane that raises decides the array call's error
+        value = _scalar_outcome(lambda: f(s))
+        if isinstance(value, tuple):
+            assert got == value
+            return
+    assert [struct.pack("<d", v) for v in got.tolist()] == \
+        [struct.pack("<d", f(s)) for s in lanes]
+
+
+def test_array_compiles_lazily():
+    f = KFun.from_text("0.3*s/(1 + s) + 0.2*s")
+    assert "_array_fn" not in vars(f)
+    f.array(np.array([1.0, 2.0]))
+    assert "_array_fn" in vars(f)
