@@ -8,8 +8,7 @@ from .gains import GainMatrix, OmegaPath, SmallGainOptions, SmallGainVerdict, \
 from .hybrid import HybridSignal, HybridTimeDomain, InputSignal, NetworkSpec, \
     SimOptions, SolutionPair, SubsystemSpec, compose_network, restrict, simulate, sup_norm
 from .lyapunov import CompositeCertificate, SubsystemLyapunov, VerifyTolerances, \
-    active_set, build_composite, clarke_directional_bound, verify_composite_flow, \
-    verify_composite_jump, verify_subsystem
+    active_set, build_composite, verify_composite_flow, verify_composite_jump, verify_subsystem
 from .equiv import WFormCertificate, majorize_lambda, to_v_form, to_w_form
 from .trajectories import AGEstimate, BatchResult, Beta, ISSEstimate, PreGSEstimate, \
     TrajectoryGains, check_ag, check_iss, check_pre_gs, check_zero_input_prestability, \

@@ -85,14 +85,20 @@ def _finite_vector(values, size: Optional[int], path: str) -> np.ndarray:
     return out
 
 
-def _budget(cfg: dict, base: str, horizon=None, max_jumps=None) -> Tuple[float, int]:
-    """A finite horizon >= 0 and a jump budget >= 0; required unless defaulted."""
+def _budget(cfg: dict, base: str, horizon=None, max_jumps=None,
+            nonzero: bool = False) -> Tuple[float, int]:
+    """A finite horizon >= 0 and a jump budget >= 0; required unless defaulted.
+
+    With ``nonzero``, at least one of the two must be positive.
+    """
     horizon = _number(cfg, "horizon", base, horizon)
     if not (math.isfinite(horizon) and horizon >= 0.0):
         _fail(f"{base}.horizon", f"need a finite horizon >= 0, got {horizon!r}")
     max_jumps = _number(cfg, "max_jumps", base, max_jumps, int)
     if max_jumps < 0:
         _fail(f"{base}.max_jumps", f"need a jump budget >= 0, got {max_jumps}")
+    if nonzero and horizon == 0.0 and max_jumps == 0:
+        _fail(base, "need a positive horizon or a positive jump budget")
     return horizon, max_jumps
 
 
@@ -468,9 +474,7 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
         ics = [_finite_vector(row, net.state_dim, f"{base}.initial_conditions[{i}]")
                for i, row in enumerate(ic_cfg)]
     levels = _finite_vector(cfg.get("input_levels", [0.0]), None, f"{base}.input_levels")
-    horizon, max_jumps = _budget(cfg, base)
-    if horizon == 0.0 and max_jumps == 0:
-        _fail(base, "need a positive horizon or a positive jump budget")
+    horizon, max_jumps = _budget(cfg, base, nonzero=True)
     gain_fit, gain_fit_levels = cfg.get("gain_fit"), None
     if gain_fit:
         _object(gain_fit, f"{base}.gain_fit")
@@ -480,7 +484,7 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
     if zero_input:
         zbase = f"{base}.zero_input"
         _object(zero_input, zbase)
-        z_horizon, z_max_jumps = _budget(zero_input, zbase, horizon, max_jumps)
+        z_horizon, z_max_jumps = _budget(zero_input, zbase, horizon, max_jumps, nonzero=True)
         zero_input = {
             "delta_grid": _finite_vector(_get(zero_input, "delta_grid", zbase), None,
                                          f"{zbase}.delta_grid").tolist(),

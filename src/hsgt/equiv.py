@@ -75,7 +75,7 @@ class WFormCertificate:
     alpha2_bar: KFun
     rho: KFun
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: Sequence[float]) -> float:
         return self.v_form.value(x)
 
     def to_json(self) -> dict:
@@ -101,8 +101,7 @@ def _fit_jump_decay(cert: CompositeCertificate, rho: KFun, box_radius: float,
     for r in radii:
         worst = math.inf
         for d in dirs:
-            x = d * r
-            v = cert.value(x)
+            v = cert.value((d * r).tolist())
             worst = min(worst, v - rho(v))
         minima.append(worst)
     lower = list(minima)
@@ -169,14 +168,14 @@ def _verify_w_form(wf: WFormCertificate, net: NetworkSpec, sampler: SamplerSpec,
         x_mag = state_norm_above_threshold(x, u)
         if x_mag is None:
             return None
-        worst, _i = _active_flow_bound(cert, net, x, u, x_mag)
+        worst, _i = _active_flow_bound(cert, net, x, u, cert.pieces(x), x_mag)
         return worst, -wf.alpha1_bar(x_mag), tol.flow, "norm-threshold flow decay"
 
     def jump(x, u):
         x_mag = state_norm_above_threshold(x, u)
         if x_mag is None:
             return None
-        drop = wf.value(net.jump_value(x, u)) - wf.value(x)
+        drop = wf.value(net.jump_raw(x + u)) - wf.value(x)
         return drop, -wf.alpha2_bar(x_mag), tol.flow, "norm-threshold jump decrease"
 
     _check_samples(report, "flow", flow_pts, flow)
@@ -238,7 +237,7 @@ def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
         rhs = lam(wf.value(x))
         if not gamma_tilde.is_zero:
             rhs = max(rhs, gamma_tilde(_max_norm(u)))
-        return (wf.value(net.jump_value(x, u)), rhs,
+        return (wf.value(net.jump_raw(x + u)), rhs,
                 max(tol.flow, tol.jump_rel * abs(rhs)), "recovered jump inequality")
 
     _check_samples(report, "jump", drawn[1], jump)
@@ -271,17 +270,18 @@ def _fit_jump_input_gain(wf: WFormCertificate, gamma: KFun, sampler: SamplerSpec
         return gamma
     xs = np.geomspace(u_scale * 1e-3, u_scale, levels)
     u_dirs = sphere_directions(net.input_dim, directions, rng)
+    states = [(x, wf.value(x)) for x in (z.tolist() for z, _u in pool)]
     running = 0.0
     values = []
     for level in xs:
         threshold = gamma(float(level))
+        inputs = [(d * level).tolist() for d in u_dirs]
         best = 0.0
-        for x, _u in pool:
-            if wf.value(x) > threshold:
+        for x, v in states:
+            if v > threshold:
                 continue
-            for d in u_dirs:
-                u = d * level
-                best = max(best, wf.value(net.jump_value(x, u)))
+            for u in inputs:
+                best = max(best, wf.value(net.jump_raw(x + u)))
         running = max(running, best)
         values.append(running)
     inflated = [v * (1.0 + 1e-6) + 1e-9 * x for v, x in zip(values, xs)]

@@ -310,12 +310,9 @@ class NetworkSpec:
                 raw(vals, sub)
             raise
 
-    def flow_value(self, x, u) -> np.ndarray:
-        vals = self._vals(x, u)
-        return np.array([fn(vals) for fn in self._flow_fns])
-
-    def jump_value(self, x, u) -> np.ndarray:
-        return np.array(self.jump_raw(self._vals(x, u)))
+    def flow_raw(self, vals: list) -> list:
+        """Stacked flow map at ``vals``, the state then the input as plain floats."""
+        return [fn(vals) for fn in self._flow_fns]
 
     def jump_raw(self, vals: list) -> list:
         """Composed jump: each subsystem maps only when inside its own jump set."""

@@ -22,7 +22,7 @@ from . import expr as ex
 from .gains import STRICTNESS, GainMatrix, OmegaPath, SmallGainOptions, SmallGainVerdict, \
     build_omega_path, compose_phi
 from .hybrid import NetworkSpec
-from .kfun import Classification, KFun, at_least, compose, inverse_kfun, \
+from .kfun import Classification, KFun, compose, inverse_kfun, \
     kfun_to_json, pointwise_max, pointwise_min, require_class
 from .reporting import VerificationReport, Violation
 from .sampling import SamplerEmptyError, SamplerSpec, flow_set_samples, jump_set_samples
@@ -98,15 +98,20 @@ class CompositeCertificate:
     def n(self) -> int:
         return self.path.n
 
-    def subsystem_value(self, i: int, x: np.ndarray) -> float:
-        return self._v_fns[i](tuple(x))
+    def pieces(self, x: Sequence[float]) -> List[Tuple[float, float]]:
+        """``(V_i(x), sigma_i^{-1}(V_i(x)))`` for every i, each evaluated once.
 
-    def component_levels(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.path.sigma_invs[i](self.subsystem_value(i, x))
-                         for i in range(self.n)])
+        ``x`` is the state as plain floats, so a division by zero raises
+        ``EvalDomainError``; numpy scalars would give inf or NaN instead.
+        """
+        out = []
+        for v_fn, sigma_inv in zip(self._v_fns, self.path.sigma_invs):
+            w = v_fn(x)
+            out.append((w, sigma_inv(w)))
+        return out
 
-    def value(self, x: np.ndarray) -> float:
-        return float(np.max(self.component_levels(x)))
+    def value(self, x: Sequence[float]) -> float:
+        return _top_level(self.pieces(x))
 
     def with_alpha(self, alpha: KFun) -> "CompositeCertificate":
         return dataclasses.replace(self, alpha=alpha)
@@ -127,11 +132,23 @@ class CompositeCertificate:
         }
 
 
-def active_set(cert: CompositeCertificate, x: np.ndarray, tol: float = 1e-9) -> List[int]:
-    """Indices attaining the composite maximum, up to an absolute tolerance."""
-    levels = cert.component_levels(np.asarray(x, dtype=float))
-    top = float(np.max(levels))
-    return [i for i in range(cert.n) if levels[i] >= top - tol]
+def _top_level(pieces: Sequence[Tuple[float, float]]) -> float:
+    """The composite value: the largest level of ``pieces``, by ``np.max``'s rule.
+
+    A NaN level makes the value NaN, and of equal levels the later one wins
+    (numpy's fold over up to 8 levels), which decides the sign of a zero.
+    """
+    top = pieces[0][1]
+    for _w, level in pieces[1:]:
+        if top == top and not top > level:
+            top = level
+    return top
+
+
+def active_set(pieces: Sequence[Tuple[float, float]], tol: float = 1e-9) -> List[int]:
+    """Indices of ``cert.pieces(x)`` attaining the maximum, up to an absolute tolerance."""
+    top = _top_level(pieces)
+    return [i for i, (_w, level) in enumerate(pieces) if level >= top - tol]
 
 
 def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
@@ -232,30 +249,10 @@ def _default_alpha(path: OmegaPath, cands: Sequence[SubsystemLyapunov]) -> KFun:
         best = math.inf
         for i in range(n):
             w = path.sigmas[i](v)
-            sigma_inv = path.sigma_invs[i]
-            if sigma_inv.linear_slope is not None:
-                slope = sigma_inv.linear_slope
-            else:
-                slope = min(_sigma_inv_slope(path, i, w * b) for b in band)
+            slope = min(_sigma_inv_slope(path, i, w * b) for b in band)
             best = min(best, slope * cands[i].alpha(w))
         return best
     return KFun.from_callable(fn, "composite decay rate")
-
-
-def clarke_directional_bound(pieces: Sequence[ex.Expr], x: Dict[str, float],
-                             direction: Dict[str, float], tie_tol: float = 1e-9) -> float:
-    """Upper bound on gradient-direction inner products for a max of pieces.
-
-    Evaluates each piece and keeps those within ``tie_tol`` of the maximum;
-    the bound is the largest directional derivative among the active pieces,
-    which dominates the whole generalized gradient of the max-composition.
-    """
-    if not pieces:
-        raise CertificateError("clarke_directional_bound needs at least one piece")
-    evals = [ex.directional_bounds(p, x, direction) for p in pieces]
-    top = max(v for v, _lo, _hi in evals)
-    tol = tie_tol * max(1.0, abs(top))
-    return max(hi for v, _lo, hi in evals if v >= top - tol)
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +262,22 @@ def clarke_directional_bound(pieces: Sequence[ex.Expr], x: Dict[str, float],
 def _check_samples(report: VerificationReport, check: str, samples, condition) -> None:
     """Run one sampled inequality ``measured <= required + slack`` into ``report``.
 
-    ``condition(x, u)`` returns None where the premise fails, else
-    ``(measured, required, slack, detail)``.  Every sample counts as tested;
-    those meeting the premise count as checked and add the margin
-    ``required + slack - measured``.
+    ``condition(x, u)`` gets the sample as lists of plain floats and returns
+    None where the premise fails, else ``(measured, required, slack, detail)``.
+    Every sample counts as tested; those meeting the premise count as checked
+    and add the margin ``required + slack - measured``.  A NaN on either side
+    is a violation.
     """
     for s_idx, (x, u) in enumerate(samples):
         report.samples_tested += 1
+        x, u = x.tolist(), u.tolist()
         outcome = condition(x, u)
         if outcome is None:
             continue
         measured, required, slack, detail = outcome
         report.samples_checked += 1
         report.add_margin(required + slack - measured)
-        if measured > required + slack:
+        if not measured <= required + slack:
             report.violations.append(Violation(
                 sample_index=s_idx, point=_point_json(x, u), measured=measured,
                 required=required, detail=detail, check=check))
@@ -315,40 +314,34 @@ def _draw_samples(report: VerificationReport, net: NetworkSpec, sampler: Sampler
     return flow_pts, jump_pts
 
 
-def _max_norm(v) -> float:
-    """Max norm of a sample vector; 0 for an empty input vector."""
-    return float(np.max(np.abs(v))) if len(v) else 0.0
+def _max_norm(v: Sequence[float]) -> float:
+    """Max norm of a row of plain floats; 0 for an empty input vector."""
+    return max(map(abs, v), default=0.0)
 
 
-def _flow_direction(net: NetworkSpec, x, u) -> Tuple[List[float], List[float]]:
-    """State and flow direction at one sample, in state-variable order.
-
-    Plain floats, so a division by zero raises; numpy scalars would give inf.
-    """
-    return [float(v) for v in x], [float(v) for v in net.flow_value(x, u)]
-
-
-def _active_flow_bound(cert: CompositeCertificate, net: NetworkSpec, x, u,
+def _active_flow_bound(cert: CompositeCertificate, net: NetworkSpec, x: list, u: list,
+                       pieces: List[Tuple[float, float]],
                        fallback_level: float) -> Tuple[float, int]:
     """Worst scaled directional derivative over the active pieces, and its index.
 
-    A piece at level zero takes the inverse-path slope at ``fallback_level``.
-    With no active piece the bound is -inf and the index -1.
+    ``pieces`` is ``cert.pieces(x)``.  A piece at level zero takes the
+    inverse-path slope at ``fallback_level``.  With no active piece the bound
+    is -inf and the index -1.
     """
-    vals, direction = _flow_direction(net, x, u)
+    direction = net.flow_raw(x + u)
     worst, worst_i = -math.inf, -1
-    for i in active_set(cert, x):
-        w = cert.subsystem_value(i, x)
+    for i in active_set(pieces):
+        w = pieces[i][0]
         slope = _sigma_inv_slope(cert.path, i, w if w > 0 else max(fallback_level, 1e-9))
-        _v, _lo, hi = cert._bound_fns[i](vals, direction)
+        _v, _lo, hi = cert._bound_fns[i](x, direction)
         piece = slope * hi
         if piece > worst:
             worst, worst_i = piece, i
     return worst, worst_i
 
 
-def _point_json(x, u) -> dict:
-    return {"x": [float(v) for v in x], "u": [float(v) for v in u]}
+def _point_json(x: list, u: list) -> dict:
+    return {"x": list(x), "u": list(u)}
 
 
 # ---------------------------------------------------------------------------
@@ -375,31 +368,29 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
     bound_fn = ex.compile_bounds(cand.v, net.state_vars())
     sub_slice = net.slices[index]
 
-    def neighbour_gains(vals):
-        return [cand.internal_gain(j)(v_fns[j](vals)) for j in range(net.n) if j != index]
+    def neighbour_gains(x):
+        return [cand.internal_gain(j)(v_fns[j](x)) for j in range(net.n) if j != index]
 
     def input_gain(u):
         return [] if cand.gamma_external.is_zero else [cand.gamma_external(_max_norm(u))]
 
     def flow(x, u):
-        vals = tuple(x)
-        vi = v_fns[index](vals)
-        if vi < max(neighbour_gains(vals) + (input_gain(u) or [0.0])):
+        vi = v_fns[index](x)
+        if vi < max(neighbour_gains(x) + (input_gain(u) or [0.0])):
             return None
-        _val, _lo, hi = bound_fn(*_flow_direction(net, x, u))
+        _val, _lo, hi = bound_fn(x, net.flow_raw(x + u))
         return hi, -cand.alpha(vi), tol.flow, "flow decay under the gain premise"
 
     def jump(x, u):
-        vals = tuple(x)
-        x_new = np.array(x, dtype=float)
-        xu = net._vals(x, u)
-        x_new[sub_slice] = [fn(xu) for fn in net._jump_fns[index]]
-        rhs = max([cand.lam(v_fns[index](vals))] + neighbour_gains(vals) + input_gain(u))
-        return (v_fns[index](tuple(x_new)), rhs,
+        x_new = list(x)
+        x_new[sub_slice] = [fn(x + u) for fn in net._jump_fns[index]]
+        rhs = max([cand.lam(v_fns[index](x))] + neighbour_gains(x) + input_gain(u))
+        return (v_fns[index](x_new), rhs,
                 max(tol.jump_abs, tol.jump_rel * abs(rhs)), "jump contraction")
 
     for s_idx, (x, _u) in enumerate(flow_pts):
-        _check_sandwich(report, cand, x[sub_slice], v_fns[index](tuple(x)), s_idx, tol)
+        x = x.tolist()
+        _check_sandwich(report, cand, x[sub_slice], v_fns[index](x), s_idx, tol)
     _check_samples(report, "flow", flow_pts, flow)
     checked_flow = report.samples_checked
     _check_samples(report, "jump", jump_pts, jump)
@@ -414,9 +405,9 @@ def _check_sandwich(report, cand, x_sub, vi, s_idx, tol):
     mag = _max_norm(x_sub)
     lo, hi = cand.psi1(mag), cand.psi2(mag)
     slack = tol.sandwich_rel * max(1.0, abs(vi))
-    if vi < lo - slack or vi > hi + slack:
+    if not lo - slack <= vi <= hi + slack:  # a NaN side is a violation
         report.violations.append(Violation(
-            sample_index=s_idx, point={"x_i": [float(v) for v in x_sub]},
+            sample_index=s_idx, point={"x_i": x_sub},
             measured=vi, required=lo if vi < lo else hi,
             detail="sandwich bound", check="sandwich"))
 
@@ -449,10 +440,11 @@ def verify_composite_flow(cert: CompositeCertificate, net: NetworkSpec,
 
     def flow(x, u):
         nonlocal alpha_ratio
-        value = cert.value(x)
+        pieces = cert.pieces(x)
+        value = _top_level(pieces)
         if not cert.gamma.is_zero and value < cert.gamma(_max_norm(u)):
             return None
-        worst, worst_i = _active_flow_bound(cert, net, x, u, value)
+        worst, worst_i = _active_flow_bound(cert, net, x, u, pieces, value)
         if value > 0.0 and -worst / value < alpha_ratio:
             alpha_ratio = -worst / value
         return (worst, -cert.alpha(value), tol.flow,
@@ -483,7 +475,7 @@ def verify_composite_jump(cert: CompositeCertificate, net: NetworkSpec,
         rhs = cert.lam(cert.value(x))
         if not cert.gamma.is_zero:
             rhs = max(rhs, cert.gamma(_max_norm(u)))
-        return (cert.value(net.jump_value(x, u)), rhs,
+        return (cert.value(net.jump_raw(x + u)), rhs,
                 max(tol.jump_abs, tol.jump_rel * abs(rhs)), "composite jump contraction")
 
     _check_samples(report, "jump", drawn[1], jump)

@@ -113,14 +113,6 @@ class AGEstimate:
     tail_fraction: float = 0.2
 
 
-def _apply_kfun(g: KFun, arr: np.ndarray) -> np.ndarray:
-    if g.is_zero:
-        return np.zeros_like(arr)
-    if g.linear_slope is not None:
-        return g.linear_slope * arr
-    return np.array([g(float(v)) for v in arr])
-
-
 # ---------------------------------------------------------------------------
 # flattened view with windowed norms
 
@@ -257,10 +249,9 @@ def check_iss(sol: SolutionPair, estimate: ISSEstimate, net: NetworkSpec,
         rhs = estimate.betas[i].on_arrays(float(np.max(np.abs(x00[sl]))), norms.t, norms.k)
         for j in range(net.n):
             if j != i and not estimate.gains.internal[i][j].is_zero:
-                rhs = np.maximum(rhs, _apply_kfun(estimate.gains.internal[i][j],
-                                                  norms.sub_windowed(j)))
+                rhs = np.maximum(rhs, estimate.gains.internal[i][j].array(norms.sub_windowed(j)))
         if not estimate.gains.external[i].is_zero:
-            rhs = np.maximum(rhs, _apply_kfun(estimate.gains.external[i], norms.u_windowed()))
+            rhs = np.maximum(rhs, estimate.gains.external[i].array(norms.u_windowed()))
         results.append(_pointwise_result(f"{label}-sub{i + 1}", lhs, rhs, norms,
                                          {"subsystem": i + 1}))
     return BatchResult(results=results)
@@ -279,17 +270,16 @@ def check_pre_gs(sol: SolutionPair, estimate: PreGSEstimate, net: NetworkSpec,
         rhs = np.full(len(lhs), estimate.sigmas[i](float(np.max(np.abs(x00[sl])))))
         for j in range(net.n):
             if j != i and not estimate.gains.internal[i][j].is_zero:
-                rhs = np.maximum(rhs, _apply_kfun(estimate.gains.internal[i][j],
-                                                  norms.sub_windowed(j)))
+                rhs = np.maximum(rhs, estimate.gains.internal[i][j].array(norms.sub_windowed(j)))
         if not estimate.gains.external[i].is_zero:
-            rhs = np.maximum(rhs, _apply_kfun(estimate.gains.external[i], norms.u_windowed()))
+            rhs = np.maximum(rhs, estimate.gains.external[i].array(norms.u_windowed()))
         results.append(_pointwise_result(f"{label}-sub{i + 1}", lhs, rhs, norms,
                                          {"subsystem": i + 1}))
     if estimate.composite_sigma is not None:
         lhs = norms.full_mag
         rhs = np.full(len(lhs), estimate.composite_sigma(float(np.max(np.abs(x00)))))
         if estimate.composite_gamma is not None and not estimate.composite_gamma.is_zero:
-            rhs = np.maximum(rhs, _apply_kfun(estimate.composite_gamma, norms.u_windowed()))
+            rhs = np.maximum(rhs, estimate.composite_gamma.array(norms.u_windowed()))
         results.append(_pointwise_result(f"{label}-composed", lhs, rhs, norms, {}))
     return BatchResult(results=results)
 

@@ -175,11 +175,10 @@ def test_criterion_7_form_round_trip(e1_setup):
         assert report_v.passed and not report_v.violations
         rng = np.random.default_rng(2)
         for _ in range(500):
-            x = rng.uniform(-2.0, 2.0, 2)
-            u = np.zeros(1)
+            x, u = rng.uniform(-2.0, 2.0, 2).tolist(), [0.0]
             if cfg.network.d_value(x, u) > 0.0:
                 continue
-            lhs = cert.value(cfg.network.jump_value(x, u))
+            lhs = cert.value(cfg.network.jump_raw(x + u))
             rhs = max(lam2(cert.value(x)), gamma2(0.0))
             assert lhs <= rhs + 1e-7
 

@@ -149,6 +149,9 @@ def test_malformed_external_gains_rejected_by_every_command(tmp_path, capsys, co
     ("e1_traj_iss.json", "analysis.trajectories.zero_input.horizon", "check-traj",
      lambda c: c["analysis"]["trajectories"].update(zero_input={
          "delta_grid": [0.5], "eps_grid": [1.0], "horizon": float("nan")})),
+    ("e1_traj_iss.json", "analysis.trajectories.zero_input: need a positive horizon",
+     "check-traj", lambda c: c["analysis"]["trajectories"].update(zero_input={
+         "delta_grid": [0.5], "eps_grid": [1.0], "horizon": 0, "max_jumps": 0})),
     ("e1_decoupled.json", "analysis.simulation.input.value", "simulate",
      lambda c: c["analysis"]["simulation"]["input"].update(value=["a"])),
     ("e1_decoupled.json", "analysis.simulation.input.value", "simulate",
@@ -173,7 +176,8 @@ def test_malformed_external_gains_rejected_by_every_command(tmp_path, capsys, co
         "anchor-nan", "box-radius", "u-box-pair", "horizon", "grid-points", "grid-order",
         "n-samples", "boundary-fraction", "fraction-sum", "grid-points-fraction",
         "n-samples-fraction", "horizon-inf", "horizon-nan", "max-jumps-negative",
-        "traj-horizon-inf", "traj-zero-budget", "zero-input-horizon-nan", "constant-not-number",
+        "traj-horizon-inf", "traj-zero-budget", "zero-input-horizon-nan",
+        "zero-input-zero-budget", "constant-not-number",
         "constant-not-list", "piecewise-time-not-number", "piecewise-ragged",
         "piecewise-row-width", "piecewise-unsorted", "subsystem-not-object",
         "analysis-not-object"])

@@ -77,8 +77,8 @@ def test_w_form_threshold_gain_is_two_thirds(e1_like, sampler):
 def test_w_form_jump_decrease_example(e1_like, sampler):
     net, cert = e1_like
     wf, _report = to_w_form(cert, net, sampler)
-    x = np.array([1.0, 0.0])
-    drop = wf.value(net.jump_value(x, np.array([0.0]))) - wf.value(x)
+    x = [1.0, 0.0]
+    drop = wf.value(net.jump_raw(x + [0.0])) - wf.value(x)
     assert drop == pytest.approx(-0.5)
     assert drop <= -wf.alpha2_bar(1.0) + 1e-7
 
@@ -102,10 +102,10 @@ def test_round_trip_jump_condition_against_original(e1_like, sampler):
     # spot check the recovered inequality directly on jump-set points
     rng = np.random.default_rng(11)
     for _ in range(200):
-        x = rng.uniform(-2.0, 2.0, 2)
-        if net.d_value(x, np.zeros(1)) > 0.0:
+        x = rng.uniform(-2.0, 2.0, 2).tolist()
+        if net.d_value(x, [0.0]) > 0.0:
             continue
-        lhs = cert.value(net.jump_value(x, np.zeros(1)))
+        lhs = cert.value(net.jump_raw(x + [0.0]))
         assert lhs <= lam2(cert.value(x)) + 1e-7
 
 

@@ -190,7 +190,7 @@ def test_gtilde_applies_only_active_subsystems():
                         c_guard=ex.Const(-1.0), d_guard=ex.Const(1.0), name="two")
     net = compose_network([one, two], input_dim=1)
     assert not net.jump_sets_equal
-    out = net.jump_value([1.5, 5.0], [0.0])
+    out = net.jump_raw([1.5, 5.0, 0.0])
     assert out == pytest.approx([0.75, 5.0])
 
 

@@ -1,5 +1,7 @@
 """Composite certificate construction and sampled Lyapunov verification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,11 @@ from hsgt import expr as ex
 from hsgt.gains import GainMatrix, build_omega_path
 from hsgt.kfun import KFun
 from hsgt.lyapunov import (CertificateError, JumpSetMismatchError, SubsystemLyapunov,
-                           VerifyTolerances, active_set, build_composite,
-                           clarke_directional_bound, gain_matrix_from_candidates,
+                           VerifyTolerances, _active_flow_bound, _top_level, active_set,
+                           build_composite, gain_matrix_from_candidates,
                            verify_composite_flow, verify_composite_jump,
                            verify_subsystem)
-from hsgt.sampling import SamplerSpec
+from hsgt.sampling import SamplerSpec, flow_set_samples
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +113,17 @@ def test_gain_disagreement_rejected():
 
 def test_active_set(e1_like):
     _net, _cands, _gm, cert = e1_like
-    assert active_set(cert, np.array([1.0, 0.2])) == [0]
-    assert active_set(cert, np.array([0.5, 0.5])) == [0, 1]
-    assert active_set(cert, np.array([0.0, 0.0])) == [0, 1]
+    assert active_set(cert.pieces([1.0, 0.2])) == [0]
+    assert active_set(cert.pieces([0.5, 0.5])) == [0, 1]
+    assert active_set(cert.pieces([0.0, 0.0])) == [0, 1]
+
+
+@pytest.mark.parametrize("levels", [
+    [1.0, math.nan], [math.nan, 1.0], [0.0, -0.0], [-0.0, 0.0], [2.0, 3.0, 1.0],
+    [-1.0, 0.0, -0.0, -0.0, 0.0, -0.0, -2.0, 0.0]])
+def test_value_is_the_top_level_as_np_max_takes_it(levels):
+    # NaN anywhere makes the value NaN; the sign of a tied zero is np.max's
+    assert repr(_top_level([(0.0, level) for level in levels])) == repr(float(np.max(levels)))
 
 
 def test_composite_flow_passes_with_margin(e1_like, small_sampler):
@@ -169,12 +179,10 @@ def test_weakening_alpha_keeps_passing(e1_like, small_sampler):
 
 def test_tie_point_checks_both_pieces(e1_like):
     net, cands, _gm, cert = e1_like
-    x = np.array([0.5, 0.5])
-    u = np.array([0.0])
-    f_val = net.flow_value(x, u)
-    env = dict(zip(net.state_vars(), map(float, x)))
-    seed = dict(zip(net.state_vars(), map(float, f_val)))
-    assert active_set(cert, x) == [0, 1]
+    x, u = [0.5, 0.5], [0.0]
+    env = dict(zip(net.state_vars(), x))
+    seed = dict(zip(net.state_vars(), net.flow_raw(x + u)))
+    assert active_set(cert.pieces(x)) == [0, 1]
     for i in (0, 1):
         _v, _lo, hi = ex.directional_bounds(cands[i].v, env, seed)
         assert hi == pytest.approx(-0.375)           # -0.75 * V at the tie
@@ -220,20 +228,47 @@ def test_lambda_below_identity_on_grid(e1_like):
         assert cert.lam(float(t)) < float(t)
 
 
-@pytest.mark.parametrize("x, direction, expected", [
-    ((1.0, 0.2), (-1.0, 0.0), -1.0),
-    ((0.5, 0.5), (-1.0, -1.0), -1.0),
+@pytest.mark.parametrize("x, active, worst_i", [
+    ([0.5, 0.5], [0, 1], 0),      # tie, equal pieces: the first one
+    ([0.5, -0.5], [0, 1], 1),     # tie: the worse of the two scaled pieces
+    ([0.5, -0.499], [0], 0),      # just off the tie: the active piece alone, although
+    ([0.499, -0.5], [1], 1),      # in the first case the inactive one is worse
 ])
-def test_clarke_bound_max_of_abs(x, direction, expected):
-    pieces = [ex.parse("abs(x_1)", ("x_1", "x_2")), ex.parse("abs(x_2)", ("x_1", "x_2"))]
-    env = {"x_1": x[0], "x_2": x[1]}
-    seed = {"x_1": direction[0], "x_2": direction[1]}
-    assert clarke_directional_bound(pieces, env, seed) == pytest.approx(expected)
+def test_active_flow_bound_is_worst_active_piece(e1_like, x, active, worst_i):
+    net, _cands, _gm, cert = e1_like
+    u = [-1.0]
+    flow = net.flow_raw(x + u)
+    scaled = [cert.path.sigma_invs[i].linear_slope * math.copysign(1.0, x[i]) * flow[i]
+              for i in (0, 1)]
+    pieces = cert.pieces(x)
+    assert active_set(pieces) == active
+    worst, i = _active_flow_bound(cert, net, x, u, pieces, cert.value(x))
+    assert (worst, i) == (pytest.approx(max(scaled[j] for j in active)), worst_i)
 
 
-def test_clarke_bound_smooth_quadratic():
-    pieces = [ex.parse("x_1^2", ("x_1",))]
-    assert clarke_directional_bound(pieces, {"x_1": 1.0}, {"x_1": 1.0}) == pytest.approx(2.0)
+def test_composite_flow_matches_per_sample_oracle(e1_like, small_sampler):
+    """Margins, checked count and violations equal a sample-by-sample recomputation
+    from the tree interpreter, the chain-rule bounds and the path slopes."""
+    net, cands, _gm, cert = e1_like
+    forged = cert.with_alpha(KFun.linear(0.7))  # tight enough to fail on some samples
+    sampler = SamplerSpec(n_samples=600, box_radius=2.0, u_box=[(-0.5, 0.5)], seed=4)
+    report = verify_composite_flow(forged, net, sampler)
+    margins, failed = [], 0
+    for x, u in flow_set_samples(net, sampler):
+        env = dict(zip(net.state_vars(), x.tolist()))
+        levels = [cert.path.sigma_invs[i](ex.evaluate(c.v, env)) for i, c in enumerate(cands)]
+        value = max(levels)
+        if value < cert.gamma(float(np.max(np.abs(u)))):
+            continue
+        f = dict(zip(net.state_vars(), net.flow_raw(x.tolist() + u.tolist())))
+        worst = max(cert.path.sigma_invs[i].linear_slope
+                    * ex.directional_bounds(cands[i].v, env, f)[2]
+                    for i in (0, 1) if levels[i] >= value - 1e-9)
+        margins.append(-forged.alpha(value) + 1e-7 - worst)
+        failed += margins[-1] < 0.0
+    assert report.samples_checked == len(margins)
+    assert 0 < len(report.violations) == failed
+    assert report.margin_min == min(margins)
 
 
 def test_pipeline_end_to_end(small_sampler):

@@ -1,11 +1,21 @@
-"""Every sampled certificate check trips on a forged copy of the e1 config."""
+"""Every sampled certificate check trips on a forged copy of the e1 config; evaluation
+errors, NaN sides and the input branch (configs/e1_iss.json) trip them as well."""
 
+import dataclasses
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 
-from conftest import load_json
+from conftest import config_path, load_json
 from hsgt.cli import main
+from hsgt.config import load_config
+from hsgt.expr import EvalDomainError
+from hsgt.kfun import KFun
+from hsgt.lyapunov import SubsystemLyapunov, VerifyTolerances, _check_sandwich, \
+    _check_samples, build_composite, verify_composite_flow
 from hsgt.reporting import VerificationReport, Violation
 
 
@@ -53,16 +63,21 @@ CASES = [
 ]
 
 
+def _e1_with(tmp_path, edit, n_samples=1500):
+    cfg = load_json("e1.json")
+    cfg["analysis"]["sampler"]["n_samples"] = n_samples
+    edit(cfg)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 @pytest.mark.parametrize("forge,which,expected", CASES,
                          ids=[f"{f}-{w}" for f, w, _e in CASES])
 def test_forged_config_trips_its_check(tmp_path, capsys, forge, which, expected):
-    cfg = load_json("e1.json")
-    cfg["analysis"]["sampler"]["n_samples"] = 300
-    FORGES[forge](cfg)
-    path = tmp_path / "forged.json"
-    path.write_text(json.dumps(cfg))
+    path = _e1_with(tmp_path, FORGES[forge], n_samples=300)
     out = tmp_path / "report.json"
-    assert main(["verify", "--config", str(path), "--which", which, "--out", str(out)]) == 1
+    assert main(["verify", "--config", path, "--which", which, "--out", str(out)]) == 1
     capsys.readouterr()
     reports = {r["condition"]: r for r in json.loads(out.read_text())["reports"]
                if "condition" in r}
@@ -88,3 +103,106 @@ def test_violations_sort_by_check_then_index():
     assert [(v.check, v.sample_index) for v in report.violations] == [
         ("flow", 1_500_000), ("jump", 0), ("jump", 3), ("sandwich", 0)]
     assert report.to_json()["violations"][0]["check"] == "flow"
+
+
+# ---------------------------------------------------------------------------
+# evaluation on plain-float rows
+
+
+def _v2_divides_by_zero(cfg):
+    cfg["lyapunov"]["subsystems"][1]["v"] = "x_2^2/abs(x_2)"
+
+
+def test_division_by_zero_in_a_candidate_is_an_evaluation_error(tmp_path, capsys):
+    # the norm-threshold fit evaluates V on the axes, where x_2 = 0
+    path = _e1_with(tmp_path, _v2_divides_by_zero)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--config", path, "--which", "wform"]) == 1
+    assert "analysis failed: float division by zero in x_2^2.0/abs(x_2)" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_certificate_value_raises_at_an_axis_point(tmp_path):
+    cfg = load_config(_e1_with(tmp_path, _v2_divides_by_zero))
+    cert = build_composite(cfg.candidates, cfg.gain_matrix, cfg.network, anchor=cfg.anchor,
+                           options=cfg.sg_options)
+    assert cert.value([0.5, 0.25]) == 0.5
+    with pytest.raises(EvalDomainError, match=r"float division by zero in x_2\^2.0/abs\(x_2\)"):
+        cert.value([0.5, 0.0])
+
+
+def test_nan_certificate_fails_every_composite_sample(tmp_path, capsys):
+    # inf*x - inf*x is NaN everywhere, so no composite sample may pass
+    path = _e1_with(tmp_path, lambda c: c["lyapunov"]["subsystems"][0].update(
+        v="abs(x_1) + 1e300*1e300*x_1 - 1e300*1e300*x_1"))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", path, "--which", "composite", "--out", str(out)]) == 1
+    capsys.readouterr()
+    reports = {r["condition"]: r for r in json.loads(out.read_text())["reports"]}
+    for condition in ("composite-flow", "composite-jump"):
+        assert reports[condition]["verdict"] == "fail"
+        assert reports[condition]["violation_count"] == reports[condition]["samples_checked"]
+        assert reports[condition]["samples_checked"] == 1500
+
+
+@pytest.mark.parametrize("measured, required", [
+    (math.nan, 0.0), (0.0, math.nan), (1.0, 0.5), (-math.inf, math.nan)])
+def test_check_kernel_counts_nan_and_excess_as_violations(measured, required):
+    report = VerificationReport(condition="kernel")
+    samples = [(np.array([1.0, 2.0]), np.array([0.5]))]
+    _check_samples(report, "flow", samples, lambda x, u: (measured, required, 0.0, "d"))
+    assert [v.point for v in report.violations] == [{"x": [1.0, 2.0], "u": [0.5]}]
+
+
+def test_check_kernel_passes_rows_of_plain_floats():
+    seen = []
+    samples = [(np.array([1.0, 2.0]), np.array([0.5])), (np.array([3.0, 4.0]), np.array([]))]
+    _check_samples(VerificationReport(condition="rows"), "flow", samples,
+                   lambda x, u: seen.append((x, u)))
+    assert seen == [([1.0, 2.0], [0.5]), ([3.0, 4.0], [])]
+    assert {type(v) for x, u in seen for v in x + u} == {float}
+
+
+def test_sandwich_check_counts_nan_as_violation():
+    cand = SubsystemLyapunov(v=None, psi1=KFun.identity(), psi2=KFun.identity(),
+                             alpha=KFun.linear(0.5), lam=KFun.linear(0.5))
+    report = VerificationReport(condition="sandwich")
+    _check_sandwich(report, cand, [0.5], math.nan, 0, VerifyTolerances())
+    _check_sandwich(report, cand, [0.5], 0.5, 1, VerifyTolerances())
+    assert [v.sample_index for v in report.violations] == [0]
+
+
+def test_composite_flow_evaluates_each_piece_once_per_sample(e1_cert, e1_config):
+    counts = [0] * e1_cert.n
+
+    def counted(i, fn):
+        def wrapper(vals):
+            counts[i] += 1
+            return fn(vals)
+        return wrapper
+    cert = dataclasses.replace(e1_cert, _v_fns=[counted(i, fn)
+                                                for i, fn in enumerate(e1_cert._v_fns)])
+    sampler = dataclasses.replace(e1_config.sampler, n_samples=200)
+    report = verify_composite_flow(cert, e1_config.network, sampler)
+    assert report.samples_tested == 200
+    assert counts == [200] * e1_cert.n
+
+
+# ---------------------------------------------------------------------------
+# the input branch (configs/e1_iss.json)
+
+
+def test_iss_config_passes_all_three_verifies(capsys):
+    for which in ("subsystem", "composite", "wform"):
+        assert main(["verify", "--config", config_path("e1_iss.json"), "--which", which]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] composite-flow: 2128/3000 samples checked, min margin 5.721e-02" in out
+
+
+def test_e1_candidates_fail_under_inputs(tmp_path, capsys):
+    path = _e1_with(tmp_path, lambda c: c["analysis"]["sampler"].update(u_box=[[-1.0, 1.0]]))
+    for which, condition in (("subsystem", "subsystem-1"), ("composite", "composite-flow"),
+                             ("wform", "norm-threshold-form")):
+        assert main(["verify", "--config", path, "--which", which]) == 1
+        assert f"[FAIL] {condition}:" in capsys.readouterr().out
