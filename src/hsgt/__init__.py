@@ -1,8 +1,7 @@
 """Small-gain analysis toolkit for interconnected hybrid (flow + jump) systems."""
 
 from .expr import EvalDomainError, EvalOverflowError, Expr, ParseError, evaluate, parse, render
-from .kfun import Classification, KFun, classify, compose, invert, \
-    pointwise_max, pointwise_min
+from .kfun import Classification, KFun, compose, invert, pointwise_max, pointwise_min
 from .gains import GainMatrix, OmegaPath, SmallGainOptions, SmallGainVerdict, \
     build_omega_path, compose_phi, gamma_max_apply, small_gain_check
 from .hybrid import HybridSignal, HybridTimeDomain, InputSignal, NetworkSpec, \

@@ -9,7 +9,8 @@
 Exit codes: 0 when the requested condition holds, 1 when an analysis fails
 (a condition is violated, or an expression, comparison function, scaling path
 or simulation cannot be evaluated), 2 on configuration or usage errors.  Reports are
-deterministic for a fixed config and seed.
+deterministic for a fixed config and seed, and strict JSON: a non-finite
+number is written as the string "NaN", "Infinity" or "-Infinity".
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # Strict JSON (RFC 8259) has no NaN or infinities: each becomes the string of
+    # its token.  A finite float's repr reads back as the same float, and the
+    # keys keep the order of the first, sorting pass.
+    strict = json.loads(json.dumps(report, sort_keys=True), parse_constant=str)
+    text = json.dumps(strict, indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

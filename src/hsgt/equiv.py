@@ -91,12 +91,13 @@ class WFormCertificate:
 
 
 def _fit_jump_decay(cert: CompositeCertificate, rho: KFun, box_radius: float,
-                    seed: int, radii_points: int = 40, directions: int = 64) -> KFun:
-    """Largest increasing lower bound of the one-step decrease over state spheres."""
+                    seed: int) -> KFun:
+    """Largest increasing lower bound of the one-step decrease over state spheres:
+    40 log-spaced radii up to ``box_radius``, 64 directions each."""
     rng = np.random.default_rng(seed)
     dim = cert.net.state_dim
-    radii = np.geomspace(box_radius * 1e-4, box_radius, radii_points)
-    dirs = sphere_directions(dim, directions, rng)
+    radii = np.geomspace(box_radius * 1e-4, box_radius, 40)
+    dirs = sphere_directions(dim, 64, rng)
     minima = []
     for r in radii:
         worst = math.inf
@@ -245,14 +246,14 @@ def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
     return gamma, lam, report.finalize()
 
 
-def _fit_jump_input_gain(wf: WFormCertificate, gamma: KFun, sampler: SamplerSpec,
-                         levels: int = 24, directions: int = 16) -> KFun:
+def _fit_jump_input_gain(wf: WFormCertificate, gamma: KFun, sampler: SamplerSpec) -> KFun:
     """Majorized input gain covering jump states below the input threshold.
 
-    For each input level the post-jump value is maximized over sampled jump
-    states whose value sits below the recovered gain of that level; running
-    maximization plus a small inflation makes the fit strictly increasing.
-    The combined gain is the pointwise max with the recovered gain.
+    For each of 24 input levels, in 16 input directions, the post-jump value
+    is maximized over sampled jump states whose value sits below the
+    recovered gain of that level; running maximization plus a small inflation
+    makes the fit strictly increasing.  The combined gain is the pointwise max
+    with the recovered gain.
     """
     net = wf.net
     if gamma.is_zero or sampler.u_box is None or net.jump_set_structurally_empty():
@@ -268,8 +269,8 @@ def _fit_jump_input_gain(wf: WFormCertificate, gamma: KFun, sampler: SamplerSpec
             n_samples=max(256, sampler.n_samples // 8)))
     except SamplerEmptyError:
         return gamma
-    xs = np.geomspace(u_scale * 1e-3, u_scale, levels)
-    u_dirs = sphere_directions(net.input_dim, directions, rng)
+    xs = np.geomspace(u_scale * 1e-3, u_scale, 24)
+    u_dirs = sphere_directions(net.input_dim, 16, rng)
     states = [(x, wf.value(x)) for x in (z.tolist() for z, _u in pool)]
     running = 0.0
     values = []

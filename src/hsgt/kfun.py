@@ -3,18 +3,19 @@
 A :class:`KFun` is a scalar function of one nonnegative argument, used for
 every gain, scaling path component, decay rate, and sandwich bound in the
 toolkit.  Class membership (positive definite / class-K / class-K-infinity)
-is certified by sampling on a logarithmic grid, never symbolically: a failed
-check refutes a class, a passed check records the grid it passed on.
+is certified by sampling on the fixed logarithmic grid ``GRID``, never
+symbolically: a failed check refutes a class.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,22 +51,12 @@ def at_least(c: Classification, floor: Classification) -> bool:
     return _STRENGTH[c] >= _STRENGTH[floor]
 
 
-def default_grid(lo: float = 1e-6, hi: float = 1e6, points: int = 64) -> np.ndarray:
-    if points < 64 or lo > 1e-6 or hi < 1e6:
-        raise ValueError("classification grid must have >= 64 points spanning [1e-6, 1e6]")
-    return np.geomspace(lo, hi, points)
-
-
+# The classification grid of every comparison function.
+GRID = np.geomspace(1e-6, 1e6, 64)
+GRID.flags.writeable = False
 _UNBOUNDED_PROBE = np.geomspace(1e6, 1e12, 16)
 _UNBOUNDED_LEVEL = 1e9
 _ZERO_AT_ZERO_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GridInfo:
-    lo: float
-    hi: float
-    points: int
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,6 @@ class KFun:
     classification: Classification
     expr: Optional[ex.Expr] = None
     description: str = ""
-    grid_info: Optional[GridInfo] = None
     linear_slope: Optional[float] = None
     nodes: Optional[tuple] = field(default=None, repr=False)  # piecewise-linear knots
 
@@ -122,37 +112,29 @@ class KFun:
 
     @staticmethod
     def zero() -> "KFun":
-        return KFun(fn=lambda s: 0.0, classification=Classification.ZERO,
-                    expr=ex.Const(0.0), description="0", linear_slope=None)
+        return _ZERO
 
     @staticmethod
-    def from_expr(expression: ex.Expr, grid: Optional[np.ndarray] = None) -> "KFun":
+    def from_expr(expression: ex.Expr) -> "KFun":
         names = ex.free_vars(expression)
         if not names <= {"s"}:
             raise KFunError(f"expected a function of 's', found variables {sorted(names)}")
         if expression == ex.Const(0.0):
             return KFun.zero()
         compiled = ex.compile_expr(expression, ("s",))
-        fn = lambda s: compiled((s,))
-        g = default_grid() if grid is None else np.asarray(grid, dtype=float)
-        cls = classify_callable(fn, g)
-        slope = _linear_slope(fn, g) if at_least(cls, Classification.CLASS_K) else None
-        return KFun(fn=fn, classification=cls, expr=expression,
-                    grid_info=GridInfo(float(g[0]), float(g[-1]), len(g)),
-                    linear_slope=slope)
+        return KFun.from_callable(lambda s: compiled((s,)), "", expression)
 
     @staticmethod
-    def from_text(text: str, grid: Optional[np.ndarray] = None) -> "KFun":
-        return KFun.from_expr(ex.parse(text, ("s",)), grid)
+    def from_text(text: str) -> "KFun":
+        return KFun.from_expr(ex.parse(text, ("s",)))
 
     @staticmethod
     def from_callable(fn: Callable[[float], float], description: str,
-                      grid: Optional[np.ndarray] = None) -> "KFun":
-        g = default_grid() if grid is None else np.asarray(grid, dtype=float)
-        cls = classify_callable(fn, g)
-        slope = _linear_slope(fn, g) if at_least(cls, Classification.CLASS_K) else None
-        return KFun(fn=fn, classification=cls, description=description,
-                    grid_info=GridInfo(float(g[0]), float(g[-1]), len(g)),
+                      expr: Optional[ex.Expr] = None) -> "KFun":
+        """The one sampled constructor: class and exact linear slope from one pass over ``GRID``."""
+        cls, values = classify_callable(fn)
+        slope = _linear_slope(fn, values) if at_least(cls, Classification.CLASS_K) else None
+        return KFun(fn=fn, classification=cls, expr=expr, description=description,
                     linear_slope=slope)
 
     @staticmethod
@@ -199,45 +181,50 @@ class KFun:
         return replace(out, nodes=nodes)
 
 
-def _linear_slope(fn: Callable[[float], float], grid: np.ndarray) -> Optional[float]:
-    """Slope when the sampled function is exactly proportional to its argument."""
+_ZERO = KFun(fn=lambda s: 0.0, classification=Classification.ZERO,
+             expr=ex.Const(0.0), description="0")
+
+
+def _linear_slope(fn: Callable[[float], float], values: List[float]) -> Optional[float]:
+    """Slope when the sampled function is exactly proportional to its argument.
+
+    ``values`` are ``classify_callable``'s samples on ``GRID``, and a sampling
+    cut short gives no slope; only 1.0, 3.7 and 0.0317 are evaluated on top.
+    """
+    if len(values) < GRID.size:
+        return None
     try:
         base = fn(1.0)
+        if not math.isfinite(base) or base <= 0.0:
+            return None
+        probes = itertools.chain(zip(GRID.tolist(), values), ((r, fn(r)) for r in (3.7, 0.0317)))
+        for r, v in probes:
+            if not math.isfinite(v) or abs(v - base * r) > 1e-12 * max(abs(v), base * r):
+                return None
     except Exception:
         return None
-    if not math.isfinite(base) or base <= 0.0:
-        return None
-    probes = list(grid) + [3.7, 0.0317]
-    for r in probes:
-        try:
-            v = fn(float(r))
-        except Exception:
-            return None
-        if not math.isfinite(v) or abs(v - base * r) > 1e-12 * max(abs(v), base * r):
-            return None
     return base
 
 
-def classify_callable(fn: Callable[[float], float], grid: np.ndarray) -> Classification:
+def classify_callable(fn: Callable[[float], float]) -> Tuple[Classification, List[float]]:
     """Strongest class consistent with sampled checks; never claims a refuted one.
 
+    Also returns the values of ``fn`` on ``GRID`` as far as they were sampled.
     ``fn`` follows the expression error contract: an overflow (``EvalOverflowError``)
     counts as unbounded growth, any other ``EvalDomainError`` as undefined.
     """
-    if len(grid) < 64 or grid[0] > 1e-6 or grid[-1] < 1e6:
-        raise ValueError("classification grid must have >= 64 points spanning [1e-6, 1e6]")
+    values: List[float] = []
     try:
         v0 = fn(0.0)
     except ex.EvalDomainError:
-        return Classification.UNVERIFIED
+        return Classification.UNVERIFIED, values
     if not math.isfinite(v0) or abs(v0) > _ZERO_AT_ZERO_TOL:
-        return Classification.UNVERIFIED
+        return Classification.UNVERIFIED, values
 
-    values = []
     overflowed = False
-    for r in grid:
+    for r in GRID.tolist():
         try:
-            v = fn(float(r))
+            v = fn(r)
         except ex.EvalOverflowError:
             overflowed = True
             break
@@ -246,15 +233,15 @@ def classify_callable(fn: Callable[[float], float], grid: np.ndarray) -> Classif
             break
         values.append(v)
     if not values:
-        return Classification.UNVERIFIED
+        return Classification.UNVERIFIED, values
     arr = np.asarray(values)
     if np.any(arr <= 0.0):
-        return Classification.UNVERIFIED
+        return Classification.UNVERIFIED, values
     strictly_increasing = bool(np.all(np.diff(arr) > 0.0))
     if not strictly_increasing:
-        return Classification.POSITIVE_DEFINITE
+        return Classification.POSITIVE_DEFINITE, values
     if overflowed:
-        return Classification.CLASS_K_INF
+        return Classification.CLASS_K_INF, values
     unbounded = arr[-1] > _UNBOUNDED_LEVEL
     if not unbounded:
         for r in _UNBOUNDED_PROBE:
@@ -268,17 +255,10 @@ def classify_callable(fn: Callable[[float], float], grid: np.ndarray) -> Classif
             if math.isinf(v) or v > _UNBOUNDED_LEVEL:
                 unbounded = True
                 break
-    return Classification.CLASS_K_INF if unbounded else Classification.CLASS_K
+    return (Classification.CLASS_K_INF if unbounded else Classification.CLASS_K), values
 
 
-def classify(f: KFun, grid: Optional[np.ndarray] = None) -> Classification:
-    if f.is_zero:
-        return Classification.ZERO
-    g = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    return classify_callable(f.__call__, g)
-
-
-def compose(outer: KFun, inner: KFun, grid: Optional[np.ndarray] = None) -> KFun:
+def compose(outer: KFun, inner: KFun) -> KFun:
     """Pointwise composition ``outer(inner(s))`` with the class recomputed."""
     if outer.is_zero:
         return KFun.zero()
@@ -288,15 +268,15 @@ def compose(outer: KFun, inner: KFun, grid: Optional[np.ndarray] = None) -> KFun
             return KFun.zero()
         return KFun.from_expr(ex.Const(v0))
     if outer.expr is not None and inner.expr is not None:
-        return KFun.from_expr(ex.substitute(outer.expr, {"s": inner.expr}), grid)
+        return KFun.from_expr(ex.substitute(outer.expr, {"s": inner.expr}))
     fn = lambda s, f=outer, g=inner: f(g(s))
-    return KFun.from_callable(fn, f"{outer.describe()} o {inner.describe()}", grid)
+    return KFun.from_callable(fn, f"{outer.describe()} o {inner.describe()}")
 
 
 _BRACKET_LIMIT = 1e12
 
 
-def invert(f: KFun, y: float, bracket_hint: Optional[float] = None) -> float:
+def invert(f: KFun, y: float) -> float:
     """Solve ``f(r) = y`` for r >= 0 by bracketing and bisection.
 
     The result satisfies ``|f(r) - y| <= 1e-10 * max(1, y)``; the bisection
@@ -318,7 +298,7 @@ def invert(f: KFun, y: float, bracket_hint: Optional[float] = None) -> float:
     if f.nodes is not None:
         return _invert_piecewise(f, y)
 
-    hi = bracket_hint if bracket_hint and bracket_hint > 0 else max(1.0, y)
+    hi = max(1.0, y)
     lo = 0.0
     val_hi = _safe_call(f, hi)
     while val_hi is not None and val_hi < y:
@@ -377,15 +357,15 @@ def _safe_call(f: KFun, s: float) -> Optional[float]:
     return v if math.isfinite(v) else float("inf") if v > 0 else None
 
 
-def pointwise_max(fs: Sequence[KFun], grid: Optional[np.ndarray] = None) -> KFun:
-    return _pointwise(fs, grid, maximum=True)
+def pointwise_max(fs: Sequence[KFun]) -> KFun:
+    return _pointwise(fs, maximum=True)
 
 
-def pointwise_min(fs: Sequence[KFun], grid: Optional[np.ndarray] = None) -> KFun:
-    return _pointwise(fs, grid, maximum=False)
+def pointwise_min(fs: Sequence[KFun]) -> KFun:
+    return _pointwise(fs, maximum=False)
 
 
-def _pointwise(fs: Sequence[KFun], grid, maximum: bool) -> KFun:
+def _pointwise(fs: Sequence[KFun], maximum: bool) -> KFun:
     fs = list(fs)
     if not fs:
         raise KFunError("pointwise max/min of an empty list")
@@ -401,7 +381,7 @@ def _pointwise(fs: Sequence[KFun], grid, maximum: bool) -> KFun:
         return fs[0]
     if all(f.expr is not None for f in fs):
         node = ex.Max(tuple(f.expr for f in fs)) if maximum else ex.Min(tuple(f.expr for f in fs))
-        return KFun.from_expr(node, grid)
+        return KFun.from_expr(node)
     funcs = tuple(fs)
     if maximum:
         fn = lambda s: max(f(s) for f in funcs)
@@ -409,7 +389,7 @@ def _pointwise(fs: Sequence[KFun], grid, maximum: bool) -> KFun:
     else:
         fn = lambda s: min(f(s) for f in funcs)
         label = "min(" + ", ".join(f.describe() for f in funcs) + ")"
-    return KFun.from_callable(fn, label, grid)
+    return KFun.from_callable(fn, label)
 
 
 def inverse_kfun(f: KFun) -> KFun:
@@ -429,9 +409,12 @@ def require_class(f: KFun, floor: Classification, what: str) -> None:
         raise KFunError(f"{what} must be {floor.value} or stronger, got {f.classification.value}")
 
 
-def kfun_to_json(f: KFun, sample_points: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0)) -> dict:
+_JSON_SAMPLES = (0.1, 0.5, 1.0, 2.0, 10.0)
+
+
+def kfun_to_json(f: KFun) -> dict:
     samples = {}
-    for r in sample_points:
+    for r in _JSON_SAMPLES:
         try:
             samples[repr(float(r))] = f(float(r))
         except ex.EvalDomainError:
@@ -442,7 +425,7 @@ def kfun_to_json(f: KFun, sample_points: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 
         "samples": samples,
     }
     ident = all(v is not None and abs(v - float(r)) <= 1e-12 * max(1.0, float(r))
-                for r, v in zip(sample_points, samples.values()))
+                for r, v in zip(_JSON_SAMPLES, samples.values()))
     if ident and not f.is_zero:
         out["equals_identity_on_samples"] = True
     return out

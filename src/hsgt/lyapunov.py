@@ -145,10 +145,10 @@ def _top_level(pieces: Sequence[Tuple[float, float]]) -> float:
     return top
 
 
-def active_set(pieces: Sequence[Tuple[float, float]], tol: float = 1e-9) -> List[int]:
-    """Indices of ``cert.pieces(x)`` attaining the maximum, up to an absolute tolerance."""
+def active_set(pieces: Sequence[Tuple[float, float]]) -> List[int]:
+    """Indices of ``cert.pieces(x)`` attaining the maximum, up to an absolute 1e-9."""
     top = _top_level(pieces)
-    return [i for i, (_w, level) in enumerate(pieces) if level >= top - tol]
+    return [i for i, (_w, level) in enumerate(pieces) if level >= top - 1e-9]
 
 
 def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
@@ -325,12 +325,16 @@ def _active_flow_bound(cert: CompositeCertificate, net: NetworkSpec, x: list, u:
     """Worst scaled directional derivative over the active pieces, and its index.
 
     ``pieces`` is ``cert.pieces(x)``.  A piece at level zero takes the
-    inverse-path slope at ``fallback_level``.  With no active piece the bound
-    is -inf and the index -1.
+    inverse-path slope at ``fallback_level``.  With no active piece (a NaN
+    level makes the value NaN) the bound is NaN and the index -1, so the
+    flow conditions record a violation.
     """
     direction = net.flow_raw(x + u)
-    worst, worst_i = -math.inf, -1
-    for i in active_set(pieces):
+    active = active_set(pieces)
+    if not active:
+        return math.nan, -1
+    worst, worst_i = -math.inf, active[0]
+    for i in active:
         w = pieces[i][0]
         slope = _sigma_inv_slope(cert.path, i, w if w > 0 else max(fallback_level, 1e-9))
         _v, _lo, hi = cert._bound_fns[i](x, direction)
@@ -447,8 +451,8 @@ def verify_composite_flow(cert: CompositeCertificate, net: NetworkSpec,
         worst, worst_i = _active_flow_bound(cert, net, x, u, pieces, value)
         if value > 0.0 and -worst / value < alpha_ratio:
             alpha_ratio = -worst / value
-        return (worst, -cert.alpha(value), tol.flow,
-                f"flow decay at active index {worst_i + 1}")
+        where = f"at active index {worst_i + 1}" if worst_i >= 0 else "with no active piece"
+        return worst, -cert.alpha(value), tol.flow, f"flow decay {where}"
 
     _check_samples(report, "flow", drawn[0], flow)
     if math.isfinite(alpha_ratio):

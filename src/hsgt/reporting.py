@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+MAX_LISTED_VIOLATIONS = 20  # a report lists the first ones; violation_count counts all
+
 
 @dataclass
 class Violation:
@@ -53,14 +55,14 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_json(self, max_violations: int = 20) -> dict:
+    def to_json(self) -> dict:
         out = {
             "condition": self.condition,
             "verdict": self.verdict,
             "samples_tested": self.samples_tested,
             "samples_checked": self.samples_checked,
             "violation_count": len(self.violations),
-            "violations": [v.to_json() for v in self.violations[:max_violations]],
+            "violations": [v.to_json() for v in self.violations[:MAX_LISTED_VIOLATIONS]],
         }
         if self.margin_min is not None and math.isfinite(self.margin_min):
             out["margin_min"] = self.margin_min

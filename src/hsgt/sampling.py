@@ -30,7 +30,6 @@ class SamplerSpec:
     boundary_fraction: float = 0.2
     tie_fraction: float = 0.2
     seed: int = 0
-    max_attempts_factor: int = 200
 
     def u_low_high(self, input_dim: int) -> Tuple[np.ndarray, np.ndarray]:
         if self.u_box is None:
@@ -44,6 +43,7 @@ class SamplerSpec:
 
 
 _BLOCK = 1 << 16  # rows per guard call at most; the block size never changes the samples
+MAX_ATTEMPTS_FACTOR = 200  # uniform attempts per requested sample, at most
 
 
 def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -74,7 +74,7 @@ def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray, np.ndarray], np.nd
     n_tie = int(spec.n_samples * spec.tie_fraction)
     n_uniform = spec.n_samples - n_boundary - n_tie
     attempts = 0
-    limit = spec.max_attempts_factor * max(spec.n_samples, 1)
+    limit = MAX_ATTEMPTS_FACTOR * max(spec.n_samples, 1)
 
     def uniform(wanted, n_outside):
         """Draws until ``wanted`` land inside or attempts run out, plus the first misses."""

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsgt import expr as ex
-from hsgt.kfun import (Classification, KFun, KFunError, KRangeError, classify,
-                       compose, default_grid, inverse_kfun, invert,
-                       pointwise_max, pointwise_min)
+from hsgt.kfun import (GRID, Classification, KFun, KFunError, KRangeError, at_least,
+                       compose, inverse_kfun, invert, pointwise_max, pointwise_min)
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -28,15 +27,12 @@ def test_classification(text, expected):
 
 @pytest.mark.parametrize("text", ["exp(s)-1", "s^2", "exp(s)"])
 def test_classify_agrees_with_construction(text):
-    # overflow on the grid counts as unbounded growth on both paths
+    # overflow on the grid counts as unbounded growth, here as in the two-pass reference
+    expected = {"exp(s)-1": Classification.CLASS_K_INF, "s^2": Classification.CLASS_K_INF,
+                "exp(s)": Classification.UNVERIFIED}[text]
     f = KFun.from_text(text)
-    assert classify(f) is f.classification
-
-
-def test_classify_rejects_coarse_grid():
-    f = KFun.from_text("2*s")
-    with pytest.raises(ValueError):
-        classify(f, np.geomspace(1e-6, 1e6, 16))
+    assert f.classification is expected
+    assert _reference_construction(f.fn)[0] is expected
 
 
 def test_zero_function_is_distinguished():
@@ -74,12 +70,6 @@ def test_invert(text, y, expected):
 
 def test_invert_zero_target_is_zero():
     assert invert(KFun.from_text("s + s^3"), 0.0) == 0.0
-
-
-def test_invert_accepts_bracket_hint():
-    f = KFun.from_text("s + s^3")
-    assert invert(f, 2.0, bracket_hint=5.0) == pytest.approx(1.0, rel=1e-9)
-    assert invert(f, 2.0, bracket_hint=0.01) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_invert_above_bounded_range_raises():
@@ -169,13 +159,6 @@ def test_linear_fast_path_detection():
     assert KFun.from_text("s + s^2").linear_slope is None
 
 
-def test_grid_metadata_recorded():
-    f = KFun.from_text("2*s")
-    assert f.grid_info is not None
-    assert f.grid_info.points >= 64
-    assert f.grid_info.lo <= 1e-6 and f.grid_info.hi >= 1e6
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(_KINF_TEXTS), st.floats(min_value=1e-3, max_value=1e3),
        st.floats(min_value=1e-3, max_value=1e3))
@@ -242,3 +225,223 @@ def test_array_compiles_lazily():
     assert "_array_fn" not in vars(f)
     f.array(np.array([1.0, 2.0]))
     assert "_array_fn" in vars(f)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass constructor against the former two passes over the grid.
+# _reference_classify_callable and _reference_linear_slope are the former
+# classify_callable and _linear_slope, verbatim: classification sampled the
+# grid, and the slope test sampled it again.
+
+_UNBOUNDED_PROBE = np.geomspace(1e6, 1e12, 16)
+_UNBOUNDED_LEVEL = 1e9
+_ZERO_AT_ZERO_TOL = 1e-12
+
+
+def _reference_linear_slope(fn, grid):
+    """Slope when the sampled function is exactly proportional to its argument."""
+    try:
+        base = fn(1.0)
+    except Exception:
+        return None
+    if not math.isfinite(base) or base <= 0.0:
+        return None
+    probes = list(grid) + [3.7, 0.0317]
+    for r in probes:
+        try:
+            v = fn(float(r))
+        except Exception:
+            return None
+        if not math.isfinite(v) or abs(v - base * r) > 1e-12 * max(abs(v), base * r):
+            return None
+    return base
+
+
+def _reference_classify_callable(fn, grid):
+    """Strongest class consistent with sampled checks; never claims a refuted one.
+
+    ``fn`` follows the expression error contract: an overflow (``EvalOverflowError``)
+    counts as unbounded growth, any other ``EvalDomainError`` as undefined.
+    """
+    if len(grid) < 64 or grid[0] > 1e-6 or grid[-1] < 1e6:
+        raise ValueError("classification grid must have >= 64 points spanning [1e-6, 1e6]")
+    try:
+        v0 = fn(0.0)
+    except ex.EvalDomainError:
+        return Classification.UNVERIFIED
+    if not math.isfinite(v0) or abs(v0) > _ZERO_AT_ZERO_TOL:
+        return Classification.UNVERIFIED
+
+    values = []
+    overflowed = False
+    for r in grid:
+        try:
+            v = fn(float(r))
+        except ex.EvalOverflowError:
+            overflowed = True
+            break
+        if math.isinf(v):
+            overflowed = True
+            break
+        values.append(v)
+    if not values:
+        return Classification.UNVERIFIED
+    arr = np.asarray(values)
+    if np.any(arr <= 0.0):
+        return Classification.UNVERIFIED
+    strictly_increasing = bool(np.all(np.diff(arr) > 0.0))
+    if not strictly_increasing:
+        return Classification.POSITIVE_DEFINITE
+    if overflowed:
+        return Classification.CLASS_K_INF
+    unbounded = arr[-1] > _UNBOUNDED_LEVEL
+    if not unbounded:
+        for r in _UNBOUNDED_PROBE:
+            try:
+                v = fn(float(r))
+            except ex.EvalOverflowError:
+                unbounded = True
+                break
+            except ex.EvalDomainError:
+                break
+            if math.isinf(v) or v > _UNBOUNDED_LEVEL:
+                unbounded = True
+                break
+    return Classification.CLASS_K_INF if unbounded else Classification.CLASS_K
+
+
+def _reference_construction(fn):
+    grid = np.geomspace(1e-6, 1e6, 64)
+    cls = _reference_classify_callable(fn, grid)
+    slope = _reference_linear_slope(fn, grid) if at_least(cls, Classification.CLASS_K) else None
+    return cls, slope
+
+
+def _construction_bits(build):
+    """Class and slope bits of a construction, or the class and message of its error."""
+    try:
+        cls, slope = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return cls, None if slope is None else struct.pack("<d", slope)
+
+
+def _assert_one_pass_matches(fn, build):
+    def one_pass():
+        f = build()
+        return f.classification, f.linear_slope
+    assert _construction_bits(one_pass) == _construction_bits(lambda: _reference_construction(fn))
+
+
+def _compiled(text):
+    compiled = ex.compile_expr(ex.parse(text, ("s",)), ("s",))
+    return lambda s: compiled((s,))
+
+
+_GRID_POINTS = GRID.tolist()
+# where a fault is planted: zero, grid points, the slope probes, the unbounded probe
+_FAULT_POINTS = st.sampled_from([0.0, 1.0, 3.7, 0.0317, 1e6] + _UNBOUNDED_PROBE.tolist()) | \
+    st.sampled_from(_GRID_POINTS)
+_COEF = st.sampled_from([1e-4, 1e-6, 1 / 3, 0.1 * 3, 0.5, 2.0, 1e3]) | \
+    st.floats(min_value=1e-6, max_value=1e3)
+
+
+@st.composite
+def _base_texts(draw):
+    c, b = draw(_COEF), draw(_COEF)
+    return draw(st.sampled_from([
+        f"{c!r}*s", "s/3", "0.1*s*3", f"{c!r}*s^2", f"{c!r}*s^0.5", f"{c!r}*s + {b!r}*s^2",
+        f"{c!r}*s/(1 + {b!r}*s)", f"{c!r}*s/(1 + s) + {b!r}*s", f"exp({c!r}*s) - 1",
+        f"log(1 + {c!r}*s)", "log(s)", f"{c!r}*s/(1 + s^2)", "1 + s", "abs(s - 1)",
+        f"min(s, {c!r}) + {b!r}*s", f"max(s, {c!r}*s)", "s^700",
+    ]))
+
+
+def _faulty(base, kind, where):
+    """``base`` with one fault planted at ``where`` (or, for *-from kinds, from there on)."""
+    def fn(s):
+        if kind == "domain" and s == where:
+            raise ex.EvalDomainError(f"undefined at {s!r}")
+        if kind == "zerodiv" and s == where:
+            raise ZeroDivisionError("float division by zero")
+        if kind == "overflow-from" and s >= where:
+            raise ex.EvalOverflowError(f"overflow at {s!r}")
+        if kind == "inf-from" and s >= where:
+            return math.inf
+        if kind == "nan" and s == where:
+            return math.nan
+        if kind == "nudge" and s == where:
+            return base(s) * (1.0 + 1e-11)
+        return base(s)
+    return fn
+
+
+@settings(max_examples=400, deadline=None)
+@given(_base_texts(), st.sampled_from(["none", "domain", "zerodiv", "overflow-from",
+                                       "inf-from", "nan", "nudge"]), _FAULT_POINTS)
+def test_one_pass_construction_matches_two_pass_reference(text, kind, where):
+    fn = _faulty(_compiled(text), kind, where)
+    _assert_one_pass_matches(fn, lambda: KFun.from_callable(fn, ""))
+    if kind == "none":
+        _assert_one_pass_matches(fn, lambda: KFun.from_text(text))
+
+
+def _knots():
+    return KFun.piecewise_linear([1.0, 2.0, 4.0], [0.5, 1.5, 2.0])
+
+
+@pytest.mark.parametrize("name, fn", [
+    ("domain-at-zero", _faulty(lambda s: 2.0 * s, "domain", 0.0)),
+    ("log-at-zero", _compiled("log(s) + s")),
+    ("domain-at-grid-point", _faulty(lambda s: 2.0 * s, "domain", _GRID_POINTS[40])),
+    ("overflow-on-grid", _compiled("exp(s) - 1")),
+    ("overflow-in-unbounded-probe", _faulty(lambda s: 1e-4 * s, "overflow-from", 1e7)),
+    ("inf-on-grid", _faulty(lambda s: 0.5 * s, "inf-from", _GRID_POINTS[63])),
+    ("nan-on-grid", _faulty(lambda s: 0.5 * s, "nan", _GRID_POINTS[5])),
+    ("nan-at-slope-probe", _faulty(lambda s: 0.5 * s, "nan", 3.7)),
+    ("domain-at-slope-base", _faulty(lambda s: 0.5 * s, "domain", 1.0)),
+    ("bounded", _compiled("s/(1 + s)")),
+    ("bounded-with-offset", _compiled("2*s/(1 + s) + 1e-12*s")),
+    ("slow-linear", _compiled("1e-4*s")),
+    ("third", _compiled("s/3")),
+    ("inexact-product", _compiled("0.1*s*3")),
+    ("saturating-gain", _compiled("0.3*s/(1 + s) + 0.2*s")),
+    ("piecewise-knots", _knots().fn),
+    ("piecewise-linear-knots", KFun.piecewise_linear([1.0, 2.0], [0.5, 1.0]).fn),
+    ("opaque-callable", lambda s: s / (1.0 + math.sqrt(s))),
+    ("opaque-linear", lambda s: 0.25 * s),
+    ("inverse", inverse_kfun(KFun.from_text("s + s^3")).fn),
+    ("inverse-bounded", inverse_kfun(KFun.from_text("s/(1 + s) + s")).fn),
+    ("piecewise-inverse", inverse_kfun(_knots()).fn),
+])
+def test_one_pass_construction_fixed_cases(name, fn):
+    _assert_one_pass_matches(fn, lambda: KFun.from_callable(fn, ""))
+
+
+def test_slow_linear_gain_is_class_k_not_kinf():
+    # 1e-4*s stays below the unbounded level up to 1e12, so growth is not certified
+    f = KFun.from_text("1e-4*s")
+    assert f.classification is Classification.CLASS_K
+    assert f.linear_slope == 1e-4
+
+
+def test_construction_samples_each_grid_point_once():
+    calls = []
+
+    def fn(s):  # above the unbounded level at the grid's end, so no probe runs
+        calls.append(s)
+        return 2e3 * s
+    f = KFun.from_callable(fn, "")
+    assert f.linear_slope == 2e3
+    assert sorted(calls) == sorted([0.0, 1.0, 3.7, 0.0317] + _GRID_POINTS)
+
+
+def test_grid_is_fixed_and_read_only():
+    assert GRID.tolist() == np.geomspace(1e-6, 1e6, 64).tolist()
+    with pytest.raises(ValueError):
+        GRID[0] = 0.0
+
+
+def test_zero_is_one_shared_instance():
+    assert KFun.zero() is KFun.zero()
+    assert KFun.from_text("0") is KFun.zero()

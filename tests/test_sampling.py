@@ -15,8 +15,8 @@ from conftest import load_json
 from hsgt import expr as ex
 from hsgt.config import build_config
 from hsgt.hybrid import SubsystemSpec, compose_network
-from hsgt.sampling import (SamplerEmptyError, SamplerSpec, flow_set_samples,
-                           jump_set_samples, sample_set)
+from hsgt.sampling import (MAX_ATTEMPTS_FACTOR, SamplerEmptyError, SamplerSpec,
+                           flow_set_samples, jump_set_samples, sample_set)
 
 
 def _reference_sample_set(net, guard, spec) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -37,7 +37,7 @@ def _reference_sample_set(net, guard, spec) -> List[Tuple[np.ndarray, np.ndarray
     inside: List[Tuple[np.ndarray, np.ndarray]] = []
     outside: List[Tuple[np.ndarray, np.ndarray]] = []
     attempts = 0
-    limit = spec.max_attempts_factor * max(spec.n_samples, 1)
+    limit = MAX_ATTEMPTS_FACTOR * max(spec.n_samples, 1)
     while len(inside) < n_uniform and attempts < limit:
         x, u = draw()
         attempts += 1

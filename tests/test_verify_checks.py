@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import config_path, load_json
-from hsgt.cli import main
+from hsgt.cli import _emit, main
 from hsgt.config import load_config
+from hsgt.equiv import _verify_w_form, to_w_form
 from hsgt.expr import EvalDomainError
 from hsgt.kfun import KFun
 from hsgt.lyapunov import SubsystemLyapunov, VerifyTolerances, _check_sandwich, \
@@ -132,6 +133,10 @@ def test_certificate_value_raises_at_an_axis_point(tmp_path):
         cert.value([0.5, 0.0])
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 def test_nan_certificate_fails_every_composite_sample(tmp_path, capsys):
     # inf*x - inf*x is NaN everywhere, so no composite sample may pass
     path = _e1_with(tmp_path, lambda c: c["lyapunov"]["subsystems"][0].update(
@@ -139,11 +144,35 @@ def test_nan_certificate_fails_every_composite_sample(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--config", path, "--which", "composite", "--out", str(out)]) == 1
     capsys.readouterr()
-    reports = {r["condition"]: r for r in json.loads(out.read_text())["reports"]}
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    reports = {r["condition"]: r for r in report["reports"]}
     for condition in ("composite-flow", "composite-jump"):
         assert reports[condition]["verdict"] == "fail"
         assert reports[condition]["violation_count"] == reports[condition]["samples_checked"]
         assert reports[condition]["samples_checked"] == 1500
+    # a NaN value has no active piece: the bound is NaN and names no index
+    for v in reports["composite-flow"]["violations"]:
+        assert v["measured"] == "NaN" and v["detail"] == "flow decay with no active piece"
+
+
+def test_norm_threshold_flow_fails_on_a_nan_certificate(e1_cert, e1_config):
+    sampler = dataclasses.replace(e1_config.sampler, n_samples=200)
+    wf, _report = to_w_form(e1_cert, e1_config.network, sampler)
+    nan_cert = dataclasses.replace(e1_cert, _v_fns=[lambda x: math.nan] * e1_cert.n)
+    report = _verify_w_form(dataclasses.replace(wf, v_form=nan_cert), e1_config.network,
+                            sampler, VerifyTolerances())
+    flow = [v for v in report.violations if v.check == "flow"]
+    assert report.verdict == "fail"
+    assert len(flow) == 200 and all(math.isnan(v.measured) for v in flow)
+
+
+def test_reports_write_non_finite_numbers_as_strings(tmp_path):
+    out = tmp_path / "report.json"
+    _emit({"a": [math.nan, math.inf, -math.inf, 0.1, -0.0, 5e-324, np.float64(1 / 3)],
+           "b": (1, "x", None, 2 ** 70), "c": {10: 1.0, 2: math.nan}}, str(out))
+    assert out.read_text() == json.dumps(
+        {"a": ["NaN", "Infinity", "-Infinity", 0.1, -0.0, 5e-324, 1 / 3],
+         "b": [1, "x", None, 2 ** 70], "c": {10: 1.0, 2: "NaN"}}, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("measured, required", [
