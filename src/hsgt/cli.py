@@ -21,8 +21,6 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .config import ConfigError, ProjectConfig, load_config
 from .equiv import TransformError, to_v_form, to_w_form
 from .expr import EvalDomainError
@@ -31,6 +29,7 @@ from .hybrid import HybridError, InputSignal, write_trajectory_csv, simulate
 from .kfun import KFunError, kfun_to_json
 from .lyapunov import (CertificateError, build_composite, verify_composite_flow,
                        verify_composite_jump, verify_subsystem)
+from .sampling import SampleMemo
 from .trajectories import (TrajectoryError, check_zero_input_prestability,
                            fit_empirical_gain, run_estimate_batch)
 
@@ -94,10 +93,11 @@ def cmd_verify(args) -> int:
         raise ConfigError("config has no lyapunov section")
     reports = []
     ok = True
+    memo = SampleMemo()  # this command's sample sets, each drawn once
     if args.which == "subsystem":
         for i in range(cfg.network.n):
             rep = verify_subsystem(cfg.candidates, i, cfg.network, cfg.sampler,
-                                   cfg.tolerances)
+                                   cfg.tolerances, memo)
             reports.append(rep.to_json())
             print(rep.summary_line())
             ok = ok and rep.passed
@@ -112,14 +112,16 @@ def cmd_verify(args) -> int:
         cert = build_composite(cfg.candidates, cfg.gain_matrix, cfg.network,
                                anchor=cfg.anchor, verdict=verdict, options=cfg.sg_options)
         if args.which == "composite":
-            for rep in (verify_composite_flow(cert, cfg.network, cfg.sampler, cfg.tolerances),
-                        verify_composite_jump(cert, cfg.network, cfg.sampler, cfg.tolerances)):
+            for rep in (verify_composite_flow(cert, cfg.network, cfg.sampler, cfg.tolerances,
+                                              memo),
+                        verify_composite_jump(cert, cfg.network, cfg.sampler, cfg.tolerances,
+                                              memo)):
                 reports.append(rep.to_json())
                 print(rep.summary_line())
                 ok = ok and rep.passed
         else:  # wform
-            wf, rep_w = to_w_form(cert, cfg.network, cfg.sampler, tolerances=cfg.tolerances)
-            gamma2, lam2, rep_v = to_v_form(wf, cfg.sampler, tolerances=cfg.tolerances)
+            wf, rep_w = to_w_form(cert, cfg.network, cfg.sampler, cfg.tolerances, memo)
+            gamma2, lam2, rep_v = to_v_form(wf, cfg.sampler, cfg.tolerances, memo)
             reports.append(rep_w.to_json())
             reports.append(rep_v.to_json())
             reports.append({"wform": wf.to_json(),

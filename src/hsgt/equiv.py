@@ -12,6 +12,7 @@ the certificate's one-step decrease.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -22,9 +23,11 @@ from .hybrid import NetworkSpec
 from .kfun import (Classification, KFun, at_least, compose, inverse_kfun,
                    kfun_to_json, pointwise_max, require_class)
 from .lyapunov import (CompositeCertificate, VerifyTolerances, _active_flow_bound,
-                       _check_samples, _draw_samples, _max_norm)
+                       _check_samples, _draw_samples, _everywhere, _in_row_order, _max_norm,
+                       _py_max)
 from .reporting import VerificationReport
-from .sampling import SamplerEmptyError, SamplerSpec, jump_set_samples, sphere_directions
+from .sampling import SampleMemo, SamplerEmptyError, SamplerSpec, jump_set_samples, \
+    sphere_directions
 
 
 # Radii on which both transformations build and check their functions.
@@ -76,6 +79,7 @@ class WFormCertificate:
     rho: KFun
 
     def value(self, x: Sequence[float]) -> float:
+        """The certificate at one state."""
         return self.v_form.value(x)
 
     def to_json(self) -> dict:
@@ -98,13 +102,13 @@ def _fit_jump_decay(cert: CompositeCertificate, rho: KFun, box_radius: float,
     dim = cert.net.state_dim
     radii = np.geomspace(box_radius * 1e-4, box_radius, 40)
     dirs = sphere_directions(dim, 64, rng)
-    minima = []
-    for r in radii:
-        worst = math.inf
-        for d in dirs:
-            v = cert.value((d * r).tolist())
-            worst = min(worst, v - rho(v))
-        minima.append(worst)
+    points = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)  # radius by radius
+
+    def decrease(state):
+        v = cert.values(state)
+        return v - rho.array(v)
+    drops = _in_row_order(decrease, points.T.copy()).reshape(len(radii), -1)
+    minima = [functools.reduce(min, row, math.inf) for row in drops.tolist()]
     lower = list(minima)
     for i in range(len(lower) - 2, -1, -1):
         lower[i] = min(lower[i], lower[i + 1])
@@ -122,7 +126,7 @@ def _fit_jump_decay(cert: CompositeCertificate, rho: KFun, box_radius: float,
 
 
 def to_w_form(cert: CompositeCertificate, net: NetworkSpec, sampler: SamplerSpec,
-              tolerances: Optional[VerifyTolerances] = None
+              tolerances: Optional[VerifyTolerances] = None, memo: Optional[SampleMemo] = None
               ) -> Tuple[WFormCertificate, VerificationReport]:
     """Derive the norm-threshold form from a verified gain-implication form.
 
@@ -146,41 +150,44 @@ def to_w_form(cert: CompositeCertificate, net: NetworkSpec, sampler: SamplerSpec
     wf = WFormCertificate(v_form=cert, net=net, psi1_bar=cert.psi1, psi2_bar=cert.psi2,
                           gamma_bar=gamma_bar, alpha1_bar=alpha1_bar,
                           alpha2_bar=alpha2_bar, rho=rho)
-    report = _verify_w_form(wf, net, sampler, tol)
+    report = _verify_w_form(wf, net, sampler, tol, memo)
     return wf, report
 
 
 def _verify_w_form(wf: WFormCertificate, net: NetworkSpec, sampler: SamplerSpec,
-                   tol: VerifyTolerances) -> VerificationReport:
+                   tol: VerifyTolerances, memo: Optional[SampleMemo] = None
+                   ) -> VerificationReport:
     cert = wf.v_form
     report = VerificationReport(condition="norm-threshold-form")
-    drawn = _draw_samples(report, net, sampler, jump_seed=3)
+    drawn = _draw_samples(report, net, sampler, jump_seed=3, memo=memo)
     if drawn is None:
         return report
     flow_pts, jump_pts = drawn
+    n = net.state_dim
 
-    def state_norm_above_threshold(x, u) -> Optional[float]:
-        x_mag = _max_norm(x)
-        if not wf.gamma_bar.is_zero and x_mag < wf.gamma_bar(_max_norm(u)):
-            return None
-        return x_mag
+    def above_threshold(cols):
+        """The samples whose state norm reaches the input threshold, and the norms there."""
+        x_mag = _max_norm(cols[:n])
+        if wf.gamma_bar.is_zero:
+            return _everywhere(cols), x_mag
+        premise = ~(x_mag < wf.gamma_bar.array(_max_norm(cols[n:])))
+        return premise, x_mag[premise]
 
-    def flow(x, u):
-        x_mag = state_norm_above_threshold(x, u)
-        if x_mag is None:
-            return None
-        worst, _i = _active_flow_bound(cert, net, x, u, cert.pieces(x), x_mag)
-        return worst, -wf.alpha1_bar(x_mag), tol.flow, "norm-threshold flow decay"
+    def flow(cols):
+        premise, x_mag = above_threshold(cols)
+        on = cols[:, premise]
+        W, levels = cert.pieces(on[:n])
+        worst, _i = _active_flow_bound(cert, net, on, W, levels, x_mag)
+        return premise, worst, -wf.alpha1_bar.array(x_mag), tol.flow, "norm-threshold flow decay"
 
-    def jump(x, u):
-        x_mag = state_norm_above_threshold(x, u)
-        if x_mag is None:
-            return None
-        drop = wf.value(net.jump_raw(x + u)) - wf.value(x)
-        return drop, -wf.alpha2_bar(x_mag), tol.flow, "norm-threshold jump decrease"
+    def jump(cols):
+        premise, x_mag = above_threshold(cols)
+        on = cols[:, premise]
+        drop = cert.values(net.jump_array(on)) - cert.values(on[:n])
+        return premise, drop, -wf.alpha2_bar.array(x_mag), tol.flow, "norm-threshold jump decrease"
 
-    _check_samples(report, "flow", flow_pts, flow)
-    _check_samples(report, "jump", jump_pts, jump)
+    _check_samples(report, "flow", flow_pts[:, :n], flow_pts[:, n:], flow)
+    _check_samples(report, "jump", jump_pts[:, :n], jump_pts[:, n:], jump)
     if report.samples_checked == 0:
         report.verdict = "inconclusive"
         report.notes.append("no sample passed the norm threshold")
@@ -189,7 +196,7 @@ def _verify_w_form(wf: WFormCertificate, net: NetworkSpec, sampler: SamplerSpec,
 
 
 def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
-              tolerances: Optional[VerifyTolerances] = None
+              tolerances: Optional[VerifyTolerances] = None, memo: Optional[SampleMemo] = None
               ) -> Tuple[KFun, KFun, VerificationReport]:
     """Recover gain-implication data (gamma, lambda) from the norm-threshold form.
 
@@ -228,20 +235,22 @@ def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
 
     gamma_tilde = _fit_jump_input_gain(wf, gamma, sampler)
 
-    drawn = _draw_samples(report, net, sampler, flow=False, jump_seed=5)
+    drawn = _draw_samples(report, net, sampler, flow=False, jump_seed=5, memo=memo)
     if drawn is None:
         return gamma, lam, report
-    if not drawn[1]:  # empty jump set: vacuous, and no input gain to report
+    pts = drawn[1]
+    if not len(pts):  # empty jump set: vacuous, and no input gain to report
         return gamma, lam, report.finalize()
+    n = net.state_dim
 
-    def jump(x, u):
-        rhs = lam(wf.value(x))
+    def jump(cols):
+        rhs = lam.array(cert.values(cols[:n]))
         if not gamma_tilde.is_zero:
-            rhs = max(rhs, gamma_tilde(_max_norm(u)))
-        return (wf.value(net.jump_raw(x + u)), rhs,
-                max(tol.flow, tol.jump_rel * abs(rhs)), "recovered jump inequality")
+            rhs = _py_max([rhs, gamma_tilde.array(_max_norm(cols[n:]))])
+        return (_everywhere(cols), cert.values(net.jump_array(cols)), rhs,
+                _py_max([tol.flow, tol.jump_rel * np.abs(rhs)]), "recovered jump inequality")
 
-    _check_samples(report, "jump", drawn[1], jump)
+    _check_samples(report, "jump", pts[:, :n], pts[:, n:], jump)
     report.extras["gamma_tilde"] = kfun_to_json(gamma_tilde)
     return gamma, lam, report.finalize()
 
@@ -271,19 +280,19 @@ def _fit_jump_input_gain(wf: WFormCertificate, gamma: KFun, sampler: SamplerSpec
         return gamma
     xs = np.geomspace(u_scale * 1e-3, u_scale, 24)
     u_dirs = sphere_directions(net.input_dim, 16, rng)
-    states = [(x, wf.value(x)) for x in (z.tolist() for z, _u in pool)]
+    cert = wf.v_form
+    states = pool[:, :net.state_dim]
+    state_values = _in_row_order(cert.values, states.T.copy())
     running = 0.0
     values = []
     for level in xs:
         threshold = gamma(float(level))
-        inputs = [(d * level).tolist() for d in u_dirs]
-        best = 0.0
-        for x, v in states:
-            if v > threshold:
-                continue
-            for u in inputs:
-                best = max(best, wf.value(net.jump_raw(x + u)))
-        running = max(running, best)
+        below = states[~(state_values > threshold)]
+        # state by state, each with every input in turn
+        cols = np.concatenate([np.repeat(below, len(u_dirs), axis=0),
+                               np.tile(u_dirs * level, (len(below), 1))], axis=1).T.copy()
+        after = _in_row_order(lambda c: cert.values(net.jump_array(c)), cols)
+        running = max(running, functools.reduce(max, after.tolist(), 0.0))
         values.append(running)
     inflated = [v * (1.0 + 1e-6) + 1e-9 * x for v, x in zip(values, xs)]
     fitted = KFun.piecewise_linear(list(xs), inflated, "majorized post-jump input gain")

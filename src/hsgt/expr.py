@@ -11,10 +11,10 @@ with ``func`` one of ``abs``, ``min``, ``max``, ``exp``, ``log``.  Offsets in
 parse errors are 1-based character positions; errors at end of input report
 one position past the last character.
 
-One code generator backs :func:`compile_expr`, :func:`compile_bounds` and
-:func:`compile_array`; :func:`evaluate` is the reference interpreter.  All of
-them raise :class:`EvalDomainError` on a domain error, :class:`EvalOverflowError`
-on overflow.
+One code generator backs :func:`compile_expr`, :func:`compile_bounds`,
+:func:`compile_array` and :func:`compile_bounds_array`; :func:`evaluate` is the
+reference interpreter.  All of them raise :class:`EvalDomainError` on a domain
+error, :class:`EvalOverflowError` on overflow.
 """
 
 from __future__ import annotations
@@ -421,7 +421,7 @@ _CODE: Dict[str, CodeType] = {}
 # lane, because numpy's own differ in the last bit.  ``bad`` marks every lane
 # where the scalar function could raise; those lanes are redone by it.
 _ARRAY_FUNCTION = """\
-def f(vals):
+def f({params}):
     bad = False
 {body}"""
 _NAN_MARK = "bad = bad | (v{j} != v{j})"
@@ -455,9 +455,51 @@ def _keep_first(builtin: Callable, better: Callable) -> Callable:
     return fold
 
 
+def _scale_lanes(c, lo, hi):
+    """``_scale`` lane by lane: ``c * [lo, hi]``, endpoints ordered by the sign of c."""
+    pos = c >= 0.0
+    return np.where(pos, c * lo, c * hi), np.where(pos, c * hi, c * lo)
+
+
+def _abs_lanes(v, lo, hi, bad):
+    """The abs chain rule off its tie band; lanes inside the band (or NaN) are marked."""
+    t = _TIE_TOL * np.maximum(1.0, np.abs(v))
+    pos, neg = v > t, v < -t
+    return np.where(pos, lo, -hi), np.where(pos, hi, -lo), bad | ~(pos | neg)
+
+
+def _band_lanes(v, parts, bad):
+    """The min/max chain rule where exactly one argument lies in the tie band of ``v``;
+    every other lane (a tie, or none in the band) is marked."""
+    t = _TIE_TOL * np.maximum(1.0, np.abs(v))
+    near = [np.abs(p - v) <= t for p, _l, _h in parts]
+    lo = np.select(near, [np.broadcast_to(l, np.shape(v)) for _p, l, _h in parts], 0.0)
+    hi = np.select(near, [np.broadcast_to(h, np.shape(v)) for _p, _l, h in parts], 0.0)
+    return lo, hi, bad | (sum(near) != 1)
+
+
 _ARRAY_NAMESPACE = {**_NAMESPACE, "pow": _lanewise(math.pow), "exp": _lanewise(math.exp),
                     "log": _lanewise(math.log), "min": _keep_first(min, np.less),
-                    "max": _keep_first(max, np.greater)}
+                    "max": _keep_first(max, np.greater), "isfinite": np.isfinite,
+                    "scale": _scale_lanes, "abs_bounds": _abs_lanes, "band": _band_lanes}
+
+# Array bounds mode: the chain rule on lanes.  Where the scalar rule branches on
+# a tie band, or could raise, the lane is marked and redone by the scalar rule.
+_ARRAY_CHAIN = {
+    Mul: ("l{j}, h{j} = scale(v{b}, l{a}, h{a})", "m{j}, n{j} = scale(v{a}, l{b}, h{b})",
+          "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}"),
+    Div: ("c{j} = 1.0 / v{b}", "l{j}, h{j} = scale(c{j}, l{a}, h{a})",
+          "bad = bad | (v{b} * v{b} == 0.0)", "c{j} = -v{a} / (v{b} * v{b})",
+          "m{j}, n{j} = scale(c{j}, l{b}, h{b})", "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}"),
+    Pow: ("if k{k} == 0.0: l{j} = h{j} = 0.0",
+          "else: c{j} = k{k} * pow(v{a}, k{k} - 1.0); bad = bad | (c{j} != c{j}); "
+          "l{j}, h{j} = scale(c{j}, l{a}, h{a})"),
+    Abs: ("l{j}, h{j}, bad = abs_bounds(v{a}, l{a}, h{a}, bad)",),
+    Exp: ("l{j}, h{j} = scale(v{j}, l{a}, h{a})",),
+    Log: ("c{j} = 1.0 / v{a}", "l{j}, h{j} = scale(c{j}, l{a}, h{a})"),
+    Min: ("l{j}, h{j}, bad = band(v{j}, ({parts}), bad)",),
+    Max: ("l{j}, h{j}, bad = band(v{j}, ({parts}), bad)",),
+}
 
 
 def _children(node: Expr) -> tuple:
@@ -471,9 +513,10 @@ def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
 
     One post-order walk emits each node's rule lines, so the arithmetic is the
     tree's, in the tree's order.  ``mode`` is ``value``, ``bounds`` (adds the
-    chain-rule lines) or ``array`` (adds the lane marks).  Constants and
-    exponents are bound by name, so no config text reaches ``compile`` and
-    trees of one shape share a code object.
+    chain-rule lines), ``array`` (adds the lane marks) or ``bounds_array``
+    (both, with the chain rule on lanes).  Constants and exponents are bound by
+    name, so no config text reaches ``compile`` and trees of one shape share a
+    code object.
     """
     index = {name: i for i, name in enumerate(var_order)}
     missing = free_vars(expr) - set(index)
@@ -502,26 +545,32 @@ def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
             fields["parts"] = "".join(f"(v{kid}, l{kid}, h{kid}), " for kid in kids)
         value, chain = _RULES[type(node)]
         lines.append(value.format(**fields))
-        if mode == "bounds":
-            lines.extend(rule.format(**fields) for rule in chain)
-        elif mode == "array" and type(node) in _MARKS:
+        if mode in ("array", "bounds_array") and type(node) in _MARKS:
             lines.append(_MARKS[type(node)].format(**fields))
+        if mode == "bounds_array":
+            chain = _ARRAY_CHAIN.get(type(node), chain)
+        if mode in ("bounds", "bounds_array"):
+            lines.extend(rule.format(**fields) for rule in chain)
     root = len(preorder) - 1
     if mode == "bounds":
         lines += [f"if not (isfinite(l{root}) and isfinite(h{root})):",
                   "    raise EvalDomainError('non-finite gradient estimate in ' + render(EXPR))",
                   f"return v{root}, l{root}, h{root}"]
+    elif mode == "bounds_array":
+        lines += [f"bad = bad | ~(isfinite(l{root}) & isfinite(h{root}))",
+                  f"return v{root}, l{root}, h{root}, bad"]
     else:
         lines.append(f"return v{root}, bad" if mode == "array" else f"return v{root}")
-    if mode == "array":
-        source = _ARRAY_FUNCTION.format(body="".join(f"    {line}\n" for line in lines))
+    if mode in ("array", "bounds_array"):
+        source = _ARRAY_FUNCTION.format(params="vals, dirs" if mode == "bounds_array" else "vals",
+                                        body="".join(f"    {line}\n" for line in lines))
     else:
         source = _FUNCTION.format(params="vals, dirs" if mode == "bounds" else "vals",
                                   body="".join(f"        {line}\n" for line in lines))
     code = _CODE.get(source)
     if code is None:
         code = _CODE[source] = compile(source, "<hsgt expression>", "exec")
-    base = _ARRAY_NAMESPACE if mode == "array" else _NAMESPACE
+    base = _NAMESPACE if mode in ("value", "bounds") else _ARRAY_NAMESPACE
     namespace = {**base, **consts, "EXPR": expr, "render": render}
     exec(code, namespace)
     return namespace["f"]
@@ -540,26 +589,8 @@ def compile_array(expr: Expr, var_order: Sequence[str]) -> Callable:
     if that function raises on some lane, ``fn`` raises the first such lane's
     error, with the same class and message.
     """
-    lanes_fn = _generate(expr, var_order, "array")
-    scalar = _generate(expr, var_order, "value")
-
-    def fn(vals):
-        lanes = len(vals[0])
-        try:
-            with np.errstate(all="ignore"):
-                value, bad = lanes_fn(vals)
-        except (ArithmeticError, ValueError):  # a constant subtree failed on every lane
-            value, bad = math.nan, True
-        out = np.empty(lanes)
-        out[...] = value  # a constant tree gives one float for every lane
-        if isinstance(bad, np.ndarray):
-            redo = np.flatnonzero(bad).tolist()
-        else:  # no lane reached a mark, or every lane did
-            redo = range(lanes) if bad else ()
-        for p in redo:
-            out[p] = scalar([float(v[p]) for v in vals])
-        return out
-    return fn
+    return _lanes_or_scalar(_generate(expr, var_order, "array"),
+                            _generate(expr, var_order, "value"), 1)
 
 
 def compile_bounds(expr: Expr, var_order: Sequence[str]) -> Callable:
@@ -570,6 +601,54 @@ def compile_bounds(expr: Expr, var_order: Sequence[str]) -> Callable:
     abs/min/max branch is unambiguous.
     """
     return _generate(expr, var_order, "bounds")
+
+
+def compile_bounds_array(expr: Expr, var_order: Sequence[str]) -> Callable:
+    """Array mode of :func:`compile_bounds`: ``fn(vals, dirs) -> (value, lo, hi)`` on columns.
+
+    Lane p of each array equals the scalar bounds at ``[vals[i][p] for i]`` and
+    ``[dirs[i][p] for i]`` bit for bit, under :func:`compile_array`'s error
+    contract.  Lanes near an abs/min/max tie band, or with a non-finite result,
+    are redone by the scalar bounds function.  Compiled on the first call.
+    """
+    fn = None
+
+    def call(vals, dirs):
+        nonlocal fn
+        if fn is None:
+            fn = _lanes_or_scalar(_generate(expr, var_order, "bounds_array"),
+                                  _generate(expr, var_order, "bounds"), 3)
+        return fn(vals, dirs)
+    return call
+
+
+def _lanes_or_scalar(lanes_fn: Callable, scalar: Callable, width: int) -> Callable:
+    """Run ``lanes_fn`` on columns and redo each lane it marks with ``scalar``.
+
+    ``lanes_fn`` returns ``width`` results and the mark; a failure of the whole
+    call (a constant subtree failed) marks every lane.  The result is one array,
+    or a tuple of ``width`` arrays.
+    """
+    def fn(*columns):
+        lanes = len(columns[0][0])
+        try:
+            with np.errstate(all="ignore"):
+                *results, bad = lanes_fn(*columns)
+        except (ArithmeticError, ValueError):
+            results, bad = [math.nan] * width, True
+        outs = [np.empty(lanes) for _ in range(width)]
+        for out, result in zip(outs, results):
+            out[...] = result  # a constant tree gives one float for every lane
+        if isinstance(bad, np.ndarray):
+            redo = np.flatnonzero(bad).tolist()
+        else:  # no lane reached a mark, or every lane did
+            redo = range(lanes) if bad else ()
+        for p in redo:
+            redone = scalar(*([float(v[p]) for v in cols] for cols in columns))
+            for out, value in zip(outs, redone if width > 1 else (redone,)):
+                out[p] = value
+        return outs[0] if width == 1 else tuple(outs)
+    return fn
 
 
 def directional_bounds(expr: Expr, env: Mapping[str, float], seed: Mapping[str, float]):

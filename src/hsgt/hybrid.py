@@ -286,12 +286,20 @@ class NetworkSpec:
         """``d_value`` at each row of ``X`` (B, n) and ``U`` (B, m), bit for bit."""
         return self._guard_array("d", X, U, sub)
 
-    def _guard_array(self, kind: str, X, U, sub: Optional[int]) -> np.ndarray:
+    def _compiled(self, kind: str) -> list:
+        """Array functions of every guard (``c``, ``d``) or map (``flow``, ``jump``)."""
         fns = self._array_fns.get(kind)
         if fns is None:
-            fns = self._array_fns[kind] = [
-                ex.compile_array(s.c_guard if kind == "c" else s.d_guard, self.var_order)
-                for s in self.subsystems]
+            if kind in ("c", "d"):
+                exprs = [[s.c_guard if kind == "c" else s.d_guard] for s in self.subsystems]
+            else:
+                exprs = [s.flow if kind == "flow" else s.jump for s in self.subsystems]
+            fns = self._array_fns[kind] = [[ex.compile_array(e, self.var_order) for e in group]
+                                           for group in exprs]
+        return fns
+
+    def _guard_array(self, kind: str, X, U, sub: Optional[int]) -> np.ndarray:
+        fns = [group[0] for group in self._compiled(kind)]
         rows = np.concatenate([X, U], axis=1)
         cols = rows.T.copy()
         better = np.greater if kind == "c" else np.less  # the fold of c_raw / d_raw
@@ -320,6 +328,28 @@ class NetworkSpec:
         for i, sl in enumerate(self.slices):
             if self._d_fns[i](vals) <= 0.0:
                 out[sl] = [fn(vals) for fn in self._jump_fns[i]]
+        return out
+
+    def flow_array(self, cols: np.ndarray) -> np.ndarray:
+        """``flow_raw`` at each column of ``cols`` (state then input rows, B columns),
+        as a (state_dim, B) array, bit for bit, raising as ``compile_array`` does."""
+        return np.array([fn(cols) for group in self._compiled("flow") for fn in group])
+
+    def sub_jump_array(self, i: int, cols: np.ndarray) -> np.ndarray:
+        """Subsystem i's jump map at each column, applied everywhere: (dim_i, B)."""
+        return np.array([fn(cols) for fn in self._compiled("jump")[i]])
+
+    def jump_array(self, cols: np.ndarray) -> np.ndarray:
+        """``jump_raw`` at each column, as a (state_dim, B) array, bit for bit.
+
+        Subsystem i's guard is evaluated on every column and its map only on the
+        columns inside its own jump set, as ``jump_raw`` does row by row.
+        """
+        out = cols[:self.state_dim].copy()
+        for i, sl in enumerate(self.slices):
+            inside = self._compiled("d")[i][0](cols) <= 0.0
+            if inside.any():
+                out[sl, inside] = self.sub_jump_array(i, cols[:, inside])
         return out
 
     def jump_set_structurally_empty(self, sub: Optional[int] = None) -> bool:

@@ -7,14 +7,21 @@ maximum: the inner product of any generalized gradient with the flow is
 bounded by the worst active piece, because the gradient set lies in the
 convex hull of the active pieces' gradients and the inner product is linear
 over that hull.
+
+Every sampled check runs on a whole block of samples at once: the state and
+input as columns of B lanes.  Lane by lane the block evaluates what the
+per-sample check evaluates on plain floats, bit for bit, and nothing more, so a
+stage runs only on the lanes that reach it; an evaluation error is the one the
+first failing sample, in sample order, raises.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,10 +29,11 @@ from . import expr as ex
 from .gains import STRICTNESS, GainMatrix, OmegaPath, SmallGainOptions, SmallGainVerdict, \
     build_omega_path, compose_phi
 from .hybrid import NetworkSpec
-from .kfun import Classification, KFun, compose, inverse_kfun, \
+from .kfun import Classification, KFun, KFunError, compose, inverse_kfun, \
     kfun_to_json, pointwise_max, pointwise_min, require_class
 from .reporting import VerificationReport, Violation
-from .sampling import SamplerEmptyError, SamplerSpec, flow_set_samples, jump_set_samples
+from .sampling import SampleMemo, SamplerEmptyError, SamplerSpec, flow_set_samples, \
+    jump_set_samples
 
 
 class CertificateError(Exception):
@@ -98,20 +106,27 @@ class CompositeCertificate:
     def n(self) -> int:
         return self.path.n
 
-    def pieces(self, x: Sequence[float]) -> List[Tuple[float, float]]:
-        """``(V_i(x), sigma_i^{-1}(V_i(x)))`` for every i, each evaluated once.
+    def pieces(self, state: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``W[i] = V_i`` and ``levels[i] = sigma_i^{-1}(V_i)`` at each lane, each evaluated once.
 
-        ``x`` is the state as plain floats, so a division by zero raises
-        ``EvalDomainError``; numpy scalars would give inf or NaN instead.
+        ``state`` holds one row per state variable and one column per lane; both
+        results are (n, B).  Each lane is the evaluation at that state as plain
+        floats, so a division by zero raises ``EvalDomainError``.
         """
-        out = []
-        for v_fn, sigma_inv in zip(self._v_fns, self.path.sigma_invs):
-            w = v_fn(x)
-            out.append((w, sigma_inv(w)))
-        return out
+        W = np.empty((self.n, state.shape[1]))
+        levels = np.empty_like(W)
+        for i, (v_fn, sigma_inv) in enumerate(zip(self._v_fns, self.path.sigma_invs)):
+            W[i] = v_fn(state)
+            levels[i] = sigma_inv.array(W[i])
+        return W, levels
+
+    def values(self, state: np.ndarray) -> np.ndarray:
+        """The composite value at each lane of ``state``."""
+        return _top_level(self.pieces(state)[1])
 
     def value(self, x: Sequence[float]) -> float:
-        return _top_level(self.pieces(x))
+        """The composite value at one state."""
+        return float(_in_row_order(self.values, np.array(x, dtype=float)[:, None])[0])
 
     def with_alpha(self, alpha: KFun) -> "CompositeCertificate":
         return dataclasses.replace(self, alpha=alpha)
@@ -132,23 +147,47 @@ class CompositeCertificate:
         }
 
 
-def _top_level(pieces: Sequence[Tuple[float, float]]) -> float:
-    """The composite value: the largest level of ``pieces``, by ``np.max``'s rule.
+def _top_level(levels: np.ndarray) -> np.ndarray:
+    """The composite value at each lane: the largest of ``levels`` (n, B), by ``np.max``'s rule.
 
     A NaN level makes the value NaN, and of equal levels the later one wins
     (numpy's fold over up to 8 levels), which decides the sign of a zero.
     """
-    top = pieces[0][1]
-    for _w, level in pieces[1:]:
-        if top == top and not top > level:
-            top = level
+    top = levels[0]
+    for level in levels[1:]:
+        top = np.where((top == top) & ~(top > level), level, top)
     return top
 
 
-def active_set(pieces: Sequence[Tuple[float, float]]) -> List[int]:
-    """Indices of ``cert.pieces(x)`` attaining the maximum, up to an absolute 1e-9."""
-    top = _top_level(pieces)
-    return [i for i, (_w, level) in enumerate(pieces) if level >= top - 1e-9]
+def active_set(levels: np.ndarray) -> np.ndarray:
+    """Mask (n, B) of the pieces attaining the maximum at each lane, up to an absolute 1e-9."""
+    return levels >= _top_level(levels) - 1e-9
+
+
+def _py_max(values: Sequence) -> np.ndarray:
+    """Python's ``max`` over ``values``, lane by lane: a later value wins only if it
+    is greater, so a NaN first value is kept and a later NaN is skipped."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
+
+
+def _in_row_order(fn: Callable, *blocks: np.ndarray):
+    """``fn(*blocks)`` on lanes (the last axis), raising as ``fn`` lane by lane would.
+
+    A block stage raises the error of its own first failing lane, yet a later
+    lane may fail in an earlier stage.  On an error the lanes are replayed one
+    at a time, so the first failing lane's error is raised, with its class and
+    message.  numpy's floating-point warnings are off: plain floats give none.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*blocks)
+        except (ex.EvalDomainError, KFunError):
+            for p in range(blocks[0].shape[-1]):
+                fn(*(b[..., p:p + 1] for b in blocks))
+            raise
 
 
 def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
@@ -203,8 +242,8 @@ def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
     cert = CompositeCertificate(path=path, phi=phi, phi_inv=phi_inv, gamma=gamma,
                                 lam=lam, psi1=psi1, psi2=psi2, alpha=alpha,
                                 candidates=cands, net=net)
-    cert._v_fns = [ex.compile_expr(c.v, net.state_vars()) for c in cands]
-    cert._bound_fns = [ex.compile_bounds(c.v, net.state_vars()) for c in cands]
+    cert._v_fns = [ex.compile_array(c.v, net.state_vars()) for c in cands]
+    cert._bound_fns = [ex.compile_bounds_array(c.v, net.state_vars()) for c in cands]
     return cert
 
 
@@ -220,15 +259,22 @@ def _check_gain_agreement(a: KFun, b: KFun, i: int, j: int):
                 f"candidate gain ({i + 1},{j + 1}) disagrees with the gain matrix at s={r}")
 
 
-def _sigma_inv_slope(path: OmegaPath, i: int, w: float) -> float:
-    """Local slope of the i-th inverse path component near level w."""
+def _sigma_inv_slope(path: OmegaPath, i: int, W: np.ndarray) -> np.ndarray:
+    """Local slope of the i-th inverse path component near each level of ``W``."""
     sigma_inv = path.sigma_invs[i]
     if sigma_inv.linear_slope is not None:
-        return sigma_inv.linear_slope
-    d = max(1e-6, 1e-6 * abs(w))
-    if w - d > 0.0:
-        return (sigma_inv(w + d) - sigma_inv(w - d)) / (2.0 * d)
-    return (sigma_inv(w + d) - sigma_inv(w)) / d
+        return np.full(len(W), sigma_inv.linear_slope)
+    d = _py_max([1e-6, 1e-6 * np.abs(W)])
+    up = sigma_inv.array(W + d)
+    out = np.empty(len(W))
+    two = W - d > 0.0
+    out[two] = (up[two] - sigma_inv.array((W - d)[two])) / (2.0 * d[two])
+    one = ~two
+    out[one] = (up[one] - sigma_inv.array(W[one])) / d[one]
+    return out
+
+
+_ALPHA_BAND = np.array([0.5, 0.75, 1.0, 1.5, 2.0])
 
 
 def _default_alpha(path: OmegaPath, cands: Sequence[SubsystemLyapunov]) -> KFun:
@@ -241,7 +287,6 @@ def _default_alpha(path: OmegaPath, cands: Sequence[SubsystemLyapunov]) -> KFun:
     to justify the construction.
     """
     n = path.n
-    band = (0.5, 0.75, 1.0, 1.5, 2.0)
 
     def fn(v: float) -> float:
         if v <= 0.0:
@@ -249,8 +294,8 @@ def _default_alpha(path: OmegaPath, cands: Sequence[SubsystemLyapunov]) -> KFun:
         best = math.inf
         for i in range(n):
             w = path.sigmas[i](v)
-            slope = min(_sigma_inv_slope(path, i, w * b) for b in band)
-            best = min(best, slope * cands[i].alpha(w))
+            slopes = _in_row_order(functools.partial(_sigma_inv_slope, path, i), w * _ALPHA_BAND)
+            best = min(best, min(slopes.tolist()) * cands[i].alpha(w))
         return best
     return KFun.from_callable(fn, "composite decay rate")
 
@@ -259,93 +304,117 @@ def _default_alpha(path: OmegaPath, cands: Sequence[SubsystemLyapunov]) -> KFun:
 # sampled checks
 
 
-def _check_samples(report: VerificationReport, check: str, samples, condition) -> None:
+def _check_samples(report: VerificationReport, check: str, X: np.ndarray, U: np.ndarray,
+                   condition: Callable) -> Optional[tuple]:
     """Run one sampled inequality ``measured <= required + slack`` into ``report``.
 
-    ``condition(x, u)`` gets the sample as lists of plain floats and returns
-    None where the premise fails, else ``(measured, required, slack, detail)``.
-    Every sample counts as tested; those meeting the premise count as checked
-    and add the margin ``required + slack - measured``.  A NaN on either side
-    is a violation.
+    ``X`` (N, n) and ``U`` (N, m) are the samples.  ``condition(cols)`` gets them
+    as columns (state rows, then input rows) and returns ``(premise, measured,
+    required, slack, detail, ...)``: a mask over the samples, arrays over the
+    samples meeting the premise (``slack`` may be one float), and one detail
+    string or one per such sample.  Its whole outcome is returned.  Every
+    sample counts as tested; those meeting the premise count as checked and
+    add the margin ``required + slack - measured``, in sample order.  A NaN on
+    either side is a violation.
     """
-    for s_idx, (x, u) in enumerate(samples):
-        report.samples_tested += 1
-        x, u = x.tolist(), u.tolist()
-        outcome = condition(x, u)
-        if outcome is None:
-            continue
-        measured, required, slack, detail = outcome
+    report.samples_tested += len(X)
+    if not len(X):
+        return None
+    outcome = _in_row_order(condition, np.concatenate([X, U], axis=1).T.copy())
+    premise, measured, required, slack, detail = outcome[:5]
+    with np.errstate(all="ignore"):
+        bound = required + slack
+        margins = bound - measured
+        failed = ~(measured <= bound)
+    for margin in margins.tolist():  # the running mean rounds in sample order
         report.samples_checked += 1
-        report.add_margin(required + slack - measured)
-        if not measured <= required + slack:
-            report.violations.append(Violation(
-                sample_index=s_idx, point=_point_json(x, u), measured=measured,
-                required=required, detail=detail, check=check))
+        report.add_margin(margin)
+    rows = np.flatnonzero(premise)
+    for k in np.flatnonzero(failed).tolist():
+        s_idx = int(rows[k])
+        report.violations.append(Violation(
+            sample_index=s_idx, point=_point_json(X[s_idx].tolist(), U[s_idx].tolist()),
+            measured=float(measured[k]), required=float(required[k]),
+            detail=detail if isinstance(detail, str) else str(detail[k]), check=check))
+    return outcome
 
 
 def _draw_samples(report: VerificationReport, net: NetworkSpec, sampler: SamplerSpec,
                   flow: bool = True, jump_seed: Optional[int] = None,
-                  sub: Optional[int] = None):
+                  sub: Optional[int] = None, memo: Optional[SampleMemo] = None):
     """Flow and jump samples for one report, or None if a sampler came up empty.
 
     Jump samples use the seed ``sampler.seed + jump_seed`` and are skipped
     when ``jump_seed`` is None; a structurally empty jump set yields none and
     a note.  An empty sampler marks the report inconclusive; a set with fewer
-    points than asked adds a note.
+    points than asked adds a note.  Sets come from ``memo`` when one is given.
     """
-    flow_pts, jump_pts = [], []
+    flow_pts = jump_pts = np.empty((0, net.state_dim + net.input_dim))
     try:
         if flow:
-            flow_pts = flow_set_samples(net, sampler, sub=sub)
+            flow_pts = flow_set_samples(net, sampler, sub=sub, memo=memo)
         if jump_seed is not None:
             if net.jump_set_structurally_empty(sub):
                 report.notes.append("empty jump set: jump condition is vacuous")
             else:
                 jump_pts = jump_set_samples(
-                    net, dataclasses.replace(sampler, seed=sampler.seed + jump_seed), sub=sub)
+                    net, dataclasses.replace(sampler, seed=sampler.seed + jump_seed), sub=sub,
+                    memo=memo)
     except SamplerEmptyError as exc:
         report.verdict = "inconclusive"
         report.notes.append(str(exc))
         return None
     for name, pts in (("flow", flow_pts), ("jump", jump_pts)):
-        if pts and len(pts) < sampler.n_samples:
+        if len(pts) and len(pts) < sampler.n_samples:
             report.notes.append(f"{name} samples: {len(pts)} of {sampler.n_samples} drawn; "
                                 "strata came up short")
     return flow_pts, jump_pts
 
 
-def _max_norm(v: Sequence[float]) -> float:
-    """Max norm of a row of plain floats; 0 for an empty input vector."""
-    return max(map(abs, v), default=0.0)
+def _max_norm(rows: np.ndarray) -> np.ndarray:
+    """Max norm of each lane of ``rows`` as ``max(map(abs, v), default=0.0)``; 0 with no rows."""
+    if not len(rows):
+        return np.zeros(rows.shape[1])
+    return _py_max(list(np.abs(rows)))
 
 
-def _active_flow_bound(cert: CompositeCertificate, net: NetworkSpec, x: list, u: list,
-                       pieces: List[Tuple[float, float]],
-                       fallback_level: float) -> Tuple[float, int]:
-    """Worst scaled directional derivative over the active pieces, and its index.
+def _active_flow_bound(cert: CompositeCertificate, net: NetworkSpec, cols: np.ndarray,
+                       W: np.ndarray, levels: np.ndarray,
+                       fallback_level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Worst scaled directional derivative over the active pieces, and its index, per lane.
 
-    ``pieces`` is ``cert.pieces(x)``.  A piece at level zero takes the
-    inverse-path slope at ``fallback_level``.  With no active piece (a NaN
-    level makes the value NaN) the bound is NaN and the index -1, so the
-    flow conditions record a violation.
+    ``W, levels`` are ``cert.pieces`` at the state rows of ``cols``.  A piece at
+    level zero takes the inverse-path slope at ``fallback_level``.  With no
+    active piece (a NaN level makes the value NaN) the bound is NaN and the
+    index -1, so the flow conditions record a violation.
     """
-    direction = net.flow_raw(x + u)
-    active = active_set(pieces)
-    if not active:
-        return math.nan, -1
-    worst, worst_i = -math.inf, active[0]
-    for i in active:
-        w = pieces[i][0]
-        slope = _sigma_inv_slope(cert.path, i, w if w > 0 else max(fallback_level, 1e-9))
-        _v, _lo, hi = cert._bound_fns[i](x, direction)
+    state = cols[:net.state_dim]
+    direction = net.flow_array(cols)
+    active = active_set(levels)
+    some = active.any(axis=0)
+    worst = np.where(some, -math.inf, math.nan)
+    worst_i = np.where(some, active.argmax(axis=0), -1)
+    for i in range(cert.n):
+        on = np.flatnonzero(active[i])
+        if not len(on):
+            continue
+        w = W[i, on]
+        slope = _sigma_inv_slope(cert.path, i,
+                                 np.where(w > 0, w, _py_max([fallback_level[on], 1e-9])))
+        _v, _lo, hi = cert._bound_fns[i](state[:, on], direction[:, on])
         piece = slope * hi
-        if piece > worst:
-            worst, worst_i = piece, i
+        better = piece > worst[on]
+        worst[on] = np.where(better, piece, worst[on])
+        worst_i[on] = np.where(better, i, worst_i[on])
     return worst, worst_i
 
 
 def _point_json(x: list, u: list) -> dict:
-    return {"x": list(x), "u": list(u)}
+    return {"x": x, "u": u}
+
+
+def _everywhere(cols: np.ndarray) -> np.ndarray:
+    return np.ones(cols.shape[1], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +422,8 @@ def _point_json(x: list, u: list) -> dict:
 
 
 def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: NetworkSpec,
-                     sampler: SamplerSpec,
-                     tolerances: Optional[VerifyTolerances] = None) -> VerificationReport:
+                     sampler: SamplerSpec, tolerances: Optional[VerifyTolerances] = None,
+                     memo: Optional[SampleMemo] = None) -> VerificationReport:
     """Check one subsystem's sandwich, gain-implication flow, and jump conditions.
 
     Flow samples are drawn from the subsystem's flow set; the decay bound is
@@ -364,40 +433,50 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
     tol = tolerances or VerifyTolerances()
     cand = cands[index]
     report = VerificationReport(condition=f"subsystem-{index + 1}")
-    drawn = _draw_samples(report, net, sampler, jump_seed=1, sub=index)
+    drawn = _draw_samples(report, net, sampler, jump_seed=1, sub=index, memo=memo)
     if drawn is None:
         return report
     flow_pts, jump_pts = drawn
-    v_fns = [ex.compile_expr(c.v, net.state_vars()) for c in cands]
-    bound_fn = ex.compile_bounds(cand.v, net.state_vars())
+    n = net.state_dim
+    v_fns = [ex.compile_array(c.v, net.state_vars()) for c in cands]
+    bound_fn = ex.compile_bounds_array(cand.v, net.state_vars())
     sub_slice = net.slices[index]
 
-    def neighbour_gains(x):
-        return [cand.internal_gain(j)(v_fns[j](x)) for j in range(net.n) if j != index]
+    def neighbour_gains(cols):
+        return [cand.internal_gain(j).array(v_fns[j](cols[:n])) for j in range(net.n)
+                if j != index]
 
-    def input_gain(u):
-        return [] if cand.gamma_external.is_zero else [cand.gamma_external(_max_norm(u))]
+    def input_gain(cols):
+        return [] if cand.gamma_external.is_zero else \
+            [cand.gamma_external.array(_max_norm(cols[n:]))]
 
-    def flow(x, u):
-        vi = v_fns[index](x)
-        if vi < max(neighbour_gains(x) + (input_gain(u) or [0.0])):
-            return None
-        _val, _lo, hi = bound_fn(x, net.flow_raw(x + u))
-        return hi, -cand.alpha(vi), tol.flow, "flow decay under the gain premise"
+    def sandwich(cols):
+        vi = v_fns[index](cols[:n])
+        mag = _max_norm(cols[sub_slice])
+        return vi, cand.psi1.array(mag), cand.psi2.array(mag)
 
-    def jump(x, u):
-        x_new = list(x)
-        x_new[sub_slice] = [fn(x + u) for fn in net._jump_fns[index]]
-        rhs = max([cand.lam(v_fns[index](x))] + neighbour_gains(x) + input_gain(u))
-        return (v_fns[index](x_new), rhs,
-                max(tol.jump_abs, tol.jump_rel * abs(rhs)), "jump contraction")
+    def flow(cols):
+        vi = v_fns[index](cols[:n])
+        premise = ~(vi < _py_max(neighbour_gains(cols) + (input_gain(cols) or [0.0])))
+        on = cols[:, premise]
+        _val, _lo, hi = bound_fn(on[:n], net.flow_array(on))
+        return (premise, hi, -cand.alpha.array(vi[premise]), tol.flow,
+                "flow decay under the gain premise")
 
-    for s_idx, (x, _u) in enumerate(flow_pts):
-        x = x.tolist()
-        _check_sandwich(report, cand, x[sub_slice], v_fns[index](x), s_idx, tol)
-    _check_samples(report, "flow", flow_pts, flow)
+    def jump(cols):
+        x_new = cols[:n].copy()
+        x_new[sub_slice] = net.sub_jump_array(index, cols)
+        rhs = _py_max([cand.lam.array(v_fns[index](cols[:n]))] + neighbour_gains(cols)
+                      + input_gain(cols))
+        return (_everywhere(cols), v_fns[index](x_new), rhs,
+                _py_max([tol.jump_abs, tol.jump_rel * np.abs(rhs)]), "jump contraction")
+
+    if len(flow_pts):
+        x_sub = flow_pts[:, sub_slice]
+        _check_sandwich(report, x_sub, *_in_row_order(sandwich, flow_pts.T.copy()), tol)
+    _check_samples(report, "flow", flow_pts[:, :n], flow_pts[:, n:], flow)
     checked_flow = report.samples_checked
-    _check_samples(report, "jump", jump_pts, jump)
+    _check_samples(report, "jump", jump_pts[:, :n], jump_pts[:, n:], jump)
     if checked_flow == 0:
         report.verdict = "inconclusive"
         report.notes.append("no flow sample satisfied the gain premise")
@@ -405,14 +484,18 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
     return report.finalize()
 
 
-def _check_sandwich(report, cand, x_sub, vi, s_idx, tol):
-    mag = _max_norm(x_sub)
-    lo, hi = cand.psi1(mag), cand.psi2(mag)
-    slack = tol.sandwich_rel * max(1.0, abs(vi))
-    if not lo - slack <= vi <= hi + slack:  # a NaN side is a violation
+def _check_sandwich(report: VerificationReport, x_sub: np.ndarray, vi: np.ndarray,
+                    lo: np.ndarray, hi: np.ndarray, tol: VerifyTolerances) -> None:
+    """``lo <= V_i <= hi`` up to slack at each sample; ``x_sub`` (N, dim_i) are the
+    subsystem's states, the rest one value per sample.  A NaN side is a violation."""
+    with np.errstate(all="ignore"):
+        slack = tol.sandwich_rel * _py_max([1.0, np.abs(vi)])
+        failed = ~((lo - slack <= vi) & (vi <= hi + slack))
+    for s_idx in np.flatnonzero(failed).tolist():
+        v = float(vi[s_idx])
         report.violations.append(Violation(
-            sample_index=s_idx, point={"x_i": x_sub},
-            measured=vi, required=lo if vi < lo else hi,
+            sample_index=s_idx, point={"x_i": x_sub[s_idx].tolist()}, measured=v,
+            required=float(lo[s_idx] if v < lo[s_idx] else hi[s_idx]),
             detail="sandwich bound", check="sandwich"))
 
 
@@ -425,7 +508,8 @@ def _require_shared_jump_set(net: NetworkSpec):
 
 def verify_composite_flow(cert: CompositeCertificate, net: NetworkSpec,
                           sampler: SamplerSpec,
-                          tolerances: Optional[VerifyTolerances] = None) -> VerificationReport:
+                          tolerances: Optional[VerifyTolerances] = None,
+                          memo: Optional[SampleMemo] = None) -> VerificationReport:
     """Decay of the composite function along the flow, via active indices.
 
     For each flow sample past the input-gain threshold, every active index's
@@ -436,25 +520,32 @@ def verify_composite_flow(cert: CompositeCertificate, net: NetworkSpec,
     tol = tolerances or VerifyTolerances()
     _require_shared_jump_set(net)
     report = VerificationReport(condition="composite-flow")
-    drawn = _draw_samples(report, net, sampler)
+    drawn = _draw_samples(report, net, sampler, memo=memo)
     if drawn is None:
         return report
+    n = net.state_dim
+    details = np.array(["flow decay with no active piece"]
+                       + [f"flow decay at active index {i + 1}" for i in range(cert.n)])
 
+    def flow(cols):
+        W, levels = cert.pieces(cols[:n])
+        value = _top_level(levels)
+        premise = _everywhere(cols) if cert.gamma.is_zero else \
+            ~(value < cert.gamma.array(_max_norm(cols[n:])))
+        value = value[premise]
+        worst, worst_i = _active_flow_bound(cert, net, cols[:, premise], W[:, premise],
+                                            levels[:, premise], value)
+        return premise, worst, -cert.alpha.array(value), tol.flow, details[worst_i + 1], value
+
+    pts = drawn[0]
+    outcome = _check_samples(report, "flow", pts[:, :n], pts[:, n:], flow)
     alpha_ratio = math.inf
-
-    def flow(x, u):
-        nonlocal alpha_ratio
-        pieces = cert.pieces(x)
-        value = _top_level(pieces)
-        if not cert.gamma.is_zero and value < cert.gamma(_max_norm(u)):
-            return None
-        worst, worst_i = _active_flow_bound(cert, net, x, u, pieces, value)
-        if value > 0.0 and -worst / value < alpha_ratio:
-            alpha_ratio = -worst / value
-        where = f"at active index {worst_i + 1}" if worst_i >= 0 else "with no active piece"
-        return worst, -cert.alpha(value), tol.flow, f"flow decay {where}"
-
-    _check_samples(report, "flow", drawn[0], flow)
+    if outcome is not None:  # a strict running minimum in sample order
+        worst, value = outcome[1], outcome[5]
+        decaying = value > 0.0
+        for ratio in (-worst[decaying] / value[decaying]).tolist():
+            if ratio < alpha_ratio:
+                alpha_ratio = ratio
     if math.isfinite(alpha_ratio):
         report.extras["empirical_alpha_min_ratio"] = alpha_ratio
     if report.samples_checked == 0:
@@ -466,21 +557,24 @@ def verify_composite_flow(cert: CompositeCertificate, net: NetworkSpec,
 
 def verify_composite_jump(cert: CompositeCertificate, net: NetworkSpec,
                           sampler: SamplerSpec,
-                          tolerances: Optional[VerifyTolerances] = None) -> VerificationReport:
+                          tolerances: Optional[VerifyTolerances] = None,
+                          memo: Optional[SampleMemo] = None) -> VerificationReport:
     """Jump samples must satisfy V after the jump <= max(lam(V), gamma(|u|))."""
     tol = tolerances or VerifyTolerances()
     _require_shared_jump_set(net)
     report = VerificationReport(condition="composite-jump")
-    drawn = _draw_samples(report, net, sampler, flow=False, jump_seed=0)
+    drawn = _draw_samples(report, net, sampler, flow=False, jump_seed=0, memo=memo)
     if drawn is None:
         return report
+    n = net.state_dim
 
-    def jump(x, u):
-        rhs = cert.lam(cert.value(x))
+    def jump(cols):
+        rhs = cert.lam.array(cert.values(cols[:n]))
         if not cert.gamma.is_zero:
-            rhs = max(rhs, cert.gamma(_max_norm(u)))
-        return (cert.value(net.jump_raw(x + u)), rhs,
-                max(tol.jump_abs, tol.jump_rel * abs(rhs)), "composite jump contraction")
+            rhs = _py_max([rhs, cert.gamma.array(_max_norm(cols[n:]))])
+        return (_everywhere(cols), cert.values(net.jump_array(cols)), rhs,
+                _py_max([tol.jump_abs, tol.jump_rel * np.abs(rhs)]), "composite jump contraction")
 
-    _check_samples(report, "jump", drawn[1], jump)
+    pts = drawn[1]
+    _check_samples(report, "jump", pts[:, :n], pts[:, n:], jump)
     return report.finalize()

@@ -4,13 +4,16 @@ Violations of Lyapunov-type inequalities concentrate where guards vanish and
 where the active index of a max-type function changes, so the sampler mixes
 uniform draws with guard-boundary points (found by bisecting between an
 inside and an outside point) and tie points (coordinate blocks copied across
-subsystems up to sign).
+subsystems up to sign).  One command can hand its draws to a :class:`SampleMemo`,
+so a set asked for twice (same guard expressions, same sampler spec) is drawn
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+import dataclasses
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +50,7 @@ MAX_ATTEMPTS_FACTOR = 200  # uniform attempts per requested sample, at most
 
 
 def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               spec: SamplerSpec) -> List[Tuple[np.ndarray, np.ndarray]]:
+               spec: SamplerSpec) -> np.ndarray:
     """Sample points with ``guard(x, u) <= 0`` using the stratified mix.
 
     ``guard`` maps a block of rows ``X`` (B, n), ``U`` (B, m) to B values.  Each
@@ -55,6 +58,8 @@ def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray, np.ndarray], np.nd
     at a time would, so a fixed seed gives the same samples, bit for bit.  An
     attempt adds at most one sample, so a block of as many attempts as samples
     are still wanted never passes the point where one attempt at a time stops.
+    The result is a read-only (N, n + m) array, one sample (state, then input)
+    per row.
     """
     rng = np.random.default_rng(spec.seed)
     u_lo, u_hi = spec.u_low_high(net.input_dim)
@@ -108,11 +113,17 @@ def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray, np.ndarray], np.nd
     while count < n_uniform + n_boundary and bi < 4 * n_boundary:
         k = min(n_uniform + n_boundary - count, 4 * n_boundary - bi)
         bi += k
-        lo, hi = [], []
-        for _ in range(k):  # one pair at a time's draw order: inside index, then outside
-            lo.append(inside[rng.integers(len(inside))])
-            hi.append(outside[rng.integers(len(outside))] if len(outside) else draw(1)[0])
-        lo, hi = np.array(lo), np.array(hi)
+        if len(outside):
+            # one call over the interleaved bounds draws what pair-at-a-time calls
+            # (inside index, then outside index) draw, and leaves the same state
+            picks = rng.integers(np.tile([len(inside), len(outside)], k))
+            lo, hi = inside[picks[0::2]], outside[picks[1::2]]
+        else:
+            lo, hi = [], []
+            for _ in range(k):
+                lo.append(inside[rng.integers(len(inside))])
+                hi.append(draw(1)[0])
+            lo, hi = np.array(lo), np.array(hi)
         try:
             # without outside draws, a fresh draw that lands inside is skipped
             keep = ~test(hi) if not len(outside) else np.ones(k, dtype=bool)
@@ -146,15 +157,53 @@ def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray, np.ndarray], np.nd
             count += len(samples[-1])
     # top up with plain inside draws if strata fell short
     samples.append(uniform(spec.n_samples - count, 0)[0])
-    return [(z[:n], z[n:]) for z in np.concatenate(samples)]
+    out = np.concatenate(samples)
+    out.flags.writeable = False
+    return out
 
 
-def flow_set_samples(net: NetworkSpec, spec: SamplerSpec, sub: Optional[int] = None):
-    return sample_set(net, lambda X, U: net.c_array(X, U, sub), spec)
+class SampleMemo:
+    """The sample sets of one command, drawn once each.
+
+    A set is keyed by its kind (flow or jump), the guard expressions its guard
+    folds over and the sampler spec; within one network those decide the
+    samples.  A memo belongs to one command and one network: a draw that raises
+    is not kept.
+    """
+
+    def __init__(self):
+        self._sets: Dict[tuple, np.ndarray] = {}
+
+    def get(self, net: NetworkSpec, kind: str, spec: SamplerSpec, sub: Optional[int]):
+        guards = tuple(s.c_guard if kind == "c" else s.d_guard for s in
+                       (net.subsystems if sub is None else [net.subsystems[sub]]))
+        key = (kind, guards, tuple(_frozen(getattr(spec, f.name))
+                                   for f in dataclasses.fields(spec)))
+        found = self._sets.get(key)
+        if found is None:
+            found = self._sets[key] = _draw(net, kind, spec, sub)
+        return found
 
 
-def jump_set_samples(net: NetworkSpec, spec: SamplerSpec, sub: Optional[int] = None):
-    return sample_set(net, lambda X, U: net.d_array(X, U, sub), spec)
+def _frozen(value):
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _draw(net: NetworkSpec, kind: str, spec: SamplerSpec, sub: Optional[int]) -> np.ndarray:
+    guard = net.c_array if kind == "c" else net.d_array
+    return sample_set(net, lambda X, U: guard(X, U, sub), spec)
+
+
+def flow_set_samples(net: NetworkSpec, spec: SamplerSpec, sub: Optional[int] = None,
+                     memo: Optional[SampleMemo] = None) -> np.ndarray:
+    """Samples of the flow set (of subsystem ``sub``, or of the network)."""
+    return _draw(net, "c", spec, sub) if memo is None else memo.get(net, "c", spec, sub)
+
+
+def jump_set_samples(net: NetworkSpec, spec: SamplerSpec, sub: Optional[int] = None,
+                     memo: Optional[SampleMemo] = None) -> np.ndarray:
+    """Samples of the jump set (of subsystem ``sub``, or of the network)."""
+    return _draw(net, "d", spec, sub) if memo is None else memo.get(net, "d", spec, sub)
 
 
 def sphere_directions(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

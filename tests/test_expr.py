@@ -214,6 +214,27 @@ def test_array_code_matches_scalar_code_lane_by_lane(tree, points):
         [struct.pack("<d", scalar(point)) for point in points]
 
 
+_DIRS = st.sampled_from([0.0, -0.0, 1.0, -2.0, 1e300]) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees(), st.lists(st.tuples(_LANES, _LANES, _DIRS, _DIRS), min_size=1, max_size=8))
+def test_array_bounds_match_scalar_bounds_lane_by_lane(tree, lanes):
+    """The bounds of ``compile_bounds_array`` are ``compile_bounds``' lane by lane,
+    bit for bit, and a raising lane raises the first such lane's error."""
+    scalar = ex.compile_bounds(tree, ("x", "y"))
+    cols = np.array(lanes).T.copy()
+    got = _raised(lambda: ex.compile_bounds_array(tree, ("x", "y"))(cols[:2], cols[2:]))
+    for x, y, dx, dy in lanes:
+        value = _raised(lambda: scalar([x, y], [dx, dy]))
+        if isinstance(value[0], type):
+            assert got == value
+            return
+    for lane, (x, y, dx, dy) in zip(zip(*got), lanes):
+        assert [struct.pack("<d", v) for v in lane] == \
+            [struct.pack("<d", v) for v in scalar([x, y], [dx, dy])]
+
+
 def test_long_sum_compiles_straight_line():
     tree = ex.parse(" + ".join(["s"] * 600), ["s"])
     assert ex.compile_expr(tree, ("s",))((0.5,)) == ex.evaluate(tree, {"s": 0.5}) == 300.0

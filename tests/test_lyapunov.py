@@ -111,19 +111,30 @@ def test_gain_disagreement_rejected():
         build_composite(cands, gm, net)
 
 
+def _column(x):
+    """One state as a block of one lane."""
+    return np.array(x, dtype=float)[:, None]
+
+
+def _active(cert, x):
+    return np.flatnonzero(active_set(cert.pieces(_column(x))[1])[:, 0]).tolist()
+
+
 def test_active_set(e1_like):
     _net, _cands, _gm, cert = e1_like
-    assert active_set(cert.pieces([1.0, 0.2])) == [0]
-    assert active_set(cert.pieces([0.5, 0.5])) == [0, 1]
-    assert active_set(cert.pieces([0.0, 0.0])) == [0, 1]
+    assert _active(cert, [1.0, 0.2]) == [0]
+    assert _active(cert, [0.5, 0.5]) == [0, 1]
+    assert _active(cert, [0.0, 0.0]) == [0, 1]
 
 
 @pytest.mark.parametrize("levels", [
     [1.0, math.nan], [math.nan, 1.0], [0.0, -0.0], [-0.0, 0.0], [2.0, 3.0, 1.0],
     [-1.0, 0.0, -0.0, -0.0, 0.0, -0.0, -2.0, 0.0]])
 def test_value_is_the_top_level_as_np_max_takes_it(levels):
-    # NaN anywhere makes the value NaN; the sign of a tied zero is np.max's
-    assert repr(_top_level([(0.0, level) for level in levels])) == repr(float(np.max(levels)))
+    # NaN anywhere makes the value NaN; the sign of a tied zero is np.max's, in every lane
+    block = np.array([levels, levels[::-1], levels], dtype=float).T
+    got = _top_level(block).tolist()
+    assert [repr(v) for v in got] == [repr(float(np.max(lane))) for lane in block.T]
 
 
 def test_composite_flow_passes_with_margin(e1_like, small_sampler):
@@ -182,7 +193,7 @@ def test_tie_point_checks_both_pieces(e1_like):
     x, u = [0.5, 0.5], [0.0]
     env = dict(zip(net.state_vars(), x))
     seed = dict(zip(net.state_vars(), net.flow_raw(x + u)))
-    assert active_set(cert.pieces(x)) == [0, 1]
+    assert _active(cert, x) == [0, 1]
     for i in (0, 1):
         _v, _lo, hi = ex.directional_bounds(cands[i].v, env, seed)
         assert hi == pytest.approx(-0.375)           # -0.75 * V at the tie
@@ -240,10 +251,12 @@ def test_active_flow_bound_is_worst_active_piece(e1_like, x, active, worst_i):
     flow = net.flow_raw(x + u)
     scaled = [cert.path.sigma_invs[i].linear_slope * math.copysign(1.0, x[i]) * flow[i]
               for i in (0, 1)]
-    pieces = cert.pieces(x)
-    assert active_set(pieces) == active
-    worst, i = _active_flow_bound(cert, net, x, u, pieces, cert.value(x))
-    assert (worst, i) == (pytest.approx(max(scaled[j] for j in active)), worst_i)
+    W, levels = cert.pieces(_column(x))
+    assert _active(cert, x) == active
+    worst, i = _active_flow_bound(cert, net, _column(x + u), W, levels,
+                                  np.array([cert.value(x)]))
+    assert (worst.tolist(), i.tolist()) == ([pytest.approx(max(scaled[j] for j in active))],
+                                            [worst_i])
 
 
 def test_composite_flow_matches_per_sample_oracle(e1_like, small_sampler):
@@ -254,7 +267,8 @@ def test_composite_flow_matches_per_sample_oracle(e1_like, small_sampler):
     sampler = SamplerSpec(n_samples=600, box_radius=2.0, u_box=[(-0.5, 0.5)], seed=4)
     report = verify_composite_flow(forged, net, sampler)
     margins, failed = [], 0
-    for x, u in flow_set_samples(net, sampler):
+    n = net.state_dim
+    for x, u in ((z[:n], z[n:]) for z in flow_set_samples(net, sampler)):
         env = dict(zip(net.state_vars(), x.tolist()))
         levels = [cert.path.sigma_invs[i](ex.evaluate(c.v, env)) for i, c in enumerate(cands)]
         value = max(levels)

@@ -1,8 +1,10 @@
-"""The block sampler against the one-attempt-at-a-time loop it replaced.
+"""The block sampler against the samplers it replaced.
 
-``_reference_sample_set`` is that loop, kept verbatim as the oracle: for a fixed
-seed the block sampler must return the same points in the same order, bit for
-bit, and raise the same error where a guard fails.
+``_attempt_loop_sample_set`` is the one-attempt-at-a-time loop and
+``_reference_sample_set`` the block sampler that drew boundary pairs one pair at
+a time; both are kept verbatim as oracles.  For a fixed seed the sampler must
+return the same points in the same order, bit for bit, raise the same error
+where a guard fails, and leave its generator in the same state as the pair loop.
 """
 
 import dataclasses
@@ -15,11 +17,11 @@ from conftest import load_json
 from hsgt import expr as ex
 from hsgt.config import build_config
 from hsgt.hybrid import SubsystemSpec, compose_network
-from hsgt.sampling import (MAX_ATTEMPTS_FACTOR, SamplerEmptyError, SamplerSpec,
+from hsgt.sampling import (_BLOCK, MAX_ATTEMPTS_FACTOR, SamplerEmptyError, SamplerSpec,
                            flow_set_samples, jump_set_samples, sample_set)
 
 
-def _reference_sample_set(net, guard, spec) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _attempt_loop_sample_set(net, guard, spec) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Sample points with ``guard(x, u) <= 0`` using the stratified mix."""
     rng = np.random.default_rng(spec.seed)
     u_lo, u_hi = spec.u_low_high(net.input_dim)
@@ -93,6 +95,108 @@ def _reference_sample_set(net, guard, spec) -> List[Tuple[np.ndarray, np.ndarray
     return samples
 
 
+def _reference_sample_set(net, guard, spec) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Sample points with ``guard(x, u) <= 0`` using the stratified mix.
+
+    ``guard`` maps a block of rows ``X`` (B, n), ``U`` (B, m) to B values.  Each
+    stratum draws and tests in blocks, yet consumes the generator as one attempt
+    at a time would, so a fixed seed gives the same samples, bit for bit.  An
+    attempt adds at most one sample, so a block of as many attempts as samples
+    are still wanted never passes the point where one attempt at a time stops.
+    """
+    rng = np.random.default_rng(spec.seed)
+    u_lo, u_hi = spec.u_low_high(net.input_dim)
+    n, R = net.state_dim, spec.box_radius
+    width = n + net.input_dim
+
+    def draw(k):  # k attempts: x = uniform(-R, R), u = u_lo + uniform(0, 1)*(u_hi - u_lo)
+        Z = rng.random((k, width))
+        Z[:, :n] = -R + (R - -R) * Z[:, :n]
+        Z[:, n:] = u_lo + Z[:, n:] * (u_hi - u_lo)
+        return Z
+
+    def test(Z):
+        return guard(Z[:, :n], Z[:, n:]) <= 0.0
+
+    n_boundary = int(spec.n_samples * spec.boundary_fraction)
+    n_tie = int(spec.n_samples * spec.tie_fraction)
+    n_uniform = spec.n_samples - n_boundary - n_tie
+    attempts = 0
+    limit = MAX_ATTEMPTS_FACTOR * max(spec.n_samples, 1)
+
+    def uniform(wanted, n_outside):
+        """Draws until ``wanted`` land inside or attempts run out, plus the first misses."""
+        nonlocal attempts
+        hits, misses = [np.empty((0, width))], [np.empty((0, width))]
+        got = kept = 0
+        while got < wanted and attempts < limit:
+            Z = draw(min(wanted - got, limit - attempts, _BLOCK))
+            attempts += len(Z)
+            ok = test(Z)
+            hits.append(Z[ok])
+            misses.append(Z[~ok][:n_outside - kept])
+            got, kept = got + len(hits[-1]), kept + len(misses[-1])
+        return np.concatenate(hits), np.concatenate(misses)
+
+    def bisect(lo, hi):
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            ok = test(mid)[:, None]
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        return lo
+
+    inside, outside = uniform(n_uniform, n_boundary + 16)
+    if not len(inside):
+        raise SamplerEmptyError("no samples landed in the target set")
+    samples = [inside]
+    count = len(inside)
+
+    # guard-boundary points: bisect segments between inside and outside draws
+    bi = 0
+    while count < n_uniform + n_boundary and bi < 4 * n_boundary:
+        k = min(n_uniform + n_boundary - count, 4 * n_boundary - bi)
+        bi += k
+        lo, hi = [], []
+        for _ in range(k):  # one pair at a time's draw order: inside index, then outside
+            lo.append(inside[rng.integers(len(inside))])
+            hi.append(outside[rng.integers(len(outside))] if len(outside) else draw(1)[0])
+        lo, hi = np.array(lo), np.array(hi)
+        try:
+            # without outside draws, a fresh draw that lands inside is skipped
+            keep = ~test(hi) if not len(outside) else np.ones(k, dtype=bool)
+            points = bisect(lo[keep], hi[keep]) if keep.any() else lo[:0]
+        except ex.EvalDomainError:
+            # redo pair by pair, so the first error raised is the first in draw order
+            for a, b in zip(lo[:, None], hi[:, None]):
+                if len(outside) or not test(b)[0]:
+                    bisect(a, b)
+            raise
+        samples.append(points)
+        count += len(points)
+
+    # tie points: copy one subsystem block onto another up to sign
+    ti = 0
+    while count < spec.n_samples and ti < 8 * n_tie:
+        k = min(spec.n_samples - count, 8 * n_tie - ti)
+        ti += k
+        copies = []
+        for _ in range(k):
+            z = inside[rng.integers(len(inside))].copy()
+            i, j = rng.integers(net.n), rng.integers(net.n)
+            if i == j or net.subsystems[i].dim != net.subsystems[j].dim:
+                continue
+            sign = -1.0 if rng.random() < 0.5 else 1.0
+            z[net.slices[j]] = sign * z[net.slices[i]]
+            copies.append(z)
+        if copies:
+            copies = np.array(copies)
+            samples.append(copies[test(copies)])
+            count += len(samples[-1])
+    # top up with plain inside draws if strata fell short
+    samples.append(uniform(spec.n_samples - count, 0)[0])
+    return [(z[:n], z[n:]) for z in np.concatenate(samples)]
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -100,21 +204,33 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _assert_same(net, spec, kind, sub=None):
-    """Block sampler == reference loop on the flow (``c``) or jump (``d``) set."""
-    scalar = net.c_value if kind == "c" else net.d_value
-    block = flow_set_samples if kind == "c" else jump_set_samples
-    expected = _outcome(lambda: _reference_sample_set(
-        net, lambda x, u: scalar(x, u, sub=sub), spec))
-    got = _outcome(lambda: block(net, spec, sub=sub))
+def _pairs(net, got):
+    """A sample block as the ``(x, u)`` pairs the reference samplers return."""
+    if isinstance(got, tuple):
+        return got
+    assert got.shape == (len(got), net.state_dim + net.input_dim)
+    return [(z[:net.state_dim], z[net.state_dim:]) for z in got]
+
+
+def _assert_same_pairs(got, expected):
     if isinstance(expected, tuple):
         assert got == expected
-        return expected
+        return
     assert len(got) == len(expected)
     for (x, u), (xr, ur) in zip(got, expected):
         assert x.shape == xr.shape and u.shape == ur.shape
         assert x.tobytes() == xr.tobytes() and u.tobytes() == ur.tobytes()
-    return got
+
+
+def _assert_same(net, spec, kind, sub=None):
+    """Block sampler == attempt loop on the flow (``c``) or jump (``d``) set."""
+    scalar = net.c_value if kind == "c" else net.d_value
+    block = flow_set_samples if kind == "c" else jump_set_samples
+    expected = _outcome(lambda: _attempt_loop_sample_set(
+        net, lambda x, u: scalar(x, u, sub=sub), spec))
+    got = _pairs(net, _outcome(lambda: block(net, spec, sub=sub)))
+    _assert_same_pairs(got, expected)
+    return expected if isinstance(expected, tuple) else got
 
 
 def _network(guards, dims=(1, 1), input_dim=1):
@@ -211,7 +327,7 @@ def test_error_in_bisection_is_the_first_in_draw_order():
             raise ex.EvalDomainError(f"near the edge at {X[np.argmax(near)].tolist()!r}")
         return np.max(np.abs(X), axis=1) - 1.0
 
-    expected = _outcome(lambda: _reference_sample_set(
+    expected = _outcome(lambda: _attempt_loop_sample_set(
         net, lambda x, u: fail_near_edge(x[None])[0], spec))
     assert expected[0] is ex.EvalDomainError
     assert _outcome(lambda: sample_set(net, lambda X, U: fail_near_edge(X), spec)) == expected
@@ -234,3 +350,63 @@ def test_array_guard_fold_raises_the_first_failing_row():
     X, U = np.array([[1.0, -1.0], [-1.95, 1.0]]), np.zeros((2, 1))
     with pytest.raises(ex.EvalDomainError, match=r"^math domain error in log\(x_2\)$"):
         net.c_array(X, U)
+
+
+# ---------------------------------------------------------------------------
+# block pair draws against the pair-at-a-time sampler
+
+
+def _with_final_state(monkeypatch, draw):
+    """``draw()``'s outcome and the state its generator ends in."""
+    made, real = [], np.random.default_rng
+
+    def recording(seed):
+        made.append(real(seed))
+        return made[-1]
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    try:
+        outcome = _outcome(draw)
+    finally:
+        monkeypatch.setattr(np.random, "default_rng", real)
+    return outcome, made[-1].bit_generator.state
+
+
+def _assert_matches_pair_loop(monkeypatch, net, spec, kind):
+    guard = net.c_array if kind == "c" else net.d_array
+    expected, expected_state = _with_final_state(
+        monkeypatch, lambda: _reference_sample_set(net, lambda X, U: guard(X, U), spec))
+    got, state = _with_final_state(
+        monkeypatch, lambda: sample_set(net, lambda X, U: guard(X, U), spec))
+    _assert_same_pairs(_pairs(net, got), expected)
+    assert state == expected_state
+    return got
+
+
+@pytest.mark.parametrize("kind", ["c", "d"])
+def test_e1_sets_match_pair_loop_with_generator_state(monkeypatch, kind):
+    cfg = build_config(load_json("e1.json"))
+    for seed in (0, 1):
+        got = _assert_matches_pair_loop(
+            monkeypatch, cfg.network, dataclasses.replace(cfg.sampler, seed=seed), kind)
+        assert len(got) == cfg.sampler.n_samples and not got.flags.writeable
+
+
+def test_no_outside_draws_match_pair_loop_with_generator_state(monkeypatch):
+    """Flow guard -1: the boundary stratum draws its outside points one at a time."""
+    net = _network([("-1", "1")] * 2)
+    spec = SamplerSpec(n_samples=500, box_radius=2.0, seed=1)
+    assert len(_assert_matches_pair_loop(monkeypatch, net, spec, "c")) == 500
+
+
+def test_short_set_matches_pair_loop_and_keeps_its_note(monkeypatch):
+    from hsgt.lyapunov import _draw_samples
+    from hsgt.reporting import VerificationReport
+    net = _network([("max(abs(x_1), abs(x_2)) - 0.05", "1")] * 2)
+    spec = SamplerSpec(n_samples=50, box_radius=2.0, boundary_fraction=0.04,
+                       tie_fraction=0.0, seed=0)
+    got = _assert_matches_pair_loop(monkeypatch, net, spec, "c")
+    assert 0 < len(got) < 50
+    report = VerificationReport(condition="short")
+    flow_pts, _jump = _draw_samples(report, net, spec)
+    assert flow_pts.tobytes() == got.tobytes()
+    assert report.notes == [f"flow samples: {len(got)} of 50 drawn; strata came up short"]

@@ -14,9 +14,8 @@ from hsgt.cli import _emit, main
 from hsgt.config import load_config
 from hsgt.equiv import _verify_w_form, to_w_form
 from hsgt.expr import EvalDomainError
-from hsgt.kfun import KFun
-from hsgt.lyapunov import SubsystemLyapunov, VerifyTolerances, _check_sandwich, \
-    _check_samples, build_composite, verify_composite_flow
+from hsgt.lyapunov import VerifyTolerances, _check_sandwich, _check_samples, build_composite, \
+    verify_composite_flow
 from hsgt.reporting import VerificationReport, Violation
 
 
@@ -179,43 +178,51 @@ def test_reports_write_non_finite_numbers_as_strings(tmp_path):
     (math.nan, 0.0), (0.0, math.nan), (1.0, 0.5), (-math.inf, math.nan)])
 def test_check_kernel_counts_nan_and_excess_as_violations(measured, required):
     report = VerificationReport(condition="kernel")
-    samples = [(np.array([1.0, 2.0]), np.array([0.5]))]
-    _check_samples(report, "flow", samples, lambda x, u: (measured, required, 0.0, "d"))
+    X, U = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.5], [0.25]])
+    _check_samples(report, "flow", X, U, lambda cols: (
+        np.array([True, False]), np.array([measured]), np.array([required]), 0.0, "d"))
     assert [v.point for v in report.violations] == [{"x": [1.0, 2.0], "u": [0.5]}]
+    assert (report.samples_tested, report.samples_checked) == (2, 1)
 
 
-def test_check_kernel_passes_rows_of_plain_floats():
+def test_check_kernel_reports_points_as_plain_floats():
     seen = []
-    samples = [(np.array([1.0, 2.0]), np.array([0.5])), (np.array([3.0, 4.0]), np.array([]))]
-    _check_samples(VerificationReport(condition="rows"), "flow", samples,
-                   lambda x, u: seen.append((x, u)))
-    assert seen == [([1.0, 2.0], [0.5]), ([3.0, 4.0], [])]
-    assert {type(v) for x, u in seen for v in x + u} == {float}
+
+    def condition(cols):
+        seen.append(cols.tolist())
+        return (np.array([False, True]), np.array([1.0]), np.array([0.0]), 0.0,
+                np.array(["second"]))
+    report = VerificationReport(condition="rows")
+    _check_samples(report, "flow", np.array([[1.0, 2.0], [3.0, 4.0]]),
+                   np.array([[0.5], [-0.5]]), condition)
+    assert seen == [[[1.0, 3.0], [2.0, 4.0], [0.5, -0.5]]]  # one call, on columns
+    [v] = report.violations
+    assert (v.sample_index, v.point, v.detail) == (1, {"x": [3.0, 4.0], "u": [-0.5]}, "second")
+    assert {type(c) for c in v.point["x"] + v.point["u"] + [v.measured, v.required]} == {float}
 
 
 def test_sandwich_check_counts_nan_as_violation():
-    cand = SubsystemLyapunov(v=None, psi1=KFun.identity(), psi2=KFun.identity(),
-                             alpha=KFun.linear(0.5), lam=KFun.linear(0.5))
     report = VerificationReport(condition="sandwich")
-    _check_sandwich(report, cand, [0.5], math.nan, 0, VerifyTolerances())
-    _check_sandwich(report, cand, [0.5], 0.5, 1, VerifyTolerances())
-    assert [v.sample_index for v in report.violations] == [0]
+    x_sub, vi = np.array([[0.5], [0.5]]), np.array([math.nan, 0.5])
+    _check_sandwich(report, x_sub, vi, x_sub[:, 0], x_sub[:, 0], VerifyTolerances())
+    assert [(v.sample_index, v.point) for v in report.violations] == [(0, {"x_i": [0.5]})]
 
 
 def test_composite_flow_evaluates_each_piece_once_per_sample(e1_cert, e1_config):
-    counts = [0] * e1_cert.n
+    calls, lanes = [0] * e1_cert.n, [0] * e1_cert.n
 
     def counted(i, fn):
-        def wrapper(vals):
-            counts[i] += 1
-            return fn(vals)
+        def wrapper(state):
+            calls[i] += 1
+            lanes[i] += state.shape[1]
+            return fn(state)
         return wrapper
     cert = dataclasses.replace(e1_cert, _v_fns=[counted(i, fn)
                                                 for i, fn in enumerate(e1_cert._v_fns)])
     sampler = dataclasses.replace(e1_config.sampler, n_samples=200)
     report = verify_composite_flow(cert, e1_config.network, sampler)
     assert report.samples_tested == 200
-    assert counts == [200] * e1_cert.n
+    assert lanes == [200] * e1_cert.n and calls == [1] * e1_cert.n
 
 
 # ---------------------------------------------------------------------------
