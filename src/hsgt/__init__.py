@@ -5,7 +5,7 @@ from .kfun import Classification, KFun, compose, invert, pointwise_max, pointwis
 from .gains import GainMatrix, OmegaPath, SmallGainOptions, SmallGainVerdict, \
     build_omega_path, compose_phi, gamma_max_apply, small_gain_check
 from .hybrid import HybridSignal, HybridTimeDomain, InputSignal, NetworkSpec, \
-    SimOptions, SolutionPair, SubsystemSpec, compose_network, restrict, simulate, sup_norm
+    SimOptions, SolutionPair, SubsystemSpec, compose_network, simulate
 from .lyapunov import CompositeCertificate, SubsystemLyapunov, VerifyTolerances, \
     active_set, build_composite, verify_composite_flow, verify_composite_jump, verify_subsystem
 from .equiv import WFormCertificate, majorize_lambda, to_v_form, to_w_form

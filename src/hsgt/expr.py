@@ -12,9 +12,11 @@ parse errors are 1-based character positions; errors at end of input report
 one position past the last character.
 
 One code generator backs :func:`compile_expr`, :func:`compile_bounds`,
-:func:`compile_array` and :func:`compile_bounds_array`; :func:`evaluate` is the
-reference interpreter.  All of them raise :class:`EvalDomainError` on a domain
-error, :class:`EvalOverflowError` on overflow.
+:func:`compile_array`, :func:`compile_bounds_array`, and the multi-expression
+functions that :func:`compile_lines` builds from :func:`emit_lines`;
+:func:`evaluate` is the reference interpreter.  All of them raise
+:class:`EvalDomainError` on a domain error, :class:`EvalOverflowError` on
+overflow.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from types import CodeType
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -404,7 +406,7 @@ _RULES = {
 # Every generated function maps arithmetic failures to the evaluation-error contract.
 _FUNCTION = """\
 def f({params}):
-    try:
+{head}    try:
 {body}    except OverflowError as exc:
         raise EvalOverflowError(f"{{exc}} in {{render(EXPR)}}") from exc
     except (ZeroDivisionError, ValueError) as exc:
@@ -508,30 +510,26 @@ def _children(node: Expr) -> tuple:
     return tuple(v for v in vars(node).values() if isinstance(v, Expr))
 
 
-def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
-    """Emit straight-line Python for ``expr`` (one temporary per node), compile, bind.
+def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float],
+               index: Optional[Mapping[str, int]] = None,
+               var_ids: Optional[Mapping[str, str]] = None, tag: str = "") -> str:
+    """Append the rule lines of ``expr`` to ``lines``, in post-order; return the root's id.
 
-    One post-order walk emits each node's rule lines, so the arithmetic is the
-    tree's, in the tree's order.  ``mode`` is ``value``, ``bounds`` (adds the
-    chain-rule lines), ``array`` (adds the lane marks) or ``bounds_array``
-    (both, with the chain rule on lanes).  Constants and exponents are bound by
-    name, so no config text reaches ``compile`` and trees of one shape share a
-    code object.
+    One walk emits each node's rule lines, so the arithmetic is the tree's, in
+    the tree's order.  Node n's temporaries are ``v``, ``l``, ``h`` ... followed
+    by its id ``{tag}{n}``.  A variable reads ``vals[index[name]]``, or with
+    ``var_ids`` emits no line and its id is ``var_ids[name]``, naming a local the
+    caller binds.  Constants and exponents are numbered into ``consts``.
     """
-    index = {name: i for i, name in enumerate(var_order)}
-    missing = free_vars(expr) - set(index)
-    if missing:
-        raise UnboundVariableError(sorted(missing)[0])
     preorder, stack = [], [expr]
     while stack:  # reversed right-first preorder is left-first post-order
         node = stack.pop()
         kids = _children(node)
         preorder.append((node, len(kids)))
         stack.extend(kids)
-    consts: Dict[str, float] = {}
-    lines: List[str] = []
-    temps: List[int] = []
-    for j, (node, arity) in enumerate(reversed(preorder)):
+    temps: List[str] = []
+    for n, (node, arity) in enumerate(reversed(preorder)):
+        j = f"{tag}{n}"
         split = len(temps) - arity
         kids, temps[split:] = temps[split:], [j]
         fields = dict(zip("ab", kids), j=j)
@@ -539,6 +537,9 @@ def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
             fields["k"] = len(consts)
             consts[f"k{len(consts)}"] = node.value if isinstance(node, Const) else node.exponent
         elif isinstance(node, Var):
+            if var_ids is not None:
+                temps[-1] = var_ids[node.name]
+                continue
             fields["i"] = index[node.name]
         elif isinstance(node, (Min, Max)):
             fields["args"] = "".join(f"v{kid}, " for kid in kids)
@@ -551,7 +552,43 @@ def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
             chain = _ARRAY_CHAIN.get(type(node), chain)
         if mode in ("bounds", "bounds_array"):
             lines.extend(rule.format(**fields) for rule in chain)
-    root = len(preorder) - 1
+    return temps[0]
+
+
+def _define(source: str, namespace: dict) -> Callable:
+    """The function ``f`` that ``source`` defines, run in ``namespace``."""
+    code = _CODE.get(source)
+    if code is None:
+        code = _CODE[source] = compile(source, "<hsgt expression>", "exec")
+    exec(code, namespace)
+    return namespace["f"]
+
+
+def compile_lines(params: str, head: Sequence[str], body: Sequence[str],
+                  names: Mapping[str, object], where: str) -> Callable:
+    """A function of ``params`` running ``head``, then the value-mode ``body``
+    (built by :func:`emit_lines`) under the evaluation-error contract, whose
+    messages name ``where``.  ``names`` (the constants among them) are globals."""
+    source = _FUNCTION.format(params=params, head="".join(f"    {line}\n" for line in head),
+                              body="".join(f"        {line}\n" for line in body))
+    return _define(source, {**_NAMESPACE, **names, "EXPR": where, "render": str})
+
+
+def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
+    """Emit straight-line Python for ``expr`` (one temporary per node), compile, bind.
+
+    ``mode`` is ``value``, ``bounds`` (adds the chain-rule lines), ``array``
+    (adds the lane marks) or ``bounds_array`` (both, with the chain rule on
+    lanes).  Constants and exponents are bound by name, so no config text
+    reaches ``compile`` and trees of one shape share a code object.
+    """
+    index = {name: i for i, name in enumerate(var_order)}
+    missing = free_vars(expr) - set(index)
+    if missing:
+        raise UnboundVariableError(sorted(missing)[0])
+    consts: Dict[str, float] = {}
+    lines: List[str] = []
+    root = emit_lines(expr, mode, lines, consts, index)
     if mode == "bounds":
         lines += [f"if not (isfinite(l{root}) and isfinite(h{root})):",
                   "    raise EvalDomainError('non-finite gradient estimate in ' + render(EXPR))",
@@ -565,15 +602,10 @@ def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
         source = _ARRAY_FUNCTION.format(params="vals, dirs" if mode == "bounds_array" else "vals",
                                         body="".join(f"    {line}\n" for line in lines))
     else:
-        source = _FUNCTION.format(params="vals, dirs" if mode == "bounds" else "vals",
+        source = _FUNCTION.format(params="vals, dirs" if mode == "bounds" else "vals", head="",
                                   body="".join(f"        {line}\n" for line in lines))
-    code = _CODE.get(source)
-    if code is None:
-        code = _CODE[source] = compile(source, "<hsgt expression>", "exec")
     base = _NAMESPACE if mode in ("value", "bounds") else _ARRAY_NAMESPACE
-    namespace = {**base, **consts, "EXPR": expr, "render": render}
-    exec(code, namespace)
-    return namespace["f"]
+    return _define(source, {**base, **consts, "EXPR": expr, "render": render})
 
 
 def compile_expr(expr: Expr, var_order: Sequence[str]) -> Callable:

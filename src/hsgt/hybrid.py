@@ -58,16 +58,6 @@ class HybridTimeDomain:
                     raise DomainError("intervals must chain at the jump times")
             prev_end, prev_k = hi, k
 
-    @property
-    def jump_count(self) -> int:
-        return len(self.intervals) - 1
-
-    def contains(self, t: float, k: int) -> bool:
-        for lo, hi, kk in self.intervals:
-            if kk == k and lo - 1e-12 <= t <= hi + 1e-12:
-                return True
-        return False
-
 
 @dataclass
 class HybridSignal:
@@ -100,67 +90,6 @@ class HybridSignal:
             for j in range(len(ts)):
                 jump_point = idx < last and j == len(ts) - 1
                 yield float(ts[j]), k, vs[j], jump_point
-
-    def value_at(self, t: float, k: int) -> np.ndarray:
-        for (_lo, _hi, kk), ts, vs in zip(self.domain.intervals, self.times, self.values):
-            if kk != k:
-                continue
-            if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
-                continue
-            j = int(np.searchsorted(ts, t))
-            if j < len(ts) and abs(ts[j] - t) <= 1e-12:
-                return vs[j].copy()
-            if j == 0:
-                return vs[0].copy()
-            if j >= len(ts):
-                return vs[-1].copy()
-            w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-            return (1.0 - w) * vs[j - 1] + w * vs[j]
-        raise DomainError(f"point (t={t}, k={k}) is outside the signal domain")
-
-
-def sup_norm(signal: HybridSignal, upto: Tuple[float, int]) -> float:
-    """Supremum norm of the signal over points no later than ``upto``.
-
-    Ordering of hybrid times is by the sum t + k.  The continuous part is a
-    sample maximum standing in for an essential supremum; jump points are
-    maximized exactly.  Vector samples are measured in the max norm.
-    """
-    t, k = upto
-    if not signal.domain.contains(t, k):
-        raise DomainError(f"point (t={t}, k={k}) is outside the signal domain")
-    cutoff = t + k
-    best_flow = 0.0
-    best_jump = 0.0
-    for s, l, row, jump_point in signal.iter_samples():
-        if s + l > cutoff + 1e-12:
-            continue
-        mag = float(np.max(np.abs(row)))
-        if jump_point:
-            best_jump = max(best_jump, mag)
-        else:
-            best_flow = max(best_flow, mag)
-    return max(best_flow, best_jump)
-
-
-def restrict(signal: HybridSignal, frm: Tuple[float, int], to: Tuple[float, int]) -> HybridSignal:
-    """Zero the signal outside the window [frm, to]; the domain is unchanged."""
-    for point in (frm, to):
-        if not signal.domain.contains(*point):
-            raise DomainError(f"window endpoint {point} is outside the signal domain")
-    lo = frm[0] + frm[1]
-    hi = to[0] + to[1]
-    if lo > hi:
-        raise DomainError("window endpoints are out of order")
-    new_values = []
-    for (_lo, _hi, k), ts, vs in zip(signal.domain.intervals, signal.times, signal.values):
-        sums = ts + k
-        mask = (sums >= lo - 1e-12) & (sums <= hi + 1e-12)
-        out = vs.copy()
-        out[~mask] = 0.0
-        new_values.append(out)
-    return HybridSignal(domain=signal.domain, times=[t.copy() for t in signal.times],
-                        values=new_values)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +177,7 @@ class NetworkSpec:
     _c_fns: list = field(default_factory=list, repr=False)
     _d_fns: list = field(default_factory=list, repr=False)
     _array_fns: dict = field(default_factory=dict, repr=False)  # compiled on first use
+    _sim_kernels: tuple = field(default=(), repr=False)  # compiled on the first simulate
 
     @property
     def n(self) -> int:
@@ -255,18 +185,6 @@ class NetworkSpec:
 
     def state_vars(self) -> Tuple[str, ...]:
         return self.var_order[:self.state_dim]
-
-    def input_vars(self) -> Tuple[str, ...]:
-        return self.var_order[self.state_dim:]
-
-    def _vals(self, x, u) -> list:
-        return [float(v) for v in x] + [float(v) for v in u]
-
-    def c_value(self, x, u, sub: Optional[int] = None) -> float:
-        return self.c_raw(self._vals(x, u), sub)
-
-    def d_value(self, x, u, sub: Optional[int] = None) -> float:
-        return self.d_raw(self._vals(x, u), sub)
 
     def c_raw(self, vals: list, sub: Optional[int] = None) -> float:
         if sub is not None:
@@ -279,11 +197,11 @@ class NetworkSpec:
         return min(fn(vals) for fn in self._d_fns)
 
     def c_array(self, X: np.ndarray, U: np.ndarray, sub: Optional[int] = None) -> np.ndarray:
-        """``c_value`` at each row of ``X`` (B, n) and ``U`` (B, m), bit for bit."""
+        """``c_raw`` at each row of ``X`` (B, n) and ``U`` (B, m) joined, bit for bit."""
         return self._guard_array("c", X, U, sub)
 
     def d_array(self, X: np.ndarray, U: np.ndarray, sub: Optional[int] = None) -> np.ndarray:
-        """``d_value`` at each row of ``X`` (B, n) and ``U`` (B, m), bit for bit."""
+        """``d_raw`` at each row of ``X`` (B, n) and ``U`` (B, m) joined, bit for bit."""
         return self._guard_array("d", X, U, sub)
 
     def _compiled(self, kind: str) -> list:
@@ -352,6 +270,12 @@ class NetworkSpec:
                 out[sl, inside] = self.sub_jump_array(i, cols[:, inside])
         return out
 
+    def sim_kernels(self) -> tuple:
+        """The step and mode kernels of ``simulate``, compiled on the first call."""
+        if not self._sim_kernels:
+            self._sim_kernels = (_step_kernel(self), _mode_kernel(self))
+        return self._sim_kernels
+
     def jump_set_structurally_empty(self, sub: Optional[int] = None) -> bool:
         """True when the jump-set guard is a positive constant (no jumps ever)."""
         guards = [self.subsystems[sub].d_guard] if sub is not None \
@@ -414,7 +338,7 @@ def _jump_sets_equal(net: NetworkSpec, specs) -> bool:
     for _ in range(256):
         x = rng.uniform(-2.0, 2.0, net.state_dim)
         u = rng.uniform(-2.0, 2.0, net.input_dim)
-        vals = net._vals(x, u)
+        vals = x.tolist() + u.tolist()
         memberships = {fn(vals) <= 0.0 for fn in net._d_fns}
         if len(memberships) > 1:
             return False
@@ -495,13 +419,14 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
              opts: Optional[SimOptions] = None) -> SolutionPair:
     """Simulate the composed network from ``x0`` under input ``u``.
 
-    Each point is classified once, by ``_mode``.  A point outside C jumps if
-    it is in D and otherwise ends the run (``left_domain``); a point that
-    flows takes one fixed RK4 step.  A step whose end does not flow is
-    bisected down to ``TIME_TOL`` and the event point found is recorded.
-    Completeness records that the run used its full time or jump budget.
-    An expression that leaves its domain ends the run as ``numerical_failure``,
-    at the initial point too; an input undefined there is recorded as NaN.
+    Each point is classified once, by the network's mode kernel.  A point
+    outside C jumps if it is in D and otherwise ends the run (``left_domain``);
+    a point that flows takes one fixed RK4 step of the step kernel.  A step
+    whose end does not flow is bisected down to ``TIME_TOL`` and the event
+    point found is recorded.  Completeness records that the run used its full
+    time or jump budget.  An expression that leaves its domain ends the run as
+    ``numerical_failure``, at the initial point too; an input undefined there
+    is recorded as NaN.
     """
     opts = opts or SimOptions()
     opts.validate()
@@ -513,6 +438,8 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
     if u.dim != net.input_dim:
         raise SimulationError(f"input signal must have dimension {net.input_dim}")
 
+    step, mode_of = net.sim_kernels()
+    values = u.values
     t, k, jumps = 0.0, 0, 0
     rec = _Recorder()
     rec.open_interval(t, k)
@@ -523,7 +450,7 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
     u_now = [math.nan] * u.dim  # recorded at t = 0 if the input is undefined there
 
     try:
-        u_now = u.values(t, k)
+        u_now = values(t, k)
         vals = x + u_now
         if not (net.c_raw(vals) <= 0.0 or net.d_raw(vals) <= 0.0):
             raise SimulationError("initial point lies outside the union of flow and jump sets")
@@ -532,13 +459,13 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
             if not all(map(math.isfinite, x)):
                 return rec.finalize("numerical_failure", False, jumps)
             if mode is None:  # the initial point or a jump's image
-                mode = _mode(net, x + u_now, jump_priority)
+                mode = mode_of(x, u_now, jump_priority)
             if mode != FLOW:  # OUTSIDE_C jumps if the jump guard is <= 0
                 if mode == OUTSIDE_C and not net.d_raw(x + u_now) <= 0.0:
                     return rec.finalize("left_domain", False, jumps)
                 if jumps >= max_jumps:
                     return rec.finalize("max_jumps", True, jumps)
-                x, u_now = net.jump_raw(x + u_now), u.values(t, k + 1)
+                x, u_now = net.jump_raw(x + u_now), values(t, k + 1)
                 k += 1
                 jumps += 1
                 rec.open_interval(t, k)
@@ -551,14 +478,14 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
             if t >= horizon - 1e-15:
                 return rec.finalize("horizon", True, jumps)
             h_step = min(h, horizon - t)
-            x_end = _rk4(net, x, u, t, k, h_step)
+            x_end = step(x, values, t, k, h_step)
             if not all(map(math.isfinite, x_end)):
                 return rec.finalize("numerical_failure", False, jumps)
-            u_end = u.values(t + h_step, k)
-            mode = _mode(net, x_end + u_end, jump_priority)
+            u_end = values(t + h_step, k)
+            mode = mode_of(x_end, u_end, jump_priority)
             if mode != FLOW:
-                theta, x, u_now, mode = _bisect_event(net, x, u, t, k, h_step, jump_priority,
-                                                      (x_end, u_end, mode))
+                theta, x, u_now, mode = _bisect_event(step, mode_of, x, values, t, k, h_step,
+                                                      jump_priority, (x_end, u_end, mode))
                 t = t + theta * h_step
                 rec.record(t, x, u_now)
                 steps_since_record = 0
@@ -575,27 +502,16 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
         return rec.finalize("numerical_failure", False, jumps)
 
 
-def _mode(net: NetworkSpec, vals: list, jump_priority: bool) -> str:
-    """OUTSIDE_C unless the flow guard is <= 0 (NaN is outside), else JUMP
-    under jump priority if the jump guard is <= 0, else FLOW.  The jump guard
-    is evaluated only where it decides the outcome; the caller settles OUTSIDE_C."""
-    if not net.c_raw(vals) <= 0.0:
-        return OUTSIDE_C
-    if jump_priority and net.d_raw(vals) <= 0.0:
-        return JUMP
-    return FLOW
-
-
-def _bisect_event(net, x, u, t, k, h_step, jump_priority, end) -> tuple:
+def _bisect_event(step, mode_of, x, values, t, k, h_step, jump_priority, end) -> tuple:
     """Bisect the step from ``(t, x)`` whose ``end`` (state, input, mode) does
     not flow; returns the step fraction, state, input and mode of the event."""
     lo, hi = 0.0, 1.0
     x_hi, u_hi, mode_hi = end
     while (hi - lo) * h_step > TIME_TOL:
         mid = 0.5 * (lo + hi)
-        x_mid = _rk4(net, x, u, t, k, mid * h_step)
-        u_mid = u.values(t + mid * h_step, k)
-        mode = _mode(net, x_mid + u_mid, jump_priority)
+        x_mid = step(x, values, t, k, mid * h_step)
+        u_mid = values(t + mid * h_step, k)
+        mode = mode_of(x_mid, u_mid, jump_priority)
         if mode == FLOW:
             lo = mid
         else:
@@ -603,24 +519,77 @@ def _bisect_event(net, x, u, t, k, h_step, jump_priority, end) -> tuple:
     return hi, x_hi, u_hi, mode_hi
 
 
-def _rk4(net: NetworkSpec, x: list, u: InputSignal, t: float, k: int, h: float) -> list:
-    if h == 0.0:
-        return list(x)
-    fns = net._flow_fns
-    u1 = u.values(t, k)
-    u2 = u.values(t + 0.5 * h, k)
-    u3 = u.values(t + h, k)
-    half = 0.5 * h
-    k1 = [f(x + u1) for f in fns]
-    s2 = [xi + half * ki for xi, ki in zip(x, k1)]
-    k2 = [f(s2 + u2) for f in fns]
-    s3 = [xi + half * ki for xi, ki in zip(x, k2)]
-    k3 = [f(s3 + u2) for f in fns]
-    s4 = [xi + h * ki for xi, ki in zip(x, k3)]
-    k4 = [f(s4 + u3) for f in fns]
-    w = h / 6.0
-    return [xi + w * (a + 2.0 * b + 2.0 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+def _unpack(ids: List[str], seq: str) -> List[str]:
+    """The line binding the locals ``v{id}`` to the items of ``seq``, if any."""
+    return ["".join(f"v{i}, " for i in ids) + f"= {seq}"] if ids else []
+
+
+def _step_kernel(net: NetworkSpec) -> Callable:
+    """``step(x, values, t, k, h)``: one RK4 step of length ``h`` from state ``x``
+    at ``(t, k)`` under the input ``values(t, k)``, in straight-line code.
+
+    Every stage of every flow component is inlined, with the arithmetic of a
+    stage-by-stage loop in its order: the inputs at t, t + h/2 and t + h, the
+    slopes k1 at x, k2 at x + h/2*k1, k3 at x + h/2*k2 and k4 at x + h*k3, each
+    component by component, then x + h/6*(k1 + 2*k2 + 2*k3 + k4).
+    """
+    n, m = net.state_dim, net.input_dim
+    flows = [e for s in net.subsystems for e in s.flow]
+    body = _unpack([f"x1_{i}" for i in range(n)], "x")
+    for us in ("u1", "u2", "u3"):
+        body += _unpack([f"{us}_{r}" for r in range(m)], us)
+    body.append("half = 0.5 * h")
+    consts, slopes = {}, []
+    stages = (("u1", ""), ("u2", "half"), ("u2", "half"), ("u3", "h"))  # inputs, state offset
+    for stage, (us, scale) in enumerate(stages, 1):
+        if scale:
+            body += [f"vx{stage}_{i} = vx1_{i} + {scale} * v{ki}"
+                     for i, ki in enumerate(slopes[-1])]
+        ids = dict(zip(net.var_order, [f"x{stage}_{i}" for i in range(n)]
+                       + [f"{us}_{r}" for r in range(m)]))
+        slopes.append([ex.emit_lines(e, "value", body, consts, var_ids=ids, tag=f"{stage}_{i}_")
+                       for i, e in enumerate(flows)])
+    body.append("w = h / 6.0")
+    body.append("return [" + ", ".join(f"vx1_{i} + w * (v{a} + 2.0 * v{b} + 2.0 * v{c} + v{d})"
+                                       for i, (a, b, c, d) in enumerate(zip(*slopes))) + "]")
+    head = ["if h == 0.0:", "    return list(x)", "u1 = values(t, k)",
+            "u2 = values(t + 0.5 * h, k)", "u3 = values(t + h, k)"]
+    return ex.compile_lines("x, values, t, k, h", head, body, consts, "the RK4 step")
+
+
+def _mode_kernel(net: NetworkSpec) -> Callable:
+    """``mode(x, u, jump_priority)``: OUTSIDE_C unless the flow guard (the
+    ``c_raw`` fold) is <= 0 (NaN is outside), else JUMP under jump priority if
+    the jump guard (the ``d_raw`` fold) is <= 0, else FLOW.
+
+    The jump guards are evaluated only where they decide the outcome; the
+    caller settles OUTSIDE_C.  Structurally equal guards are evaluated once: a
+    repeat cannot change a fold where a later value wins only if strictly better.
+    """
+    xs = [f"x_{i}" for i in range(net.state_dim)]
+    us = [f"u_{r}" for r in range(net.input_dim)]
+    ids = dict(zip(net.var_order, xs + us))
+    body = _unpack(xs, "x") + _unpack(us, "u")
+    consts, roots = {}, {}
+
+    def fold(guards, better: str, name: str, indent: str):
+        for g in guards:
+            if g not in roots:
+                lines: List[str] = []
+                roots[g] = ex.emit_lines(g, "value", lines, consts, var_ids=ids,
+                                         tag=f"{len(roots)}_")
+                body.extend(indent + line for line in lines)
+        first, *rest = dict.fromkeys(roots[g] for g in guards)
+        body.append(f"{indent}{name} = v{first}")
+        body.extend(f"{indent}if v{r} {better} {name}: {name} = v{r}" for r in rest)
+
+    fold([s.c_guard for s in net.subsystems], ">", "c", "")
+    body += ["if not c <= 0.0:", "    return OUTSIDE_C", "if jump_priority:"]
+    fold([s.d_guard for s in net.subsystems], "<", "d", "    ")
+    body += ["    if d <= 0.0:", "        return JUMP", "return FLOW"]
+    return ex.compile_lines("x, u, jump_priority", [], body,
+                            {**consts, "FLOW": FLOW, "JUMP": JUMP, "OUTSIDE_C": OUTSIDE_C},
+                            "the guards")
 
 
 # ---------------------------------------------------------------------------
@@ -628,24 +597,22 @@ def _rk4(net: NetworkSpec, x: list, u: InputSignal, t: float, k: int, h: float) 
 
 
 def write_trajectory_csv(sol: SolutionPair, stream: IO[str]) -> int:
-    """Write t, k, state, input, and phase columns; returns the row count."""
+    """Write t, k, state, input, and phase columns; returns the row count.
+
+    The phase is ``jump`` at the last sample of every interval but the last
+    and at the first sample of every interval after a jump, else ``flow``.
+    """
     writer = csv.writer(stream)
     n, m = sol.x.dim, sol.u.dim
     writer.writerow(["t", "k"] + [f"x_{i + 1}" for i in range(n)]
                     + [f"u_{j + 1}" for j in range(m)] + ["phase"])
+    last = len(sol.domain.intervals) - 1
     rows = 0
-    x_samples = list(sol.x.iter_samples())
-    u_samples = list(sol.u.iter_samples())
-    first_of_interval = set()
-    seen = set()
-    for t, k, _v, _j in x_samples:
-        if k not in seen:
-            first_of_interval.add((t, k))
-            seen.add(k)
-    for (t, k, xv, jump_point), (_t2, _k2, uv, _) in zip(x_samples, u_samples):
-        post_jump = k > 0 and (t, k) in first_of_interval
-        phase = "jump" if (jump_point or post_jump) else "flow"
-        writer.writerow([repr(t), k] + [repr(float(v)) for v in xv]
-                        + [repr(float(v)) for v in uv] + [phase])
-        rows += 1
+    for idx, ((_lo, _hi, k), ts, xs, us) in enumerate(
+            zip(sol.domain.intervals, sol.x.times, sol.x.values, sol.u.values)):
+        end = len(ts) - 1
+        for j, (t, xv, uv) in enumerate(zip(ts.tolist(), xs.tolist(), us.tolist())):
+            phase = "jump" if (idx < last and j == end) or (k > 0 and j == 0) else "flow"
+            writer.writerow([repr(t), k, *map(repr, xv), *map(repr, uv), phase])
+        rows += end + 1
     return rows

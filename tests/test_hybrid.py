@@ -3,17 +3,23 @@
 import io
 import itertools
 import math
+import struct
 from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import two_sub_network
+import reference_hybrid
+from conftest import config_path, two_sub_network
 from hsgt import expr as ex
+from hsgt.config import load_config
 from hsgt.hybrid import (TIME_TOL, DomainError, HybridSignal, HybridTimeDomain, InputSignal,
                          NetworkSpec, SimOptions, SimulationError, SolutionPair, SubsystemSpec,
-                         _Recorder, _rk4, compose_network, restrict, simulate, sup_norm,
-                         write_trajectory_csv)
+                         _Recorder, compose_network, simulate, write_trajectory_csv)
+from reference_hybrid import rk4, sup_norm, value_at
+from test_expr import _LANES, _trees
 
 
 def single_decaying_subsystem(rate="-x_1"):
@@ -85,7 +91,7 @@ def test_jump_sequence_and_flow_value():
     assert len(sol.domain.intervals) == 3
     starts = [sig[0] for sig in (sol.x.values[0][0], sol.x.values[1][0], sol.x.values[2][0])]
     assert starts == pytest.approx([2.0, 1.0, 0.5])
-    value = sol.x.value_at(1.0, 2)
+    value = value_at(sol.x, 1.0, 2)
     assert abs(value[0] - 0.5 * math.exp(-1.0)) <= 1e-6
     assert sol.termination == "horizon" and sol.complete
 
@@ -93,7 +99,7 @@ def test_jump_sequence_and_flow_value():
 def test_pure_flow_matches_exponential():
     net = single_decaying_subsystem()
     sol = simulate(net, [1.0], InputSignal.zero(1), horizon=1.0, max_jumps=0)
-    assert abs(sol.x.value_at(1.0, 0)[0] - math.exp(-1.0)) <= 1e-6
+    assert abs(value_at(sol.x, 1.0, 0)[0] - math.exp(-1.0)) <= 1e-6
 
 
 def test_rk4_order_four():
@@ -102,7 +108,7 @@ def test_rk4_order_four():
     for h in (0.1, 0.05):
         sol = simulate(net, [0.5], InputSignal.zero(1), horizon=1.0, max_jumps=0,
                        opts=SimOptions(step=h))
-        errors.append(abs(sol.x.value_at(1.0, 0)[0] - 0.5 * math.exp(-1.0)))
+        errors.append(abs(value_at(sol.x, 1.0, 0)[0] - 0.5 * math.exp(-1.0)))
     factor = errors[0] / errors[1]
     assert 8.0 <= factor <= 32.0
 
@@ -110,10 +116,10 @@ def test_rk4_order_four():
 def test_semigroup_for_pure_flow():
     net = single_decaying_subsystem()
     first = simulate(net, [1.0], InputSignal.zero(1), horizon=0.5, max_jumps=0)
-    mid = first.x.value_at(0.5, 0)
+    mid = value_at(first.x, 0.5, 0)
     second = simulate(net, mid, InputSignal.zero(1), horizon=0.5, max_jumps=0)
     direct = simulate(net, [1.0], InputSignal.zero(1), horizon=1.0, max_jumps=0)
-    assert abs(second.x.value_at(0.5, 0)[0] - direct.x.value_at(1.0, 0)[0]) <= 1e-8
+    assert abs(value_at(second.x, 0.5, 0)[0] - value_at(direct.x, 1.0, 0)[0]) <= 1e-8
 
 
 def test_frozen_pathology_keeps_state_constant():
@@ -166,13 +172,13 @@ def test_jump_priority_never_flows_inside_jump_set():
         if hi - lo <= 0.0:
             continue
         u = sol.u.values[k][0]
-        assert net.d_value(vs[0], u) >= -1e-9
+        assert net.d_raw(vs[0].tolist() + u.tolist()) >= -1e-9
 
 
 def test_domain_jump_count_matches_applications():
     net = decoupled_two_sub()
     sol = simulate(net, [2.0, 0.0], InputSignal.zero(1), horizon=0.5, max_jumps=2)
-    assert sol.domain.jump_count == sol.jumps_applied
+    assert len(sol.domain.intervals) - 1 == sol.jumps_applied
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +217,7 @@ def test_unresolvable_variable_rejected():
 
 
 # ---------------------------------------------------------------------------
-# norms, restriction, export
+# norms and export
 
 
 def sample_solution():
@@ -240,28 +246,6 @@ def test_sup_norm_outside_domain():
     _net, sol = sample_solution()
     with pytest.raises(DomainError):
         sup_norm(sol.x, (9.0, 0))
-
-
-def test_restrict_full_window_is_identity():
-    _net, sol = sample_solution()
-    full = restrict(sol.x, (0.0, 0), (1.0, 2))
-    for (a, b) in zip(full.values, sol.x.values):
-        assert np.allclose(a, b)
-
-
-def test_restrict_zeroes_outside_window():
-    _net, sol = sample_solution()
-    tail = restrict(sol.x, (0.0, 2), (1.0, 2))
-    # the ordering is by t + k, so samples with t + k < 2 are zeroed
-    assert np.allclose(tail.values[0], 0.0)  # (0, 0)
-    assert np.allclose(tail.values[1], 0.0)  # (0, 1)
-    assert np.allclose(tail.values[2], sol.x.values[2])
-
-
-def test_restrict_endpoint_validation():
-    _net, sol = sample_solution()
-    with pytest.raises(DomainError):
-        restrict(sol.x, (5.0, 0), (6.0, 0))
 
 
 def test_csv_rows_and_phases():
@@ -370,12 +354,12 @@ def _reference_simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
             if t >= horizon - 1e-15:
                 return rec.finalize("horizon", True, jumps)
             h_step = min(h, horizon - t)
-            x_prop = _rk4(net, x, u, t, k, h_step)
+            x_prop = rk4(net, x, u, t, k, h_step)
             if not all(map(math.isfinite, x_prop)):
                 return rec.finalize("numerical_failure", False, jumps)
             if _flow_event(net, x_prop, u.values(t + h_step, k), jump_priority):
                 theta = _bisect_event(net, x, u, t, k, h_step, jump_priority, TIME_TOL)
-                x = _rk4(net, x, u, t, k, theta * h_step)
+                x = rk4(net, x, u, t, k, theta * h_step)
                 t = t + theta * h_step
                 rec.record(t, x, u.values(t, k))
                 steps_since_record = 0
@@ -401,7 +385,7 @@ def _bisect_event(net, x, u, t, k, h_step, jump_priority, time_tol) -> float:
     lo, hi = 0.0, 1.0
     while (hi - lo) * h_step > time_tol:
         mid = 0.5 * (lo + hi)
-        x_mid = _rk4(net, x, u, t, k, mid * h_step)
+        x_mid = rk4(net, x, u, t, k, mid * h_step)
         if _flow_event(net, x_mid, u.values(t + mid * h_step, k), jump_priority):
             hi = mid
         else:
@@ -477,16 +461,21 @@ def test_simulate_matches_reference_loop_bit_for_bit():
 
 def test_each_accepted_step_evaluates_each_guard_once():
     net = two_sub_network()
-    calls = {"c": 0, "d": 0}
+    calls = {"c": 0, "d": 0, "step": 0, "mode": 0}
     c_raw, d_raw = net.c_raw, net.d_raw
     net.c_raw = lambda vals, sub=None: calls.__setitem__("c", calls["c"] + 1) or c_raw(vals, sub)
     net.d_raw = lambda vals, sub=None: calls.__setitem__("d", calls["d"] + 1) or d_raw(vals, sub)
+    step, mode = net.sim_kernels()
+    net._sim_kernels = tuple(
+        lambda *args, fn=fn, key=key: calls.__setitem__(key, calls[key] + 1) or fn(*args)
+        for fn, key in ((step, "step"), (mode, "mode")))
     sol = simulate(net, [0.5, 0.2], InputSignal.constant([0.3]), horizon=1.0, max_jumps=3,
                    opts=SimOptions(step=0.01))
     steps = len(sol.x.times[0]) - 1
     assert sol.termination == "horizon" and sol.jumps_applied == 0 and steps == 100
-    # the start is seen by the union check and classified once; then one of each per step
-    assert calls == {"c": steps + 2, "d": steps + 1}
+    # the start is seen by the union check and classified once; then one classification
+    # and one step kernel call per accepted step
+    assert calls == {"c": 1, "d": 0, "step": steps, "mode": steps + 1}
 
 
 def test_flow_priority_skips_the_jump_guard_inside_the_flow_set():
@@ -538,3 +527,106 @@ def test_expression_error_at_the_initial_point_ends_as_numerical_failure():
     sol = simulate(net, [1.0], InputSignal.constant([0.3]), 1.0, 2, SimOptions(step=0.01))
     assert sol.termination == "numerical_failure"
     assert sol.x.values[0].tolist() == [[1.0]] and sol.u.values[0].tolist() == [[0.3]]
+
+
+def test_csv_matches_former_writer_bytes():
+    runs, zero_length = 0, 0
+    for name, (make, initial_states) in GRID_NETWORKS.items():
+        net = make()
+        for x0, u, priority, every in itertools.product(
+                initial_states, grid_inputs(), ("jump", "flow"), (1, 3)):
+            opts = SimOptions(step=0.01, priority=priority, record_every=every)
+            sol = simulate(net, x0, u, 1.5, 5, opts)
+            new, old = io.StringIO(), io.StringIO()
+            rows = reference_hybrid.write_trajectory_csv(sol, old)
+            assert write_trajectory_csv(sol, new) == rows
+            assert new.getvalue() == old.getvalue(), (name, x0, u.description, priority, every)
+            runs += 1
+            zero_length += any(lo == hi for lo, hi, _k in sol.domain.intervals[1:-1])
+    # the frozen network jumps in place, into intervals of zero length
+    assert runs == 288 and zero_length > 0
+
+
+def test_a_jump_set_entered_and_left_within_one_step_is_missed():
+    # D is [0.54, 0.56]; x = t is there for 0.02 s, inside the step from 0.5 to 0.6
+    net = one_dim("1 + 0*u_1", "-1", "abs(x_1 - 0.55) - 0.01")
+    sol = simulate(net, [0.0], InputSignal.zero(1), horizon=1.0, max_jumps=3,
+                   opts=SimOptions(step=0.1))
+    assert sol.termination == "horizon"
+    assert sol.jumps_applied == 0
+
+
+def test_kernels_compile_on_the_first_simulate_only(monkeypatch):
+    made = []
+    real = ex.compile_lines
+
+    def counting(*args):
+        made.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(ex, "compile_lines", counting)
+    cfg = load_config(config_path("e1.json"))
+    assert made == [] and cfg.network._sim_kernels == ()
+    u = InputSignal.zero(cfg.network.input_dim)
+    simulate(cfg.network, [0.5, 0.2], u, 0.1, 1)
+    kernels = cfg.network._sim_kernels
+    assert len(made) == 2
+    simulate(cfg.network, [0.2, 0.5], u, 0.1, 1)
+    assert len(made) == 2 and cfg.network._sim_kernels is kernels
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the generated kernels against the former scalar step and mode
+
+
+def _kernel_outcome(fn):
+    """The bytes of each float, or the error class.  A NaN counts as NaN: the sign
+    that inf - inf and the like give it depends on whether CPython has specialized
+    the float operation yet, in the former step as in the kernel."""
+    try:
+        result = fn()
+    except ex.EvalDomainError as exc:
+        return type(exc)
+    if isinstance(result, str):
+        return result
+    return [struct.pack("<d", v) if v == v else "nan" for v in result]
+
+
+_TREES = _trees()  # built once: a new recursive strategy is validated on its first draw
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A network of 1-3 one-state subsystems with random flows and guards (guards
+    drawn from a pool of two, so they repeat), a point, an input, a time and a step."""
+    n = draw(st.integers(1, 3))
+    names = [f"x_{i + 1}" for i in range(n)] + ["u_1"]
+
+    def tree():
+        x, y = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        return ex.substitute(draw(_TREES), {"x": ex.Var(x), "y": ex.Var(y)})
+    c_pool, d_pool = [tree(), tree()], [tree(), tree()]
+    subs = [SubsystemSpec(dim=1, flow=[tree()], jump=[ex.Var(f"x_{i + 1}")],
+                          c_guard=draw(st.sampled_from(c_pool)),
+                          d_guard=draw(st.sampled_from(d_pool)), name=f"s{i}")
+            for i in range(n)]
+    x = draw(st.lists(_LANES, min_size=n, max_size=n))
+    a, b = draw(_LANES), draw(_LANES)
+    h = draw(st.sampled_from([0.0, 0.01, 0.01 * 0.5 ** 23, 1e-300]) | st.floats(0.0, 2.0))
+    return subs, x, (a, b), draw(st.floats(0.0, 10.0)), draw(st.integers(0, 3)), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_cases())
+def test_kernels_match_former_scalar_step_and_mode(case):
+    subs, x, (a, b), t, k, h = case
+    try:
+        net = compose_network(subs, input_dim=1)
+    except ex.EvalDomainError:  # the jump-set comparison met an undefined jump guard
+        assume(False)
+    u = InputSignal(lambda s, _k: [a + b * s], 1, "affine in t")
+    step, mode = net.sim_kernels()
+    assert _kernel_outcome(lambda: step(x, u.values, t, k, h)) == \
+        _kernel_outcome(lambda: rk4(net, x, u, t, k, h))
+    for jump_priority in (True, False):
+        assert _kernel_outcome(lambda: mode(x, [a], jump_priority)) == \
+            _kernel_outcome(lambda: reference_hybrid.mode(net, x + [a], jump_priority))

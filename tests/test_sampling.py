@@ -224,10 +224,10 @@ def _assert_same_pairs(got, expected):
 
 def _assert_same(net, spec, kind, sub=None):
     """Block sampler == attempt loop on the flow (``c``) or jump (``d``) set."""
-    scalar = net.c_value if kind == "c" else net.d_value
+    scalar = net.c_raw if kind == "c" else net.d_raw
     block = flow_set_samples if kind == "c" else jump_set_samples
     expected = _outcome(lambda: _attempt_loop_sample_set(
-        net, lambda x, u: scalar(x, u, sub=sub), spec))
+        net, lambda x, u: scalar(x.tolist() + u.tolist(), sub), spec))
     got = _pairs(net, _outcome(lambda: block(net, spec, sub=sub)))
     _assert_same_pairs(got, expected)
     return expected if isinstance(expected, tuple) else got
@@ -338,9 +338,9 @@ def test_array_guards_match_scalar_guards_row_by_row():
     rng = np.random.default_rng(0)
     X, U = rng.uniform(-2.0, 2.0, (64, 2)), rng.uniform(-1.0, 1.0, (64, 1))
     for sub in (None, 0, 1):
-        for array, scalar in ((net.c_array, net.c_value), (net.d_array, net.d_value)):
+        for array, scalar in ((net.c_array, net.c_raw), (net.d_array, net.d_raw)):
             assert [float(v) for v in array(X, U, sub)] == [
-                scalar(x, u, sub) for x, u in zip(X, U)]
+                scalar(x.tolist() + u.tolist(), sub) for x, u in zip(X, U)]
 
 
 def test_array_guard_fold_raises_the_first_failing_row():

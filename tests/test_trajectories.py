@@ -7,13 +7,14 @@ import pytest
 
 from conftest import two_sub_network
 from hsgt import trajectories
-from hsgt.hybrid import InputSignal, SimOptions, simulate, sup_norm
+from hsgt.hybrid import InputSignal, SimOptions, simulate
 from hsgt.kfun import KFun
 from hsgt.trajectories import (AGEstimate, Beta, ISSEstimate, PreGSEstimate,
                                TrajectoryError, TrajectoryGains, WindowedNorms,
                                check_ag, check_iss, check_pre_gs,
                                check_zero_input_prestability, fit_empirical_gain,
                                initial_condition_grid, run_estimate_batch)
+from reference_hybrid import sup_norm
 
 OPTS = SimOptions(step=0.005, record_every=2)
 
