@@ -78,10 +78,6 @@ class WFormCertificate:
     alpha2_bar: KFun
     rho: KFun
 
-    def value(self, x: Sequence[float]) -> float:
-        """The certificate at one state."""
-        return self.v_form.value(x)
-
     def to_json(self) -> dict:
         return {
             "form": "norm-threshold",

@@ -261,8 +261,8 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
 
     if gm.n <= CYCLE_SIZE_LIMIT:
         verdict.cycles = simple_gain_cycles(gm)
-        for cycle in verdict.cycles:
-            if _scan_cycle(gm, cycle, grid, verdict):
+        for cycle, rows in _cycle_rows(gm, verdict.cycles, grid, 1.0):
+            if _scan_cycle(gm, cycle, rows, grid, verdict):
                 break
         if verdict.witness_cycle is None and verdict.margin > 1.0 - STRICTNESS:
             verdict.holds = False
@@ -286,14 +286,39 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
     return verdict
 
 
-def _scan_cycle(gm: GainMatrix, cycle: List[int], grid: np.ndarray,
+def _cycle_rows(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, factor: float):
+    """Yield ``(cycle, rows)`` per cycle, ``rows`` as ``_rows_in_order`` yields
+    them for ``compose_cycle(gm, cycle, r, factor)`` over the grid.
+
+    ``stack[k]`` holds the values after the first k edges of the last cycle.
+    A cycle composes only the edges past the leading nodes it shares with the
+    last one, plus its closing edge, with ``compose_cycle``'s operations; if
+    that raises, the cycle is replayed through ``compose_cycle``.
+    """
+    stack, last = [grid], []
+    for cycle in cycles:
+        shared = 0
+        while shared < min(len(last), len(cycle)) and cycle[shared] == last[shared]:
+            shared += 1
+        del stack[max(shared, 1):]
+        last = cycle
+        try:
+            for a, b in zip(cycle[len(stack) - 1:], cycle[len(stack):]):
+                stack.append(factor * gm.entries[b][a].array(stack[-1]))
+            rows = [(0, factor * gm.entries[cycle[0]][cycle[-1]].array(stack[-1]))]
+        except Exception:  # replayed through compose_cycle, not swallowed
+            rows = _rows_in_order(lambda r, c=cycle: compose_cycle(gm, c, r, factor), grid)
+        yield cycle, rows
+
+
+def _scan_cycle(gm: GainMatrix, cycle: List[int], rows, grid: np.ndarray,
                 verdict: SmallGainVerdict) -> bool:
-    """Scan one cycle over the grid in order; True once it yields a witness.
+    """Scan one cycle's ``rows`` from ``_cycle_rows``; True once they yield a witness.
 
     The margin is raised by every ratio up to and including the witness
     radius, and the witness is re-evaluated with the scalar call first.
     """
-    for start, values in _rows_in_order(lambda r: compose_cycle(gm, cycle, r), grid):
+    for start, values in rows:
         radii = grid[start:start + values.size]
         stop = values.size
         witness = None
@@ -402,10 +427,8 @@ def _inflated_cycles_ok(gm: GainMatrix, cycles: List[List[int]], inflation: floa
                         grid: np.ndarray) -> bool:
     if inflation == 0.0:
         return True
-    factor = 1.0 + inflation
-    for cycle in cycles:
-        for start, values in _rows_in_order(lambda r: compose_cycle(gm, cycle, r, factor),
-                                            grid):
+    for _cycle, rows in _cycle_rows(gm, cycles, grid, 1.0 + inflation):
+        for start, values in rows:
             if np.any(values > (1.0 - STRICTNESS) * grid[start:start + values.size]):
                 return False
     return True
@@ -467,27 +490,45 @@ def _path_image(gm: GainMatrix, vec_fn: Callable, r: np.ndarray):
 
 
 def _sigma_component(vec_fn: Callable[[float], np.ndarray], i: int) -> KFun:
-    fn = lambda r: float(vec_fn(r)[i])
-    f = KFun.from_callable(fn, f"sigma_{i + 1}")
+    # lane p of vec_fn(S) is vec_fn(float(S[p])) bit for bit, whole grids at once
+    f = KFun.from_callable(lambda r: float(vec_fn(r)[i]), f"sigma_{i + 1}",
+                           array_rule=lambda S: vec_fn(S)[:, i])
     if not at_least(f.classification, Classification.CLASS_K_INF):
         raise OmegaPathError(f"path component {i + 1} failed class-Kinf checks")
     return f
 
 
 def compose_phi(path: OmegaPath) -> KFun:
-    """Common lower envelope of the path components, checked against the gains."""
+    """Common lower envelope of the path components, checked against the gains
+    over the whole grid at once; the first miss in (r, i) order is reported.
+    On an evaluation error the radii are replayed one at a time."""
     phi = pointwise_min(path.sigmas)
-    gm = path.gain_matrix
-    for r in path.grid:
-        sig = path.vector_eval(float(r))
-        phi_r = phi(float(r))
-        for i in range(path.n):
-            lhs = phi_r
-            for j in range(path.n):
-                if j != i and not gm.entries[i][j].is_zero:
-                    lhs = max(lhs, gm.entries[i][j](float(sig[j])))
-            if lhs > sig[i] * (1.0 + STRICTNESS):
-                raise OmegaPathError(
-                    f"envelope bound violated at r={float(r)!r}, component {i + 1}")
+    grid = np.asarray(path.grid, dtype=float)
+    for start, misses in _rows_in_order(lambda r: _envelope_misses(path, phi, r), grid):
+        hits = np.argwhere(misses)
+        if hits.size:
+            p, i = hits[0].tolist()
+            raise OmegaPathError(
+                f"envelope bound violated at r={float(grid[start + p])!r}, component {i + 1}")
     return phi
 
+
+def _envelope_misses(path: OmegaPath, phi: KFun, radii: np.ndarray) -> np.ndarray:
+    """Mask (B, n) of the radii and components that miss the envelope bound.
+
+    A component's left side starts at phi(r) and takes each gain into it in
+    column order by Python's ``max`` rule.  Components stop once every radius
+    has missed, so a lone radius stops at its first miss, as a loop would.
+    """
+    sig = path.vector_eval(radii)
+    phi_r = phi.array(radii)
+    misses = np.zeros(sig.shape, dtype=bool)
+    for i, row in enumerate(path.gain_matrix.nonzero_rows):
+        lhs = phi_r
+        for j, g in row:
+            v = g.array(sig[:, j])
+            lhs = np.where(v > lhs, v, lhs)
+        misses[:, i] = lhs > sig[:, i] * (1.0 + STRICTNESS)
+        if misses.any(axis=1).all():
+            break
+    return misses

@@ -65,7 +65,8 @@ class KFun:
 
     Backed by an expression tree in the single variable ``s`` when one is
     available; numerically defined functions (bisection inverses, grid fits)
-    carry only the evaluator and a description.
+    carry only the evaluator and a description, and optionally an array rule:
+    lane p of ``array_rule(S)`` is ``fn(float(S[p]))`` bit for bit, unless it raises.
     """
 
     fn: Callable[[float], float]
@@ -74,6 +75,7 @@ class KFun:
     description: str = ""
     linear_slope: Optional[float] = None
     nodes: Optional[tuple] = field(default=None, repr=False)  # piecewise-linear knots
+    array_rule: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
     def __call__(self, s: float) -> float:
         if self.linear_slope is not None:
@@ -90,7 +92,7 @@ class KFun:
             return self.linear_slope * S
         if self.expr is not None:
             return self._array_fn([S])
-        return np.array([self.fn(s) for s in S.tolist()], dtype=float)
+        return np.array(list(_values_at(self.fn, self.array_rule, S)), dtype=float)
 
     @functools.cached_property
     def _array_fn(self) -> Callable:
@@ -130,12 +132,13 @@ class KFun:
 
     @staticmethod
     def from_callable(fn: Callable[[float], float], description: str,
-                      expr: Optional[ex.Expr] = None) -> "KFun":
+                      expr: Optional[ex.Expr] = None,
+                      array_rule: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> "KFun":
         """The one sampled constructor: class and exact linear slope from one pass over ``GRID``."""
-        cls, values = classify_callable(fn)
+        cls, values = classify_callable(fn, array_rule)
         slope = _linear_slope(fn, values) if at_least(cls, Classification.CLASS_K) else None
         return KFun(fn=fn, classification=cls, expr=expr, description=description,
-                    linear_slope=slope)
+                    linear_slope=slope, array_rule=array_rule)
 
     @staticmethod
     def identity() -> "KFun":
@@ -206,12 +209,26 @@ def _linear_slope(fn: Callable[[float], float], values: List[float]) -> Optional
     return base
 
 
-def classify_callable(fn: Callable[[float], float]) -> Tuple[Classification, List[float]]:
+def _values_at(fn: Callable[[float], float], array_rule: Optional[Callable],
+               points: np.ndarray):
+    """``fn``'s values at ``points`` in order: one ``array_rule`` call, or, when
+    there is no rule or it raises, ``fn`` point by point, raising as ``fn`` does."""
+    if array_rule is not None:
+        try:
+            return array_rule(points).tolist()
+        except Exception:  # replayed point by point below, not swallowed
+            pass
+    return map(fn, points.tolist())
+
+
+def classify_callable(fn: Callable[[float], float], array_rule: Optional[Callable] = None
+                      ) -> Tuple[Classification, List[float]]:
     """Strongest class consistent with sampled checks; never claims a refuted one.
 
     Also returns the values of ``fn`` on ``GRID`` as far as they were sampled.
     ``fn`` follows the expression error contract: an overflow (``EvalOverflowError``)
     counts as unbounded growth, any other ``EvalDomainError`` as undefined.
+    ``array_rule`` (see ``KFun``) takes each run of points in one call.
     """
     values: List[float] = []
     try:
@@ -222,16 +239,14 @@ def classify_callable(fn: Callable[[float], float]) -> Tuple[Classification, Lis
         return Classification.UNVERIFIED, values
 
     overflowed = False
-    for r in GRID.tolist():
-        try:
-            v = fn(r)
-        except ex.EvalOverflowError:
-            overflowed = True
-            break
-        if math.isinf(v):
-            overflowed = True
-            break
-        values.append(v)
+    try:
+        for v in _values_at(fn, array_rule, GRID):
+            if math.isinf(v):
+                overflowed = True
+                break
+            values.append(v)
+    except ex.EvalOverflowError:
+        overflowed = True
     if not values:
         return Classification.UNVERIFIED, values
     arr = np.asarray(values)
@@ -244,17 +259,15 @@ def classify_callable(fn: Callable[[float], float]) -> Tuple[Classification, Lis
         return Classification.CLASS_K_INF, values
     unbounded = arr[-1] > _UNBOUNDED_LEVEL
     if not unbounded:
-        for r in _UNBOUNDED_PROBE:
-            try:
-                v = fn(float(r))
-            except ex.EvalOverflowError:
-                unbounded = True
-                break
-            except ex.EvalDomainError:
-                break
-            if math.isinf(v) or v > _UNBOUNDED_LEVEL:
-                unbounded = True
-                break
+        try:
+            for v in _values_at(fn, array_rule, _UNBOUNDED_PROBE):
+                if math.isinf(v) or v > _UNBOUNDED_LEVEL:
+                    unbounded = True
+                    break
+        except ex.EvalOverflowError:
+            unbounded = True
+        except ex.EvalDomainError:
+            pass
     return (Classification.CLASS_K_INF if unbounded else Classification.CLASS_K), values
 
 

@@ -77,14 +77,6 @@ class SubsystemLyapunov:
         return self.gamma_internal.get(j, KFun.zero())
 
 
-def gain_matrix_from_candidates(cands: Sequence[SubsystemLyapunov]) -> GainMatrix:
-    n = len(cands)
-    rows = []
-    for i in range(n):
-        rows.append([cands[i].internal_gain(j) if j != i else None for j in range(n)])
-    return GainMatrix.from_rows(rows)
-
-
 @dataclass
 class CompositeCertificate:
     """Certificate for the interconnection: scaling path and comparison functions."""
@@ -127,12 +119,6 @@ class CompositeCertificate:
     def value(self, x: Sequence[float]) -> float:
         """The composite value at one state."""
         return float(_in_row_order(self.values, np.array(x, dtype=float)[:, None])[0])
-
-    def with_alpha(self, alpha: KFun) -> "CompositeCertificate":
-        return dataclasses.replace(self, alpha=alpha)
-
-    def with_lambda(self, lam: KFun) -> "CompositeCertificate":
-        return dataclasses.replace(self, lam=lam)
 
     def to_json(self) -> dict:
         return {

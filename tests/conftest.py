@@ -1,5 +1,6 @@
 """Shared builders and independent oracles for the test suite."""
 
+import dataclasses
 import json
 import math
 import os
@@ -84,6 +85,23 @@ def linear_gain_matrix(coeffs) -> GainMatrix:
                 row.append(KFun.linear(float(coeffs[i, j])))
         rows.append(row)
     return GainMatrix.from_rows(rows)
+
+
+def gain_matrix_from_candidates(cands) -> GainMatrix:
+    """The gain matrix of the candidates' internal gains."""
+    n = len(cands)
+    return GainMatrix.from_rows([[cands[i].internal_gain(j) if j != i else None
+                                  for j in range(n)] for i in range(n)])
+
+
+def with_alpha(cert, alpha: KFun):
+    """The certificate with its flow decay rate replaced."""
+    return dataclasses.replace(cert, alpha=alpha)
+
+
+def with_lambda(cert, lam: KFun):
+    """The certificate with its jump contraction replaced."""
+    return dataclasses.replace(cert, lam=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import two_sub_candidates, two_sub_network
+from conftest import gain_matrix_from_candidates, two_sub_candidates, two_sub_network
 from hsgt import expr as ex
 from hsgt.equiv import TransformError, majorize_lambda, to_v_form, to_w_form
 from hsgt.kfun import Classification, KFun
-from hsgt.lyapunov import build_composite, gain_matrix_from_candidates
+from hsgt.lyapunov import build_composite
 from hsgt.sampling import SamplerSpec
 
 
@@ -78,7 +78,7 @@ def test_w_form_jump_decrease_example(e1_like, sampler):
     net, cert = e1_like
     wf, _report = to_w_form(cert, net, sampler)
     x = [1.0, 0.0]
-    drop = wf.value(net.jump_raw(x + [0.0])) - wf.value(x)
+    drop = wf.v_form.value(net.jump_raw(x + [0.0])) - wf.v_form.value(x)
     assert drop == pytest.approx(-0.5)
     assert drop <= -wf.alpha2_bar(1.0) + 1e-7
 

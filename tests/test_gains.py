@@ -1,7 +1,9 @@
 """Gain operator, small-gain condition, and scaling-path construction."""
 
+import dataclasses
 import itertools
 import json
+import math
 import os
 import random
 import struct
@@ -15,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsgt.gains as gains
-from conftest import (REPO_ROOT, linear_gain_matrix, maxlin_radius, random_linear_ensemble,
-                      two_sub_candidates, two_sub_network)
+from conftest import (REPO_ROOT, gain_matrix_from_candidates, linear_gain_matrix,
+                      maxlin_radius, random_linear_ensemble, two_sub_candidates,
+                      two_sub_network)
 from hsgt import expr as ex
 from hsgt.gains import (CYCLE_SIZE_LIMIT, RADII_POINTS, RANDOM_DIRECTIONS, SEARCH_BLOCK,
                         STRICTNESS, CycleWitness, GainMatrix, GainMatrixError, OmegaPath,
@@ -24,8 +27,8 @@ from hsgt.gains import (CYCLE_SIZE_LIMIT, RADII_POINTS, RANDOM_DIRECTIONS, SEARC
                         _inflation_candidates, _sigma_component, build_omega_path,
                         compose_cycle, compose_phi, gamma_max_apply, simple_gain_cycles,
                         small_gain_check)
-from hsgt.kfun import Classification, KFun, inverse_kfun
-from hsgt.lyapunov import build_composite, gain_matrix_from_candidates
+from hsgt.kfun import GRID, Classification, KFun, inverse_kfun, pointwise_min
+from hsgt.lyapunov import build_composite
 
 
 def test_apply_two_sub_example():
@@ -751,6 +754,20 @@ def test_direct_search_matches_scalar_search():
                 assert new.tobytes() == ref.tobytes()
 
 
+def _prefix_shared_edges(cycles) -> int:
+    """Array calls of a scan that keeps each cycle's prefix for the next: per
+    cycle, the edges past the leading nodes it shares with the last cycle, plus
+    the closing edge."""
+    total, last = 0, []
+    for cycle in cycles:
+        shared = 0
+        while shared < min(len(cycle), len(last)) and cycle[shared] == last[shared]:
+            shared += 1
+        total += len(cycle) - max(shared, 1) + 1
+        last = cycle
+    return total
+
+
 def test_holding_check_makes_only_grid_array_calls(monkeypatch):
     rng = random.Random(2024)
     n = 7
@@ -766,9 +783,218 @@ def test_holding_check_makes_only_grid_array_calls(monkeypatch):
     assert verdict.holds and not verdict.inconclusive
     # no witness, so nothing is re-evaluated with the scalar call
     assert scalar_calls == []
-    # one array call per (cycle, edge) over the 128-point grid ...
-    edges = sum(len(c) for c in verdict.cycles)
-    assert array_lanes.count(128) <= edges and len(verdict.cycles) == 2365
+    # one array call over the 128-point grid per edge past each shared prefix,
+    # where composing every cycle from scratch would take one per (cycle, edge)
+    assert len(verdict.cycles) == 2365 and sum(len(c) for c in verdict.cycles) == 13692
+    assert array_lanes.count(128) == _prefix_shared_edges(verdict.cycles) == 4730
     # ... and one per nonzero gain and block of direct-search directions
     blocks = -(-(2 ** n - 1 + RANDOM_DIRECTIONS) // SEARCH_BLOCK)
     assert len(array_lanes) - array_lanes.count(128) <= blocks * n * (n - 1)
+    # the inflated scan over every cycle shares its prefixes the same way
+    array_lanes.clear()
+    assert gains._inflated_cycles_ok(gm, verdict.cycles, 1e-6, SmallGainOptions().grid())
+    assert scalar_calls == [] and array_lanes == [128] * 4730
+
+
+# Every cycle through node 0 of a complete 4-node network starts with the edge
+# 0 -> 1, in the order [0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 3], [0, 1, 3, 2].
+# That edge's gain (about 0.6*s) overflows once its argument passes ~7.1e6, so
+# only on the grid that reaches 1e8.  [0, 1, 2, 3] violates from r ~ 1e2 on;
+# with the gain 2*s from 1 back to 0, [0, 1] violates at every radius.
+_OVERFLOWING_EDGE = "0.5*s + 0.1*s/(1 + s) + 1e-320*exp(0.0001*s)"
+
+
+def _shared_overflow_texts(back_to_0: str):
+    texts = [[None if i == j else "0.5*s" for j in range(4)] for i in range(4)]
+    texts[1][0] = _OVERFLOWING_EDGE                       # 0 -> 1, in every prefix above
+    texts[0][1] = back_to_0                               # 1 -> 0 closes [0, 1]
+    texts[2][1] = texts[3][2] = "2*s"                     # 1 -> 2 -> 3
+    texts[0][3] = "0.3*s + 0.001*s^2"                     # 3 -> 0 closes [0, 1, 2, 3]
+    return texts
+
+
+@pytest.mark.parametrize("back_to_0, grid_hi, expected", [
+    ("0.5*s", 1e8, "overflow"),  # [0, 1] meets the overflow before [0, 1, 2, 3] violates
+    ("0.5*s", 1e6, [0, 1, 2, 3]),
+    ("2*s", 1e8, [0, 1]),        # the cycles after the witness never meet the overflow
+    ("2*s", 1e6, [0, 1]),
+])
+def test_overflow_in_a_shared_prefix_matches_scalar_loops(monkeypatch, back_to_0, grid_hi,
+                                                          expected):
+    gm = _from_texts(_shared_overflow_texts(back_to_0))
+    opts = SmallGainOptions(grid_hi=grid_hi)
+    replayed = []
+    compose = gains.compose_cycle
+    monkeypatch.setattr(gains, "compose_cycle", lambda gm, c, r, factor=1.0: replayed.append(
+        (list(c), np.ndim(r))) or compose(gm, c, r, factor))
+    new = _outcome(lambda: _verdict_key(small_gain_check(gm, opts)))
+    assert new == _outcome(lambda: _verdict_key(_reference_small_gain_check(gm, opts)))
+    if expected == "overflow":
+        assert new[:2] == ("raised", ex.EvalOverflowError)
+    else:
+        assert new[5][0] == expected
+    # the prefix call over the whole grid raised only where the grid reaches the
+    # overflow; then [0, 1] alone was replayed, row by row, through compose_cycle
+    assert {tuple(c) for c, ndim in replayed if ndim} == ({(0, 1)} if grid_hi == 1e8 else set())
+    cycles = simple_gain_cycles(gm)
+    new = _outcome(lambda: gains._inflated_cycles_ok(gm, cycles, 0.01, opts.grid()))
+    assert new == _outcome(lambda: _reference_inflated_cycles_ok(gm, cycles, 0.01,
+                                                                 opts.grid()))
+
+
+# ---------------------------------------------------------------------------
+# path components: one array call over each run of points against the scalar pass
+
+_PROBE_GAIN = "0.5*s*(1 + s)/(1 + 2*s)"
+_PATH_CASES = [c for c in ENSEMBLE if c[0].endswith("-holds") and len(c[1]) <= 8] + [
+    ("nonlinear-probe", [[None, _PROBE_GAIN], [_PROBE_GAIN, None]], 128, [3.0, 1.0])]
+_EDGE_LANES = [0.0, -0.0, 1e-300, 3.7, 0.0317, 1e300, math.inf, math.nan]
+
+
+def _lane_bits(values) -> list:
+    return [struct.pack("<d", v) for v in values]
+
+
+def _scalar_lanes(f: KFun, lanes):
+    """Each lane's scalar value, or the first raising lane's error class and message."""
+    out = []
+    for s in lanes.tolist():
+        value = _outcome(lambda: f(s))
+        if isinstance(value, tuple):
+            return value[1:]
+        out.append(value)
+    return _lane_bits(out)
+
+
+def _array_lanes(f: KFun, lanes):
+    value = _outcome(lambda: f.array(lanes))
+    return value[1:] if isinstance(value, tuple) else _lane_bits(value.tolist())
+
+
+@pytest.mark.parametrize("label,texts,points,anchor", _PATH_CASES, ids=[c[0] for c in _PATH_CASES])
+def test_path_components_match_their_scalar_pass(label, texts, points, anchor):
+    gm = _from_texts(texts)
+    path = build_omega_path(gm, anchor, options=SmallGainOptions(grid_points=points))
+    lanes = np.concatenate([GRID, path.grid, _EDGE_LANES])
+    nonlinear = 0
+    for sigma in path.sigmas:
+        assert sigma.array_rule is not None
+        scalar = KFun.from_callable(sigma.fn, sigma.description)  # the point-by-point pass
+        assert sigma.classification is scalar.classification
+        assert _lane_bits([sigma.linear_slope or 0.0]) == _lane_bits([scalar.linear_slope or 0.0])
+        nonlinear += sigma.linear_slope is None
+        assert _array_lanes(sigma, lanes) == _scalar_lanes(sigma, lanes)
+        # a negative radius raises in the operator's scalar call, so on its lane here
+        with_negative = np.concatenate([lanes, [-1.0]])
+        assert _array_lanes(sigma, with_negative) == _scalar_lanes(sigma, with_negative)
+    if label == "nonlinear-probe":
+        assert nonlinear == 1
+
+
+# ---------------------------------------------------------------------------
+# the envelope check over the whole grid against the former radius-by-radius loop
+
+
+def _reference_compose_phi(path: OmegaPath) -> KFun:
+    """Common lower envelope of the path components, checked against the gains."""
+    phi = pointwise_min(path.sigmas)
+    gm = path.gain_matrix
+    for r in path.grid:
+        sig = path.vector_eval(float(r))
+        phi_r = phi(float(r))
+        for i in range(path.n):
+            lhs = phi_r
+            for j in range(path.n):
+                if j != i and not gm.entries[i][j].is_zero:
+                    lhs = max(lhs, gm.entries[i][j](float(sig[j])))
+            if lhs > sig[i] * (1.0 + STRICTNESS):
+                raise OmegaPathError(
+                    f"envelope bound violated at r={float(r)!r}, component {i + 1}")
+    return phi
+
+
+def _phi_outcome(compose, path):
+    phi = _outcome(lambda: compose(path))
+    if isinstance(phi, tuple):
+        return phi
+    return (phi.classification, phi.linear_slope, phi.describe(),
+            _lane_bits(phi.array(np.concatenate([GRID, path.grid]))))
+
+
+@pytest.mark.parametrize("label,texts,points,anchor", _PATH_CASES, ids=[c[0] for c in _PATH_CASES])
+def test_compose_phi_matches_scalar_loop_on_built_paths(label, texts, points, anchor):
+    path = build_omega_path(_from_texts(texts), anchor,
+                            options=SmallGainOptions(grid_points=points))
+    new = _phi_outcome(compose_phi, path)
+    assert not isinstance(new[0], str)  # a built path meets its envelope bound
+    assert new == _phi_outcome(_reference_compose_phi, path)
+
+
+# On the identity path of the symmetric 0.5*s pair, a gain 0.3*s + q*s^2 breaks
+# the envelope bound from grid point K on, and 0.5*s + 1e-320*exp(c*s) overflows
+# from grid point K on; each is placed by its coefficient.
+_PHI_GRID = np.geomspace(1e-8, 1e8, 128).tolist()
+K = 87
+
+
+def _breaking(k: int) -> str:
+    return f"0.3*s + {0.75 / _PHI_GRID[k]!r}*s^2"
+
+
+def _overflowing(k: int) -> str:
+    return f"0.5*s + 1e-320*exp({709.9 / _PHI_GRID[k]!r}*s)"
+
+
+@pytest.mark.parametrize("into_1, into_2, expected", [
+    ("0.5*s", _breaking(K), "component 2"),
+    (_breaking(K + 3), _breaking(K), "component 2"),  # the first radius decides
+    (_breaking(K), _overflowing(K), "component 1"),   # component 2's gain raises at the miss
+    (_overflowing(K + 3), _breaking(K), "component 2"),
+    (_overflowing(K), _breaking(K + 3), ex.EvalOverflowError),
+    ("0.5*s", f"{1.0 + 5e-10!r}*s", None),              # inside the strictness band
+])
+def test_compose_phi_reports_the_first_miss_or_error_as_the_scalar_loop(into_1, into_2,
+                                                                        expected):
+    path = build_omega_path(linear_gain_matrix([[0, 0.5], [0.5, 0]]), [1.0, 1.0])
+    assert path.vector_eval(0.7).tolist() == [0.7, 0.7] and path.grid.tolist() == _PHI_GRID
+    broken = dataclasses.replace(path, gain_matrix=_from_texts([[None, into_1],
+                                                                [into_2, None]]))
+    new = _phi_outcome(compose_phi, broken)
+    assert new == _phi_outcome(_reference_compose_phi, broken)
+    if expected is None:
+        assert new[0] is Classification.CLASS_K_INF
+    elif isinstance(expected, str):
+        assert new[1:] == (OmegaPathError, "envelope bound violated at "
+                           f"r={_PHI_GRID[K]!r}, {expected}")
+    else:
+        assert new[1] is expected
+    with pytest.raises(ex.EvalOverflowError):  # the whole grid at once does raise
+        _from_texts([[None, _overflowing(K)], [None, None]]).entries[0][1].array(path.grid)
+
+
+def test_compose_phi_bounds_the_envelope_itself():
+    # a path whose vector falls below its own components: phi(r) alone misses
+    path = build_omega_path(linear_gain_matrix([[0, 0.5], [0.5, 0]]), [1.0, 1.0])
+    base = path.vector_eval
+    halved = dataclasses.replace(path, vector_eval=lambda r: 0.5 * base(r))
+    new = _phi_outcome(compose_phi, halved)
+    assert new == _phi_outcome(_reference_compose_phi, halved)
+    assert new[1:] == (OmegaPathError, "envelope bound violated at r=1e-08, component 1")
+
+
+_SMALL_CASES = [c for c in ENSEMBLE if len(c[1]) <= 5][::3]
+
+
+@pytest.mark.parametrize("label,texts,points,anchor", _SMALL_CASES,
+                         ids=[c[0] for c in _SMALL_CASES])
+def test_cycle_rows_match_compose_cycle(label, texts, points, anchor):
+    gm = _from_texts(texts)
+    grid = SmallGainOptions(grid_points=points).grid()
+    cycles = simple_gain_cycles(gm)
+    for factor in (1.0, 1.0 + 1e-6, 1.5):
+        seen = []
+        for cycle, rows in gains._cycle_rows(gm, cycles, grid, factor):
+            seen.append(cycle)
+            values = np.concatenate([v for _start, v in rows])
+            assert values.tobytes() == compose_cycle(gm, cycle, grid, factor).tobytes()
+        assert seen == cycles

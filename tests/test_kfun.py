@@ -445,3 +445,103 @@ def test_grid_is_fixed_and_read_only():
 def test_zero_is_one_shared_instance():
     assert KFun.zero() is KFun.zero()
     assert KFun.from_text("0") is KFun.zero()
+
+
+# ---------------------------------------------------------------------------
+# the array rule against the point-by-point pass
+
+
+def _block_rule(fn):
+    """An array rule for ``fn`` that evaluates every lane and, if any raise,
+    raises the last one's error: errors a point-by-point pass never reaches."""
+    def rule(S):
+        values, error = [], None
+        for s in S.tolist():
+            try:
+                values.append(fn(s))
+            except Exception as exc:  # the last error is raised below
+                values.append(math.nan)
+                error = exc
+        if error is not None:
+            raise error
+        return np.array(values)
+    return rule
+
+
+def _assert_rule_matches_scalar_pass(fn):
+    with_rule = lambda: KFun.from_callable(fn, "", array_rule=_block_rule(fn))
+    _assert_one_pass_matches(fn, with_rule)
+    try:
+        f = with_rule()
+    except Exception:  # the construction's error was compared above
+        return
+    lanes = np.concatenate([GRID, _UNBOUNDED_PROBE, [0.0, 3.7, 1e300, math.inf, math.nan]])
+    got = _scalar_outcome(lambda: [struct.pack("<d", v) for v in f.array(lanes).tolist()])
+    want = []
+    for s in lanes.tolist():
+        value = _scalar_outcome(lambda: f(s))
+        if isinstance(value, tuple):
+            want = value
+            break
+        want.append(struct.pack("<d", value))
+    assert got == want
+
+
+_MID = _GRID_POINTS[30]
+
+
+def _domain_before_overflow(s):
+    if s == _GRID_POINTS[20]:
+        raise ex.EvalDomainError(f"undefined at {s!r}")
+    if s >= _MID:
+        raise ex.EvalOverflowError(f"overflow at {s!r}")
+    return 0.5 * s
+
+
+def _inf_before_domain(s):
+    if s == _GRID_POINTS[40]:
+        raise ex.EvalDomainError(f"undefined at {s!r}")
+    return math.inf if s >= _MID else 0.5 * s
+
+
+@pytest.mark.parametrize("name, fn", [
+    ("inf-mid-grid", _faulty(lambda s: 0.5 * s, "inf-from", _MID)),
+    ("overflow-mid-grid", _faulty(lambda s: 0.5 * s, "overflow-from", _MID)),
+    ("domain-before-overflow", _domain_before_overflow),
+    ("domain-past-inf", _inf_before_domain),
+    ("domain-mid-grid", _faulty(lambda s: 0.5 * s, "domain", _MID)),
+    ("zerodiv-mid-grid", _faulty(lambda s: 0.5 * s, "zerodiv", _MID)),
+    ("domain-in-unbounded-probe", _faulty(lambda s: 1e-4 * s, "domain", _UNBOUNDED_PROBE[5])),
+    ("overflow-in-unbounded-probe", _faulty(lambda s: 1e-4 * s, "overflow-from", 1e7)),
+    ("nan-on-grid", _faulty(lambda s: 0.5 * s, "nan", _GRID_POINTS[5])),
+    ("linear", lambda s: 0.25 * s),
+    ("saturating", _compiled("0.3*s/(1 + s) + 0.2*s")),
+])
+def test_array_rule_matches_scalar_pass_fixed_cases(name, fn):
+    _assert_rule_matches_scalar_pass(fn)
+
+
+def test_domain_error_before_the_overflow_raises_as_the_scalar_pass():
+    fn = _domain_before_overflow
+    with pytest.raises(ex.EvalDomainError, match="undefined at") as info:
+        KFun.from_callable(fn, "", array_rule=_block_rule(fn))
+    assert type(info.value) is ex.EvalDomainError
+
+
+@settings(max_examples=200, deadline=None)
+@given(_base_texts(), st.sampled_from(["none", "domain", "zerodiv", "overflow-from",
+                                       "inf-from", "nan", "nudge"]), _FAULT_POINTS)
+def test_array_rule_matches_scalar_pass(text, kind, where):
+    _assert_rule_matches_scalar_pass(_faulty(_compiled(text), kind, where))
+
+
+def test_rule_takes_each_run_of_points_in_one_call():
+    calls = []
+
+    def rule(S):
+        calls.append(len(S))
+        return 2e-3 * S
+    f = KFun.from_callable(lambda s: 2e-3 * s, "", array_rule=rule)
+    assert f.classification is Classification.CLASS_K_INF and f.linear_slope == 2e-3
+    assert calls == [GRID.size, _UNBOUNDED_PROBE.size]
+    assert f.array_rule is rule

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import linear_gain_matrix, two_sub_candidates, two_sub_network
+from conftest import (gain_matrix_from_candidates, linear_gain_matrix, two_sub_candidates,
+                      two_sub_network, with_alpha, with_lambda)
 from hsgt import expr as ex
 from hsgt.gains import GainMatrix, build_omega_path
 from hsgt.kfun import KFun
 from hsgt.lyapunov import (CertificateError, JumpSetMismatchError, SubsystemLyapunov,
                            VerifyTolerances, _active_flow_bound, _top_level, active_set,
-                           build_composite, gain_matrix_from_candidates,
+                           build_composite,
                            verify_composite_flow, verify_composite_jump,
                            verify_subsystem)
 from hsgt.sampling import SamplerSpec, flow_set_samples
@@ -152,7 +153,7 @@ def test_composite_jump_passes(e1_like, small_sampler):
 
 def test_forged_alpha_fails(e1_like, small_sampler):
     net, _cands, _gm, cert = e1_like
-    forged = cert.with_alpha(KFun.linear(10.0))
+    forged = with_alpha(cert, KFun.linear(10.0))
     report = verify_composite_flow(forged, net, small_sampler)
     assert not report.passed
     assert report.violations
@@ -160,7 +161,7 @@ def test_forged_alpha_fails(e1_like, small_sampler):
 
 def test_forged_lambda_fails(e1_like, small_sampler):
     net, _cands, _gm, cert = e1_like
-    forged = cert.with_lambda(KFun.linear(0.1))
+    forged = with_lambda(cert, KFun.linear(0.1))
     report = verify_composite_jump(forged, net, small_sampler)
     assert not report.passed
 
@@ -169,7 +170,7 @@ def test_jump_passes_through_input_gain_branch(e1_like):
     # with a uselessly small contraction the jump inequality can only hold
     # through the input-gain branch, which dominates on this input box
     net, _cands, _gm, cert = e1_like
-    forged = cert.with_lambda(KFun.linear(0.01))
+    forged = with_lambda(cert, KFun.linear(0.01))
     sampler = SamplerSpec(n_samples=800, box_radius=2.0, u_box=[(2.0, 3.0)], seed=0)
     report = verify_composite_jump(forged, net, sampler)
     assert report.passed
@@ -184,7 +185,7 @@ def test_built_gamma_is_class_k(e1_like):
 def test_weakening_alpha_keeps_passing(e1_like, small_sampler):
     net, _cands, _gm, cert = e1_like
     assert verify_composite_flow(cert, net, small_sampler).passed
-    weaker = cert.with_alpha(KFun.linear(0.25))
+    weaker = with_alpha(cert, KFun.linear(0.25))
     assert verify_composite_flow(weaker, net, small_sampler).passed
 
 
@@ -263,7 +264,7 @@ def test_composite_flow_matches_per_sample_oracle(e1_like, small_sampler):
     """Margins, checked count and violations equal a sample-by-sample recomputation
     from the tree interpreter, the chain-rule bounds and the path slopes."""
     net, cands, _gm, cert = e1_like
-    forged = cert.with_alpha(KFun.linear(0.7))  # tight enough to fail on some samples
+    forged = with_alpha(cert, KFun.linear(0.7))  # tight enough to fail on some samples
     sampler = SamplerSpec(n_samples=600, box_radius=2.0, u_box=[(-0.5, 0.5)], seed=4)
     report = verify_composite_flow(forged, net, sampler)
     margins, failed = [], 0
