@@ -50,6 +50,8 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 
 def _load(args) -> ProjectConfig:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed: must be at least 0, got {args.seed}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.apply_seed(args.seed)

@@ -63,6 +63,11 @@ def _as_int(value, path: str, minimum: int) -> int:
     return out
 
 
+def _seed(cfg: dict, path: str, default: int) -> int:
+    """``cfg["seed"]``, an integer of at least 0 (numpy's generators take no other)."""
+    return _as_int(cfg.get("seed", default), f"{path}.seed", 0)
+
+
 def _number(cfg: dict, key: str, path: str, default=None, cast=float):
     """``cfg[key]`` converted by ``cast``; required when ``default`` is None."""
     value = _get(cfg, key, path, required=default is None, default=default)
@@ -230,7 +235,7 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
     n = net.n
 
     analysis = _object(raw.get("analysis", {}), "analysis")
-    seed = _number(analysis, "seed", "analysis", 0, int)
+    seed = _seed(analysis, "analysis", 0)
     priority = analysis.get("priority", "jump")
     if priority not in ("jump", "flow"):
         _fail("analysis.priority", f"expected 'jump' or 'flow', got {priority!r}")
@@ -260,7 +265,7 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
         u_box=_u_box(sampler_cfg.get("u_box"), net.input_dim, f"{base}.u_box"),
         boundary_fraction=_number(sampler_cfg, "boundary_fraction", base, 0.2),
         tie_fraction=_number(sampler_cfg, "tie_fraction", base, 0.2),
-        seed=_number(sampler_cfg, "seed", base, seed, int))
+        seed=_seed(sampler_cfg, base, seed))
     if not (math.isfinite(sampler.box_radius) and sampler.box_radius > 0.0):
         _fail(f"{base}.box_radius", f"need a positive finite radius, got {sampler.box_radius!r}")
     if sampler.n_samples < 1:
@@ -467,7 +472,7 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
         ic_base = f"{base}.initial_conditions"
         ics = initial_condition_grid(_number(ic_cfg, "count", ic_base, cast=int),
                                      _number(ic_cfg, "radius", ic_base), net.state_dim,
-                                     seed=_number(ic_cfg, "seed", ic_base, seed, int))
+                                     seed=_seed(ic_cfg, ic_base, seed))
     elif not isinstance(ic_cfg, list):
         _fail(f"{base}.initial_conditions", "expected an object or a list of states")
     else:

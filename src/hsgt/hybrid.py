@@ -236,10 +236,6 @@ class NetworkSpec:
                 raw(vals, sub)
             raise
 
-    def flow_raw(self, vals: list) -> list:
-        """Stacked flow map at ``vals``, the state then the input as plain floats."""
-        return [fn(vals) for fn in self._flow_fns]
-
     def jump_raw(self, vals: list) -> list:
         """Composed jump: each subsystem maps only when inside its own jump set."""
         out = list(vals[:self.state_dim])
@@ -249,8 +245,9 @@ class NetworkSpec:
         return out
 
     def flow_array(self, cols: np.ndarray) -> np.ndarray:
-        """``flow_raw`` at each column of ``cols`` (state then input rows, B columns),
-        as a (state_dim, B) array, bit for bit, raising as ``compile_array`` does."""
+        """The stacked flow map at each column of ``cols`` (state then input rows, B
+        columns), as a (state_dim, B) array, bit for bit the flow closures on plain
+        floats, raising as ``compile_array`` does."""
         return np.array([fn(cols) for group in self._compiled("flow") for fn in group])
 
     def sub_jump_array(self, i: int, cols: np.ndarray) -> np.ndarray:

@@ -116,10 +116,6 @@ class CompositeCertificate:
         """The composite value at each lane of ``state``."""
         return _top_level(self.pieces(state)[1])
 
-    def value(self, x: Sequence[float]) -> float:
-        """The composite value at one state."""
-        return float(_in_row_order(self.values, np.array(x, dtype=float)[:, None])[0])
-
     def to_json(self) -> dict:
         return {
             "form": "gain-implication",
@@ -312,9 +308,15 @@ def _check_samples(report: VerificationReport, check: str, X: np.ndarray, U: np.
         bound = required + slack
         margins = bound - measured
         failed = ~(measured <= bound)
-    for margin in margins.tolist():  # the running mean rounds in sample order
-        report.samples_checked += 1
-        report.add_margin(margin)
+    # the running minimum and mean, rounded in sample order; a NaN first margin
+    # stays the minimum, as no margin compares below it
+    low, mean, count = report.margin_min, report.margin_mean, report.samples_checked
+    for margin in margins.tolist():
+        count += 1
+        if low is None or margin < low:
+            low = margin
+        mean = ((mean or 0.0) * (count - 1) + margin) / count
+    report.margin_min, report.margin_mean, report.samples_checked = low, mean, count
     rows = np.flatnonzero(premise)
     for k in np.flatnonzero(failed).tolist():
         s_idx = int(rows[k])

@@ -36,12 +36,6 @@ class VerificationReport:
     notes: List[str] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def add_margin(self, margin: float):
-        if self.margin_min is None or margin < self.margin_min:
-            self.margin_min = margin
-        total = (self.margin_mean or 0.0) * (self.samples_checked - 1) + margin
-        self.margin_mean = total / self.samples_checked if self.samples_checked else margin
-
     def finalize(self) -> "VerificationReport":
         """Set the verdict from the sorted violations."""
         self.violations.sort(key=lambda v: (v.check, v.sample_index))

@@ -12,6 +12,7 @@ once.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -142,17 +143,12 @@ def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray, np.ndarray], np.nd
     while count < spec.n_samples and ti < 8 * n_tie:
         k = min(spec.n_samples - count, 8 * n_tie - ti)
         ti += k
-        copies = []
-        for _ in range(k):
-            z = inside[rng.integers(len(inside))].copy()
-            i, j = rng.integers(net.n), rng.integers(net.n)
-            if i == j or net.subsystems[i].dim != net.subsystems[j].dim:
-                continue
-            sign = -1.0 if rng.random() < 0.5 else 1.0
-            z[net.slices[j]] = sign * z[net.slices[i]]
-            copies.append(z)
-        if copies:
-            copies = np.array(copies)
+        rows, src, dst, sign = _tie_draws(rng, len(inside), net, k)
+        if len(rows):
+            copies = inside[rows]
+            for i, j in set(zip(src.tolist(), dst.tolist())):
+                pair = np.flatnonzero((src == i) & (dst == j))
+                copies[pair, net.slices[j]] = sign[pair, None] * copies[pair, net.slices[i]]
             samples.append(copies[test(copies)])
             count += len(samples[-1])
     # top up with plain inside draws if strata fell short
@@ -160,6 +156,70 @@ def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray, np.ndarray], np.nd
     out = np.concatenate(samples)
     out.flags.writeable = False
     return out
+
+
+_WORDS = 1 << 12  # raw generator words per chunk of tie draws; bounds their memory
+_LOW = 0xFFFFFFFF
+
+
+def _tie_draws(rng: np.random.Generator, n_inside: int, net: NetworkSpec, k: int):
+    """The draws of ``k`` tie attempts, replayed from the generator's raw words.
+
+    One attempt calls ``rng.integers(n_inside)`` for an inside row, then
+    ``rng.integers(net.n)`` for ``i`` and for ``j``, and, if blocks ``i != j`` have
+    one dim, ``rng.random() < 0.5`` for a minus sign.  Those calls cost
+    microseconds each, so numpy's rules for them are replayed on the raw words
+    of PCG64 (the bit generator of ``default_rng``), taken in chunks from a copy:
+
+    * ``integers(m)`` draws nothing for ``m == 1``; otherwise it is Lemire's
+      multiply-shift with its rejection loop on 32-bit words, each the low
+      half of a fresh word or else the buffered high half of the last one;
+    * ``random()`` is ``(w >> 11) * 2**-53`` of a fresh word and leaves the
+      buffered half alone, so it is below 0.5 exactly when ``w < 2**63``.
+
+    The generator then ends in the state those calls leave, the buffered half
+    (stale or not) included.  Returns the inside row, ``i``, ``j`` and sign of
+    each attempt with a usable pair, in attempt order.  Bounds stay below 2**32.
+    """
+    bits = rng.bit_generator
+    state = bits.state
+    source = np.random.PCG64(0)
+    source.state = state
+    size = min(_WORDS, 3 * k + 1)  # 3 words per attempt unless Lemire rejects one
+    chunks = iter(lambda: source.random_raw(size).tolist(), None)
+    words = itertools.chain.from_iterable(chunks)
+    has_half, half, used = state["has_uint32"], state["uinteger"], 0
+    dims = [s.dim for s in net.subsystems]
+    usable = [[i != j and dims[i] == dims[j] for j in range(net.n)] for i in range(net.n)]
+    draws = [(slot, m, (1 << 32) % m) for slot, m in enumerate((n_inside, net.n, net.n)) if m > 1]
+    drawn = [0, 0, 0]  # integers(1) draws nothing and gives 0
+    rows, src, dst, sign = [], [], [], []
+    for _ in range(k):
+        for slot, m, threshold in draws:
+            while True:  # Lemire: a product whose low word is below 2**32 mod m is rejected
+                if has_half:
+                    has_half, word = 0, half
+                else:
+                    w = next(words)
+                    used += 1
+                    has_half, half, word = 1, w >> 32, w & _LOW
+                product = word * m
+                if product & _LOW >= threshold:
+                    break
+            drawn[slot] = product >> 32
+        row, i, j = drawn
+        if usable[i][j]:
+            used += 1
+            rows.append(row)
+            src.append(i)
+            dst.append(j)
+            sign.append(-1.0 if next(words) < 1 << 63 else 1.0)
+    bits.advance(used)  # advancing clears the buffered half; put it back
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = has_half, half
+    bits.state = state
+    return (np.array(rows, dtype=np.intp), np.array(src, dtype=np.intp),
+            np.array(dst, dtype=np.intp), np.array(sign, dtype=float))
 
 
 class SampleMemo:

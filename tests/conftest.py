@@ -13,7 +13,7 @@ from hsgt.config import build_config, load_config
 from hsgt.gains import GainMatrix
 from hsgt.hybrid import SubsystemSpec, compose_network
 from hsgt.kfun import KFun
-from hsgt.lyapunov import SubsystemLyapunov
+from hsgt.lyapunov import SubsystemLyapunov, _in_row_order
 from hsgt.sampling import SamplerSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -92,6 +92,11 @@ def gain_matrix_from_candidates(cands) -> GainMatrix:
     n = len(cands)
     return GainMatrix.from_rows([[cands[i].internal_gain(j) if j != i else None
                                   for j in range(n)] for i in range(n)])
+
+
+def cert_value(cert, x) -> float:
+    """The composite value of ``cert`` at one state."""
+    return float(_in_row_order(cert.values, np.array(x, dtype=float)[:, None])[0])
 
 
 def with_alpha(cert, alpha: KFun):

@@ -6,6 +6,7 @@ classification of ``hsgt.hybrid.simulate``: they call the network's compiled
 flow and guard closures one at a time on joined lists of plain floats.
 ``write_trajectory_csv`` is the former two-pass CSV writer.  ``value_at`` and
 ``sup_norm`` read a ``HybridSignal`` by interpolation and by windowed maximum.
+``flow_raw`` is the stacked flow map at one point, on plain floats.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ import numpy as np
 
 from hsgt.hybrid import FLOW, JUMP, OUTSIDE_C, DomainError, HybridSignal, InputSignal, \
     NetworkSpec, SolutionPair
+
+
+def flow_raw(net: NetworkSpec, vals: list) -> list:
+    """Stacked flow map at ``vals``, the state then the input as plain floats."""
+    return [fn(vals) for fn in net._flow_fns]
 
 
 def rk4(net: NetworkSpec, x: list, u: InputSignal, t: float, k: int, h: float) -> list:

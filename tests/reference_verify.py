@@ -25,6 +25,7 @@ from hsgt.lyapunov import JumpSetMismatchError, VerifyTolerances, build_composit
 from hsgt.reporting import VerificationReport, Violation
 from hsgt.sampling import SamplerEmptyError, flow_set_samples, jump_set_samples, \
     sphere_directions
+from reference_hybrid import flow_raw
 
 
 class _Scalar:
@@ -88,6 +89,14 @@ def default_alpha_fn(path, cands):
     return fn
 
 
+def add_margin(report, margin: float):
+    """The report's former per-sample update of its margin minimum and running mean."""
+    if report.margin_min is None or margin < report.margin_min:
+        report.margin_min = margin
+    total = (report.margin_mean or 0.0) * (report.samples_checked - 1) + margin
+    report.margin_mean = total / report.samples_checked if report.samples_checked else margin
+
+
 def _check_samples(report, check, samples, condition):
     for s_idx, (x, u) in enumerate(samples):
         report.samples_tested += 1
@@ -97,7 +106,7 @@ def _check_samples(report, check, samples, condition):
             continue
         measured, required, slack, detail = outcome
         report.samples_checked += 1
-        report.add_margin(required + slack - measured)
+        add_margin(report, required + slack - measured)
         if not measured <= required + slack:
             report.violations.append(Violation(
                 sample_index=s_idx, point={"x": list(x), "u": list(u)}, measured=measured,
@@ -135,7 +144,7 @@ def _max_norm(v: Sequence[float]) -> float:
 
 
 def _active_flow_bound(sc: _Scalar, net, x, u, pieces, fallback_level):
-    direction = net.flow_raw(x + u)
+    direction = flow_raw(net, x + u)
     active = _active_set(pieces)
     if not active:
         return math.nan, -1
@@ -182,7 +191,7 @@ def verify_subsystem(cands, index, net, sampler, tol):
         vi = v_fns[index](x)
         if vi < max(neighbour_gains(x) + (input_gain(u) or [0.0])):
             return None
-        _val, _lo, hi = bound_fn(x, net.flow_raw(x + u))
+        _val, _lo, hi = bound_fn(x, flow_raw(net, x + u))
         return hi, -cand.alpha(vi), tol.flow, "flow decay under the gain premise"
 
     def jump(x, u):

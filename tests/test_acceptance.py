@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (config_path, linear_gain_matrix, load_json, maxlin_radius,
+from conftest import (cert_value, config_path, linear_gain_matrix, load_json, maxlin_radius,
                       random_linear_ensemble)
 from hsgt.config import load_config
 from hsgt.equiv import to_v_form, to_w_form
@@ -179,8 +179,8 @@ def test_criterion_7_form_round_trip(e1_setup):
             x, u = rng.uniform(-2.0, 2.0, 2).tolist(), [0.0]
             if cfg.network.d_raw(x + u) > 0.0:
                 continue
-            lhs = cert.value(cfg.network.jump_raw(x + u))
-            rhs = max(lam2(cert.value(x)), gamma2(0.0))
+            lhs = cert_value(cert, cfg.network.jump_raw(x + u))
+            rhs = max(lam2(cert_value(cert, x)), gamma2(0.0))
             assert lhs <= rhs + 1e-7
 
 

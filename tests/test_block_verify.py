@@ -27,6 +27,7 @@ from hsgt.hybrid import HybridError
 from hsgt.kfun import KFun, KFunError, inverse_kfun
 from hsgt.lyapunov import CertificateError, _active_flow_bound, _default_alpha, \
     _sigma_inv_slope
+from reference_hybrid import flow_raw
 from reference_verify import _Scalar, default_alpha_fn, reference_verify, sigma_inv_slope
 from reference_verify import _active_flow_bound as reference_flow_bound
 from test_sampling import _network
@@ -243,7 +244,7 @@ def test_array_maps_match_scalar_maps_row_by_row():
                           axis=1)
     rows[:4, 1] = 0.0  # the first guard divides by x_2 here, but only as a flow guard
     cols = rows.T.copy()
-    assert net.flow_array(cols).T.tolist() == [net.flow_raw(r) for r in rows.tolist()]
+    assert net.flow_array(cols).T.tolist() == [flow_raw(net, r) for r in rows.tolist()]
     jumped = net.jump_array(cols).T.tolist()
     assert jumped == [net.jump_raw(r) for r in rows.tolist()]
     assert 0 < sum(a != r[:2] for a, r in zip(jumped, rows.tolist())) < 64

@@ -384,3 +384,40 @@ def test_seed_override_changes_report(tmp_path, small_e1):
     assert report["seed"] == 7
     assert main(["check-gains", "--config", path, "--out", out2, "--seed", "7"]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+@pytest.mark.parametrize("name, command, path, edit", [
+    ("e1.json", "verify", "analysis.seed", lambda c: c["analysis"].update(seed=-1)),
+    ("e1.json", "verify", "analysis.sampler.seed",
+     lambda c: c["analysis"]["sampler"].update(seed=-1)),
+    ("e1_traj_ag.json", "check-traj", "analysis.trajectories.initial_conditions.seed",
+     lambda c: c["analysis"]["trajectories"]["initial_conditions"].update(seed=-1)),
+], ids=["analysis", "sampler", "initial-conditions"])
+def test_negative_config_seed_exits_2_with_one_error_line(tmp_path, capsys, name, command,
+                                                          path, edit):
+    cfg = load_json(name)
+    edit(cfg)
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: must be at least 0, got -1"]
+
+
+@pytest.mark.parametrize("command", ["check-gains", "build-lyapunov", "verify", "simulate",
+                                     "check-traj"])
+def test_negative_seed_flag_exits_2_with_one_error_line(capsys, command):
+    assert main([command, "--config", config_path("e1.json"), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --seed: must be at least 0, got -1"]
+
+
+def test_seed_zero_is_accepted(tmp_path):
+    cfg = load_json("e1.json")
+    cfg["analysis"]["seed"] = 0
+    cfg["analysis"]["sampler"]["seed"] = 0
+    assert build_config(cfg).sampler.seed == 0
+    out = str(tmp_path / "r.json")
+    assert main(["check-gains", "--config", config_path("e1.json"), "--seed", "0",
+                 "--out", out]) == 0
+    assert json.load(open(out))["seed"] == 0

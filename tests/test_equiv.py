@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import gain_matrix_from_candidates, two_sub_candidates, two_sub_network
+from conftest import cert_value, gain_matrix_from_candidates, two_sub_candidates, two_sub_network
 from hsgt import expr as ex
 from hsgt.equiv import TransformError, majorize_lambda, to_v_form, to_w_form
 from hsgt.kfun import Classification, KFun
@@ -78,7 +78,7 @@ def test_w_form_jump_decrease_example(e1_like, sampler):
     net, cert = e1_like
     wf, _report = to_w_form(cert, net, sampler)
     x = [1.0, 0.0]
-    drop = wf.v_form.value(net.jump_raw(x + [0.0])) - wf.v_form.value(x)
+    drop = cert_value(wf.v_form, net.jump_raw(x + [0.0])) - cert_value(wf.v_form, x)
     assert drop == pytest.approx(-0.5)
     assert drop <= -wf.alpha2_bar(1.0) + 1e-7
 
@@ -105,8 +105,8 @@ def test_round_trip_jump_condition_against_original(e1_like, sampler):
         x = rng.uniform(-2.0, 2.0, 2).tolist()
         if net.d_raw(x + [0.0]) > 0.0:
             continue
-        lhs = cert.value(net.jump_raw(x + [0.0]))
-        assert lhs <= lam2(cert.value(x)) + 1e-7
+        lhs = cert_value(cert, net.jump_raw(x + [0.0]))
+        assert lhs <= lam2(cert_value(cert, x)) + 1e-7
 
 
 def test_w_form_deterministic(e1_like, sampler):

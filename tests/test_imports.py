@@ -1,8 +1,11 @@
-"""Every module-level import under ``src/hsgt`` is used in its module.
+"""Every module-level import under ``src/hsgt`` is used, and every ``def`` is read.
 
 An ``ast`` scan in place of a linter: a name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in the same module.  The package's
 ``__init__.py`` is exempt, as its imports are the public API it re-exports.
+A function or method defined under ``src/hsgt`` must have its name read (as a
+name or an attribute) somewhere in ``src/``, ``scripts/`` or ``perfbench/``;
+code that only tests use belongs in ``tests/``.
 """
 
 import ast
@@ -10,8 +13,15 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "hsgt")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO, "src", "hsgt")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+READERS = ("src", "scripts", "perfbench")
+# defs kept without a reader in READERS, besides the package exports and dunders
+ALLOWED_UNREAD = {
+    "evaluate",  # expr's reference interpreter, which perfbench/tracer.py wraps
+    "directional_bounds",  # perfbench/tracer.py wraps it by its name as a string
+}
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +47,51 @@ def test_module_level_imports_are_used(module):
 def test_scan_finds_an_unused_import():
     source = "import numpy as np\nfrom typing import List, Optional\nx: Optional[int] = None\n"
     assert unused_imports(source) == [(1, "np"), (2, "List")]
+
+
+def unread_defs(modules: dict, readers: list, allowed: set) -> list:
+    """``(module, line, name)`` of each def in ``modules`` (name -> source) whose
+    name no source in ``readers`` loads as a name or an attribute."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted((module, node.lineno, node.name)
+                  for module, source in modules.items() for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name not in read | allowed
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def _sources(top: str) -> dict:
+    out = {}
+    for root, _dirs, files in os.walk(os.path.join(REPO, top)):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    out[os.path.relpath(os.path.join(root, name), REPO)] = fh.read()
+    return out
+
+
+def test_every_def_is_read_outside_tests():
+    with open(os.path.join(SRC, "__init__.py"), encoding="utf-8") as fh:
+        exports = {alias.asname or alias.name for node in ast.parse(fh.read()).body
+                   if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = {path: text for top in READERS for path, text in _sources(top).items()}
+    modules = {path: text for path, text in sources.items() if path.startswith("src/hsgt/")}
+    assert unread_defs(modules, list(sources.values()), ALLOWED_UNREAD | exports) == []
+
+
+def test_scan_finds_an_unread_def():
+    module = ("def used():\n    pass\n\n\ndef unused():\n    return used\n\n\n"
+              "class C:\n    def method(self):\n        pass\n\n"
+              "    def __repr__(self):\n        return ''\n\n"
+              "    def kept(self):\n        pass\n")
+    reader = "from m import used\nused()\nC().other\nkept = 1\n"  # a store is no read
+    assert unread_defs({"m.py": module}, [reader], set()) == [
+        ("m.py", 5, "unused"), ("m.py", 10, "method"), ("m.py", 16, "kept")]
+    assert unread_defs({"m.py": module}, [reader], {"method", "kept"}) == [
+        ("m.py", 5, "unused")]

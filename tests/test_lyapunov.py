@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (gain_matrix_from_candidates, linear_gain_matrix, two_sub_candidates,
-                      two_sub_network, with_alpha, with_lambda)
+from conftest import (cert_value, gain_matrix_from_candidates, linear_gain_matrix,
+                      two_sub_candidates, two_sub_network, with_alpha, with_lambda)
 from hsgt import expr as ex
 from hsgt.gains import GainMatrix, build_omega_path
 from hsgt.kfun import KFun
@@ -16,6 +16,7 @@ from hsgt.lyapunov import (CertificateError, JumpSetMismatchError, SubsystemLyap
                            verify_composite_flow, verify_composite_jump,
                            verify_subsystem)
 from hsgt.sampling import SamplerSpec, flow_set_samples
+from reference_hybrid import flow_raw
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,7 @@ def test_composite_certificate_matches_hand_values(e1_like):
         assert cert.alpha(t) == pytest.approx(0.5 * t, rel=1e-9)
         for sigma in cert.path.sigmas:
             assert sigma(t) == pytest.approx(t, rel=1e-12)
-    assert cert.value(np.array([1.0, 0.2])) == pytest.approx(1.0)
+    assert cert_value(cert, np.array([1.0, 0.2])) == pytest.approx(1.0)
 
 
 def test_single_subsystem_certificate():
@@ -88,7 +89,7 @@ def test_single_subsystem_certificate():
     # scaled level: sigma is 2 r, its inverse halves, the contraction commutes
     assert cert.path.sigmas[0](3.0) == pytest.approx(6.0)
     assert cert.lam(1.0) == pytest.approx(0.5)
-    assert cert.value(np.array([3.0])) == pytest.approx(1.5)
+    assert cert_value(cert, np.array([3.0])) == pytest.approx(1.5)
 
 
 def test_asymmetric_gains_still_identity_path():
@@ -193,12 +194,12 @@ def test_tie_point_checks_both_pieces(e1_like):
     net, cands, _gm, cert = e1_like
     x, u = [0.5, 0.5], [0.0]
     env = dict(zip(net.state_vars(), x))
-    seed = dict(zip(net.state_vars(), net.flow_raw(x + u)))
+    seed = dict(zip(net.state_vars(), flow_raw(net, x + u)))
     assert _active(cert, x) == [0, 1]
     for i in (0, 1):
         _v, _lo, hi = ex.directional_bounds(cands[i].v, env, seed)
         assert hi == pytest.approx(-0.375)           # -0.75 * V at the tie
-        assert hi <= -0.25 * cert.value(x) + 1e-12
+        assert hi <= -0.25 * cert_value(cert, x) + 1e-12
 
 
 def test_jump_set_mismatch_refused(small_sampler):
@@ -228,7 +229,7 @@ def test_sandwich_property(e1_like):
     rng = np.random.default_rng(3)
     for _ in range(1000):
         x = rng.uniform(-3.0, 3.0, 2)
-        v = cert.value(x)
+        v = cert_value(cert, x)
         mag = float(np.max(np.abs(x)))
         assert cert.psi1(mag) <= v + 1e-12
         assert v <= cert.psi2(mag) + 1e-12
@@ -249,13 +250,13 @@ def test_lambda_below_identity_on_grid(e1_like):
 def test_active_flow_bound_is_worst_active_piece(e1_like, x, active, worst_i):
     net, _cands, _gm, cert = e1_like
     u = [-1.0]
-    flow = net.flow_raw(x + u)
+    flow = flow_raw(net, x + u)
     scaled = [cert.path.sigma_invs[i].linear_slope * math.copysign(1.0, x[i]) * flow[i]
               for i in (0, 1)]
     W, levels = cert.pieces(_column(x))
     assert _active(cert, x) == active
     worst, i = _active_flow_bound(cert, net, _column(x + u), W, levels,
-                                  np.array([cert.value(x)]))
+                                  np.array([cert_value(cert, x)]))
     assert (worst.tolist(), i.tolist()) == ([pytest.approx(max(scaled[j] for j in active))],
                                             [worst_i])
 
@@ -275,7 +276,7 @@ def test_composite_flow_matches_per_sample_oracle(e1_like, small_sampler):
         value = max(levels)
         if value < cert.gamma(float(np.max(np.abs(u)))):
             continue
-        f = dict(zip(net.state_vars(), net.flow_raw(x.tolist() + u.tolist())))
+        f = dict(zip(net.state_vars(), flow_raw(net, x.tolist() + u.tolist())))
         worst = max(cert.path.sigma_invs[i].linear_slope
                     * ex.directional_bounds(cands[i].v, env, f)[2]
                     for i in (0, 1) if levels[i] >= value - 1e-9)

@@ -2,23 +2,31 @@
 
 ``_attempt_loop_sample_set`` is the one-attempt-at-a-time loop and
 ``_reference_sample_set`` the block sampler that drew boundary pairs one pair at
-a time; both are kept verbatim as oracles.  For a fixed seed the sampler must
-return the same points in the same order, bit for bit, raise the same error
-where a guard fails, and leave its generator in the same state as the pair loop.
+a time and tie attempts through scalar generator calls; both are kept verbatim
+as oracles.  For a fixed seed the sampler must return the same points in the
+same order, bit for bit, raise the same error where a guard fails, and leave its
+generator in the same state as the pair loop.  ``_tie_draws`` replays numpy's
+``integers`` and ``random`` on raw PCG64 words; a property pins it to the
+scalar calls.
 """
 
 import dataclasses
+from types import SimpleNamespace
 from typing import List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_json
 from hsgt import expr as ex
+from hsgt import sampling
 from hsgt.config import build_config
 from hsgt.hybrid import SubsystemSpec, compose_network
-from hsgt.sampling import (_BLOCK, MAX_ATTEMPTS_FACTOR, SamplerEmptyError, SamplerSpec,
-                           flow_set_samples, jump_set_samples, sample_set)
+from hsgt.sampling import (_BLOCK, _WORDS, MAX_ATTEMPTS_FACTOR, SamplerEmptyError,
+                           SamplerSpec, _tie_draws, flow_set_samples, jump_set_samples,
+                           sample_set)
 
 
 def _attempt_loop_sample_set(net, guard, spec) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -410,3 +418,114 @@ def test_short_set_matches_pair_loop_and_keeps_its_note(monkeypatch):
     flow_pts, _jump = _draw_samples(report, net, spec)
     assert flow_pts.tobytes() == got.tobytes()
     assert report.notes == [f"flow samples: {len(got)} of 50 drawn; strata came up short"]
+
+
+# ---------------------------------------------------------------------------
+# tie draws replayed from raw generator words
+
+
+def _tie_entry_states(monkeypatch):
+    """Record the buffered-half flag the generator holds as each tie block starts."""
+    entered, real = [], sampling._tie_draws
+
+    def spy(rng, n_inside, net, k):
+        entered.append((rng.bit_generator.state["has_uint32"], n_inside))
+        return real(rng, n_inside, net, k)
+    monkeypatch.setattr(sampling, "_tie_draws", spy)
+    return entered
+
+
+def test_single_subsystem_ties_draw_rows_only(monkeypatch):
+    """One subsystem: ``integers(1)`` draws nothing and no pair is usable, yet each
+    attempt still draws its inside row."""
+    entered = _tie_entry_states(monkeypatch)
+    net = _network([("abs(x_1) - 1", "1 - abs(x_1)")], dims=(1,))
+    spec = SamplerSpec(n_samples=400, box_radius=2.0, u_box=[(-1.0, 1.0)], seed=2)
+    for kind in ("c", "d"):
+        assert len(_assert_matches_pair_loop(monkeypatch, net, spec, kind)) == 400
+    assert entered and all(n_inside > 1 for _half, n_inside in entered)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_three_subsystems_with_one_wider_block_match_pair_loop(monkeypatch, seed):
+    """Dims (1, 1, 2): only the pairs (0, 1) and (1, 0) are usable."""
+    entered = _tie_entry_states(monkeypatch)
+    net = _network([("max(abs(x_1), abs(x_2)) - 1", "x_3 - 0.5"),
+                    ("abs(x_2) - 1.5 + 0.5*u_1", "x_1 + x_4"),
+                    ("max(abs(x_3), abs(x_4)) - 1", "1 - abs(x_4)")], dims=(1, 1, 2))
+    spec = SamplerSpec(n_samples=900, box_radius=1.5, u_box=[(-1.0, 1.0)], seed=seed)
+    for kind in ("c", "d"):
+        assert len(_assert_matches_pair_loop(monkeypatch, net, spec, kind)) == 900
+    assert entered
+
+
+def test_one_inside_row_ties_match_pair_loop(monkeypatch):
+    """A single uniform sample: the row draw ``integers(1)`` takes no word."""
+    entered = _tie_entry_states(monkeypatch)
+    net = _network([("max(abs(x_1), abs(x_2)) - 1", "1")] * 2)
+    spec = SamplerSpec(n_samples=10, box_radius=2.0, boundary_fraction=0.0,
+                       tie_fraction=0.9, seed=5)
+    got = _assert_matches_pair_loop(monkeypatch, net, spec, "c")
+    assert len(got) == 10
+    assert entered and {n_inside for _half, n_inside in entered} == {1}
+
+
+def test_tie_block_entered_with_a_buffered_half_matches_pair_loop(monkeypatch):
+    """Tie copies never pass ``| |x_1| - |x_2| | >= 0.1``, so the stratum runs block
+    after block; a block of odd length leaves a buffered half word for the next."""
+    entered = _tie_entry_states(monkeypatch)
+    net = _network([("0.1 - abs(abs(x_1) - abs(x_2))", "1")] * 2)
+    spec = SamplerSpec(n_samples=300, box_radius=2.0, tie_fraction=0.25, seed=4)
+    assert len(_assert_matches_pair_loop(monkeypatch, net, spec, "c")) == 300
+    halves = [half for half, _n_inside in entered]
+    assert 0 in halves and 1 in halves
+
+
+def _scalar_tie_draws(rng, n_inside, net, k):
+    """``k`` tie attempts through numpy's scalar calls, as the pair loop draws them."""
+    out = [[], [], [], []]
+    for _ in range(k):
+        row = int(rng.integers(n_inside))
+        i, j = int(rng.integers(net.n)), int(rng.integers(net.n))
+        if i == j or net.subsystems[i].dim != net.subsystems[j].dim:
+            continue
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        for col, value in zip(out, (row, i, j, sign)):
+            col.append(value)
+    return out
+
+
+_PRIOR = st.one_of(st.just(None), st.integers(1, 2 ** 32 - 1))  # None: one random()
+_BOUNDS = st.one_of(st.integers(1, 2 ** 32 - 1),
+                    st.sampled_from([1, 2, 3, 3 * 2 ** 30, 3 * 2 ** 30 + 1, 2 ** 31 + 1,
+                                     2 ** 32 - 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), _BOUNDS,
+       st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(0, 400),
+       st.lists(_PRIOR, max_size=5))
+def test_tie_draws_match_scalar_calls(seed, n_inside, dims, k, prior):
+    """Rows, pairs, signs and the final generator state, buffered half included,
+    after prior draws that leave the buffer full, empty or stale.  Near 3*2**30
+    about one 32-bit word in four is rejected, so Lemire's loop runs."""
+    net = SimpleNamespace(n=len(dims), subsystems=[SimpleNamespace(dim=d) for d in dims])
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for bound in prior:
+        for rng in (fast, slow):
+            rng.random() if bound is None else rng.integers(bound)
+    got = _tie_draws(fast, n_inside, net, k)
+    expected = _scalar_tie_draws(slow, n_inside, net, k)
+    for col, want, dtype in zip(got, expected, (np.intp, np.intp, np.intp, np.float64)):
+        assert col.dtype == dtype and col.tolist() == want
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_tie_draws_cross_word_chunks():
+    """Enough attempts to take several chunks of raw words, with rejections."""
+    net = SimpleNamespace(n=2, subsystems=[SimpleNamespace(dim=1)] * 2)
+    fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+    k = 2 * _WORDS
+    got = _tie_draws(fast, 3 * 2 ** 30, net, k)
+    assert [col.tolist() for col in got] == _scalar_tie_draws(slow, 3 * 2 ** 30, net, k)
+    assert fast.bit_generator.state == slow.bit_generator.state

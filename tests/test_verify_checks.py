@@ -4,12 +4,13 @@ errors, NaN sides and the input branch (configs/e1_iss.json) trip them as well."
 import dataclasses
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import config_path, load_json
+from conftest import cert_value, config_path, load_json
 from hsgt.cli import _emit, main
 from hsgt.config import load_config
 from hsgt.equiv import _verify_w_form, to_w_form
@@ -17,6 +18,7 @@ from hsgt.expr import EvalDomainError
 from hsgt.lyapunov import VerifyTolerances, _check_sandwich, _check_samples, build_composite, \
     verify_composite_flow
 from hsgt.reporting import VerificationReport, Violation
+from reference_verify import add_margin
 
 
 def _psi1_doubled(cfg):
@@ -127,9 +129,9 @@ def test_certificate_value_raises_at_an_axis_point(tmp_path):
     cfg = load_config(_e1_with(tmp_path, _v2_divides_by_zero))
     cert = build_composite(cfg.candidates, cfg.gain_matrix, cfg.network, anchor=cfg.anchor,
                            options=cfg.sg_options)
-    assert cert.value([0.5, 0.25]) == 0.5
+    assert cert_value(cert, [0.5, 0.25]) == 0.5
     with pytest.raises(EvalDomainError, match=r"float division by zero in x_2\^2.0/abs\(x_2\)"):
-        cert.value([0.5, 0.0])
+        cert_value(cert, [0.5, 0.0])
 
 
 def _reject_constant(token):
@@ -183,6 +185,49 @@ def test_check_kernel_counts_nan_and_excess_as_violations(measured, required):
         np.array([True, False]), np.array([measured]), np.array([required]), 0.0, "d"))
     assert [v.point for v in report.violations] == [{"x": [1.0, 2.0], "u": [0.5]}]
     assert (report.samples_tested, report.samples_checked) == (2, 1)
+
+
+def _noisy_margins():
+    margins = np.random.default_rng(0).standard_normal(500)
+    margins[[7, 300]], margins[[40, 41]], margins[99] = math.nan, (math.inf, -math.inf), -0.0
+    return margins.tolist()
+
+
+@pytest.mark.parametrize("earlier, margins", [
+    ([], [math.nan, 1.0, -2.0]),
+    ([], [1.0, math.nan, -2.0, 0.5]),
+    ([], [math.inf, 1.0, -math.inf, 2.0]),
+    ([], [-math.inf, 3.0]),
+    ([], [-0.0, 0.0, -0.0]),
+    ([], [-0.0, 0.0]),
+    ([], [0.0, -0.0]),
+    ([], [-0.0]),
+    ([-0.0], [-0.0, -0.0]),
+    ([0.1, 0.2, 0.7], [1 / 3, -0.0, 5e-324, 1e308, 1e308]),
+    ([2.0, math.nan], [-1.0]),
+    ([0.5, -1.5], _noisy_margins()),
+    ([], _noisy_margins()),
+])
+def test_check_kernel_margins_match_the_per_sample_update(earlier, margins):
+    """The kernel's running minimum and mean carry the bits of one update per sample,
+    also onto a report that holds an earlier check's margins."""
+    def condition(cols):  # margin = required + (-0.0) - 0.0, which is required, bit for bit
+        size = cols.shape[1]
+        return np.ones(size, dtype=bool), np.zeros(size), cols[0].copy(), -0.0, "m"
+
+    def bits(report):
+        return [None if v is None else struct.pack("<d", v)
+                for v in (report.margin_min, report.margin_mean)] + [report.samples_checked]
+
+    got, expected = VerificationReport(condition="kernel"), VerificationReport(condition="loop")
+    for block in (earlier, margins):
+        if block:
+            X = np.array(block)[:, None]
+            _check_samples(got, "flow", X, np.zeros((len(block), 0)), condition)
+        for margin in block:
+            expected.samples_checked += 1
+            add_margin(expected, margin)
+    assert bits(got) == bits(expected)
 
 
 def test_check_kernel_reports_points_as_plain_floats():
