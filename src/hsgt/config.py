@@ -23,6 +23,9 @@ from .sampling import SamplerSpec
 from .trajectories import (AGEstimate, Beta, ISSEstimate, PreGSEstimate,
                            TrajectoryGains, initial_condition_grid)
 
+# Most points of the small-gain grid: each grid is one array of that many floats.
+GRID_POINTS_MAX = 1_000_000
+
 
 class ConfigError(Exception):
     pass
@@ -253,6 +256,9 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
         seed=seed)
     if sg_options.grid_points < 16:
         _fail("analysis.grid.points", f"need at least 16 points, got {sg_options.grid_points}")
+    if sg_options.grid_points > GRID_POINTS_MAX:
+        _fail("analysis.grid.points",
+              f"need at most {GRID_POINTS_MAX} points, got {sg_options.grid_points}")
     if not (math.isfinite(sg_options.grid_hi) and 0.0 < sg_options.grid_lo < sg_options.grid_hi):
         _fail("analysis.grid", "need finite 0 < lo < hi, got "
               f"lo={sg_options.grid_lo!r}, hi={sg_options.grid_hi!r}")

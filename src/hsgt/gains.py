@@ -15,8 +15,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .kfun import (Classification, KFun, at_least, inverse_kfun, kfun_to_json,
-                   pointwise_min)
+from .kfun import (GRID, UNBOUNDED_PROBE, Classification, KFun, at_least, inverse_kfun,
+                   kfun_to_json, pointwise_min)
 
 # Relative margin every strict decrease below the identity must clear.
 STRICTNESS = 1e-9
@@ -28,6 +28,8 @@ RANDOM_DIRECTIONS = 1000
 RADII_POINTS = 9
 # Direct-search directions evaluated together, each at every radius.
 SEARCH_BLOCK = 64
+# Lanes (cycles times grid points) the small-gain check composes together.
+BUDGET = 32768
 
 
 class GainMatrixError(Exception):
@@ -244,8 +246,8 @@ def _rows_in_order(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray):
 def _running_max(start: float, values: np.ndarray) -> float:
     """Running max of ``values`` from ``start``: a later value wins only if it
     is greater, so NaN never wins.  The result is ``start`` or a value."""
-    above = values[values > start]
-    return above.max() if above.size else start
+    top = np.fmax.reduce(values, axis=None, initial=-np.inf)  # largest that is not NaN
+    return top if top > start else start
 
 
 def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None) -> SmallGainVerdict:
@@ -261,8 +263,9 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
 
     if gm.n <= CYCLE_SIZE_LIMIT:
         verdict.cycles = simple_gain_cycles(gm)
-        for cycle, rows in _cycle_rows(gm, verdict.cycles, grid, 1.0):
-            if _scan_cycle(gm, cycle, rows, grid, verdict):
+        hits = _cycle_hits(gm, verdict.cycles, grid, 1.0, np.greater_equal)
+        for cycles, radii, rows, best in hits:
+            if _scan(gm, cycles, radii, rows, best, verdict):
                 break
         if verdict.witness_cycle is None and verdict.margin > 1.0 - STRICTNESS:
             verdict.holds = False
@@ -286,52 +289,127 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
     return verdict
 
 
-def _cycle_rows(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, factor: float):
-    """Yield ``(cycle, rows)`` per cycle, ``rows`` as ``_rows_in_order`` yields
-    them for ``compose_cycle(gm, cycle, r, factor)`` over the grid.
+def _cycle_hits(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, factor: float,
+                hit: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """Yield ``(cycles, radii, rows, best)`` in scan order.  With ``values``
+    the row ``compose_cycle(gm, cycles[k], radii, factor)``, ``rows[k]`` is
+    ``values`` if ``hit(values, radii)`` holds somewhere in it, and ``best[k]``
+    is the largest ratio ``values / radii`` that is not NaN (NaN if none is).
 
-    ``stack[k]`` holds the values after the first k edges of the last cycle.
-    A cycle composes only the edges past the leading nodes it shares with the
-    last one, plus its closing edge, with ``compose_cycle``'s operations; if
-    that raises, the cycle is replayed through ``compose_cycle``.
+    Each block of ``BUDGET // grid.size`` consecutive cycles (at least one)
+    comes as one ``(block, grid, rows, best)``, reduced from ``_closed_rows``
+    as its cycles close, so no block holds all its rows at once.  If any of
+    its array calls raises, the block's cycles are replayed one at a time
+    through ``_rows_in_order(compose_cycle)``, one yield per row, so a scan
+    that stops at its first hit meets the errors of a cycle-by-cycle scan and
+    no others.
     """
-    stack, last = [grid], []
-    for cycle in cycles:
-        shared = 0
-        while shared < min(len(last), len(cycle)) and cycle[shared] == last[shared]:
-            shared += 1
-        del stack[max(shared, 1):]
-        last = cycle
+    size = max(1, BUDGET // grid.size)
+    for first in range(0, len(cycles), size):
+        block = cycles[first:first + size]
         try:
-            for a, b in zip(cycle[len(stack) - 1:], cycle[len(stack):]):
-                stack.append(factor * gm.entries[b][a].array(stack[-1]))
-            rows = [(0, factor * gm.entries[cycle[0]][cycle[-1]].array(stack[-1]))]
-        except Exception:  # replayed through compose_cycle, not swallowed
-            rows = _rows_in_order(lambda r, c=cycle: compose_cycle(gm, c, r, factor), grid)
-        yield cycle, rows
+            rows, best = _hits(_closed_rows(gm, block, grid, factor), grid, len(block), hit)
+        except Exception:  # replayed cycle by cycle below, not swallowed
+            for cycle in block:
+                compose = lambda r, c=cycle: compose_cycle(gm, c, r, factor)
+                for start, values in _rows_in_order(compose, grid):
+                    radii = grid[start:start + values.size]
+                    yield ([cycle], radii, *_hits([([0], values[None, :])], radii, 1, hit))
+        else:
+            yield block, grid, rows, best
 
 
-def _scan_cycle(gm: GainMatrix, cycle: List[int], rows, grid: np.ndarray,
-                verdict: SmallGainVerdict) -> bool:
-    """Scan one cycle's ``rows`` from ``_cycle_rows``; True once they yield a witness.
+def _hits(pieces, radii: np.ndarray, m: int, hit: Callable):
+    """``(rows, best)`` of ``_cycle_hits`` for m cycles, from ``(ks, values)``
+    pieces that give each cycle's row once: ``values[j]`` is cycle ``ks[j]``'s.
+    The pieces' values are overwritten with their ratios."""
+    rows, best = {}, np.empty(m)
+    for ks, values in pieces:
+        for j in np.flatnonzero(hit(values, radii).any(axis=1)).tolist():
+            rows[int(ks[j])] = values[j].copy()
+        np.divide(values, radii, out=values)
+        best[ks] = np.fmax.reduce(values, axis=1)
+    return rows, best
 
-    The margin is raised by every ratio up to and including the witness
-    radius, and the witness is re-evaluated with the scalar call first.
+
+def _closed_rows(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, factor: float):
+    """Yield ``(ks, values)`` once per depth at which cycles close, until each
+    cycle came once: ``values[j]`` is ``compose_cycle(gm, cycles[ks[j]], grid,
+    factor)``, bit for bit.
+
+    The cycles are consecutive in ``simple_gain_cycles`` order, so those that
+    share their first d + 1 nodes are adjacent.  Depth by depth, each distinct
+    prefix is composed once, and only the prefixes still growing are kept.
+    The edges taken at a depth, into a longer prefix or closing a cycle, are
+    grouped by their nodes a -> b, and each group is one ``factor *
+    g.array(...)`` over its parents' stacked rows; lane p of an array call
+    does not depend on the other lanes.
     """
-    for start, values in rows:
-        radii = grid[start:start + values.size]
-        stop = values.size
-        witness = None
-        for k in np.flatnonzero(values >= radii).tolist():
-            candidate = CycleWitness(list(cycle), float(radii[k]), float(values[k]))
-            if compose_cycle(gm, cycle, candidate.radius) >= candidate.radius:
-                stop, witness = k + 1, candidate
-                break
-        verdict.margin = _running_max(verdict.margin, values[:stop] / radii[:stop])
-        if witness is not None:
-            verdict.holds = False
-            verdict.witness_cycle = witness
-            return True
+    m, n, width = len(cycles), gm.n, grid.size
+    lengths = np.array([len(c) for c in cycles])
+    # nodes[k, d] -> nodes[k, d + 1] is cycle k's edge at depth d; the closing
+    # edge goes back to the start, and -1 pads the rest
+    nodes = np.full((m, lengths.max() + 1), -1)
+    rows = np.repeat(np.arange(m), lengths)
+    nodes[rows, np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = \
+        list(itertools.chain.from_iterable(cycles))
+    nodes[np.arange(m), lengths] = nodes[:, 0]
+    # new[k, d]: the first d + 1 nodes of cycle k differ from those of cycle k - 1
+    new = np.ones(nodes.shape, dtype=bool)
+    new[1:] = np.logical_or.accumulate(nodes[1:] != nodes[:-1], axis=1)
+    prefix_rows = grid[None, :]  # the values after d edges, one row per growing prefix
+    prefix = np.zeros(m, dtype=int)  # each cycle's row in prefix_rows
+    for depth in range(nodes.shape[1] - 1):
+        closing = lengths == depth + 1
+        grows = (lengths > depth + 1) & new[:, depth + 1]  # the first cycle of each longer prefix
+        taken = np.flatnonzero(grows | closing)
+        edge = nodes[taken, depth] * n + nodes[taken, depth + 1]
+        order = np.lexsort((closing[taken], edge))  # by edge, growing before closing
+        taken, edge = taken[order], edge[order]
+        parents = prefix[taken]
+        growing = ~closing[taken]
+        before = [0] + np.cumsum(growing).tolist()  # growing entries before each position
+        dest = np.empty((before[-1], width))  # the longer prefixes, in taken order
+        closed = np.empty((taken.size - before[-1], width))  # the closed cycles
+        starts = (np.flatnonzero(np.diff(edge)) + 1).tolist()
+        for lo, hi in zip([0] + starts, starts + [taken.size]):
+            a, b = divmod(int(edge[lo]), n)
+            values = gm.entries[b][a].array(prefix_rows[parents[lo:hi]].ravel())
+            values = values.reshape(hi - lo, width)
+            g0, g1 = before[lo], before[hi]
+            np.multiply(factor, values[:g1 - g0], out=dest[g0:g1])
+            np.multiply(factor, values[g1 - g0:], out=closed[lo - g0:hi - g1])
+        if closed.size:
+            yield taken[~growing], closed
+        if not dest.size:
+            break
+        at = np.empty(m, dtype=int)
+        at[taken[growing]] = np.arange(dest.shape[0])
+        prefix = at[np.flatnonzero(grows)][np.cumsum(grows) - 1]
+        prefix_rows = dest
+
+
+def _scan(gm: GainMatrix, cycles: List[List[int]], radii: np.ndarray, rows: dict,
+          best: np.ndarray, verdict: SmallGainVerdict) -> bool:
+    """Scan the cycles' values at the radii, as ``_cycle_hits`` gives them, in
+    cycle-then-radius order; True once a hit is confirmed as a witness.
+
+    A hit (``value >= radius``) is re-evaluated with the scalar call first.
+    The margin is raised by every ratio up to and including the witness: the
+    row maxima ``best`` of the cycles before it, then its own row up to its
+    radius.  A maximum does not depend on order, and NaN never wins it.
+    """
+    for k in sorted(rows):
+        values = rows[k]
+        for p in np.flatnonzero(values >= radii).tolist():
+            candidate = CycleWitness(list(cycles[k]), float(radii[p]), float(values[p]))
+            if compose_cycle(gm, cycles[k], candidate.radius) >= candidate.radius:
+                margin = _running_max(verdict.margin, best[:k])
+                verdict.margin = _running_max(margin, values[:p + 1] / radii[:p + 1])
+                verdict.holds = False
+                verdict.witness_cycle = candidate
+                return True
+    verdict.margin = _running_max(verdict.margin, best)
     return False
 
 
@@ -427,11 +505,9 @@ def _inflated_cycles_ok(gm: GainMatrix, cycles: List[List[int]], inflation: floa
                         grid: np.ndarray) -> bool:
     if inflation == 0.0:
         return True
-    for _cycle, rows in _cycle_rows(gm, cycles, grid, 1.0 + inflation):
-        for start, values in rows:
-            if np.any(values > (1.0 - STRICTNESS) * grid[start:start + values.size]):
-                return False
-    return True
+    above = lambda values, radii: values > (1.0 - STRICTNESS) * radii
+    return not any(rows for _cycles, _radii, rows, _best in
+                   _cycle_hits(gm, cycles, grid, 1.0 + inflation, above))
 
 
 def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
@@ -474,7 +550,8 @@ def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
                 break
             margin = float(_running_max(margin, (image / sig).max(axis=1)))
         if ok:
-            sigmas = [_sigma_component(vec_fn, i) for i in range(gm.n)]
+            shared = _classified_once(vec_fn)
+            sigmas = [_sigma_component(shared, i) for i in range(gm.n)]
             sigma_invs = [inverse_kfun(sigma) for sigma in sigmas]
             return OmegaPath(sigmas=sigmas, sigma_invs=sigma_invs, anchor=a,
                              gain_matrix=gm, grid=grid, inflation=inflation,
@@ -487,6 +564,27 @@ def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
 def _path_image(gm: GainMatrix, vec_fn: Callable, r: np.ndarray):
     sig = vec_fn(r)
     return sig, gamma_max_apply(gm, sig)
+
+
+def _classified_once(vec_fn: Callable) -> Callable:
+    """``vec_fn``, but evaluated once on ``GRID`` and once on ``UNBOUNDED_PROBE``
+    for all the components that are classified there.  An error there is
+    raised again for each component, which then replays point by point."""
+    taken = {}
+
+    def shared(r):
+        if r is not GRID and r is not UNBOUNDED_PROBE:
+            return vec_fn(r)
+        if id(r) not in taken:
+            try:
+                taken[id(r)] = vec_fn(r)
+            except Exception as exc:  # raised again below, for every component
+                taken[id(r)] = exc
+        value = taken[id(r)]
+        if isinstance(value, Exception):
+            raise value
+        return value
+    return shared
 
 
 def _sigma_component(vec_fn: Callable[[float], np.ndarray], i: int) -> KFun:

@@ -54,7 +54,9 @@ def at_least(c: Classification, floor: Classification) -> bool:
 # The classification grid of every comparison function.
 GRID = np.geomspace(1e-6, 1e6, 64)
 GRID.flags.writeable = False
-_UNBOUNDED_PROBE = np.geomspace(1e6, 1e12, 16)
+# Where a function bounded on GRID is probed for unbounded growth.
+UNBOUNDED_PROBE = np.geomspace(1e6, 1e12, 16)
+UNBOUNDED_PROBE.flags.writeable = False
 _UNBOUNDED_LEVEL = 1e9
 _ZERO_AT_ZERO_TOL = 1e-12
 
@@ -260,7 +262,7 @@ def classify_callable(fn: Callable[[float], float], array_rule: Optional[Callabl
     unbounded = arr[-1] > _UNBOUNDED_LEVEL
     if not unbounded:
         try:
-            for v in _values_at(fn, array_rule, _UNBOUNDED_PROBE):
+            for v in _values_at(fn, array_rule, UNBOUNDED_PROBE):
                 if math.isinf(v) or v > _UNBOUNDED_LEVEL:
                     unbounded = True
                     break

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import config_path, load_json
 from hsgt.cli import main
-from hsgt.config import ConfigError, build_config, load_config
+from hsgt.config import GRID_POINTS_MAX, ConfigError, build_config, load_config
 
 
 @pytest.fixture()
@@ -50,6 +50,22 @@ def test_integer_fields_take_integral_floats():
     built = build_config(cfg)
     assert built.sg_options.grid_points == 16 and type(built.sg_options.grid_points) is int
     assert built.sampler.n_samples == 300 and built.simulation.max_jumps == 5
+
+
+@pytest.mark.parametrize("points", [10 ** 15, 1e300, GRID_POINTS_MAX + 1])
+def test_grid_points_above_the_cap_exit_2(tmp_path, capsys, points):
+    cfg = load_json("e1_decoupled.json")
+    cfg["analysis"]["grid"]["points"] = points
+    assert main(["check-gains", "--config", write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: analysis.grid.points: need at most")
+
+
+@pytest.mark.parametrize("points", [16, GRID_POINTS_MAX])
+def test_grid_points_at_the_bounds_load(points):
+    cfg = load_json("e1_decoupled.json")
+    cfg["analysis"]["grid"]["points"] = points
+    assert build_config(cfg).sg_options.grid_points == points
 
 
 def test_integer_fields_reject_fractions():

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 from typing import Callable, List, Optional, Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from hsgt.gains import (CYCLE_SIZE_LIMIT, RADII_POINTS, RANDOM_DIRECTIONS, SEARC
                         _inflation_candidates, _sigma_component, build_omega_path,
                         compose_cycle, compose_phi, gamma_max_apply, simple_gain_cycles,
                         small_gain_check)
-from hsgt.kfun import GRID, Classification, KFun, inverse_kfun, pointwise_min
+from hsgt.kfun import GRID, UNBOUNDED_PROBE, Classification, KFun, inverse_kfun, pointwise_min
 from hsgt.lyapunov import build_composite
 
 
@@ -754,18 +755,26 @@ def test_direct_search_matches_scalar_search():
                 assert new.tobytes() == ref.tobytes()
 
 
-def _prefix_shared_edges(cycles) -> int:
-    """Array calls of a scan that keeps each cycle's prefix for the next: per
-    cycle, the edges past the leading nodes it shares with the last cycle, plus
-    the closing edge."""
-    total, last = 0, []
-    for cycle in cycles:
-        shared = 0
-        while shared < min(len(cycle), len(last)) and cycle[shared] == last[shared]:
-            shared += 1
-        total += len(cycle) - max(shared, 1) + 1
-        last = cycle
-    return total
+def _block_calls(cycles, per_block: int, width: int) -> list:
+    """Lanes of each array call the block composition makes, in call order.
+
+    Per block of ``per_block`` consecutive cycles and per depth d, one call per
+    edge a -> b taken at d, in ascending (a, b) order, over one grid row for
+    each distinct prefix the edge extends (its first d + 2 nodes) and each
+    cycle it closes.
+    """
+    calls = []
+    for first in range(0, len(cycles), per_block):
+        block = cycles[first:first + per_block]
+        for depth in range(max(map(len, block))):
+            rows = {}
+            for c in block:
+                if len(c) > depth:
+                    edge = (c[depth], c[(depth + 1) % len(c)])
+                    rows.setdefault(edge, set()).add(
+                        tuple(c[:depth + 2]) if depth + 1 < len(c) else (tuple(c), "closed"))
+            calls += [width * len(rows[edge]) for edge in sorted(rows)]
+    return calls
 
 
 def test_holding_check_makes_only_grid_array_calls(monkeypatch):
@@ -783,17 +792,22 @@ def test_holding_check_makes_only_grid_array_calls(monkeypatch):
     assert verdict.holds and not verdict.inconclusive
     # no witness, so nothing is re-evaluated with the scalar call
     assert scalar_calls == []
-    # one array call over the 128-point grid per edge past each shared prefix,
-    # where composing every cycle from scratch would take one per (cycle, edge)
+    # one array call per (block, depth, edge) over the 128-point grid rows of
+    # the block's distinct prefixes, where composing each cycle on its own
+    # would take one per (cycle, edge)
     assert len(verdict.cycles) == 2365 and sum(len(c) for c in verdict.cycles) == 13692
-    assert array_lanes.count(128) == _prefix_shared_edges(verdict.cycles) == 4730
+    per_block = gains.BUDGET // 128
+    assert per_block == 256
+    expected = _block_calls(verdict.cycles, per_block, 128)
+    assert len(expected) == 1141 and sum(expected) == 128 * 4763
+    assert array_lanes[:len(expected)] == expected
     # ... and one per nonzero gain and block of direct-search directions
     blocks = -(-(2 ** n - 1 + RANDOM_DIRECTIONS) // SEARCH_BLOCK)
-    assert len(array_lanes) - array_lanes.count(128) <= blocks * n * (n - 1)
-    # the inflated scan over every cycle shares its prefixes the same way
+    assert len(array_lanes) - len(expected) <= blocks * n * (n - 1)
+    # the inflated scan over every cycle makes the same calls
     array_lanes.clear()
     assert gains._inflated_cycles_ok(gm, verdict.cycles, 1e-6, SmallGainOptions().grid())
-    assert scalar_calls == [] and array_lanes == [128] * 4730
+    assert scalar_calls == [] and array_lanes == expected
 
 
 # Every cycle through node 0 of a complete 4-node network starts with the edge
@@ -833,9 +847,11 @@ def test_overflow_in_a_shared_prefix_matches_scalar_loops(monkeypatch, back_to_0
         assert new[:2] == ("raised", ex.EvalOverflowError)
     else:
         assert new[5][0] == expected
-    # the prefix call over the whole grid raised only where the grid reaches the
-    # overflow; then [0, 1] alone was replayed, row by row, through compose_cycle
-    assert {tuple(c) for c, ndim in replayed if ndim} == ({(0, 1)} if grid_hi == 1e8 else set())
+    # the block's call over the whole grid raised only where the grid reaches the
+    # overflow; then its cycles were replayed in order through compose_cycle, and
+    # [0, 1], the first, ended the replay with the error or the witness
+    composed = list(dict.fromkeys(tuple(c) for c, ndim in replayed if ndim))
+    assert composed == ([(0, 1)] if grid_hi == 1e8 else [])
     cycles = simple_gain_cycles(gm)
     new = _outcome(lambda: gains._inflated_cycles_ok(gm, cycles, 0.01, opts.grid()))
     assert new == _outcome(lambda: _reference_inflated_cycles_ok(gm, cycles, 0.01,
@@ -889,6 +905,44 @@ def test_path_components_match_their_scalar_pass(label, texts, points, anchor):
         assert _array_lanes(sigma, with_negative) == _scalar_lanes(sigma, with_negative)
     if label == "nonlinear-probe":
         assert nonlinear == 1
+
+
+def _spy_path_vectors(monkeypatch, failing=None) -> list:
+    """Record each path-vector evaluation: GRID, the probe, or the argument's
+    ndim.  An evaluation on ``failing`` raises."""
+    calls = []
+    make = gains._path_vector_fn
+
+    def spying(gm, anchor, inflation):
+        vec_fn = make(gm, anchor, inflation)
+
+        def spy(r):
+            calls.append("GRID" if r is GRID else "probe" if r is UNBOUNDED_PROBE else np.ndim(r))
+            if r is failing:
+                raise ex.EvalOverflowError("overflow on the whole grid")
+            return vec_fn(r)
+        return spy
+    monkeypatch.setattr(gains, "_path_vector_fn", spying)
+    return calls
+
+
+@pytest.mark.parametrize("failing", [None, GRID, UNBOUNDED_PROBE], ids=["none", "GRID", "probe"])
+@pytest.mark.parametrize("texts, anchor", [
+    (_texts(3, "saturating", 3), [3.0, 1.0, 0.3]),
+    ([[None, _PROBE_GAIN], [_PROBE_GAIN, None]], [3.0, 1.0])], ids=["saturating3", "probe"])
+def test_path_vector_is_evaluated_once_for_all_components(monkeypatch, texts, anchor, failing):
+    gm = _from_texts(texts)
+    built = build_omega_path(gm, anchor)
+    calls = _spy_path_vectors(monkeypatch, failing)
+    path = build_omega_path(gm, anchor)
+    # once on GRID and once on the probe for all the components; one that
+    # raises is replayed point by point, by each component on its own
+    assert [c for c in calls if isinstance(c, str)] == ["GRID", "probe"]
+    for sigma, before in zip(path.sigmas, built.sigmas):
+        scalar = KFun.from_callable(sigma.fn, sigma.description)  # the point-by-point pass
+        assert sigma.classification is scalar.classification is before.classification
+        assert _lane_bits([sigma.linear_slope or 0.0]) == _lane_bits([scalar.linear_slope or 0.0])
+    assert sum(sigma.linear_slope is None for sigma in path.sigmas) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -991,10 +1045,156 @@ def test_cycle_rows_match_compose_cycle(label, texts, points, anchor):
     gm = _from_texts(texts)
     grid = SmallGainOptions(grid_points=points).grid()
     cycles = simple_gain_cycles(gm)
-    for factor in (1.0, 1.0 + 1e-6, 1.5):
-        seen = []
-        for cycle, rows in gains._cycle_rows(gm, cycles, grid, factor):
-            seen.append(cycle)
-            values = np.concatenate([v for _start, v in rows])
-            assert values.tobytes() == compose_cycle(gm, cycle, grid, factor).tobytes()
-        assert seen == cycles
+    for per_block in (gains.BUDGET // points, 5, 1):
+        for factor in (1.0, 1.0 + 1e-6, 1.5):
+            for first in range(0, len(cycles), per_block):
+                block = cycles[first:first + per_block]
+                seen = []
+                for ks, values in gains._closed_rows(gm, block, grid, factor):
+                    seen += ks.tolist()
+                    for k, row in zip(ks.tolist(), values.tolist()):
+                        scalar = [compose_cycle(gm, block[k], r, factor) for r in grid.tolist()]
+                        assert _lane_bits(row) == _lane_bits(scalar)
+                assert sorted(seen) == list(range(len(block)))
+
+
+# ---------------------------------------------------------------------------
+# the block scan at block boundaries, and against the scalar loops on random networks
+
+
+def _blocks_of(monkeypatch, per_block: int, points: int = 128) -> None:
+    monkeypatch.setattr(gains, "BUDGET", per_block * points)
+
+
+@pytest.mark.parametrize("per_block, row", [(2, "first"), (3, "last"), (1, "only"),
+                                            (7, "inner"), (256, "inner")])
+def test_witness_at_a_block_boundary_matches_scalar_loops(monkeypatch, per_block, row):
+    # [0, 1, 2, 3] is cycle 2 in scan order, the first to violate on this grid
+    gm = _from_texts(_shared_overflow_texts("0.5*s"))
+    opts = SmallGainOptions(grid_hi=1e6)
+    _blocks_of(monkeypatch, per_block)
+    cycles = simple_gain_cycles(gm)
+    assert len(cycles) == 20 and cycles[2] == [0, 1, 2, 3]
+    place = {0: "first", per_block - 1: "last"}.get(2 % per_block, "inner")
+    assert (place if per_block > 1 else "only") == row
+    new = small_gain_check(gm, opts)
+    assert _verdict_key(new) == _verdict_key(_reference_small_gain_check(gm, opts))
+    assert new.witness_cycle.indices == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("per_block", [0, 1, 3, 6, 256])
+@pytest.mark.parametrize("kind", ["linear", "saturating", "max"])
+def test_partial_last_block_matches_scalar_loops(monkeypatch, per_block, kind):
+    # 20 and 84 cycles: no block size above but 1 divides both; a budget
+    # below one grid row still takes one cycle at a time
+    blocks = []
+    closed_rows = gains._closed_rows
+    monkeypatch.setattr(gains, "_closed_rows", lambda gm, cycles, grid, factor: blocks.append(
+        len(cycles)) or closed_rows(gm, cycles, grid, factor))
+    _blocks_of(monkeypatch, per_block, 32)
+    for texts in (_texts(4, kind, 3), _texts(5, kind, 4, "late")):
+        gm = _from_texts(texts)
+        opts = SmallGainOptions(grid_points=32)
+        new = small_gain_check(gm, opts)
+        assert _verdict_key(new) == _verdict_key(_reference_small_gain_check(gm, opts))
+        grid = opts.grid()
+        for inflation in (1e-6, 0.5):
+            assert gains._inflated_cycles_ok(gm, new.cycles, inflation, grid) == \
+                _reference_inflated_cycles_ok(gm, new.cycles, inflation, grid)
+    assert max(blocks) == min(max(per_block, 1), 84)
+
+
+def _nan_band_gain() -> KFun:
+    """About 0.5*s, but NaN for s in (2e6, 3e7), which neither GRID nor the
+    unbounded probe reads as a fault: a class-Kinf gain with no linear slope."""
+    return KFun.from_callable(
+        lambda s: math.nan if 2e6 < s < 3e7 else 0.5 * s + 0.01 * s / (1.0 + s), "NaN band")
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 256])
+@pytest.mark.parametrize("back", ["0.5*s", "0.3*s + 6.8e-8*s^2"])
+def test_nan_ratios_never_win_the_margin(monkeypatch, per_block, back):
+    # [0, 1] is NaN at the grid radii in (2e6, 3e7); with the quadratic way
+    # back it violates from r ~ 5e7 on, past the NaN band
+    gm = GainMatrix.from_rows([[None, KFun.from_text(back), KFun.from_text("0.2*s")],
+                               [_nan_band_gain(), None, None],
+                               [KFun.from_text("0.2*s"), None, None]])
+    assert gm.entries[1][0].classification is Classification.CLASS_K_INF
+    _blocks_of(monkeypatch, per_block)
+    new = small_gain_check(gm)
+    assert _verdict_key(new) == _verdict_key(_reference_small_gain_check(gm))
+    assert not math.isnan(new.margin) and (new.witness_cycle is None) == (back == "0.5*s")
+    if new.witness_cycle is not None:
+        assert new.witness_cycle.indices == [0, 1] and new.witness_cycle.radius > 3e7
+    grid = SmallGainOptions().grid()
+    for inflation in (1e-6, 0.5):
+        assert gains._inflated_cycles_ok(gm, new.cycles, inflation, grid) == \
+            _reference_inflated_cycles_ok(gm, new.cycles, inflation, grid)
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 256])
+def test_unconfirmed_hit_keeps_scanning_and_counts_its_row(monkeypatch, per_block):
+    # [0, 1] and [0, 2] violate at every radius, [0, 1, 2] in between never does
+    gm = _from_texts([[None, "1.5*s", "1.25*s"], ["0.9*s", None, "0.1*s"],
+                      ["0.9*s", "0.1*s", None]])
+    grid = SmallGainOptions().grid()
+    _blocks_of(monkeypatch, per_block)
+    cycles = simple_gain_cycles(gm)
+    assert cycles[:3] == [[0, 1], [0, 1, 2], [0, 2]]
+    confirmed = []
+    compose = gains.compose_cycle
+
+    def rejecting(gm, c, r, factor=1.0):
+        if np.ndim(r):
+            return compose(gm, c, r, factor)
+        confirmed.append((list(c), r))
+        return -math.inf if list(c) == [0, 1] else compose(gm, c, r, factor)
+    monkeypatch.setattr(gains, "compose_cycle", rejecting)
+    verdict = small_gain_check(gm)
+    # every hit of [0, 1] was tried and rejected, then [0, 2] is confirmed at once
+    assert confirmed == [([0, 1], r) for r in grid.tolist()] + [([0, 2], grid[0])]
+    assert verdict.witness_cycle.indices == [0, 2] and verdict.witness_cycle.radius == grid[0]
+    margin = 0.0  # every ratio of the rows before the witness, then the witness's own
+    rows = [compose(gm, c, grid) / grid for c in cycles[:2]] + [compose(gm, [0, 2], grid[:1])]
+    for ratio in np.concatenate(rows):
+        if ratio > margin:
+            margin = ratio
+    assert _bits(verdict.margin) == _bits(margin) == _bits(rows[0].max())
+
+
+_OVERFLOW_AT = {"low": 1e-1, "mid": 1e-3, "high": 1e-5}  # exp(c*s) overflows past 709.8/c
+
+
+@st.composite
+def _random_network(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    texts = [[None] * n for _ in range(n)]
+    for i, j in itertools.permutations(range(n), 2):
+        kind = draw(st.sampled_from(["none", "linear", "saturating", "overflow"]))
+        if kind == "linear":
+            texts[i][j] = f"{draw(st.sampled_from([0.3, 0.9, 1.1, 1.6]))!r}*s"
+        elif kind == "saturating":
+            texts[i][j] = _sat(draw(st.sampled_from([0.2, 0.8, 1.5])),
+                               draw(st.sampled_from([0.05, 0.5, 1.0])))
+        elif kind == "overflow":
+            c = _OVERFLOW_AT[draw(st.sampled_from(sorted(_OVERFLOW_AT)))]
+            texts[i][j] = f"{draw(st.sampled_from([0.3, 0.9]))!r}*s + 1e-320*exp({c!r}*s)"
+    return texts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_network(), st.integers(min_value=1, max_value=8),
+       st.sampled_from([16, 24]), st.sampled_from([1e4, 1e8]))
+def test_block_scan_matches_scalar_loops_on_random_networks(texts, per_block, points, grid_hi):
+    gm = _from_texts(texts)
+    opts = SmallGainOptions(grid_hi=grid_hi, grid_points=points)
+    grid = opts.grid()
+    with mock.patch.object(gains, "BUDGET", per_block * points), \
+            mock.patch.object(gains, "RANDOM_DIRECTIONS", 16), \
+            mock.patch.dict(globals(), {"RANDOM_DIRECTIONS": 16}):
+        new = _outcome(lambda: _verdict_key(small_gain_check(gm, opts)))
+        assert new == _outcome(lambda: _verdict_key(_reference_small_gain_check(gm, opts)))
+        cycles = simple_gain_cycles(gm)
+        for inflation in (1e-6, 0.3):
+            assert _outcome(lambda: gains._inflated_cycles_ok(gm, cycles, inflation, grid)) == \
+                _outcome(lambda: _reference_inflated_cycles_ok(gm, cycles, inflation, grid))
