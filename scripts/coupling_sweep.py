@@ -56,9 +56,9 @@ def tail_response(net, horizon=30.0) -> float:
                    SimOptions(step=0.01, record_every=5))
     if sol.termination == "numerical_failure":
         return float("inf")
-    mags = [float(np.max(np.abs(v)))
-            for t, _k, v, _j in sol.x.iter_samples() if t >= 0.8 * horizon]
-    return max(mags) if mags else float("inf")
+    tail = np.concatenate(sol.x.times) >= 0.8 * horizon
+    states = np.concatenate(sol.x.values)[tail]
+    return float(np.max(np.abs(states))) if len(states) else float("inf")
 
 
 def main() -> int:

@@ -403,15 +403,12 @@ _RULES = {
     Max: ("v{j} = max(({args}))", _MINMAX),
 }
 
-# Every generated function maps arithmetic failures to the evaluation-error contract.
-_FUNCTION = """\
-def f({params}):
-{head}    try:
-{body}    except OverflowError as exc:
-        raise EvalOverflowError(f"{{exc}} in {{render(EXPR)}}") from exc
-    except (ZeroDivisionError, ValueError) as exc:
-        raise EvalDomainError(f"{{exc}} in {{render(EXPR)}}") from exc
-"""
+# Every scalar generated function maps arithmetic failures to the evaluation-error
+# contract, in the ``except`` clauses that close each ``translated`` block.
+_TRANSLATE = ("except OverflowError as exc:",
+              "    raise EvalOverflowError(f'{exc} in {render(EXPR)}') from exc",
+              "except (ZeroDivisionError, ValueError) as exc:",
+              "    raise EvalDomainError(f'{exc} in {render(EXPR)}') from exc")
 _NAMESPACE = {"pow": math.pow, "exp": math.exp, "log": math.log, "isfinite": math.isfinite,
               "TIE_TOL": _TIE_TOL, "EvalDomainError": EvalDomainError,
               "EvalOverflowError": EvalOverflowError}
@@ -421,11 +418,8 @@ _CODE: Dict[str, CodeType] = {}
 # Array mode runs the same value lines on column arrays.  +, -, *, / and abs are
 # numpy's, which round as Python floats do; exp, log and pow stay libm's, lane by
 # lane, because numpy's own differ in the last bit.  ``bad`` marks every lane
-# where the scalar function could raise; those lanes are redone by it.
-_ARRAY_FUNCTION = """\
-def f({params}):
-    bad = False
-{body}"""
+# where the scalar function could raise; those lanes are redone by it.  Its min
+# and max are calls, since a comparison cannot select between arrays.
 _NAN_MARK = "bad = bad | (v{j} != v{j})"
 _MARKS = {Div: "bad = bad | (v{b} == 0.0)", Pow: _NAN_MARK, Exp: _NAN_MARK, Log: _NAN_MARK}
 
@@ -545,6 +539,12 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
             fields["args"] = "".join(f"v{kid}, " for kid in kids)
             fields["parts"] = "".join(f"(v{kid}, l{kid}, h{kid}), " for kid in kids)
         value, chain = _RULES[type(node)]
+        if mode == "value" and isinstance(node, (Min, Max)):
+            # the builtin's own fold: a later argument wins only if strictly better
+            better = "<" if isinstance(node, Min) else ">"
+            lines.append(f"v{j} = v{kids[0]}")
+            lines.extend(f"if v{kid} {better} v{j}: v{j} = v{kid}" for kid in kids[1:])
+            continue
         lines.append(value.format(**fields))
         if mode in ("array", "bounds_array") and type(node) in _MARKS:
             lines.append(_MARKS[type(node)].format(**fields))
@@ -555,8 +555,9 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
     return temps[0]
 
 
-def _define(source: str, namespace: dict) -> Callable:
-    """The function ``f`` that ``source`` defines, run in ``namespace``."""
+def _define(params: str, lines: Sequence[str], namespace: dict) -> Callable:
+    """The function ``f(params)`` with body ``lines``, run in ``namespace``."""
+    source = f"def f({params}):\n" + "".join(f"    {line}\n" for line in lines)
     code = _CODE.get(source)
     if code is None:
         code = _CODE[source] = compile(source, "<hsgt expression>", "exec")
@@ -564,14 +565,18 @@ def _define(source: str, namespace: dict) -> Callable:
     return namespace["f"]
 
 
-def compile_lines(params: str, head: Sequence[str], body: Sequence[str],
-                  names: Mapping[str, object], where: str) -> Callable:
-    """A function of ``params`` running ``head``, then the value-mode ``body``
-    (built by :func:`emit_lines`) under the evaluation-error contract, whose
-    messages name ``where``.  ``names`` (the constants among them) are globals."""
-    source = _FUNCTION.format(params=params, head="".join(f"    {line}\n" for line in head),
-                              body="".join(f"        {line}\n" for line in body))
-    return _define(source, {**_NAMESPACE, **names, "EXPR": where, "render": str})
+def translated(body: Sequence[str]) -> List[str]:
+    """``body`` in a ``try`` block whose arithmetic failures raise
+    :class:`EvalOverflowError` or :class:`EvalDomainError`."""
+    return ["try:", *(f"    {line}" for line in body), *_TRANSLATE]
+
+
+def compile_lines(params: str, lines: Sequence[str], names: Mapping[str, object],
+                  where: str) -> Callable:
+    """The function ``f(params)`` running ``lines``, whose value-mode parts (built
+    by :func:`emit_lines`) sit in :func:`translated` blocks with messages naming
+    ``where``.  ``names`` (the constants among them) are globals."""
+    return _define(params, lines, {**_NAMESPACE, **names, "EXPR": where, "render": str})
 
 
 def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
@@ -598,14 +603,11 @@ def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
                   f"return v{root}, l{root}, h{root}, bad"]
     else:
         lines.append(f"return v{root}, bad" if mode == "array" else f"return v{root}")
-    if mode in ("array", "bounds_array"):
-        source = _ARRAY_FUNCTION.format(params="vals, dirs" if mode == "bounds_array" else "vals",
-                                        body="".join(f"    {line}\n" for line in lines))
-    else:
-        source = _FUNCTION.format(params="vals, dirs" if mode == "bounds" else "vals", head="",
-                                  body="".join(f"        {line}\n" for line in lines))
-    base = _NAMESPACE if mode in ("value", "bounds") else _ARRAY_NAMESPACE
-    return _define(source, {**base, **consts, "EXPR": expr, "render": render})
+    scalar = mode in ("value", "bounds")
+    lines = translated(lines) if scalar else ["bad = False", *lines]
+    return _define("vals, dirs" if mode.startswith("bounds") else "vals", lines,
+                   {**(_NAMESPACE if scalar else _ARRAY_NAMESPACE), **consts,
+                    "EXPR": expr, "render": render})
 
 
 def compile_expr(expr: Expr, var_order: Sequence[str]) -> Callable:

@@ -9,7 +9,6 @@ of a guard set uses the convention ``guard(x, u) <= 0``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, IO, List, Optional, Sequence, Tuple
@@ -82,15 +81,6 @@ class HybridSignal:
     def dim(self) -> int:
         return self.values[0].shape[1]
 
-    def iter_samples(self):
-        """Yield (t, k, value_row, is_jump_point) over all stored samples."""
-        last = len(self.domain.intervals) - 1
-        for idx, ((_lo, _hi, k), ts, vs) in enumerate(
-                zip(self.domain.intervals, self.times, self.values)):
-            for j in range(len(ts)):
-                jump_point = idx < last and j == len(ts) - 1
-                yield float(ts[j]), k, vs[j], jump_point
-
 
 # ---------------------------------------------------------------------------
 # subsystem and network specifications
@@ -114,18 +104,20 @@ class SubsystemSpec:
 
 
 class InputSignal:
-    """External input as expressions in (t, k) or a piecewise-constant table."""
+    """External input as expressions in (t, k) or a piecewise-constant table.
+
+    ``values(t, k)`` is the input as a plain list of floats.  It must be a pure
+    function of (t, k), as the four constructors below make it: the simulator
+    reads the input at a step's start once, as the previous step's end input.
+    """
 
     def __init__(self, fn: Callable[[float, int], list], dim: int, description: str):
-        self._fn = fn  # returns a plain list of floats
+        self.values = fn
         self.dim = dim
         self.description = description
 
     def __call__(self, t: float, k: int) -> np.ndarray:
-        return np.asarray(self._fn(t, k))
-
-    def values(self, t: float, k: int) -> list:
-        return self._fn(t, k)
+        return np.asarray(self.values(t, k))
 
     @staticmethod
     def constant(values: Sequence[float]) -> "InputSignal":
@@ -268,9 +260,9 @@ class NetworkSpec:
         return out
 
     def sim_kernels(self) -> tuple:
-        """The step and mode kernels of ``simulate``, compiled on the first call."""
+        """The run and mode kernels of ``simulate``, compiled on the first call."""
         if not self._sim_kernels:
-            self._sim_kernels = (_step_kernel(self), _mode_kernel(self))
+            self._sim_kernels = (_run_kernel(self), _mode_kernel(self))
         return self._sim_kernels
 
     def jump_set_structurally_empty(self, sub: Optional[int] = None) -> bool:
@@ -377,38 +369,49 @@ class SolutionPair:
 
 
 class _Recorder:
-    def __init__(self):
-        self.interval_times: List[List[float]] = []
-        self.interval_x: List[list] = []
-        self.interval_u: List[list] = []
-        self.bounds: List[Tuple[float, float, int]] = []
+    """The samples of a run, kept flat: the times of every interval in one list,
+    and the state and input components of each sample, row after row, in two
+    more.  ``finalize`` builds each signal once from them, with ``state_dim``
+    and ``input_dim`` components per sample."""
+
+    def __init__(self, state_dim: int, input_dim: int):
+        self.widths = (state_dim, input_dim)
+        self.ts: List[float] = []
+        self.xs: List[float] = []
+        self.us: List[float] = []
+        self.opened: List[Tuple[float, int, int]] = []  # (t, k, first sample) per interval
 
     def open_interval(self, t: float, k: int):
-        self.interval_times.append([])
-        self.interval_x.append([])
-        self.interval_u.append([])
-        self.bounds.append((t, t, k))
+        self.opened.append((t, k, len(self.ts)))
 
     def record(self, t: float, x: list, u: list):
-        ts = self.interval_times[-1]
-        if ts and t <= ts[-1]:
+        ts = self.ts
+        if len(ts) > self.opened[-1][2] and t <= ts[-1]:
             if t - ts[-1] > -1e-15:
                 return  # duplicate point at the same time inside an interval
             raise SimulationError("non-monotone time inside an interval")
         ts.append(t)
-        self.interval_x[-1].append(list(x))
-        self.interval_u[-1].append(list(u))
-        lo, _hi, k = self.bounds[-1]
-        self.bounds[-1] = (lo, t, k)
+        self.xs.extend(x)
+        self.us.extend(u)
 
     def finalize(self, termination: str, complete: bool, jumps: int) -> SolutionPair:
-        domain = HybridTimeDomain(tuple(self.bounds))
-        times = [np.array(ts) for ts in self.interval_times]
-        xsig = HybridSignal(domain, times, [np.array(v) for v in self.interval_x])
-        usig = HybridSignal(domain, [t.copy() for t in times],
-                            [np.array(v) for v in self.interval_u])
+        rows = len(self.ts)
+        times = np.array(self.ts)
+        states = np.array(self.xs).reshape(rows, self.widths[0])
+        inputs = np.array(self.us).reshape(rows, self.widths[1])
+        starts = [first for _t, _k, first in self.opened]
+        cuts = list(zip(starts, starts[1:] + [rows]))
+        domain = HybridTimeDomain(tuple((t, self.ts[b - 1] if b > a else t, k)
+                                        for (t, k, _first), (a, b) in zip(self.opened, cuts)))
+        u_times = times.copy()
+        xsig = HybridSignal(domain, [times[a:b] for a, b in cuts], [states[a:b] for a, b in cuts])
+        usig = HybridSignal(domain, [u_times[a:b] for a, b in cuts],
+                            [inputs[a:b] for a, b in cuts])
         return SolutionPair(x=xsig, u=usig, termination=termination,
                             complete=complete, jumps_applied=jumps)
+
+
+HORIZON, NUMERICAL_FAILURE = "horizon", "numerical_failure"  # the run kernel's other ends
 
 
 def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
@@ -416,14 +419,14 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
              opts: Optional[SimOptions] = None) -> SolutionPair:
     """Simulate the composed network from ``x0`` under input ``u``.
 
-    Each point is classified once, by the network's mode kernel.  A point
-    outside C jumps if it is in D and otherwise ends the run (``left_domain``);
-    a point that flows takes one fixed RK4 step of the step kernel.  A step
-    whose end does not flow is bisected down to ``TIME_TOL`` and the event
-    point found is recorded.  Completeness records that the run used its full
-    time or jump budget.  An expression that leaves its domain ends the run as
-    ``numerical_failure``, at the initial point too; an input undefined there
-    is recorded as NaN.
+    Each point is classified once.  A point outside C jumps if it is in D and
+    otherwise ends the run (``left_domain``); a point that flows hands the run
+    to the network's run kernel.  It takes fixed RK4 steps and records them
+    until a step end does not flow, bisects that step down to ``TIME_TOL`` and
+    returns the event point found, which jumps or ends the run here.
+    Completeness records that the run used its full time or jump budget.  An
+    expression that leaves its domain ends the run as ``numerical_failure``,
+    at the initial point too; an input undefined there is recorded as NaN.
     """
     opts = opts or SimOptions()
     opts.validate()
@@ -435,14 +438,12 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
     if u.dim != net.input_dim:
         raise SimulationError(f"input signal must have dimension {net.input_dim}")
 
-    step, mode_of = net.sim_kernels()
+    run, mode_of = net.sim_kernels()
     values = u.values
     t, k, jumps = 0.0, 0, 0
-    rec = _Recorder()
+    rec = _Recorder(net.state_dim, u.dim)
     rec.open_interval(t, k)
     jump_priority = opts.priority == "jump"
-    h = opts.step
-    steps_since_record = 0
     mode = None  # the mode of (t, k, x), once known
     u_now = [math.nan] * u.dim  # recorded at t = 0 if the input is undefined there
 
@@ -454,66 +455,30 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
         rec.record(t, x, u_now)
         while True:
             if not all(map(math.isfinite, x)):
-                return rec.finalize("numerical_failure", False, jumps)
+                return rec.finalize(NUMERICAL_FAILURE, False, jumps)
             if mode is None:  # the initial point or a jump's image
                 mode = mode_of(x, u_now, jump_priority)
-            if mode != FLOW:  # OUTSIDE_C jumps if the jump guard is <= 0
-                if mode == OUTSIDE_C and not net.d_raw(x + u_now) <= 0.0:
-                    return rec.finalize("left_domain", False, jumps)
-                if jumps >= max_jumps:
-                    return rec.finalize("max_jumps", True, jumps)
-                x, u_now = net.jump_raw(x + u_now), values(t, k + 1)
-                k += 1
-                jumps += 1
-                rec.open_interval(t, k)
-                rec.record(t, x, u_now)
-                steps_since_record = 0
-                mode = None
+            if mode == FLOW:
+                mode, t, x, u_now = run(x, u_now, t, k, opts.step, horizon, opts.record_every,
+                                        values, jump_priority, rec.ts, rec.xs, rec.us)
+                if mode == HORIZON or mode == NUMERICAL_FAILURE:
+                    return rec.finalize(mode, mode == HORIZON, jumps)
                 continue
-
-            # flow phase
-            if t >= horizon - 1e-15:
-                return rec.finalize("horizon", True, jumps)
-            h_step = min(h, horizon - t)
-            x_end = step(x, values, t, k, h_step)
-            if not all(map(math.isfinite, x_end)):
-                return rec.finalize("numerical_failure", False, jumps)
-            u_end = values(t + h_step, k)
-            mode = mode_of(x_end, u_end, jump_priority)
-            if mode != FLOW:
-                theta, x, u_now, mode = _bisect_event(step, mode_of, x, values, t, k, h_step,
-                                                      jump_priority, (x_end, u_end, mode))
-                t = t + theta * h_step
-                rec.record(t, x, u_now)
-                steps_since_record = 0
-                continue
-            x, u_now = x_end, u_end
-            t = t + h_step
-            steps_since_record += 1
-            if steps_since_record >= opts.record_every or t >= horizon - 1e-15:
-                rec.record(t, x, u_now)
-                steps_since_record = 0
-    except ex.EvalDomainError:  # a guard, flow, jump or input expression left its domain
-        if not rec.interval_times[0]:  # it failed at the initial point
+            # OUTSIDE_C jumps if the jump guard is <= 0
+            if mode == OUTSIDE_C and not net.d_raw(x + u_now) <= 0.0:
+                return rec.finalize("left_domain", False, jumps)
+            if jumps >= max_jumps:
+                return rec.finalize("max_jumps", True, jumps)
+            x, u_now = net.jump_raw(x + u_now), values(t, k + 1)
+            k += 1
+            jumps += 1
+            rec.open_interval(t, k)
             rec.record(t, x, u_now)
-        return rec.finalize("numerical_failure", False, jumps)
-
-
-def _bisect_event(step, mode_of, x, values, t, k, h_step, jump_priority, end) -> tuple:
-    """Bisect the step from ``(t, x)`` whose ``end`` (state, input, mode) does
-    not flow; returns the step fraction, state, input and mode of the event."""
-    lo, hi = 0.0, 1.0
-    x_hi, u_hi, mode_hi = end
-    while (hi - lo) * h_step > TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        x_mid = step(x, values, t, k, mid * h_step)
-        u_mid = values(t + mid * h_step, k)
-        mode = mode_of(x_mid, u_mid, jump_priority)
-        if mode == FLOW:
-            lo = mid
-        else:
-            hi, x_hi, u_hi, mode_hi = mid, x_mid, u_mid, mode
-    return hi, x_hi, u_hi, mode_hi
+            mode = None
+    except ex.EvalDomainError:  # a guard, flow, jump or input expression left its domain
+        if not rec.ts:  # it failed at the initial point
+            rec.record(t, x, u_now)
+        return rec.finalize(NUMERICAL_FAILURE, False, jumps)
 
 
 def _unpack(ids: List[str], seq: str) -> List[str]:
@@ -521,72 +486,132 @@ def _unpack(ids: List[str], seq: str) -> List[str]:
     return ["".join(f"v{i}, " for i in ids) + f"= {seq}"] if ids else []
 
 
-def _step_kernel(net: NetworkSpec) -> Callable:
-    """``step(x, values, t, k, h)``: one RK4 step of length ``h`` from state ``x``
-    at ``(t, k)`` under the input ``values(t, k)``, in straight-line code.
+def _classify_lines(net: NetworkSpec, ids: dict, consts: dict) -> List[str]:
+    """Lines setting ``mode`` at the point whose coordinates are the locals that
+    ``ids`` names: OUTSIDE_C unless the flow guard (the ``c_raw`` fold) is <= 0
+    (NaN is outside), else JUMP under ``jump_priority`` if the jump guard (the
+    ``d_raw`` fold) is <= 0, else FLOW.
 
-    Every stage of every flow component is inlined, with the arithmetic of a
-    stage-by-stage loop in its order: the inputs at t, t + h/2 and t + h, the
-    slopes k1 at x, k2 at x + h/2*k1, k3 at x + h/2*k2 and k4 at x + h*k3, each
-    component by component, then x + h/6*(k1 + 2*k2 + 2*k3 + k4).
+    The jump guards are evaluated only where they decide the outcome.
+    Structurally equal guards are evaluated once: a repeat cannot change a
+    fold where a later value wins only if strictly better.
     """
-    n, m = net.state_dim, net.input_dim
-    flows = [e for s in net.subsystems for e in s.flow]
-    body = _unpack([f"x1_{i}" for i in range(n)], "x")
-    for us in ("u1", "u2", "u3"):
-        body += _unpack([f"{us}_{r}" for r in range(m)], us)
-    body.append("half = 0.5 * h")
-    consts, slopes = {}, []
-    stages = (("u1", ""), ("u2", "half"), ("u2", "half"), ("u3", "h"))  # inputs, state offset
-    for stage, (us, scale) in enumerate(stages, 1):
-        if scale:
-            body += [f"vx{stage}_{i} = vx1_{i} + {scale} * v{ki}"
-                     for i, ki in enumerate(slopes[-1])]
-        ids = dict(zip(net.var_order, [f"x{stage}_{i}" for i in range(n)]
-                       + [f"{us}_{r}" for r in range(m)]))
-        slopes.append([ex.emit_lines(e, "value", body, consts, var_ids=ids, tag=f"{stage}_{i}_")
-                       for i, e in enumerate(flows)])
-    body.append("w = h / 6.0")
-    body.append("return [" + ", ".join(f"vx1_{i} + w * (v{a} + 2.0 * v{b} + 2.0 * v{c} + v{d})"
-                                       for i, (a, b, c, d) in enumerate(zip(*slopes))) + "]")
-    head = ["if h == 0.0:", "    return list(x)", "u1 = values(t, k)",
-            "u2 = values(t + 0.5 * h, k)", "u3 = values(t + h, k)"]
-    return ex.compile_lines("x, values, t, k, h", head, body, consts, "the RK4 step")
+    roots: dict = {}
+
+    def fold(guards, better: str, name: str) -> List[str]:
+        lines: List[str] = []
+        for g in guards:
+            if g not in roots:
+                roots[g] = ex.emit_lines(g, "value", lines, consts, var_ids=ids,
+                                         tag=f"g{len(roots)}_")
+        first, *rest = dict.fromkeys(roots[g] for g in guards)
+        lines.append(f"{name} = v{first}")
+        lines.extend(f"if v{r} {better} {name}: {name} = v{r}" for r in rest)
+        return lines
+
+    c_lines = fold([s.c_guard for s in net.subsystems], ">", "c")
+    d_lines = fold([s.d_guard for s in net.subsystems], "<", "d")
+    return [*c_lines, "if not c <= 0.0:", "    mode = OUTSIDE_C", "elif jump_priority:",
+            *(f"    {line}" for line in d_lines), "    mode = JUMP if d <= 0.0 else FLOW",
+            "else:", "    mode = FLOW"]
+
+
+_KERNEL_NAMES = {"FLOW": FLOW, "JUMP": JUMP, "OUTSIDE_C": OUTSIDE_C, "HORIZON": HORIZON,
+                 "NUMERICAL_FAILURE": NUMERICAL_FAILURE, "TIME_TOL": TIME_TOL,
+                 "SimulationError": SimulationError}
 
 
 def _mode_kernel(net: NetworkSpec) -> Callable:
-    """``mode(x, u, jump_priority)``: OUTSIDE_C unless the flow guard (the
-    ``c_raw`` fold) is <= 0 (NaN is outside), else JUMP under jump priority if
-    the jump guard (the ``d_raw`` fold) is <= 0, else FLOW.
-
-    The jump guards are evaluated only where they decide the outcome; the
-    caller settles OUTSIDE_C.  Structurally equal guards are evaluated once: a
-    repeat cannot change a fold where a later value wins only if strictly better.
-    """
+    """``mode(x, u, jump_priority)``: the mode of state ``x`` under input ``u``."""
     xs = [f"x_{i}" for i in range(net.state_dim)]
     us = [f"u_{r}" for r in range(net.input_dim)]
-    ids = dict(zip(net.var_order, xs + us))
+    consts: dict = {}
     body = _unpack(xs, "x") + _unpack(us, "u")
-    consts, roots = {}, {}
+    body += _classify_lines(net, dict(zip(net.var_order, xs + us)), consts)
+    return ex.compile_lines("x, u, jump_priority", [*ex.translated(body), "return mode"],
+                            {**consts, **_KERNEL_NAMES}, "the guards")
 
-    def fold(guards, better: str, name: str, indent: str):
-        for g in guards:
-            if g not in roots:
-                lines: List[str] = []
-                roots[g] = ex.emit_lines(g, "value", lines, consts, var_ids=ids,
-                                         tag=f"{len(roots)}_")
-                body.extend(indent + line for line in lines)
-        first, *rest = dict.fromkeys(roots[g] for g in guards)
-        body.append(f"{indent}{name} = v{first}")
-        body.extend(f"{indent}if v{r} {better} {name}: {name} = v{r}" for r in rest)
 
-    fold([s.c_guard for s in net.subsystems], ">", "c", "")
-    body += ["if not c <= 0.0:", "    return OUTSIDE_C", "if jump_priority:"]
-    fold([s.d_guard for s in net.subsystems], "<", "d", "    ")
-    body += ["    if d <= 0.0:", "        return JUMP", "return FLOW"]
-    return ex.compile_lines("x, u, jump_priority", [], body,
-                            {**consts, "FLOW": FLOW, "JUMP": JUMP, "OUTSIDE_C": OUTSIDE_C},
-                            "the guards")
+def _run_kernel(net: NetworkSpec) -> Callable:
+    """``run(x, u, t, k, h, horizon, every, values, jump_priority, ts, xs, us)``:
+    flow from a point ``(t, k, x)`` that flows under input ``u``, in
+    straight-line code, and return ``(end, t, x, u)``.
+
+    Each RK4 step has length ``min(h, horizon - t)``.  Its stages are inlined,
+    with the arithmetic of a stage-by-stage loop in its order: the inputs at t,
+    t + h/2 and t + h, the slopes k1 at x, k2 at x + h/2*k1, k3 at x + h/2*k2
+    and k4 at x + h*k3, each component by component, then
+    x + h/6*(k1 + 2*k2 + 2*k3 + k4).  Only the inputs at t + h/2 and t + h are
+    read, with ``values``: the input at t is the previous step's end input.
+    Input reads stay outside the error translation of the arithmetic.
+
+    A step whose end is finite and flows is accepted; every ``every``-th one,
+    and the one reaching the horizon, is recorded into the flat lists ``ts``,
+    ``xs`` and ``us`` by the rule of ``_Recorder.record``.  A step end that
+    does not flow is bisected down to ``TIME_TOL`` in time; the event point is
+    recorded and returned with its mode (JUMP or OUTSIDE_C) as ``end``.  At
+    the horizon, and at a step end that is not finite, ``end`` is HORIZON or
+    NUMERICAL_FAILURE and the rest is None.
+    """
+    n, m = net.state_dim, net.input_dim
+    x1, xe, xh = ([f"{p}_{i}" for i in range(n)] for p in ("x1", "xe", "xh"))
+    u1, u2, u3 = ([f"{p}_{r}" for r in range(m)] for p in ("u1", "u2", "u3"))
+    consts: dict = {}
+
+    # one RK4 step of length hm from (t, x1, u1), into xe
+    step = _unpack(u2, "u2") + _unpack(u3, "u3") + ["half = 0.5 * hm"]
+    flows = [e for s in net.subsystems for e in s.flow]
+    slopes = []
+    stages = ((u1, ""), (u2, "half"), (u2, "half"), (u3, "hm"))  # inputs, state offset
+    for stage, (us, scale) in enumerate(stages, 1):
+        state_ids = x1 if stage == 1 else [f"x{stage}_{i}" for i in range(n)]
+        if scale:
+            step += [f"v{xi} = vx1_{i} + {scale} * v{ki}"
+                     for i, (xi, ki) in enumerate(zip(state_ids, slopes[-1]))]
+        ids = dict(zip(net.var_order, state_ids + us))
+        slopes.append([ex.emit_lines(e, "value", step, consts, var_ids=ids, tag=f"{stage}_{i}_")
+                       for i, e in enumerate(flows)])
+    step.append("w = hm / 6.0")
+    step += [f"vxe_{i} = vx1_{i} + w * (v{a} + 2.0 * v{b} + 2.0 * v{c} + v{d})"
+             for i, (a, b, c, d) in enumerate(zip(*slopes))]
+    step = ["u2 = values(t + 0.5 * hm, k)", "u3 = values(t + hm, k)", *ex.translated(step)]
+    classify = ex.translated(_classify_lines(net, dict(zip(net.var_order, xe + u3)), consts))
+
+    def nest(depth: int, block: List[str]) -> List[str]:
+        return ["    " * depth + line for line in block]
+
+    def assign(dst: List[str], src: List[str]) -> List[str]:
+        return [f"v{a} = v{b}" for a, b in zip(dst, src)]
+
+    def record(state: str, u: str) -> List[str]:  # at t, by the rule of _Recorder.record
+        return ["if t <= last:", "    if not t - last > -1e-15:",
+                "        raise SimulationError('non-monotone time inside an interval')",
+                "else:", "    last = t", "    append_t(t)", f"    extend_x({state})",
+                f"    extend_u({u})"]
+
+    finite = " and ".join(f"isfinite(v{i})" for i in xe) or "True"
+    accept = [*assign(x1, xe), *assign(u1, u3), "u1 = u3", "t = t + hs", "since += 1",
+              "if since >= every or t >= end:", "    since = 0",
+              *nest(1, record("(" + "".join(f"v{i}, " for i in x1) + ")", "u1")), "continue"]
+    bisect = ["mid = 0.5 * (lo + hi)", "hm = mid * hs", *step, *classify,
+              "if mode == FLOW:", "    lo = mid", "else:", "    hi, mode_hi, uh = mid, mode, u3",
+              *nest(1, assign(xh, xe))]
+    lines = [
+        *ex.translated(_unpack(x1, "x") + _unpack(u1, "u1")),
+        "end = horizon - 1e-15", "last = ts[-1]", "since = 0",
+        "append_t, extend_x, extend_u = ts.append, xs.extend, us.extend",
+        "while True:",
+        *nest(1, ["if t >= end:", "    return HORIZON, t, None, None",
+                  "hs = horizon - t", "if not hs < h:", "    hs = h",  # min(h, horizon - t)
+                  "hm = hs", *step,
+                  f"if not ({finite}):", "    return NUMERICAL_FAILURE, t, None, None",
+                  *classify, "if mode == FLOW:", *nest(1, accept),
+                  "lo, hi, mode_hi, uh = 0.0, 1.0, mode, u3", *assign(xh, xe),
+                  "while (hi - lo) * hs > TIME_TOL:", *nest(1, bisect),
+                  "t = t + hi * hs", "x = [" + "".join(f"v{i}, " for i in xh) + "]",
+                  *record("x", "uh"), "return mode_hi, t, x, uh"])]
+    return ex.compile_lines("x, u1, t, k, h, horizon, every, values, jump_priority, ts, xs, us",
+                            lines, {**consts, **_KERNEL_NAMES}, "the flow of the network")
 
 
 # ---------------------------------------------------------------------------
@@ -598,18 +623,22 @@ def write_trajectory_csv(sol: SolutionPair, stream: IO[str]) -> int:
 
     The phase is ``jump`` at the last sample of every interval but the last
     and at the first sample of every interval after a jump, else ``flow``.
+    Rows are comma-joined ``repr`` values ending in ``\\r\\n``, as ``csv.writer``
+    writes them (no value needs quoting), one write per interval.
     """
-    writer = csv.writer(stream)
     n, m = sol.x.dim, sol.u.dim
-    writer.writerow(["t", "k"] + [f"x_{i + 1}" for i in range(n)]
-                    + [f"u_{j + 1}" for j in range(m)] + ["phase"])
+    stream.write(",".join(["t", "k"] + [f"x_{i + 1}" for i in range(n)]
+                          + [f"u_{j + 1}" for j in range(m)] + ["phase"]) + "\r\n")
     last = len(sol.domain.intervals) - 1
-    rows = 0
     for idx, ((_lo, _hi, k), ts, xs, us) in enumerate(
             zip(sol.domain.intervals, sol.x.times, sol.x.values, sol.u.values)):
-        end = len(ts) - 1
-        for j, (t, xv, uv) in enumerate(zip(ts.tolist(), xs.tolist(), us.tolist())):
-            phase = "jump" if (idx < last and j == end) or (k > 0 and j == 0) else "flow"
-            writer.writerow([repr(t), k, *map(repr, xv), *map(repr, uv), phase])
-        rows += end + 1
-    return rows
+        k_col = str(k)
+        phases = ["flow"] * len(ts)
+        if k > 0:
+            phases[0] = "jump"
+        if idx < last:
+            phases[-1] = "jump"
+        stream.write("".join(",".join([repr(t), k_col, *map(repr, xv), *map(repr, uv), phase])
+                             + "\r\n" for t, xv, uv, phase
+                             in zip(ts.tolist(), xs.tolist(), us.tolist(), phases)))
+    return sum(len(ts) for ts in sol.x.times)

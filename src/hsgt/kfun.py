@@ -30,6 +30,10 @@ class KRangeError(KFunError):
     """Inversion target above the sampled range of a bounded class-K function."""
 
 
+class KOverflowError(KFunError):
+    """Inversion target above every value a function takes before it overflows."""
+
+
 class Classification(enum.Enum):
     ZERO = "zero"
     UNVERIFIED = "unverified"
@@ -228,8 +232,9 @@ def classify_callable(fn: Callable[[float], float], array_rule: Optional[Callabl
     """Strongest class consistent with sampled checks; never claims a refuted one.
 
     Also returns the values of ``fn`` on ``GRID`` as far as they were sampled.
-    ``fn`` follows the expression error contract: an overflow (``EvalOverflowError``)
-    counts as unbounded growth, any other ``EvalDomainError`` as undefined.
+    ``fn`` follows the expression error contract: an overflow (``EvalOverflowError``,
+    or ``KOverflowError`` from an inverse) counts as unbounded growth, any other
+    ``EvalDomainError`` as undefined.
     ``array_rule`` (see ``KFun``) takes each run of points in one call.
     """
     values: List[float] = []
@@ -247,7 +252,7 @@ def classify_callable(fn: Callable[[float], float], array_rule: Optional[Callabl
                 overflowed = True
                 break
             values.append(v)
-    except ex.EvalOverflowError:
+    except (ex.EvalOverflowError, KOverflowError):
         overflowed = True
     if not values:
         return Classification.UNVERIFIED, values
@@ -266,7 +271,7 @@ def classify_callable(fn: Callable[[float], float], array_rule: Optional[Callabl
                 if math.isinf(v) or v > _UNBOUNDED_LEVEL:
                     unbounded = True
                     break
-        except ex.EvalOverflowError:
+        except (ex.EvalOverflowError, KOverflowError):
             unbounded = True
         except ex.EvalDomainError:
             pass
@@ -340,11 +345,13 @@ def invert(f: KFun, y: float) -> float:
         if hi - lo <= 1e-14 * max(1.0, hi):
             break
     r = 0.5 * (lo + hi)
-    if abs(f(r) - y) > resid_tol:
+    if _residual(f, r, y) > resid_tol:
         # Extremely flat region: fall back to the best bracket endpoint.
         for cand in (lo, hi):
-            if abs(f(cand) - y) <= resid_tol:
+            if _residual(f, cand, y) <= resid_tol:
                 return cand
+        if math.isinf(_residual(f, hi, y)):  # the bracket closed on the overflow threshold
+            raise KOverflowError(f"{y!r} is above every value before the function overflows")
         raise KFunError(f"bisection failed to meet residual tolerance at y={y!r}")
     return r
 
@@ -364,9 +371,21 @@ def _invert_piecewise(f: KFun, y: float) -> float:
     return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
 
 
+def _residual(f: KFun, s: float, y: float) -> float:
+    """``|f(s) - y|``, infinite where ``f`` overflows."""
+    try:
+        return abs(f(s) - y)
+    except ex.EvalOverflowError:
+        return math.inf
+
+
 def _safe_call(f: KFun, s: float) -> Optional[float]:
+    """``f(s)``: +inf where it overflows or is +inf (above every target), None
+    where it is undefined."""
     try:
         v = f(s)
+    except ex.EvalOverflowError:  # unbounded growth, as ``classify_callable`` counts it
+        return math.inf
     except ex.EvalDomainError:
         return None
     return v if math.isfinite(v) else float("inf") if v > 0 else None

@@ -126,20 +126,16 @@ class WindowedNorms:
     """
 
     def __init__(self, sol: SolutionPair, net: NetworkSpec):
-        xs, us, sums, ts, ks = [], [], [], [], []
-        for (t, k, xv, _j), (_t, _k, uv, _ju) in zip(sol.x.iter_samples(),
-                                                     sol.u.iter_samples()):
-            xs.append(xv)
-            us.append(uv)
-            sums.append(t + k)
-            ts.append(t)
-            ks.append(k)
-        order = np.argsort(np.asarray(sums), kind="stable")
-        self.sums = np.asarray(sums)[order]
-        self.t = np.asarray(ts, dtype=float)[order]
-        self.k = np.asarray(ks, dtype=float)[order]
-        self.x = np.asarray(xs)[order]
-        self.u_arr = np.asarray(us)[order]
+        t = np.concatenate(sol.x.times)
+        k = np.repeat([float(k) for _lo, _hi, k in sol.domain.intervals],
+                      [len(ts) for ts in sol.x.times])
+        sums = t + k
+        order = np.argsort(sums, kind="stable")
+        self.sums = sums[order]
+        self.t = t[order]
+        self.k = k[order]
+        self.x = np.concatenate(sol.x.values)[order]
+        self.u_arr = np.concatenate(sol.u.values)[order]
         self.sub_mag = [np.max(np.abs(self.x[:, sl]), axis=1) for sl in net.slices]
         self.full_mag = np.max(np.abs(self.x), axis=1)
         self.sub_prefix = [np.maximum.accumulate(m) for m in self.sub_mag]
@@ -363,8 +359,8 @@ def check_zero_input_prestability(net: NetworkSpec, delta_grid: Sequence[float],
             except _RUN_ERRORS:  # outside the flow and jump sets: no admissible run
                 worst_sup = math.inf
                 break
-            mags = [float(np.max(np.abs(v))) for _t, _k, v, _j in sol.x.iter_samples()]
-            worst_sup = max(worst_sup, max(mags))
+            # NaN rows occur only in numerical failures, whose sup is inf below
+            worst_sup = max(worst_sup, float(np.max(np.abs(np.concatenate(sol.x.values)))))
             if sol.termination == "numerical_failure":
                 worst_sup = math.inf
         sups[delta] = worst_sup

@@ -23,7 +23,7 @@ from hsgt.lyapunov import (VerifyTolerances, build_composite, verify_composite_f
 from hsgt.trajectories import (AGEstimate, PreGSEstimate, TrajectoryGains, check_ag,
                                fit_empirical_gain, initial_condition_grid,
                                run_estimate_batch)
-from reference_hybrid import value_at
+from reference_hybrid import iter_samples, value_at
 
 TOL_1E7 = VerifyTolerances(flow=1e-7, jump_rel=1e-7)
 
@@ -158,7 +158,7 @@ def test_criterion_6_frozen_pathology():
         sim = cfg.simulation
         sol = simulate(cfg.network, sim.x0, sim.input_signal, sim.horizon,
                        sim.max_jumps, sim.options)
-        for _t, _k, value, _j in sol.x.iter_samples():
+        for _t, _k, value, _j in iter_samples(sol.x):
             assert value[1] == pytest.approx(5.0)
         traj = cfg.trajectories
         batch = check_ag(sol, traj.estimate, cfg.network)

@@ -254,6 +254,25 @@ def test_single_argument_min_max(text):
     assert ex.directional_bounds(tree, {"s": 2.0}, {"s": 3.0}) == (2.0, 3.0, 3.0)
 
 
+_SIGNED = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -1.0]) \
+    | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([ex.Min, ex.Max]), st.lists(_SIGNED, min_size=1, max_size=5))
+def test_value_mode_min_max_select_as_the_builtins(node, args):
+    """Value mode emits min/max as compare-and-select, not as a builtin call, and
+    gives the builtin's bits: NaN, signed zeros and infinities included."""
+    names = tuple(f"a{i}" for i in range(len(args)))
+    tree = node(tuple(ex.Var(name) for name in names))
+    lines: list = []
+    ex.emit_lines(tree, "value", lines, {}, {name: i for i, name in enumerate(names)})
+    assert not any("min(" in line or "max(" in line for line in lines)
+    builtin = min if node is ex.Min else max
+    assert struct.pack("<d", ex.compile_expr(tree, names)(args)) == \
+        struct.pack("<d", builtin(args))
+
+
 def test_exp_overflow_raises_overflow_error():
     tree = ex.parse("exp(s)", ["s"])
     for fn in (lambda: ex.compile_expr(tree, ("s",))((1000.0,)),

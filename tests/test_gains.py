@@ -165,6 +165,20 @@ def test_omega_path_needs_inflation_when_plain_iterates_tie():
         assert np.all(gamma_max_apply(gm, sig) < sig)
 
 
+def test_omega_path_builds_through_a_gain_that_overflows():
+    # exp overflows from s ~ 2.03e6 while the term it scales is still ~1e-12, so the
+    # gain is finite up to ~4.06e5 and then overflows; the inverse of each path
+    # component brackets into the overflow, which counts as above the target
+    g = KFun.from_text("0.3*s/(1 + s) + 0.2*s + 1e-320*exp(0.00035*s)")
+    gm = GainMatrix.from_rows([[None, g], [KFun.from_text("0.5*s"), None]])
+    path = build_omega_path(gm, anchor=[3.0, 3.0], options=SmallGainOptions(grid_hi=1e3))
+    assert [s.classification for s in path.sigmas + path.sigma_invs] == \
+        [Classification.CLASS_K_INF] * 4
+    r = 50.0
+    for sigma, inverse in zip(path.sigmas, path.sigma_invs):
+        assert inverse(sigma(r)) == pytest.approx(r, rel=1e-9)
+
+
 def test_omega_path_requires_small_gain():
     gm = linear_gain_matrix([[0, 2.0], [1.0, 0]])
     with pytest.raises(SmallGainError):

@@ -17,8 +17,8 @@ from hsgt import expr as ex
 from hsgt.config import load_config
 from hsgt.hybrid import (TIME_TOL, DomainError, HybridSignal, HybridTimeDomain, InputSignal,
                          NetworkSpec, SimOptions, SimulationError, SolutionPair, SubsystemSpec,
-                         _Recorder, compose_network, simulate, write_trajectory_csv)
-from reference_hybrid import rk4, sup_norm, value_at
+                         compose_network, simulate, write_trajectory_csv)
+from reference_hybrid import Recorder, iter_samples, rk4, sup_norm, value_at
 from test_expr import _LANES, _trees
 
 
@@ -129,7 +129,7 @@ def test_frozen_pathology_keeps_state_constant():
     sol = simulate(net, [1.0, 5.0], InputSignal.zero(1), horizon=5.0, max_jumps=8)
     assert sol.termination == "max_jumps"
     assert sol.jumps_applied == 8
-    for _t, _k, value, _j in sol.x.iter_samples():
+    for _t, _k, value, _j in iter_samples(sol.x):
         assert value == pytest.approx([1.0, 5.0])
 
 
@@ -290,7 +290,7 @@ def test_expression_input():
 # differential gate: one flow/jump decision per point against the former loop
 #
 # ``_reference_simulate`` is the former loop, verbatim but for the tolerance
-# constant.  It evaluated both guards at the top of every iteration and again
+# constant, on the former per-interval recorder.  It evaluated both guards at the top of every iteration and again
 # in ``_flow_event`` at each step end, and integrated each event point twice.
 
 
@@ -321,7 +321,7 @@ def _reference_simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
     if not (net.c_raw(vals) <= 0.0 or net.d_raw(vals) <= 0.0):
         raise SimulationError("initial point lies outside the union of flow and jump sets")
 
-    rec = _Recorder()
+    rec = Recorder()
     rec.open_interval(t, k)
     rec.record(t, x, u_now)
     jump_priority = opts.priority == "jump"
@@ -429,10 +429,10 @@ def grid_inputs():
             InputSignal.piecewise([0.0, 0.4, 1.1], [[0.2], [-1.2], [0.6]])]
 
 
-def fingerprint(run, net, x0, u, opts):
+def fingerprint(run, net, x0, u, opts, horizon=1.5, max_jumps=5):
     """Every byte the run produced, or the error it raised."""
     try:
-        sol = run(net, x0, u, 1.5, 5, opts)
+        sol = run(net, x0, u, horizon, max_jumps, opts)
     except SimulationError as err:
         return ("raised", str(err))
     return (sol.termination, sol.complete, sol.jumps_applied, repr(sol.domain.intervals),
@@ -459,23 +459,83 @@ def test_simulate_matches_reference_loop_bit_for_bit():
                for key, r in results.items() if key[-1] == "jump")
 
 
+def _ramp_to(level):
+    """x' = 1 (the input enters with weight 0); C is x <= level and D is x >= level,
+    and a jump resets x to 0."""
+    return one_dim("1 + 0*u_1", f"x_1 - {level}", f"{level} - x_1", jump="0*x_1")
+
+
+def _event_in_the_shortened_step(sol):  # the first event lies in the last step, 0.9 to 1.0
+    return sol.jumps_applied == 1 and 0.9 < sol.domain.intervals[0][1] < 1.0
+
+
+def _duplicates_dropped(sol):  # each event point repeats its interval's start time
+    return sol.jumps_applied == 3 and [len(ts) for ts in sol.x.times[1:]] == [1, 1, 1]
+
+
+def _on_the_breakpoint(sol):  # the breakpoint is a step end, and its event is found there
+    return sol.domain.intervals[0][1] == 0.5 and sol.jumps_applied == 2
+
+
+EDGE_CASES = {
+    "event in the shortened last step": (
+        _ramp_to(0.995), [0.0], InputSignal.zero(1), 1.0, 1, SimOptions(step=0.3),
+        _event_in_the_shortened_step),
+    "horizon not a multiple of the step": (
+        decoupled_two_sub(), [2.0, 0.0], InputSignal.zero(1), 1.05, 2, SimOptions(step=0.1),
+        lambda sol: sol.x.times[-1][-1] == 1.05 and sol.jumps_applied == 2),
+    # near t = 1e7 an event 2**-50 steps in rounds to the step start, so the event
+    # point is dropped as a duplicate time and the state jumps from the step start
+    "duplicate time dropped": (
+        one_dim("u_1", "x_1 - 1", "1 - x_1", jump="0*x_1 + 1"), [1.0],
+        InputSignal.piecewise([0.0, 1e7], [[0.0], [1.0]]), 2.05e7, 3,
+        SimOptions(step=1e6, priority="flow"), _duplicates_dropped),
+    "piecewise breakpoint on a step end": (
+        one_dim("u_1 - x_1", "u_1 - 1", "1 - u_1", jump="0.5*x_1"), [0.2],
+        InputSignal.piecewise([0.0, 0.5], [[0.0], [2.0]]), 1.0, 2, SimOptions(step=0.25),
+        _on_the_breakpoint),
+    "input expression in t and k": (
+        one_dim("u_1", "x_1 - 1", "1 - x_1", jump="0*x_1"), [0.0],
+        InputSignal.from_exprs([ex.parse("0.5 + exp(0 - t) + 0.5*k", ("t", "k"))]), 3.0, 4,
+        SimOptions(step=0.01), lambda sol: sol.jumps_applied == 4),
+    "record_every 3 across events": (
+        _ramp_to(0.3), [0.0], InputSignal.zero(1), 1.0, 5, SimOptions(step=0.01, record_every=3),
+        lambda sol: sol.jumps_applied == 3 and [len(ts) for ts in sol.x.times] == [11, 11, 11, 5]),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_simulate_matches_reference_loop_on_edge_cases(case):
+    net, x0, u, horizon, max_jumps, opts, occurs = EDGE_CASES[case]
+    assert fingerprint(simulate, net, x0, u, opts, horizon, max_jumps) == \
+        fingerprint(_reference_simulate, net, x0, u, opts, horizon, max_jumps)
+    assert occurs(simulate(net, x0, u, horizon, max_jumps, opts))
+
+
 def test_each_accepted_step_evaluates_each_guard_once():
     net = two_sub_network()
-    calls = {"c": 0, "d": 0, "step": 0, "mode": 0}
+    calls = {"c": 0, "d": 0, "read": 0, "abs": 0}
     c_raw, d_raw = net.c_raw, net.d_raw
     net.c_raw = lambda vals, sub=None: calls.__setitem__("c", calls["c"] + 1) or c_raw(vals, sub)
     net.d_raw = lambda vals, sub=None: calls.__setitem__("d", calls["d"] + 1) or d_raw(vals, sub)
-    step, mode = net.sim_kernels()
-    net._sim_kernels = tuple(
-        lambda *args, fn=fn, key=key: calls.__setitem__(key, calls[key] + 1) or fn(*args)
-        for fn, key in ((step, "step"), (mode, "mode")))
-    sol = simulate(net, [0.5, 0.2], InputSignal.constant([0.3]), horizon=1.0, max_jumps=3,
-                   opts=SimOptions(step=0.01))
+
+    def counting_abs(v):
+        calls["abs"] += 1
+        return abs(v)
+    # e1's flows call nothing, and its flow and jump guards (each pair structurally
+    # equal, so evaluated once) take abs of both states once: four abs calls are
+    # one classification, in the run kernel and in the mode kernel alike
+    for kernel in net.sim_kernels():
+        kernel.__globals__["abs"] = counting_abs
+    u = InputSignal.constant([0.3])
+    read = u.values
+    u.values = lambda t, k: calls.__setitem__("read", calls["read"] + 1) or read(t, k)
+    sol = simulate(net, [0.5, 0.2], u, horizon=1.0, max_jumps=3, opts=SimOptions(step=0.01))
     steps = len(sol.x.times[0]) - 1
     assert sol.termination == "horizon" and sol.jumps_applied == 0 and steps == 100
-    # the start is seen by the union check and classified once; then one classification
-    # and one step kernel call per accepted step
-    assert calls == {"c": 1, "d": 0, "step": steps, "mode": steps + 1}
+    # the start is read once, seen by the union check and classified once; then each
+    # accepted step reads the input at its middle and end and classifies its end once
+    assert calls == {"c": 1, "d": 0, "read": 1 + 2 * steps, "abs": 4 * (steps + 1)}
 
 
 def test_flow_priority_skips_the_jump_guard_inside_the_flow_set():
@@ -569,13 +629,15 @@ def test_kernels_compile_on_the_first_simulate_only(monkeypatch):
     u = InputSignal.zero(cfg.network.input_dim)
     simulate(cfg.network, [0.5, 0.2], u, 0.1, 1)
     kernels = cfg.network._sim_kernels
-    assert len(made) == 2
+    assert made == ["x, u1, t, k, h, horizon, every, values, jump_priority, ts, xs, us",
+                    "x, u, jump_priority"]  # the run kernel and the mode kernel
     simulate(cfg.network, [0.2, 0.5], u, 0.1, 1)
     assert len(made) == 2 and cfg.network._sim_kernels is kernels
 
 
 # ---------------------------------------------------------------------------
-# differential gate: the generated kernels against the former scalar step and mode
+# differential gate: the generated kernels against the former step kernel, event
+# bisection and scalar mode
 
 
 def _kernel_outcome(fn):
@@ -591,13 +653,27 @@ def _kernel_outcome(fn):
     return [struct.pack("<d", v) if v == v else "nan" for v in result]
 
 
+def _run_outcome(fn, start):
+    """What ``fn(ts, xs, us)`` returns and records into lists that hold the sample
+    ``start``: its end, time, state and input, then the recorded times, states and
+    inputs; or the error class and the records."""
+    records = tuple(list(part) for part in start)
+    try:
+        end, t, x, u = fn(*records)
+    except ex.EvalDomainError as exc:
+        return type(exc), [_kernel_outcome(lambda: r) for r in records]
+    return end, [_kernel_outcome(lambda: r) for r in ([t], x or [], u or []) + records]
+
+
 _TREES = _trees()  # built once: a new recursive strategy is validated on its first draw
 
 
 @st.composite
 def _kernel_cases(draw):
     """A network of 1-3 one-state subsystems with random flows and guards (guards
-    drawn from a pool of two, so they repeat), a point, an input, a time and a step."""
+    drawn from a pool of two, so they repeat), a point, an input, a time, a step
+    for the former step kernel, a step for the run, a (possibly fractional) number
+    of run steps to the horizon and a record cadence."""
     n = draw(st.integers(1, 3))
     names = [f"x_{i + 1}" for i in range(n)] + ["u_1"]
 
@@ -611,22 +687,36 @@ def _kernel_cases(draw):
             for i in range(n)]
     x = draw(st.lists(_LANES, min_size=n, max_size=n))
     a, b = draw(_LANES), draw(_LANES)
-    h = draw(st.sampled_from([0.0, 0.01, 0.01 * 0.5 ** 23, 1e-300]) | st.floats(0.0, 2.0))
-    return subs, x, (a, b), draw(st.floats(0.0, 10.0)), draw(st.integers(0, 3)), h
+    sampled = st.sampled_from([0.0, 0.01, 0.01 * 0.5 ** 23, 1e-300])
+    h_step = draw(sampled | st.floats(0.0, 2.0))
+    # a run's step stays above half an ulp of t <= 10, or t + h == t and the run stalls
+    h_run = draw(sampled | st.floats(1e-14, 2.0))
+    steps = draw(st.integers(1, 4) | st.floats(0.1, 4.0))  # a fraction shortens the last step
+    return (subs, x, (a, b), draw(st.floats(0.0, 10.0)), draw(st.integers(0, 3)), h_step,
+            h_run, steps, draw(st.integers(1, 3)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_kernel_cases())
 def test_kernels_match_former_scalar_step_and_mode(case):
-    subs, x, (a, b), t, k, h = case
+    subs, x, (a, b), t, k, h_step, h, steps, every = case
     try:
         net = compose_network(subs, input_dim=1)
     except ex.EvalDomainError:  # the jump-set comparison met an undefined jump guard
         assume(False)
     u = InputSignal(lambda s, _k: [a + b * s], 1, "affine in t")
-    step, mode = net.sim_kernels()
-    assert _kernel_outcome(lambda: step(x, u.values, t, k, h)) == \
-        _kernel_outcome(lambda: rk4(net, x, u, t, k, h))
+    run, mode = net.sim_kernels()
+    step = reference_hybrid.step_kernel(net)
+    horizon = t + steps * h
     for jump_priority in (True, False):
+        start = ([t], x, u.values(t, k))
+        assert _run_outcome(lambda *rec: run(
+            x, u.values(t, k), t, k, h, horizon, every, u.values, jump_priority, *rec), start) \
+            == _run_outcome(lambda *rec: reference_hybrid.flow(
+                net, step, x, u.values(t, k), t, k, h, horizon, every, u.values, jump_priority,
+                *rec), start)
         assert _kernel_outcome(lambda: mode(x, [a], jump_priority)) == \
             _kernel_outcome(lambda: reference_hybrid.mode(net, x + [a], jump_priority))
+    # the former step kernel itself still matches the per-expression step
+    assert _kernel_outcome(lambda: step(x, u.values, t, k, h_step)) == \
+        _kernel_outcome(lambda: reference_hybrid.rk4(net, x, u, t, k, h_step))

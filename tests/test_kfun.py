@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsgt import expr as ex
-from hsgt.kfun import (GRID, Classification, KFun, KFunError, KRangeError, at_least,
-                       compose, inverse_kfun, invert, pointwise_max, pointwise_min)
+from hsgt.kfun import (GRID, Classification, KFun, KFunError, KOverflowError, KRangeError,
+                       at_least, compose, inverse_kfun, invert, pointwise_max, pointwise_min)
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -76,6 +76,34 @@ def test_invert_above_bounded_range_raises():
     f = KFun.from_text("s/(1+s)")
     with pytest.raises(KRangeError):
         invert(f, 2.0)
+
+
+# exp overflows from s ~ 2.03e6 while the term it scales is still ~1e-12: the
+# function is finite up to ~4.06e5 and overflows beyond
+_OVERFLOWING = "0.3*s/(1 + s) + 0.2*s + 1e-320*exp(0.00035*s)"
+
+
+def test_invert_counts_an_overflow_as_above_the_target():
+    f = KFun.from_text(_OVERFLOWING)
+    assert f.classification is Classification.CLASS_K_INF  # the overflow counts as growth
+    with pytest.raises(ex.EvalOverflowError):
+        f(2.4e6)  # the bracket's second upper end
+    r = invert(f, 3e5)
+    assert r == pytest.approx(1499998.5, rel=1e-9)
+    assert abs(f(r) - 3e5) <= 1e-10 * 3e5
+
+
+def test_invert_above_the_last_finite_value_raises_a_kfun_error():
+    f = KFun.from_text(_OVERFLOWING)
+    # the bracket closes on the overflow threshold; the residual check and the
+    # endpoint fallback count the overflow there as +inf instead of raising it
+    with pytest.raises(KOverflowError) as err:
+        invert(f, 1e6)
+    assert isinstance(err.value, KFunError) and not isinstance(err.value, ex.EvalDomainError)
+    # and the inverse counts such targets as unbounded growth, as classify does an overflow
+    inverse = inverse_kfun(f)
+    assert inverse.classification is Classification.CLASS_K_INF
+    assert inverse(3e5) == invert(f, 3e5)
 
 
 def test_invert_requires_monotone_class():
