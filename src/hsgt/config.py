@@ -456,8 +456,8 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
         estimate = ISSEstimate(betas=[beta] * net.n, gains=gains)
     elif kind == "pre-gs":
         sigmas_cfg = _get(cfg, "sigmas", base)
-        if len(sigmas_cfg) != net.n:
-            _fail(f"{base}.sigmas", f"need {net.n} entries")
+        if not isinstance(sigmas_cfg, list) or len(sigmas_cfg) != net.n:
+            _fail(f"{base}.sigmas", f"need a list of {net.n} entries")
         sigmas = [_parse_kfun(t, f"{base}.sigmas[{i}]") for i, t in enumerate(sigmas_cfg)]
         comp_sigma = _parse_kfun(cfg["composite_sigma"], f"{base}.composite_sigma") \
             if "composite_sigma" in cfg else None
@@ -476,8 +476,11 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
     ic_cfg = _get(cfg, "initial_conditions", base)
     if isinstance(ic_cfg, dict):
         ic_base = f"{base}.initial_conditions"
-        ics = initial_condition_grid(_number(ic_cfg, "count", ic_base, cast=int),
-                                     _number(ic_cfg, "radius", ic_base), net.state_dim,
+        count = _as_int(_get(ic_cfg, "count", ic_base), f"{ic_base}.count", 1)
+        radius = _number(ic_cfg, "radius", ic_base)
+        if not (math.isfinite(radius) and radius > 0.0):
+            _fail(f"{ic_base}.radius", f"need a positive finite radius, got {radius!r}")
+        ics = initial_condition_grid(count, radius, net.state_dim,
                                      seed=_seed(ic_cfg, ic_base, seed))
     elif not isinstance(ic_cfg, list):
         _fail(f"{base}.initial_conditions", "expected an object or a list of states")

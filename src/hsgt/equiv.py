@@ -19,12 +19,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import expr as ex
 from .hybrid import NetworkSpec
 from .kfun import (Classification, KFun, at_least, compose, inverse_kfun,
                    kfun_to_json, pointwise_max, require_class)
 from .lyapunov import (CompositeCertificate, VerifyTolerances, _active_flow_bound,
-                       _check_samples, _draw_samples, _everywhere, _in_row_order, _max_norm,
-                       _py_max)
+                       _check_samples, _draw_samples, _everywhere, _max_norm)
 from .reporting import VerificationReport
 from .sampling import SampleMemo, SamplerEmptyError, SamplerSpec, jump_set_samples, \
     sphere_directions
@@ -103,7 +103,7 @@ def _fit_jump_decay(cert: CompositeCertificate, rho: KFun, box_radius: float,
     def decrease(state):
         v = cert.values(state)
         return v - rho.array(v)
-    drops = _in_row_order(decrease, points.T.copy()).reshape(len(radii), -1)
+    drops = ex.in_row_order(decrease, points).reshape(len(radii), -1)
     minima = [functools.reduce(min, row, math.inf) for row in drops.tolist()]
     lower = list(minima)
     for i in range(len(lower) - 2, -1, -1):
@@ -182,8 +182,8 @@ def _verify_w_form(wf: WFormCertificate, net: NetworkSpec, sampler: SamplerSpec,
         drop = cert.values(net.jump_array(on)) - cert.values(on[:n])
         return premise, drop, -wf.alpha2_bar.array(x_mag), tol.flow, "norm-threshold jump decrease"
 
-    _check_samples(report, "flow", flow_pts[:, :n], flow_pts[:, n:], flow)
-    _check_samples(report, "jump", jump_pts[:, :n], jump_pts[:, n:], jump)
+    _check_samples(report, "flow", flow_pts, n, flow)
+    _check_samples(report, "jump", jump_pts, n, jump)
     if report.samples_checked == 0:
         report.verdict = "inconclusive"
         report.notes.append("no sample passed the norm threshold")
@@ -242,11 +242,11 @@ def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
     def jump(cols):
         rhs = lam.array(cert.values(cols[:n]))
         if not gamma_tilde.is_zero:
-            rhs = _py_max([rhs, gamma_tilde.array(_max_norm(cols[n:]))])
+            rhs = ex.lane_max([rhs, gamma_tilde.array(_max_norm(cols[n:]))])
         return (_everywhere(cols), cert.values(net.jump_array(cols)), rhs,
-                _py_max([tol.flow, tol.jump_rel * np.abs(rhs)]), "recovered jump inequality")
+                ex.lane_max([tol.flow, tol.jump_rel * np.abs(rhs)]), "recovered jump inequality")
 
-    _check_samples(report, "jump", pts[:, :n], pts[:, n:], jump)
+    _check_samples(report, "jump", pts, n, jump)
     report.extras["gamma_tilde"] = kfun_to_json(gamma_tilde)
     return gamma, lam, report.finalize()
 
@@ -278,16 +278,16 @@ def _fit_jump_input_gain(wf: WFormCertificate, gamma: KFun, sampler: SamplerSpec
     u_dirs = sphere_directions(net.input_dim, 16, rng)
     cert = wf.v_form
     states = pool[:, :net.state_dim]
-    state_values = _in_row_order(cert.values, states.T.copy())
+    state_values = ex.in_row_order(cert.values, states)
     running = 0.0
     values = []
     for level in xs:
         threshold = gamma(float(level))
         below = states[~(state_values > threshold)]
         # state by state, each with every input in turn
-        cols = np.concatenate([np.repeat(below, len(u_dirs), axis=0),
-                               np.tile(u_dirs * level, (len(below), 1))], axis=1).T.copy()
-        after = _in_row_order(lambda c: cert.values(net.jump_array(c)), cols)
+        rows = np.concatenate([np.repeat(below, len(u_dirs), axis=0),
+                               np.tile(u_dirs * level, (len(below), 1))], axis=1)
+        after = ex.in_row_order(lambda c: cert.values(net.jump_array(c)), rows)
         running = max(running, functools.reduce(max, after.tolist(), 0.0))
         values.append(running)
     inflated = [v * (1.0 + 1e-6) + 1e-9 * x for v, x in zip(values, xs)]

@@ -17,6 +17,12 @@ functions that :func:`compile_lines` builds from :func:`emit_lines`;
 :func:`evaluate` is the reference interpreter.  All of them raise
 :class:`EvalDomainError` on a domain error, :class:`EvalOverflowError` on
 overflow.
+
+The rules that make a block of lanes read as a row-by-row scalar pass live
+here too: :func:`lane_max` and :func:`lane_min` fold lanes as Python's
+``max`` and ``min`` do, :func:`in_row_order` turns sample rows into columns
+and raises the first failing row's error, and :func:`rows_in_order` does so
+for a scan that stops at its first hit.
 """
 
 from __future__ import annotations
@@ -410,7 +416,7 @@ _TRANSLATE = ("except OverflowError as exc:",
               "except (ZeroDivisionError, ValueError) as exc:",
               "    raise EvalDomainError(f'{exc} in {render(EXPR)}') from exc")
 _NAMESPACE = {"pow": math.pow, "exp": math.exp, "log": math.log, "isfinite": math.isfinite,
-              "TIE_TOL": _TIE_TOL, "EvalDomainError": EvalDomainError,
+              "NAN": math.nan, "TIE_TOL": _TIE_TOL, "EvalDomainError": EvalDomainError,
               "EvalOverflowError": EvalOverflowError}
 _CODE: Dict[str, CodeType] = {}
 
@@ -451,6 +457,50 @@ def _keep_first(builtin: Callable, better: Callable) -> Callable:
     return fold
 
 
+# Python's max and min over a sequence of lane arrays and floats, lane by lane:
+# a NaN first value is kept and a later NaN is skipped, and of equal values the
+# first wins, which decides the sign of a zero.
+lane_max = _keep_first(max, np.greater)
+lane_min = _keep_first(min, np.less)
+
+
+def in_row_order(fn: Callable, rows: np.ndarray):
+    """``fn`` on the column block of ``rows``, raising as ``fn`` row by row would.
+
+    ``rows`` holds one sample per row, (N, width), or one scalar per row, (N,);
+    ``fn`` gets their contiguous transpose, one lane per row.  A block stage
+    raises the error of its own first failing lane, yet a later lane may fail
+    in an earlier stage.  On an error the rows are replayed one lane at a
+    time, so the first failing row's error is raised, with its class and
+    message.  numpy's floating-point warnings are off: plain floats give none.
+    """
+    cols = rows.T.copy()
+    with np.errstate(all="ignore"):
+        try:
+            return fn(cols)
+        except Exception:  # replayed below, not swallowed
+            for p in range(cols.shape[-1]):
+                fn(cols[..., p:p + 1])
+            raise
+
+
+def rows_in_order(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray):
+    """Yield ``(0, fn(rows))``, or, if that raises, ``(p, fn(rows[p:p + 1]))``
+    for each row p in turn.
+
+    A scan that stops at its first hit thus meets only the errors that a
+    row-by-row scan would: an error past the hit never surfaces, and one
+    before it is raised again by its own row, with the same class and message.
+    """
+    try:
+        values = fn(rows)
+    except Exception:  # replayed below, not swallowed
+        for p in range(len(rows)):
+            yield p, fn(rows[p:p + 1])
+        return
+    yield 0, values
+
+
 def _scale_lanes(c, lo, hi):
     """``_scale`` lane by lane: ``c * [lo, hi]``, endpoints ordered by the sign of c."""
     pos = c >= 0.0
@@ -475,8 +525,8 @@ def _band_lanes(v, parts, bad):
 
 
 _ARRAY_NAMESPACE = {**_NAMESPACE, "pow": _lanewise(math.pow), "exp": _lanewise(math.exp),
-                    "log": _lanewise(math.log), "min": _keep_first(min, np.less),
-                    "max": _keep_first(max, np.greater), "isfinite": np.isfinite,
+                    "log": _lanewise(math.log), "min": lane_min, "max": lane_max,
+                    "isfinite": np.isfinite,
                     "scale": _scale_lanes, "abs_bounds": _abs_lanes, "band": _band_lanes}
 
 # Array bounds mode: the chain rule on lanes.  Where the scalar rule branches on
@@ -579,6 +629,23 @@ def compile_lines(params: str, lines: Sequence[str], names: Mapping[str, object]
     return _define(params, lines, {**_NAMESPACE, **names, "EXPR": where, "render": str})
 
 
+def _mixes_nans(expr: Expr) -> bool:
+    """Whether ``expr`` applies +, -, * or / anywhere.
+
+    Of two NaN operands CPython's float arithmetic returns one or the other,
+    depending on whether it has specialized the operation yet, so the sign of
+    such a NaN can change from one call to the next.  Generated functions of
+    these trees return the one NaN ``NAN`` for every NaN value.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Add, Sub, Mul, Div)):
+            return True
+        stack.extend(_children(node))
+    return False
+
+
 def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
     """Emit straight-line Python for ``expr`` (one temporary per node), compile, bind.
 
@@ -594,6 +661,11 @@ def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
     consts: Dict[str, float] = {}
     lines: List[str] = []
     root = emit_lines(expr, mode, lines, consts, index)
+    if _mixes_nans(expr):  # a NaN result is redone by the scalar code, which returns NAN
+        if mode in ("array", "bounds_array"):
+            lines.append(_NAN_MARK.format(j=root))
+        else:
+            lines.append(f"if v{root} != v{root}: v{root} = NAN")
     if mode == "bounds":
         lines += [f"if not (isfinite(l{root}) and isfinite(h{root})):",
                   "    raise EvalDomainError('non-finite gradient estimate in ' + render(EXPR))",
@@ -611,7 +683,10 @@ def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
 
 
 def compile_expr(expr: Expr, var_order: Sequence[str]) -> Callable:
-    """Value function of ``expr`` over a positional sequence ordered as ``var_order``."""
+    """Value function of ``expr`` over a positional sequence ordered as ``var_order``.
+
+    A NaN value of a tree with +, -, * or / is ``math.nan``, bit for bit.
+    """
     return _generate(expr, var_order, "value")
 
 

@@ -15,6 +15,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from . import expr as ex
 from .kfun import (GRID, UNBOUNDED_PROBE, Classification, KFun, at_least, inverse_kfun,
                    kfun_to_json, pointwise_min)
 
@@ -122,10 +123,7 @@ def gamma_max_apply(gm: GainMatrix, s: Sequence[float]) -> np.ndarray:
         return out
     out = np.zeros(s.shape)
     for i, row in enumerate(gm.nonzero_rows):
-        best = out[:, i]  # a view of column i
-        for j, g in row:
-            v = g.array(s[:, j])
-            np.copyto(best, v, where=v > best)
+        out[:, i] = ex.lane_max([0.0, *(g.array(s[:, j]) for j, g in row)])
     return out
 
 
@@ -226,23 +224,6 @@ def compose_cycle(gm: GainMatrix, cycle: Sequence[int], r: float | np.ndarray,
     return v
 
 
-def _rows_in_order(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray):
-    """Yield ``(0, fn(rows))``, or, if that raises, ``(p, fn(rows[p:p + 1]))``
-    for each row p in turn.
-
-    A scan that stops at its first hit thus meets only the errors that a
-    row-by-row scan would: an error past the hit never surfaces, and one
-    before it is raised again by its own row, with the same class and message.
-    """
-    try:
-        values = fn(rows)
-    except Exception:  # replayed below, not swallowed
-        for p in range(len(rows)):
-            yield p, fn(rows[p:p + 1])
-        return
-    yield 0, values
-
-
 def _running_max(start: float, values: np.ndarray) -> float:
     """Running max of ``values`` from ``start``: a later value wins only if it
     is greater, so NaN never wins.  The result is ``start`` or a value."""
@@ -300,7 +281,7 @@ def _cycle_hits(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, facto
     comes as one ``(block, grid, rows, best)``, reduced from ``_closed_rows``
     as its cycles close, so no block holds all its rows at once.  If any of
     its array calls raises, the block's cycles are replayed one at a time
-    through ``_rows_in_order(compose_cycle)``, one yield per row, so a scan
+    through ``ex.rows_in_order(compose_cycle)``, one yield per row, so a scan
     that stops at its first hit meets the errors of a cycle-by-cycle scan and
     no others.
     """
@@ -312,7 +293,7 @@ def _cycle_hits(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, facto
         except Exception:  # replayed cycle by cycle below, not swallowed
             for cycle in block:
                 compose = lambda r, c=cycle: compose_cycle(gm, c, r, factor)
-                for start, values in _rows_in_order(compose, grid):
+                for start, values in ex.rows_in_order(compose, grid):
                     radii = grid[start:start + values.size]
                     yield ([cycle], radii, *_hits([([0], values[None, :])], radii, 1, hit))
         else:
@@ -426,7 +407,7 @@ def _direct_search(gm: GainMatrix, seed: int) -> Optional[np.ndarray]:
     radii = np.geomspace(1e-6, 1e6, RADII_POINTS)
     for first in range(0, len(directions), SEARCH_BLOCK):
         rows = (directions[first:first + SEARCH_BLOCK, None, :] * radii[:, None]).reshape(-1, n)
-        for start, image in _rows_in_order(lambda s: gamma_max_apply(gm, s), rows):
+        for start, image in ex.rows_in_order(lambda s: gamma_max_apply(gm, s), rows):
             hits = np.flatnonzero(np.all(image >= rows[start:start + len(image)], axis=1))
             if hits.size:
                 return rows[start + hits[0]].copy()
@@ -511,7 +492,6 @@ def _inflated_cycles_ok(gm: GainMatrix, cycles: List[List[int]], inflation: floa
 
 
 def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
-                     grid: Optional[np.ndarray] = None,
                      verdict: Optional[SmallGainVerdict] = None,
                      options: Optional[SmallGainOptions] = None) -> OmegaPath:
     """Construct the scaling path from iterated gain-operator images of the anchor.
@@ -522,8 +502,7 @@ def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
     allows; the path is always verified against the original operator.
     """
     opts = options or SmallGainOptions()
-    if grid is None:
-        grid = opts.grid()
+    grid = opts.grid()
     if verdict is None:
         verdict = small_gain_check(gm, opts)
     if not verdict.holds:
@@ -542,7 +521,7 @@ def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,
         vec_fn = _path_vector_fn(gm, a, inflation)
         ok = True
         margin = 0.0
-        for start, (sig, image) in _rows_in_order(lambda r: _path_image(gm, vec_fn, r), grid):
+        for start, (sig, image) in ex.rows_in_order(lambda r: _path_image(gm, vec_fn, r), grid):
             fails = np.flatnonzero(np.any(image > (1.0 - STRICTNESS) * sig, axis=1))
             if fails.size:  # the candidate is dropped, and its margin with it
                 ok = False
@@ -602,7 +581,7 @@ def compose_phi(path: OmegaPath) -> KFun:
     On an evaluation error the radii are replayed one at a time."""
     phi = pointwise_min(path.sigmas)
     grid = np.asarray(path.grid, dtype=float)
-    for start, misses in _rows_in_order(lambda r: _envelope_misses(path, phi, r), grid):
+    for start, misses in ex.rows_in_order(lambda r: _envelope_misses(path, phi, r), grid):
         hits = np.argwhere(misses)
         if hits.size:
             p, i = hits[0].tolist()
@@ -622,10 +601,7 @@ def _envelope_misses(path: OmegaPath, phi: KFun, radii: np.ndarray) -> np.ndarra
     phi_r = phi.array(radii)
     misses = np.zeros(sig.shape, dtype=bool)
     for i, row in enumerate(path.gain_matrix.nonzero_rows):
-        lhs = phi_r
-        for j, g in row:
-            v = g.array(sig[:, j])
-            lhs = np.where(v > lhs, v, lhs)
+        lhs = ex.lane_max([phi_r, *(g.array(sig[:, j]) for j, g in row)])
         misses[:, i] = lhs > sig[:, i] * (1.0 + STRICTNESS)
         if misses.any(axis=1).all():
             break

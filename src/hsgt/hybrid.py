@@ -210,23 +210,11 @@ class NetworkSpec:
 
     def _guard_array(self, kind: str, X, U, sub: Optional[int]) -> np.ndarray:
         fns = [group[0] for group in self._compiled(kind)]
-        rows = np.concatenate([X, U], axis=1)
-        cols = rows.T.copy()
-        better = np.greater if kind == "c" else np.less  # the fold of c_raw / d_raw
-        try:
-            if sub is not None:
-                return fns[sub](cols)
-            out = fns[0](cols)
-            for fn in fns[1:]:
-                g = fn(cols)
-                out = np.where(better(g, out), g, out)
-            return out
-        except ex.EvalDomainError:
-            # the scalar fold raises at the first failing row, not the first failing guard
-            raw = self.c_raw if kind == "c" else self.d_raw
-            for vals in rows.tolist():
-                raw(vals, sub)
-            raise
+        if sub is not None:
+            fns = fns[sub:sub + 1]
+        fold = ex.lane_max if kind == "c" else ex.lane_min  # the fold of c_raw / d_raw
+        return ex.in_row_order(lambda cols: fold([fn(cols) for fn in fns]),
+                               np.concatenate([X, U], axis=1))
 
     def jump_raw(self, vals: list) -> list:
         """Composed jump: each subsystem maps only when inside its own jump set."""
@@ -385,12 +373,8 @@ class _Recorder:
         self.opened.append((t, k, len(self.ts)))
 
     def record(self, t: float, x: list, u: list):
-        ts = self.ts
-        if len(ts) > self.opened[-1][2] and t <= ts[-1]:
-            if t - ts[-1] > -1e-15:
-                return  # duplicate point at the same time inside an interval
-            raise SimulationError("non-monotone time inside an interval")
-        ts.append(t)
+        """The first sample of an interval; the run kernel records the rest."""
+        self.ts.append(t)
         self.xs.extend(x)
         self.us.extend(u)
 
@@ -547,7 +531,9 @@ def _run_kernel(net: NetworkSpec) -> Callable:
 
     A step whose end is finite and flows is accepted; every ``every``-th one,
     and the one reaching the horizon, is recorded into the flat lists ``ts``,
-    ``xs`` and ``us`` by the rule of ``_Recorder.record``.  A step end that
+    ``xs`` and ``us``.  A sample is recorded only at a time after the last
+    recorded one: a time less than 1e-15 before it, or equal, is a duplicate and
+    dropped, and an earlier one raises SimulationError.  A step end that
     does not flow is bisected down to ``TIME_TOL`` in time; the event point is
     recorded and returned with its mode (JUMP or OUTSIDE_C) as ``end``.  At
     the horizon, and at a step end that is not finite, ``end`` is HORIZON or
@@ -583,7 +569,7 @@ def _run_kernel(net: NetworkSpec) -> Callable:
     def assign(dst: List[str], src: List[str]) -> List[str]:
         return [f"v{a} = v{b}" for a, b in zip(dst, src)]
 
-    def record(state: str, u: str) -> List[str]:  # at t, by the rule of _Recorder.record
+    def record(state: str, u: str) -> List[str]:  # at t, by the duplicate rule above
         return ["if t <= last:", "    if not t - last > -1e-15:",
                 "        raise SimulationError('non-monotone time inside an interval')",
                 "else:", "    last = t", "    append_t(t)", f"    extend_x({state})",

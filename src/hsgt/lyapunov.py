@@ -29,7 +29,7 @@ from . import expr as ex
 from .gains import STRICTNESS, GainMatrix, OmegaPath, SmallGainOptions, SmallGainVerdict, \
     build_omega_path, compose_phi
 from .hybrid import NetworkSpec
-from .kfun import Classification, KFun, KFunError, compose, inverse_kfun, \
+from .kfun import Classification, KFun, compose, inverse_kfun, \
     kfun_to_json, pointwise_max, pointwise_min, require_class
 from .reporting import VerificationReport, Violation
 from .sampling import SampleMemo, SamplerEmptyError, SamplerSpec, flow_set_samples, \
@@ -146,32 +146,6 @@ def active_set(levels: np.ndarray) -> np.ndarray:
     return levels >= _top_level(levels) - 1e-9
 
 
-def _py_max(values: Sequence) -> np.ndarray:
-    """Python's ``max`` over ``values``, lane by lane: a later value wins only if it
-    is greater, so a NaN first value is kept and a later NaN is skipped."""
-    out = values[0]
-    for v in values[1:]:
-        out = np.where(v > out, v, out)
-    return out
-
-
-def _in_row_order(fn: Callable, *blocks: np.ndarray):
-    """``fn(*blocks)`` on lanes (the last axis), raising as ``fn`` lane by lane would.
-
-    A block stage raises the error of its own first failing lane, yet a later
-    lane may fail in an earlier stage.  On an error the lanes are replayed one
-    at a time, so the first failing lane's error is raised, with its class and
-    message.  numpy's floating-point warnings are off: plain floats give none.
-    """
-    with np.errstate(all="ignore"):
-        try:
-            return fn(*blocks)
-        except (ex.EvalDomainError, KFunError):
-            for p in range(blocks[0].shape[-1]):
-                fn(*(b[..., p:p + 1] for b in blocks))
-            raise
-
-
 def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
                     net: NetworkSpec, anchor: Optional[Sequence[float]] = None,
                     verdict: Optional[SmallGainVerdict] = None,
@@ -195,7 +169,7 @@ def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
                 continue
             _check_gain_agreement(cand.internal_gain(j), gm.entries[i][j], i, j)
 
-    path = build_omega_path(gm, anchor, g, verdict=verdict, options=opts)
+    path = build_omega_path(gm, anchor, verdict=verdict, options=opts)
     phi = compose_phi(path)
     phi_inv = inverse_kfun(phi)
 
@@ -246,7 +220,7 @@ def _sigma_inv_slope(path: OmegaPath, i: int, W: np.ndarray) -> np.ndarray:
     sigma_inv = path.sigma_invs[i]
     if sigma_inv.linear_slope is not None:
         return np.full(len(W), sigma_inv.linear_slope)
-    d = _py_max([1e-6, 1e-6 * np.abs(W)])
+    d = ex.lane_max([1e-6, 1e-6 * np.abs(W)])
     up = sigma_inv.array(W + d)
     out = np.empty(len(W))
     two = W - d > 0.0
@@ -276,7 +250,7 @@ def _default_alpha(path: OmegaPath, cands: Sequence[SubsystemLyapunov]) -> KFun:
         best = math.inf
         for i in range(n):
             w = path.sigmas[i](v)
-            slopes = _in_row_order(functools.partial(_sigma_inv_slope, path, i), w * _ALPHA_BAND)
+            slopes = ex.in_row_order(functools.partial(_sigma_inv_slope, path, i), w * _ALPHA_BAND)
             best = min(best, min(slopes.tolist()) * cands[i].alpha(w))
         return best
     return KFun.from_callable(fn, "composite decay rate")
@@ -286,12 +260,13 @@ def _default_alpha(path: OmegaPath, cands: Sequence[SubsystemLyapunov]) -> KFun:
 # sampled checks
 
 
-def _check_samples(report: VerificationReport, check: str, X: np.ndarray, U: np.ndarray,
+def _check_samples(report: VerificationReport, check: str, pts: np.ndarray, n: int,
                    condition: Callable) -> Optional[tuple]:
     """Run one sampled inequality ``measured <= required + slack`` into ``report``.
 
-    ``X`` (N, n) and ``U`` (N, m) are the samples.  ``condition(cols)`` gets them
-    as columns (state rows, then input rows) and returns ``(premise, measured,
+    ``pts`` (N, n + m) are the samples, n state then m input components each.
+    ``condition(cols)`` gets them as columns (state rows, then input rows),
+    through :func:`expr.in_row_order`, and returns ``(premise, measured,
     required, slack, detail, ...)``: a mask over the samples, arrays over the
     samples meeting the premise (``slack`` may be one float), and one detail
     string or one per such sample.  Its whole outcome is returned.  Every
@@ -299,10 +274,10 @@ def _check_samples(report: VerificationReport, check: str, X: np.ndarray, U: np.
     add the margin ``required + slack - measured``, in sample order.  A NaN on
     either side is a violation.
     """
-    report.samples_tested += len(X)
-    if not len(X):
+    report.samples_tested += len(pts)
+    if not len(pts):
         return None
-    outcome = _in_row_order(condition, np.concatenate([X, U], axis=1).T.copy())
+    outcome = ex.in_row_order(condition, pts)
     premise, measured, required, slack, detail = outcome[:5]
     with np.errstate(all="ignore"):
         bound = required + slack
@@ -319,9 +294,9 @@ def _check_samples(report: VerificationReport, check: str, X: np.ndarray, U: np.
     report.margin_min, report.margin_mean, report.samples_checked = low, mean, count
     rows = np.flatnonzero(premise)
     for k in np.flatnonzero(failed).tolist():
-        s_idx = int(rows[k])
+        point = pts[int(rows[k])]
         report.violations.append(Violation(
-            sample_index=s_idx, point=_point_json(X[s_idx].tolist(), U[s_idx].tolist()),
+            sample_index=int(rows[k]), point={"x": point[:n].tolist(), "u": point[n:].tolist()},
             measured=float(measured[k]), required=float(required[k]),
             detail=detail if isinstance(detail, str) else str(detail[k]), check=check))
     return outcome
@@ -363,7 +338,7 @@ def _max_norm(rows: np.ndarray) -> np.ndarray:
     """Max norm of each lane of ``rows`` as ``max(map(abs, v), default=0.0)``; 0 with no rows."""
     if not len(rows):
         return np.zeros(rows.shape[1])
-    return _py_max(list(np.abs(rows)))
+    return ex.lane_max(list(np.abs(rows)))
 
 
 def _active_flow_bound(cert: CompositeCertificate, net: NetworkSpec, cols: np.ndarray,
@@ -388,17 +363,13 @@ def _active_flow_bound(cert: CompositeCertificate, net: NetworkSpec, cols: np.nd
             continue
         w = W[i, on]
         slope = _sigma_inv_slope(cert.path, i,
-                                 np.where(w > 0, w, _py_max([fallback_level[on], 1e-9])))
+                                 np.where(w > 0, w, ex.lane_max([fallback_level[on], 1e-9])))
         _v, _lo, hi = cert._bound_fns[i](state[:, on], direction[:, on])
         piece = slope * hi
         better = piece > worst[on]
         worst[on] = np.where(better, piece, worst[on])
         worst_i[on] = np.where(better, i, worst_i[on])
     return worst, worst_i
-
-
-def _point_json(x: list, u: list) -> dict:
-    return {"x": x, "u": u}
 
 
 def _everywhere(cols: np.ndarray) -> np.ndarray:
@@ -445,7 +416,7 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
 
     def flow(cols):
         vi = v_fns[index](cols[:n])
-        premise = ~(vi < _py_max(neighbour_gains(cols) + (input_gain(cols) or [0.0])))
+        premise = ~(vi < ex.lane_max(neighbour_gains(cols) + (input_gain(cols) or [0.0])))
         on = cols[:, premise]
         _val, _lo, hi = bound_fn(on[:n], net.flow_array(on))
         return (premise, hi, -cand.alpha.array(vi[premise]), tol.flow,
@@ -454,17 +425,17 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
     def jump(cols):
         x_new = cols[:n].copy()
         x_new[sub_slice] = net.sub_jump_array(index, cols)
-        rhs = _py_max([cand.lam.array(v_fns[index](cols[:n]))] + neighbour_gains(cols)
-                      + input_gain(cols))
+        rhs = ex.lane_max([cand.lam.array(v_fns[index](cols[:n]))] + neighbour_gains(cols)
+                          + input_gain(cols))
         return (_everywhere(cols), v_fns[index](x_new), rhs,
-                _py_max([tol.jump_abs, tol.jump_rel * np.abs(rhs)]), "jump contraction")
+                ex.lane_max([tol.jump_abs, tol.jump_rel * np.abs(rhs)]), "jump contraction")
 
     if len(flow_pts):
         x_sub = flow_pts[:, sub_slice]
-        _check_sandwich(report, x_sub, *_in_row_order(sandwich, flow_pts.T.copy()), tol)
-    _check_samples(report, "flow", flow_pts[:, :n], flow_pts[:, n:], flow)
+        _check_sandwich(report, x_sub, *ex.in_row_order(sandwich, flow_pts), tol)
+    _check_samples(report, "flow", flow_pts, n, flow)
     checked_flow = report.samples_checked
-    _check_samples(report, "jump", jump_pts[:, :n], jump_pts[:, n:], jump)
+    _check_samples(report, "jump", jump_pts, n, jump)
     if checked_flow == 0:
         report.verdict = "inconclusive"
         report.notes.append("no flow sample satisfied the gain premise")
@@ -477,7 +448,7 @@ def _check_sandwich(report: VerificationReport, x_sub: np.ndarray, vi: np.ndarra
     """``lo <= V_i <= hi`` up to slack at each sample; ``x_sub`` (N, dim_i) are the
     subsystem's states, the rest one value per sample.  A NaN side is a violation."""
     with np.errstate(all="ignore"):
-        slack = tol.sandwich_rel * _py_max([1.0, np.abs(vi)])
+        slack = tol.sandwich_rel * ex.lane_max([1.0, np.abs(vi)])
         failed = ~((lo - slack <= vi) & (vi <= hi + slack))
     for s_idx in np.flatnonzero(failed).tolist():
         v = float(vi[s_idx])
@@ -526,7 +497,7 @@ def verify_composite_flow(cert: CompositeCertificate, net: NetworkSpec,
         return premise, worst, -cert.alpha.array(value), tol.flow, details[worst_i + 1], value
 
     pts = drawn[0]
-    outcome = _check_samples(report, "flow", pts[:, :n], pts[:, n:], flow)
+    outcome = _check_samples(report, "flow", pts, n, flow)
     alpha_ratio = math.inf
     if outcome is not None:  # a strict running minimum in sample order
         worst, value = outcome[1], outcome[5]
@@ -559,10 +530,11 @@ def verify_composite_jump(cert: CompositeCertificate, net: NetworkSpec,
     def jump(cols):
         rhs = cert.lam.array(cert.values(cols[:n]))
         if not cert.gamma.is_zero:
-            rhs = _py_max([rhs, cert.gamma.array(_max_norm(cols[n:]))])
+            rhs = ex.lane_max([rhs, cert.gamma.array(_max_norm(cols[n:]))])
         return (_everywhere(cols), cert.values(net.jump_array(cols)), rhs,
-                _py_max([tol.jump_abs, tol.jump_rel * np.abs(rhs)]), "composite jump contraction")
+                ex.lane_max([tol.jump_abs, tol.jump_rel * np.abs(rhs)]),
+                "composite jump contraction")
 
     pts = drawn[1]
-    _check_samples(report, "jump", pts[:, :n], pts[:, n:], jump)
+    _check_samples(report, "jump", pts, n, jump)
     return report.finalize()

@@ -146,15 +146,6 @@ class WindowedNorms:
             self.u_prefix = np.zeros(len(self.x))
         self.window_idx = np.searchsorted(self.sums, self.sums + 1e-12, side="right") - 1
 
-    def _index(self, t: float, k: float) -> int:
-        idx = int(np.searchsorted(self.sums, t + k + 1e-12, side="right")) - 1
-        if idx < 0:
-            raise TrajectoryError("window before the first sample")
-        return idx
-
-    def full(self, t: float, k: float) -> float:
-        return float(self.full_prefix[self._index(t, k)])
-
     def sub_windowed(self, i: int) -> np.ndarray:
         return self.sub_prefix[i][self.window_idx]
 
@@ -232,25 +223,36 @@ def _pointwise_result(label: str, lhs: np.ndarray, rhs: np.ndarray,
 # checks
 
 
+def _subsystem_results(label: str, sol: SolutionPair, net: NetworkSpec, norms: WindowedNorms,
+                       gains: TrajectoryGains,
+                       base: Callable[[int, float], np.ndarray]) -> List[TrajectoryResult]:
+    """One pointwise result per subsystem i: its state norm against ``base(i, r)``,
+    with r the norm of its initial state, taken by ``np.maximum`` with each
+    nonzero internal gain at that neighbour's windowed norm, in column order,
+    then with the external gain at the windowed input norm."""
+    x00 = sol.x.values[0][0]
+    results = []
+    for i, sl in enumerate(net.slices):
+        rhs = base(i, float(np.max(np.abs(x00[sl]))))
+        for j in range(net.n):
+            if j != i and not gains.internal[i][j].is_zero:
+                rhs = np.maximum(rhs, gains.internal[i][j].array(norms.sub_windowed(j)))
+        if not gains.external[i].is_zero:
+            rhs = np.maximum(rhs, gains.external[i].array(norms.u_windowed()))
+        results.append(_pointwise_result(f"{label}-sub{i + 1}", norms.sub_mag[i], rhs, norms,
+                                         {"subsystem": i + 1}))
+    return results
+
+
 def check_iss(sol: SolutionPair, estimate: ISSEstimate, net: NetworkSpec,
               label: str = "iss") -> BatchResult:
     """Pointwise decaying-bound-or-gain estimate at every stored sample."""
     if len(estimate.betas) != net.n:
         raise TrajectoryError(f"need one decaying bound per subsystem ({net.n})")
     norms = WindowedNorms(sol, net)
-    x00 = sol.x.values[0][0]
-    results = []
-    for i, sl in enumerate(net.slices):
-        lhs = norms.sub_mag[i]
-        rhs = estimate.betas[i].on_arrays(float(np.max(np.abs(x00[sl]))), norms.t, norms.k)
-        for j in range(net.n):
-            if j != i and not estimate.gains.internal[i][j].is_zero:
-                rhs = np.maximum(rhs, estimate.gains.internal[i][j].array(norms.sub_windowed(j)))
-        if not estimate.gains.external[i].is_zero:
-            rhs = np.maximum(rhs, estimate.gains.external[i].array(norms.u_windowed()))
-        results.append(_pointwise_result(f"{label}-sub{i + 1}", lhs, rhs, norms,
-                                         {"subsystem": i + 1}))
-    return BatchResult(results=results)
+    return BatchResult(results=_subsystem_results(
+        label, sol, net, norms, estimate.gains,
+        lambda i, r: estimate.betas[i].on_arrays(r, norms.t, norms.k)))
 
 
 def check_pre_gs(sol: SolutionPair, estimate: PreGSEstimate, net: NetworkSpec,
@@ -259,20 +261,11 @@ def check_pre_gs(sol: SolutionPair, estimate: PreGSEstimate, net: NetworkSpec,
     if len(estimate.sigmas) != net.n:
         raise TrajectoryError(f"need one initial-state bound per subsystem ({net.n})")
     norms = WindowedNorms(sol, net)
-    x00 = sol.x.values[0][0]
-    results = []
-    for i, sl in enumerate(net.slices):
-        lhs = norms.sub_mag[i]
-        rhs = np.full(len(lhs), estimate.sigmas[i](float(np.max(np.abs(x00[sl])))))
-        for j in range(net.n):
-            if j != i and not estimate.gains.internal[i][j].is_zero:
-                rhs = np.maximum(rhs, estimate.gains.internal[i][j].array(norms.sub_windowed(j)))
-        if not estimate.gains.external[i].is_zero:
-            rhs = np.maximum(rhs, estimate.gains.external[i].array(norms.u_windowed()))
-        results.append(_pointwise_result(f"{label}-sub{i + 1}", lhs, rhs, norms,
-                                         {"subsystem": i + 1}))
+    results = _subsystem_results(label, sol, net, norms, estimate.gains,
+                                 lambda i, r: np.full(len(norms.t), estimate.sigmas[i](r)))
     if estimate.composite_sigma is not None:
         lhs = norms.full_mag
+        x00 = sol.x.values[0][0]
         rhs = np.full(len(lhs), estimate.composite_sigma(float(np.max(np.abs(x00)))))
         if estimate.composite_gamma is not None and not estimate.composite_gamma.is_zero:
             rhs = np.maximum(rhs, estimate.composite_gamma.array(norms.u_windowed()))

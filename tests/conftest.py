@@ -13,7 +13,7 @@ from hsgt.config import build_config, load_config
 from hsgt.gains import GainMatrix
 from hsgt.hybrid import SubsystemSpec, compose_network
 from hsgt.kfun import KFun
-from hsgt.lyapunov import SubsystemLyapunov, _in_row_order
+from hsgt.lyapunov import SubsystemLyapunov
 from hsgt.sampling import SamplerSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -96,7 +96,7 @@ def gain_matrix_from_candidates(cands) -> GainMatrix:
 
 def cert_value(cert, x) -> float:
     """The composite value of ``cert`` at one state."""
-    return float(_in_row_order(cert.values, np.array(x, dtype=float)[:, None])[0])
+    return float(ex.in_row_order(cert.values, np.array([x], dtype=float))[0])
 
 
 def with_alpha(cert, alpha: KFun):

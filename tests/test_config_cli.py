@@ -419,6 +419,39 @@ def test_negative_config_seed_exits_2_with_one_error_line(tmp_path, capsys, name
     assert captured.err.splitlines() == [f"error: {path}: must be at least 0, got -1"]
 
 
+_SIGMAS = "analysis.trajectories.sigmas: need a list of 2 entries"
+_ICS = "analysis.trajectories.initial_conditions"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.update(sigmas=5), _SIGMAS),
+    (lambda t: t.update(sigmas={"s": 1, "2*s": 2}), _SIGMAS),
+    (lambda t: t.update(sigmas=["s"]), _SIGMAS),
+    (lambda t: t["initial_conditions"].update(count=0), f"{_ICS}.count: must be at least 1, got 0"),
+    (lambda t: t["initial_conditions"].update(count=-3),
+     f"{_ICS}.count: must be at least 1, got -3"),
+    (lambda t: t["initial_conditions"].update(count=2.5),
+     f"{_ICS}.count: expected an integer, got 2.5"),
+    (lambda t: t["initial_conditions"].update(radius=float("nan")),
+     f"{_ICS}.radius: need a positive finite radius, got nan"),
+    (lambda t: t["initial_conditions"].update(radius=-2.0),
+     f"{_ICS}.radius: need a positive finite radius, got -2.0"),
+    (lambda t: t["initial_conditions"].update(radius=0.0),
+     f"{_ICS}.radius: need a positive finite radius, got 0.0"),
+    (lambda t: t["initial_conditions"].update(radius=float("inf")),
+     f"{_ICS}.radius: need a positive finite radius, got inf"),
+], ids=["sigmas-number", "sigmas-object", "sigmas-short", "count-zero", "count-negative",
+        "count-fraction", "radius-nan", "radius-negative", "radius-zero", "radius-inf"])
+def test_malformed_trajectory_config_exits_2_with_one_error_line(tmp_path, capsys, edit,
+                                                                 message):
+    cfg = load_json("e1_traj_pregs.json")
+    edit(cfg["analysis"]["trajectories"])
+    assert main(["check-traj", "--config", write_cfg(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("command", ["check-gains", "build-lyapunov", "verify", "simulate",
                                      "check-traj"])
 def test_negative_seed_flag_exits_2_with_one_error_line(capsys, command):

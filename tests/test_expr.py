@@ -214,6 +214,19 @@ def test_array_code_matches_scalar_code_lane_by_lane(tree, points):
         [struct.pack("<d", scalar(point)) for point in points]
 
 
+def test_nan_of_two_nans_keeps_its_bits_from_call_to_call():
+    """inf/-inf is a negative NaN, log(NaN) a positive one; which of the two their
+    product returns changes once CPython specializes the multiplication."""
+    tree = ex.parse("exp(1e999/min(x, 1) * log(y + 1))", ["x", "y"])
+    scalar = ex.compile_expr(tree, ("x", "y"))
+    array = ex.compile_array(tree, ("x", "y"))
+    point = (-math.inf, math.nan)
+    want = struct.pack("<d", math.nan)
+    for _ in range(20):
+        assert struct.pack("<d", scalar(point)) == want
+        assert struct.pack("<d", array(np.array([point]).T.copy())[0]) == want
+
+
 _DIRS = st.sampled_from([0.0, -0.0, 1.0, -2.0, 1e300]) | st.floats(-2.0, 2.0)
 
 

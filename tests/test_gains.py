@@ -707,7 +707,7 @@ def test_overflow_before_the_first_violation_raises_the_same_error():
     verdict = small_gain_check(gm, opts)
     assert verdict.holds
     full = np.geomspace(1e-8, 1e8, 128)
-    new = _outcome(lambda: build_omega_path(gm, grid=full, verdict=verdict, options=opts))
+    new = _outcome(lambda: build_omega_path(gm, verdict=verdict, options=SmallGainOptions()))
     assert new[:2] == ("raised", ex.EvalOverflowError)
     assert new == _outcome(lambda: _reference_build_omega_path(
         gm, grid=full, verdict=_reference_small_gain_check(gm, opts), options=opts))

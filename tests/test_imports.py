@@ -3,9 +3,11 @@
 An ``ast`` scan in place of a linter: a name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in the same module.  The package's
 ``__init__.py`` is exempt, as its imports are the public API it re-exports.
-A function or method defined under ``src/hsgt`` must have its name read (as a
-name or an attribute) somewhere in ``src/``, ``scripts/`` or ``perfbench/``;
-code that only tests use belongs in ``tests/``.
+A function defined under ``src/hsgt`` must have its name read (as a name or an
+attribute) somewhere in ``src/``, ``scripts/`` or ``perfbench/``, and a method
+must be read as an attribute of something other than an imported module, so
+that ``np.full`` is no read of a method ``full``.  Code that only tests use
+belongs in ``tests/``.
 """
 
 import ast
@@ -49,21 +51,45 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(source) == [(1, "np"), (2, "List")]
 
 
+def module_aliases(tree: ast.AST) -> set:
+    """Names that ``tree`` binds to a module: by ``import``, or by a ``from``
+    import out of a package (``from . import expr as ex``, ``from hsgt import expr``)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "hsgt"):
+            out.update(alias.asname or alias.name for alias in node.names)
+    return out
+
+
 def unread_defs(modules: dict, readers: list, allowed: set) -> list:
-    """``(module, line, name)`` of each def in ``modules`` (name -> source) whose
-    name no source in ``readers`` loads as a name or an attribute."""
-    read = set()
+    """``(module, line, name)`` of each def in ``modules`` (name -> source) that
+    no source in ``readers`` reads.  A function is read where its name is loaded
+    as a name or an attribute; a method only where it is loaded as an attribute
+    of something other than an imported module."""
+    names, attrs = set(), set()
     for source in readers:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        aliases = module_aliases(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return sorted((module, node.lineno, node.name)
-                  for module, source in modules.items() for node in ast.walk(ast.parse(source))
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and node.name not in read | allowed
-                  and not (node.name.startswith("__") and node.name.endswith("__")))
+                of_module = isinstance(node.value, ast.Name) and node.value.id in aliases
+                (names if of_module else attrs).add(node.attr)
+    unread = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
+                    (node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            read = attrs if id(node) in methods else names | attrs
+            if node.name not in read | allowed:
+                unread.append((module, node.lineno, node.name))
+    return sorted(unread)
 
 
 def _sources(top: str) -> dict:
@@ -89,9 +115,15 @@ def test_scan_finds_an_unread_def():
     module = ("def used():\n    pass\n\n\ndef unused():\n    return used\n\n\n"
               "class C:\n    def method(self):\n        pass\n\n"
               "    def __repr__(self):\n        return ''\n\n"
-              "    def kept(self):\n        pass\n")
-    reader = "from m import used\nused()\nC().other\nkept = 1\n"  # a store is no read
+              "    def kept(self):\n        pass\n\n"
+              "    def full(self):\n        pass\n\n"
+              "    def render(self):\n        pass\n\n\n"
+              "def render():\n    pass\n")
+    reader = ("import numpy as np\nfrom . import m as mm\nfrom m import used\nused()\n"
+              "C().other\nkept = 1\n"  # a store is no read
+              "np.full(3, 0.0)\nmm.render()\n")  # a module's attribute reads no method
     assert unread_defs({"m.py": module}, [reader], set()) == [
-        ("m.py", 5, "unused"), ("m.py", 10, "method"), ("m.py", 16, "kept")]
-    assert unread_defs({"m.py": module}, [reader], {"method", "kept"}) == [
-        ("m.py", 5, "unused")]
+        ("m.py", 5, "unused"), ("m.py", 10, "method"), ("m.py", 16, "kept"),
+        ("m.py", 19, "full"), ("m.py", 22, "render")]
+    assert unread_defs({"m.py": module}, [reader + "C().full\n"], {"method", "kept"}) == [
+        ("m.py", 5, "unused"), ("m.py", 22, "render")]

@@ -180,8 +180,8 @@ def test_reports_write_non_finite_numbers_as_strings(tmp_path):
     (math.nan, 0.0), (0.0, math.nan), (1.0, 0.5), (-math.inf, math.nan)])
 def test_check_kernel_counts_nan_and_excess_as_violations(measured, required):
     report = VerificationReport(condition="kernel")
-    X, U = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.5], [0.25]])
-    _check_samples(report, "flow", X, U, lambda cols: (
+    pts = np.array([[1.0, 2.0, 0.5], [3.0, 4.0, 0.25]])
+    _check_samples(report, "flow", pts, 2, lambda cols: (
         np.array([True, False]), np.array([measured]), np.array([required]), 0.0, "d"))
     assert [v.point for v in report.violations] == [{"x": [1.0, 2.0], "u": [0.5]}]
     assert (report.samples_tested, report.samples_checked) == (2, 1)
@@ -222,8 +222,7 @@ def test_check_kernel_margins_match_the_per_sample_update(earlier, margins):
     got, expected = VerificationReport(condition="kernel"), VerificationReport(condition="loop")
     for block in (earlier, margins):
         if block:
-            X = np.array(block)[:, None]
-            _check_samples(got, "flow", X, np.zeros((len(block), 0)), condition)
+            _check_samples(got, "flow", np.array(block)[:, None], 1, condition)
         for margin in block:
             expected.samples_checked += 1
             add_margin(expected, margin)
@@ -238,8 +237,7 @@ def test_check_kernel_reports_points_as_plain_floats():
         return (np.array([False, True]), np.array([1.0]), np.array([0.0]), 0.0,
                 np.array(["second"]))
     report = VerificationReport(condition="rows")
-    _check_samples(report, "flow", np.array([[1.0, 2.0], [3.0, 4.0]]),
-                   np.array([[0.5], [-0.5]]), condition)
+    _check_samples(report, "flow", np.array([[1.0, 2.0, 0.5], [3.0, 4.0, -0.5]]), 2, condition)
     assert seen == [[[1.0, 3.0], [2.0, 4.0], [0.5, -0.5]]]  # one call, on columns
     [v] = report.violations
     assert (v.sample_index, v.point, v.detail) == (1, {"x": [3.0, 4.0], "u": [-0.5]}, "second")
