@@ -82,6 +82,15 @@ def _number(cfg: dict, key: str, path: str, default=None, cast=float):
         _fail(f"{path}.{key}", f"expected a number, got {value!r}")
 
 
+def _bounded(cfg: dict, key: str, path: str, default: float, top: float = math.inf) -> float:
+    """``cfg[key]``, a finite number in [0, top]."""
+    value = _number(cfg, key, path, default)
+    if not (math.isfinite(value) and 0.0 <= value <= top):
+        bound = ">= 0" if top == math.inf else f"in [0, {top:g}]"
+        _fail(f"{path}.{key}", f"need a finite number {bound}, got {value!r}")
+    return value
+
+
 def _finite_vector(values, size: Optional[int], path: str) -> np.ndarray:
     """Finite numbers, exactly ``size`` of them unless ``size`` is None."""
     try:
@@ -286,7 +295,7 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
 
     tol_cfg = _object(analysis.get("tolerances", {}), "analysis.tolerances")
     tolerances = VerifyTolerances(
-        **{key: _number(tol_cfg, key, "analysis.tolerances", getattr(VerifyTolerances, key))
+        **{key: _bounded(tol_cfg, key, "analysis.tolerances", getattr(VerifyTolerances, key))
            for key in ("flow", "jump_rel", "jump_abs", "sandwich_rel")})
 
     gain_matrix = None
@@ -441,6 +450,7 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
                         seed: int) -> TrajectorySection:
     base = "analysis.trajectories"
     kind = _get(_object(cfg, base), "kind", base)
+    tail_fraction = _bounded(cfg, "tail_fraction", base, 0.2, 1.0)
     gains = TrajectoryGains(
         _gain_rows(cfg.get("internal_gains"), net.n, f"{base}.internal_gains"),
         _gain_list(cfg.get("external_gains"), net.n, f"{base}.external_gains"))
@@ -469,7 +479,7 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
         comp_gamma = _parse_kfun(cfg["composite_gamma"], f"{base}.composite_gamma") \
             if "composite_gamma" in cfg else None
         estimate = AGEstimate(gains=gains, composite_gamma=comp_gamma,
-                              tail_fraction=_number(cfg, "tail_fraction", base, 0.2))
+                              tail_fraction=tail_fraction)
     else:
         _fail(f"{base}.kind", f"unknown estimate kind '{kind}' (iss | pre-gs | ag)")
 
@@ -508,5 +518,5 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
     return TrajectorySection(kind=kind, estimate=estimate, initial_conditions=ics,
                              input_levels=levels.tolist(), horizon=horizon,
                              max_jumps=max_jumps, options=_sim_options(cfg, priority, base),
-                             tail_fraction=_number(cfg, "tail_fraction", base, 0.2),
+                             tail_fraction=tail_fraction,
                              gain_fit_levels=gain_fit_levels, zero_input=zero_input)

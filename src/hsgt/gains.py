@@ -244,9 +244,8 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
 
     if gm.n <= CYCLE_SIZE_LIMIT:
         verdict.cycles = simple_gain_cycles(gm)
-        hits = _cycle_hits(gm, verdict.cycles, grid, 1.0, np.greater_equal)
-        for cycles, radii, rows, best in hits:
-            if _scan(gm, cycles, radii, rows, best, verdict):
+        for cycles, radii, rows in _cycle_hits(gm, verdict.cycles, grid, 1.0):
+            if _scan(gm, cycles, radii, rows, verdict):
                 break
         if verdict.witness_cycle is None and verdict.margin > 1.0 - STRICTNESS:
             verdict.holds = False
@@ -270,53 +269,34 @@ def small_gain_check(gm: GainMatrix, options: Optional[SmallGainOptions] = None)
     return verdict
 
 
-def _cycle_hits(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, factor: float,
-                hit: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """Yield ``(cycles, radii, rows, best)`` in scan order.  With ``values``
-    the row ``compose_cycle(gm, cycles[k], radii, factor)``, ``rows[k]`` is
-    ``values`` if ``hit(values, radii)`` holds somewhere in it, and ``best[k]``
-    is the largest ratio ``values / radii`` that is not NaN (NaN if none is).
+def _cycle_hits(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, factor: float):
+    """Yield ``(cycles, radii, rows)`` in scan order, ``rows[k]`` the row
+    ``compose_cycle(gm, cycles[k], radii, factor)``.
 
     Each block of ``BUDGET // grid.size`` consecutive cycles (at least one)
-    comes as one ``(block, grid, rows, best)``, reduced from ``_closed_rows``
-    as its cycles close, so no block holds all its rows at once.  If any of
-    its array calls raises, the block's cycles are replayed one at a time
-    through ``ex.rows_in_order(compose_cycle)``, one yield per row, so a scan
-    that stops at its first hit meets the errors of a cycle-by-cycle scan and
-    no others.
+    comes as one ``(block, grid, _block_rows(...))``.  If any of its array
+    calls raises, the block's cycles are replayed one at a time through
+    ``ex.rows_in_order(compose_cycle)``, one yield per row, so a scan that stops
+    at its first hit meets the errors of a cycle-by-cycle scan and no others.
     """
     size = max(1, BUDGET // grid.size)
     for first in range(0, len(cycles), size):
         block = cycles[first:first + size]
         try:
-            rows, best = _hits(_closed_rows(gm, block, grid, factor), grid, len(block), hit)
+            rows = _block_rows(gm, block, grid, factor)
         except Exception:  # replayed cycle by cycle below, not swallowed
             for cycle in block:
                 compose = lambda r, c=cycle: compose_cycle(gm, c, r, factor)
                 for start, values in ex.rows_in_order(compose, grid):
-                    radii = grid[start:start + values.size]
-                    yield ([cycle], radii, *_hits([([0], values[None, :])], radii, 1, hit))
+                    yield [cycle], grid[start:start + values.size], values[None, :]
         else:
-            yield block, grid, rows, best
+            yield block, grid, rows
 
 
-def _hits(pieces, radii: np.ndarray, m: int, hit: Callable):
-    """``(rows, best)`` of ``_cycle_hits`` for m cycles, from ``(ks, values)``
-    pieces that give each cycle's row once: ``values[j]`` is cycle ``ks[j]``'s.
-    The pieces' values are overwritten with their ratios."""
-    rows, best = {}, np.empty(m)
-    for ks, values in pieces:
-        for j in np.flatnonzero(hit(values, radii).any(axis=1)).tolist():
-            rows[int(ks[j])] = values[j].copy()
-        np.divide(values, radii, out=values)
-        best[ks] = np.fmax.reduce(values, axis=1)
-    return rows, best
-
-
-def _closed_rows(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, factor: float):
-    """Yield ``(ks, values)`` once per depth at which cycles close, until each
-    cycle came once: ``values[j]`` is ``compose_cycle(gm, cycles[ks[j]], grid,
-    factor)``, bit for bit.
+def _block_rows(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray,
+                factor: float) -> np.ndarray:
+    """The (len(cycles), grid.size) array whose row k is ``compose_cycle(gm,
+    cycles[k], grid, factor)``, bit for bit.
 
     The cycles are consecutive in ``simple_gain_cycles`` order, so those that
     share their first d + 1 nodes are adjacent.  Depth by depth, each distinct
@@ -338,6 +318,7 @@ def _closed_rows(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, fact
     # new[k, d]: the first d + 1 nodes of cycle k differ from those of cycle k - 1
     new = np.ones(nodes.shape, dtype=bool)
     new[1:] = np.logical_or.accumulate(nodes[1:] != nodes[:-1], axis=1)
+    out = np.empty((m, width))
     prefix_rows = grid[None, :]  # the values after d edges, one row per growing prefix
     prefix = np.zeros(m, dtype=int)  # each cycle's row in prefix_rows
     for depth in range(nodes.shape[1] - 1):
@@ -345,52 +326,48 @@ def _closed_rows(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray, fact
         grows = (lengths > depth + 1) & new[:, depth + 1]  # the first cycle of each longer prefix
         taken = np.flatnonzero(grows | closing)
         edge = nodes[taken, depth] * n + nodes[taken, depth + 1]
-        order = np.lexsort((closing[taken], edge))  # by edge, growing before closing
+        order = np.argsort(edge, kind="stable")
         taken, edge = taken[order], edge[order]
         parents = prefix[taken]
-        growing = ~closing[taken]
-        before = [0] + np.cumsum(growing).tolist()  # growing entries before each position
-        dest = np.empty((before[-1], width))  # the longer prefixes, in taken order
-        closed = np.empty((taken.size - before[-1], width))  # the closed cycles
+        values = np.empty((taken.size, width))  # the values after d + 1 edges, in taken order
         starts = (np.flatnonzero(np.diff(edge)) + 1).tolist()
         for lo, hi in zip([0] + starts, starts + [taken.size]):
             a, b = divmod(int(edge[lo]), n)
-            values = gm.entries[b][a].array(prefix_rows[parents[lo:hi]].ravel())
-            values = values.reshape(hi - lo, width)
-            g0, g1 = before[lo], before[hi]
-            np.multiply(factor, values[:g1 - g0], out=dest[g0:g1])
-            np.multiply(factor, values[g1 - g0:], out=closed[lo - g0:hi - g1])
-        if closed.size:
-            yield taken[~growing], closed
-        if not dest.size:
+            composed = gm.entries[b][a].array(prefix_rows[parents[lo:hi]].ravel())
+            np.multiply(factor, composed.reshape(hi - lo, width), out=values[lo:hi])
+        growing = grows[taken]
+        out[taken[~growing]] = values[~growing]
+        if not growing.any():
             break
         at = np.empty(m, dtype=int)
-        at[taken[growing]] = np.arange(dest.shape[0])
+        at[taken[growing]] = np.arange(np.count_nonzero(growing))
         prefix = at[np.flatnonzero(grows)][np.cumsum(grows) - 1]
-        prefix_rows = dest
+        prefix_rows = values[growing]
+    return out
 
 
-def _scan(gm: GainMatrix, cycles: List[List[int]], radii: np.ndarray, rows: dict,
-          best: np.ndarray, verdict: SmallGainVerdict) -> bool:
-    """Scan the cycles' values at the radii, as ``_cycle_hits`` gives them, in
+def _scan(gm: GainMatrix, cycles: List[List[int]], radii: np.ndarray, rows: np.ndarray,
+          verdict: SmallGainVerdict) -> bool:
+    """Scan the cycles' rows at the radii, as ``_cycle_hits`` gives them, in
     cycle-then-radius order; True once a hit is confirmed as a witness.
 
     A hit (``value >= radius``) is re-evaluated with the scalar call first.
-    The margin is raised by every ratio up to and including the witness: the
-    row maxima ``best`` of the cycles before it, then its own row up to its
-    radius.  A maximum does not depend on order, and NaN never wins it.
+    The margin is raised by every ratio ``value / radius`` up to and including
+    the witness: the rows before it, then its own row up to its radius.  A
+    maximum does not depend on order, and NaN never wins it.
     """
-    for k in sorted(rows):
-        values = rows[k]
-        for p in np.flatnonzero(values >= radii).tolist():
-            candidate = CycleWitness(list(cycles[k]), float(radii[p]), float(values[p]))
+    ratios = rows / radii
+    hit = rows >= radii
+    for k in np.flatnonzero(hit.any(axis=1)).tolist():
+        for p in np.flatnonzero(hit[k]).tolist():
+            candidate = CycleWitness(list(cycles[k]), float(radii[p]), float(rows[k, p]))
             if compose_cycle(gm, cycles[k], candidate.radius) >= candidate.radius:
-                margin = _running_max(verdict.margin, best[:k])
-                verdict.margin = _running_max(margin, values[:p + 1] / radii[:p + 1])
+                margin = _running_max(verdict.margin, ratios[:k])
+                verdict.margin = _running_max(margin, ratios[k, :p + 1])
                 verdict.holds = False
                 verdict.witness_cycle = candidate
                 return True
-    verdict.margin = _running_max(verdict.margin, best)
+    verdict.margin = _running_max(verdict.margin, ratios)
     return False
 
 
@@ -486,9 +463,8 @@ def _inflated_cycles_ok(gm: GainMatrix, cycles: List[List[int]], inflation: floa
                         grid: np.ndarray) -> bool:
     if inflation == 0.0:
         return True
-    above = lambda values, radii: values > (1.0 - STRICTNESS) * radii
-    return not any(rows for _cycles, _radii, rows, _best in
-                   _cycle_hits(gm, cycles, grid, 1.0 + inflation, above))
+    return not any((rows > (1.0 - STRICTNESS) * radii).any() for _cycles, radii, rows in
+                   _cycle_hits(gm, cycles, grid, 1.0 + inflation))
 
 
 def build_omega_path(gm: GainMatrix, anchor: Optional[Sequence[float]] = None,

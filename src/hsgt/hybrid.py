@@ -169,7 +169,7 @@ class NetworkSpec:
     _c_fns: list = field(default_factory=list, repr=False)
     _d_fns: list = field(default_factory=list, repr=False)
     _array_fns: dict = field(default_factory=dict, repr=False)  # compiled on first use
-    _sim_kernels: tuple = field(default=(), repr=False)  # compiled on the first simulate
+    _kernel: Optional[Callable] = field(default=None, repr=False)  # see run_kernel
 
     @property
     def n(self) -> int:
@@ -188,13 +188,13 @@ class NetworkSpec:
             return self._d_fns[sub](vals)
         return min(fn(vals) for fn in self._d_fns)
 
-    def c_array(self, X: np.ndarray, U: np.ndarray, sub: Optional[int] = None) -> np.ndarray:
-        """``c_raw`` at each row of ``X`` (B, n) and ``U`` (B, m) joined, bit for bit."""
-        return self._guard_array("c", X, U, sub)
+    def c_array(self, Z: np.ndarray, sub: Optional[int] = None) -> np.ndarray:
+        """``c_raw`` at each row (state, then input) of ``Z`` (B, n + m), bit for bit."""
+        return self._guard_array("c", Z, sub)
 
-    def d_array(self, X: np.ndarray, U: np.ndarray, sub: Optional[int] = None) -> np.ndarray:
-        """``d_raw`` at each row of ``X`` (B, n) and ``U`` (B, m) joined, bit for bit."""
-        return self._guard_array("d", X, U, sub)
+    def d_array(self, Z: np.ndarray, sub: Optional[int] = None) -> np.ndarray:
+        """``d_raw`` at each row (state, then input) of ``Z`` (B, n + m), bit for bit."""
+        return self._guard_array("d", Z, sub)
 
     def _compiled(self, kind: str) -> list:
         """Array functions of every guard (``c``, ``d``) or map (``flow``, ``jump``)."""
@@ -208,13 +208,12 @@ class NetworkSpec:
                                            for group in exprs]
         return fns
 
-    def _guard_array(self, kind: str, X, U, sub: Optional[int]) -> np.ndarray:
+    def _guard_array(self, kind: str, Z: np.ndarray, sub: Optional[int]) -> np.ndarray:
         fns = [group[0] for group in self._compiled(kind)]
         if sub is not None:
             fns = fns[sub:sub + 1]
         fold = ex.lane_max if kind == "c" else ex.lane_min  # the fold of c_raw / d_raw
-        return ex.in_row_order(lambda cols: fold([fn(cols) for fn in fns]),
-                               np.concatenate([X, U], axis=1))
+        return ex.in_row_order(lambda cols: fold([fn(cols) for fn in fns]), Z)
 
     def jump_raw(self, vals: list) -> list:
         """Composed jump: each subsystem maps only when inside its own jump set."""
@@ -247,11 +246,11 @@ class NetworkSpec:
                 out[sl, inside] = self.sub_jump_array(i, cols[:, inside])
         return out
 
-    def sim_kernels(self) -> tuple:
-        """The run and mode kernels of ``simulate``, compiled on the first call."""
-        if not self._sim_kernels:
-            self._sim_kernels = (_run_kernel(self), _mode_kernel(self))
-        return self._sim_kernels
+    def run_kernel(self) -> Callable:
+        """The run kernel of ``simulate``, compiled on the first call."""
+        if self._kernel is None:
+            self._kernel = _run_kernel(self)
+        return self._kernel
 
     def jump_set_structurally_empty(self, sub: Optional[int] = None) -> bool:
         """True when the jump-set guard is a positive constant (no jumps ever)."""
@@ -327,7 +326,7 @@ def _jump_sets_equal(net: NetworkSpec, specs) -> bool:
 
 
 TIME_TOL = 1e-9  # event bisection stops at this bracket length in time
-FLOW, JUMP, OUTSIDE_C = "flow", "jump", "outside C"  # the modes of ``_mode``
+FLOW, JUMP, OUTSIDE_C = "flow", "jump", "outside C"  # the modes of a point
 
 
 @dataclass
@@ -403,11 +402,11 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
              opts: Optional[SimOptions] = None) -> SolutionPair:
     """Simulate the composed network from ``x0`` under input ``u``.
 
-    Each point is classified once.  A point outside C jumps if it is in D and
-    otherwise ends the run (``left_domain``); a point that flows hands the run
-    to the network's run kernel.  It takes fixed RK4 steps and records them
-    until a step end does not flow, bisects that step down to ``TIME_TOL`` and
-    returns the event point found, which jumps or ends the run here.
+    Each point is classified once, by the network's run kernel.  It returns a
+    point that does not flow at once; from one that flows it takes fixed RK4
+    steps and records them until a step end does not flow, bisects that step
+    down to ``TIME_TOL`` and returns the event point found.  A point outside C
+    jumps if it is in D and otherwise ends the run (``left_domain``).
     Completeness records that the run used its full time or jump budget.  An
     expression that leaves its domain ends the run as ``numerical_failure``,
     at the initial point too; an input undefined there is recorded as NaN.
@@ -422,13 +421,12 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
     if u.dim != net.input_dim:
         raise SimulationError(f"input signal must have dimension {net.input_dim}")
 
-    run, mode_of = net.sim_kernels()
+    run = net.run_kernel()
     values = u.values
     t, k, jumps = 0.0, 0, 0
     rec = _Recorder(net.state_dim, u.dim)
     rec.open_interval(t, k)
     jump_priority = opts.priority == "jump"
-    mode = None  # the mode of (t, k, x), once known
     u_now = [math.nan] * u.dim  # recorded at t = 0 if the input is undefined there
 
     try:
@@ -437,19 +435,15 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
         if not (net.c_raw(vals) <= 0.0 or net.d_raw(vals) <= 0.0):
             raise SimulationError("initial point lies outside the union of flow and jump sets")
         rec.record(t, x, u_now)
-        while True:
-            if not all(map(math.isfinite, x)):
-                return rec.finalize(NUMERICAL_FAILURE, False, jumps)
-            if mode is None:  # the initial point or a jump's image
-                mode = mode_of(x, u_now, jump_priority)
-            if mode == FLOW:
-                mode, t, x, u_now = run(x, u_now, t, k, opts.step, horizon, opts.record_every,
-                                        values, jump_priority, rec.ts, rec.xs, rec.us)
-                if mode == HORIZON or mode == NUMERICAL_FAILURE:
-                    return rec.finalize(mode, mode == HORIZON, jumps)
-                continue
+        while all(map(math.isfinite, x)):  # the initial point or a jump's image
+            end, t, x, u_now = run(x, u_now, t, k, opts.step, horizon, opts.record_every,
+                                   values, jump_priority, rec.ts, rec.xs, rec.us)
+            if end == HORIZON or end == NUMERICAL_FAILURE:
+                return rec.finalize(end, end == HORIZON, jumps)
+            if not all(map(math.isfinite, x)):  # an event point
+                break
             # OUTSIDE_C jumps if the jump guard is <= 0
-            if mode == OUTSIDE_C and not net.d_raw(x + u_now) <= 0.0:
+            if end == OUTSIDE_C and not net.d_raw(x + u_now) <= 0.0:
                 return rec.finalize("left_domain", False, jumps)
             if jumps >= max_jumps:
                 return rec.finalize("max_jumps", True, jumps)
@@ -458,7 +452,7 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
             jumps += 1
             rec.open_interval(t, k)
             rec.record(t, x, u_now)
-            mode = None
+        return rec.finalize(NUMERICAL_FAILURE, False, jumps)
     except ex.EvalDomainError:  # a guard, flow, jump or input expression left its domain
         if not rec.ts:  # it failed at the initial point
             rec.record(t, x, u_now)
@@ -505,21 +499,12 @@ _KERNEL_NAMES = {"FLOW": FLOW, "JUMP": JUMP, "OUTSIDE_C": OUTSIDE_C, "HORIZON": 
                  "SimulationError": SimulationError}
 
 
-def _mode_kernel(net: NetworkSpec) -> Callable:
-    """``mode(x, u, jump_priority)``: the mode of state ``x`` under input ``u``."""
-    xs = [f"x_{i}" for i in range(net.state_dim)]
-    us = [f"u_{r}" for r in range(net.input_dim)]
-    consts: dict = {}
-    body = _unpack(xs, "x") + _unpack(us, "u")
-    body += _classify_lines(net, dict(zip(net.var_order, xs + us)), consts)
-    return ex.compile_lines("x, u, jump_priority", [*ex.translated(body), "return mode"],
-                            {**consts, **_KERNEL_NAMES}, "the guards")
-
-
 def _run_kernel(net: NetworkSpec) -> Callable:
     """``run(x, u, t, k, h, horizon, every, values, jump_priority, ts, xs, us)``:
-    flow from a point ``(t, k, x)`` that flows under input ``u``, in
-    straight-line code, and return ``(end, t, x, u)``.
+    classify the point ``(t, k, x)`` under input ``u`` and return ``(end, t, x,
+    u)``, in straight-line code.  A point that does not flow is returned at once
+    with its mode (JUMP or OUTSIDE_C) as ``end``; from one that flows the run
+    flows as follows.
 
     Each RK4 step has length ``min(h, horizon - t)``.  Its stages are inlined,
     with the arithmetic of a stage-by-stage loop in its order: the inputs at t,
@@ -582,8 +567,10 @@ def _run_kernel(net: NetworkSpec) -> Callable:
     bisect = ["mid = 0.5 * (lo + hi)", "hm = mid * hs", *step, *classify,
               "if mode == FLOW:", "    lo = mid", "else:", "    hi, mode_hi, uh = mid, mode, u3",
               *nest(1, assign(xh, xe))]
+    start = _unpack(x1, "x") + _unpack(u1, "u1")
+    start += _classify_lines(net, dict(zip(net.var_order, x1 + u1)), consts)
     lines = [
-        *ex.translated(_unpack(x1, "x") + _unpack(u1, "u1")),
+        *ex.translated(start), "if mode != FLOW:", "    return mode, t, x, u1",
         "end = horizon - 1e-15", "last = ts[-1]", "since = 0",
         "append_t, extend_x, extend_u = ts.append, xs.extend, us.extend",
         "while True:",

@@ -50,15 +50,16 @@ _BLOCK = 1 << 16  # rows per guard call at most; the block size never changes th
 MAX_ATTEMPTS_FACTOR = 200  # uniform attempts per requested sample, at most
 
 
-def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray], np.ndarray],
                spec: SamplerSpec) -> np.ndarray:
     """Sample points with ``guard(x, u) <= 0`` using the stratified mix.
 
-    ``guard`` maps a block of rows ``X`` (B, n), ``U`` (B, m) to B values.  Each
-    stratum draws and tests in blocks, yet consumes the generator as one attempt
-    at a time would, so a fixed seed gives the same samples, bit for bit.  An
-    attempt adds at most one sample, so a block of as many attempts as samples
-    are still wanted never passes the point where one attempt at a time stops.
+    ``guard`` maps a block of rows (B, n + m), state then input, to B values.
+    Each stratum draws and tests in blocks, yet consumes the generator as one
+    attempt at a time would, so a fixed seed gives the same samples, bit for
+    bit.  An attempt adds at most one sample, so a block of as many attempts as
+    samples are still wanted never passes the point where one attempt at a time
+    stops.
     The result is a read-only (N, n + m) array, one sample (state, then input)
     per row.
     """
@@ -74,7 +75,7 @@ def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray, np.ndarray], np.nd
         return Z
 
     def test(Z):
-        return guard(Z[:, :n], Z[:, n:]) <= 0.0
+        return guard(Z) <= 0.0
 
     n_boundary = int(spec.n_samples * spec.boundary_fraction)
     n_tie = int(spec.n_samples * spec.tie_fraction)
@@ -251,7 +252,7 @@ def _frozen(value):
 
 def _draw(net: NetworkSpec, kind: str, spec: SamplerSpec, sub: Optional[int]) -> np.ndarray:
     guard = net.c_array if kind == "c" else net.d_array
-    return sample_set(net, lambda X, U: guard(X, U, sub), spec)
+    return sample_set(net, lambda Z: guard(Z, sub), spec)
 
 
 def flow_set_samples(net: NetworkSpec, spec: SamplerSpec, sub: Optional[int] = None,

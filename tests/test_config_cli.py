@@ -421,6 +421,7 @@ def test_negative_config_seed_exits_2_with_one_error_line(tmp_path, capsys, name
 
 _SIGMAS = "analysis.trajectories.sigmas: need a list of 2 entries"
 _ICS = "analysis.trajectories.initial_conditions"
+_TAIL = "analysis.trajectories.tail_fraction"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -440,8 +441,13 @@ _ICS = "analysis.trajectories.initial_conditions"
      f"{_ICS}.radius: need a positive finite radius, got 0.0"),
     (lambda t: t["initial_conditions"].update(radius=float("inf")),
      f"{_ICS}.radius: need a positive finite radius, got inf"),
+    (lambda t: t.update(tail_fraction=-1), f"{_TAIL}: need a finite number in [0, 1], got -1.0"),
+    (lambda t: t.update(tail_fraction=float("nan")),
+     f"{_TAIL}: need a finite number in [0, 1], got nan"),
+    (lambda t: t.update(tail_fraction=2), f"{_TAIL}: need a finite number in [0, 1], got 2.0"),
 ], ids=["sigmas-number", "sigmas-object", "sigmas-short", "count-zero", "count-negative",
-        "count-fraction", "radius-nan", "radius-negative", "radius-zero", "radius-inf"])
+        "count-fraction", "radius-nan", "radius-negative", "radius-zero", "radius-inf",
+        "tail-fraction-negative", "tail-fraction-nan", "tail-fraction-above-1"])
 def test_malformed_trajectory_config_exits_2_with_one_error_line(tmp_path, capsys, edit,
                                                                  message):
     cfg = load_json("e1_traj_pregs.json")
@@ -450,6 +456,22 @@ def test_malformed_trajectory_config_exits_2_with_one_error_line(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("value, shown", [(1e999, "inf"), (float("nan"), "nan"),
+                                          (-1e-9, "-1e-09")], ids=["inf", "nan", "negative"])
+@pytest.mark.parametrize("key", ["flow", "jump_rel", "jump_abs", "sandwich_rel"])
+def test_tolerances_outside_their_range_exit_2_with_one_error_line(tmp_path, capsys, key,
+                                                                   value, shown):
+    # an infinite slack passes every condition it loosens, and a NaN jump_rel read as 0
+    cfg = load_json("e1.json")
+    cfg["analysis"].setdefault("tolerances", {})[key] = value
+    path = write_cfg(tmp_path, cfg)
+    assert main(["verify", "--which", "subsystem", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: analysis.tolerances.{key}: need a finite number >= 0, got {shown}"]
 
 
 @pytest.mark.parametrize("command", ["check-gains", "build-lyapunov", "verify", "simulate",

@@ -1063,13 +1063,11 @@ def test_cycle_rows_match_compose_cycle(label, texts, points, anchor):
         for factor in (1.0, 1.0 + 1e-6, 1.5):
             for first in range(0, len(cycles), per_block):
                 block = cycles[first:first + per_block]
-                seen = []
-                for ks, values in gains._closed_rows(gm, block, grid, factor):
-                    seen += ks.tolist()
-                    for k, row in zip(ks.tolist(), values.tolist()):
-                        scalar = [compose_cycle(gm, block[k], r, factor) for r in grid.tolist()]
-                        assert _lane_bits(row) == _lane_bits(scalar)
-                assert sorted(seen) == list(range(len(block)))
+                rows = gains._block_rows(gm, block, grid, factor)
+                assert rows.shape == (len(block), grid.size)
+                for cycle, row in zip(block, rows.tolist()):
+                    scalar = [compose_cycle(gm, cycle, r, factor) for r in grid.tolist()]
+                    assert _lane_bits(row) == _lane_bits(scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -1102,9 +1100,9 @@ def test_partial_last_block_matches_scalar_loops(monkeypatch, per_block, kind):
     # 20 and 84 cycles: no block size above but 1 divides both; a budget
     # below one grid row still takes one cycle at a time
     blocks = []
-    closed_rows = gains._closed_rows
-    monkeypatch.setattr(gains, "_closed_rows", lambda gm, cycles, grid, factor: blocks.append(
-        len(cycles)) or closed_rows(gm, cycles, grid, factor))
+    block_rows = gains._block_rows
+    monkeypatch.setattr(gains, "_block_rows", lambda gm, cycles, grid, factor: blocks.append(
+        len(cycles)) or block_rows(gm, cycles, grid, factor))
     _blocks_of(monkeypatch, per_block, 32)
     for texts in (_texts(4, kind, 3), _texts(5, kind, 4, "late")):
         gm = _from_texts(texts)

@@ -15,9 +15,9 @@ import reference_hybrid
 from conftest import config_path, two_sub_network
 from hsgt import expr as ex
 from hsgt.config import load_config
-from hsgt.hybrid import (TIME_TOL, DomainError, HybridSignal, HybridTimeDomain, InputSignal,
-                         NetworkSpec, SimOptions, SimulationError, SolutionPair, SubsystemSpec,
-                         compose_network, simulate, write_trajectory_csv)
+from hsgt.hybrid import (FLOW, TIME_TOL, DomainError, HybridSignal, HybridTimeDomain,
+                         InputSignal, NetworkSpec, SimOptions, SimulationError, SolutionPair,
+                         SubsystemSpec, compose_network, simulate, write_trajectory_csv)
 from reference_hybrid import Recorder, iter_samples, rk4, sup_norm, value_at
 from test_expr import _LANES, _trees
 
@@ -524,9 +524,8 @@ def test_each_accepted_step_evaluates_each_guard_once():
         return abs(v)
     # e1's flows call nothing, and its flow and jump guards (each pair structurally
     # equal, so evaluated once) take abs of both states once: four abs calls are
-    # one classification, in the run kernel and in the mode kernel alike
-    for kernel in net.sim_kernels():
-        kernel.__globals__["abs"] = counting_abs
+    # one classification, of the start or of a step end in the run kernel
+    net.run_kernel().__globals__["abs"] = counting_abs
     u = InputSignal.constant([0.3])
     read = u.values
     u.values = lambda t, k: calls.__setitem__("read", calls["read"] + 1) or read(t, k)
@@ -625,14 +624,13 @@ def test_kernels_compile_on_the_first_simulate_only(monkeypatch):
         return real(*args)
     monkeypatch.setattr(ex, "compile_lines", counting)
     cfg = load_config(config_path("e1.json"))
-    assert made == [] and cfg.network._sim_kernels == ()
+    assert made == [] and cfg.network._kernel is None
     u = InputSignal.zero(cfg.network.input_dim)
     simulate(cfg.network, [0.5, 0.2], u, 0.1, 1)
-    kernels = cfg.network._sim_kernels
-    assert made == ["x, u1, t, k, h, horizon, every, values, jump_priority, ts, xs, us",
-                    "x, u, jump_priority"]  # the run kernel and the mode kernel
+    kernel = cfg.network._kernel
+    assert made == ["x, u1, t, k, h, horizon, every, values, jump_priority, ts, xs, us"]
     simulate(cfg.network, [0.2, 0.5], u, 0.1, 1)
-    assert len(made) == 2 and cfg.network._sim_kernels is kernels
+    assert len(made) == 1 and cfg.network._kernel is kernel
 
 
 # ---------------------------------------------------------------------------
@@ -705,18 +703,21 @@ def test_kernels_match_former_scalar_step_and_mode(case):
     except ex.EvalDomainError:  # the jump-set comparison met an undefined jump guard
         assume(False)
     u = InputSignal(lambda s, _k: [a + b * s], 1, "affine in t")
-    run, mode = net.sim_kernels()
+    run = net.run_kernel()
     step = reference_hybrid.step_kernel(net)
     horizon = t + steps * h
+
+    def former(jump_priority, *rec):  # the former mode, then the former flow if it flows
+        mode = reference_hybrid.mode(net, x + u.values(t, k), jump_priority)
+        if mode != FLOW:
+            return mode, t, x, u.values(t, k)
+        return reference_hybrid.flow(net, step, x, u.values(t, k), t, k, h, horizon, every,
+                                     u.values, jump_priority, *rec)
     for jump_priority in (True, False):
         start = ([t], x, u.values(t, k))
         assert _run_outcome(lambda *rec: run(
             x, u.values(t, k), t, k, h, horizon, every, u.values, jump_priority, *rec), start) \
-            == _run_outcome(lambda *rec: reference_hybrid.flow(
-                net, step, x, u.values(t, k), t, k, h, horizon, every, u.values, jump_priority,
-                *rec), start)
-        assert _kernel_outcome(lambda: mode(x, [a], jump_priority)) == \
-            _kernel_outcome(lambda: reference_hybrid.mode(net, x + [a], jump_priority))
+            == _run_outcome(lambda *rec: former(jump_priority, *rec), start)
     # the former step kernel itself still matches the per-expression step
     assert _kernel_outcome(lambda: step(x, u.values, t, k, h_step)) == \
         _kernel_outcome(lambda: reference_hybrid.rk4(net, x, u, t, k, h_step))

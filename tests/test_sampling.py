@@ -338,26 +338,26 @@ def test_error_in_bisection_is_the_first_in_draw_order():
     expected = _outcome(lambda: _attempt_loop_sample_set(
         net, lambda x, u: fail_near_edge(x[None])[0], spec))
     assert expected[0] is ex.EvalDomainError
-    assert _outcome(lambda: sample_set(net, lambda X, U: fail_near_edge(X), spec)) == expected
+    assert _outcome(lambda: sample_set(net, lambda Z: fail_near_edge(Z[:, :2]), spec)) == expected
 
 
 def test_array_guards_match_scalar_guards_row_by_row():
     net = _network([("x_1/x_2 - 1", "1 - x_1 - u_1"), ("max(x_2, 0.5) - 1", "min(x_1, u_1)")])
     rng = np.random.default_rng(0)
     X, U = rng.uniform(-2.0, 2.0, (64, 2)), rng.uniform(-1.0, 1.0, (64, 1))
+    Z = np.concatenate([X, U], axis=1)
     for sub in (None, 0, 1):
         for array, scalar in ((net.c_array, net.c_raw), (net.d_array, net.d_raw)):
-            assert [float(v) for v in array(X, U, sub)] == [
-                scalar(x.tolist() + u.tolist(), sub) for x, u in zip(X, U)]
+            assert [float(v) for v in array(Z, sub)] == [scalar(z.tolist(), sub) for z in Z]
 
 
 def test_array_guard_fold_raises_the_first_failing_row():
     """Row 0 fails in the second guard and row 1 in the first; one row at a time,
     the second guard's error comes first."""
     net = _network([("log(x_1 + 1.9)", "1"), ("log(x_2)", "1")])
-    X, U = np.array([[1.0, -1.0], [-1.95, 1.0]]), np.zeros((2, 1))
+    Z = np.array([[1.0, -1.0, 0.0], [-1.95, 1.0, 0.0]])
     with pytest.raises(ex.EvalDomainError, match=r"^math domain error in log\(x_2\)$"):
-        net.c_array(X, U)
+        net.c_array(Z)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +382,9 @@ def _with_final_state(monkeypatch, draw):
 def _assert_matches_pair_loop(monkeypatch, net, spec, kind):
     guard = net.c_array if kind == "c" else net.d_array
     expected, expected_state = _with_final_state(
-        monkeypatch, lambda: _reference_sample_set(net, lambda X, U: guard(X, U), spec))
-    got, state = _with_final_state(
-        monkeypatch, lambda: sample_set(net, lambda X, U: guard(X, U), spec))
+        monkeypatch, lambda: _reference_sample_set(
+            net, lambda X, U: guard(np.concatenate([X, U], axis=1)), spec))
+    got, state = _with_final_state(monkeypatch, lambda: sample_set(net, guard, spec))
     _assert_same_pairs(_pairs(net, got), expected)
     assert state == expected_state
     return got
