@@ -25,6 +25,9 @@ from .trajectories import (AGEstimate, Beta, ISSEstimate, PreGSEstimate,
 
 # Most points of the small-gain grid: each grid is one array of that many floats.
 GRID_POINTS_MAX = 1_000_000
+# Most samples of one sample set: each set is drawn in blocks of rows, and the
+# tie stratum's row draws need fewer than 2**32 inside rows.
+SAMPLES_MAX = 10_000_000
 
 
 class ConfigError(Exception):
@@ -285,6 +288,8 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
         _fail(f"{base}.box_radius", f"need a positive finite radius, got {sampler.box_radius!r}")
     if sampler.n_samples < 1:
         _fail(f"{base}.n_samples", f"need at least 1 sample, got {sampler.n_samples}")
+    if sampler.n_samples > SAMPLES_MAX:
+        _fail(f"{base}.n_samples", f"need at most {SAMPLES_MAX} samples, got {sampler.n_samples}")
     for key in ("boundary_fraction", "tie_fraction"):
         if not getattr(sampler, key) >= 0.0:
             _fail(f"{base}.{key}", f"need a fraction >= 0, got {getattr(sampler, key)!r}")

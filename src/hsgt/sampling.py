@@ -12,7 +12,6 @@ once.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -140,18 +139,22 @@ def sample_set(net: NetworkSpec, guard: Callable[[np.ndarray], np.ndarray],
         count += len(points)
 
     # tie points: copy one subsystem block onto another up to sign
+    ties = _TieDecoder(rng, len(inside), net)
     ti = 0
-    while count < spec.n_samples and ti < 8 * n_tie:
-        k = min(spec.n_samples - count, 8 * n_tie - ti)
-        ti += k
-        rows, src, dst, sign = _tie_draws(rng, len(inside), net, k)
-        if len(rows):
-            copies = inside[rows]
-            for i, j in set(zip(src.tolist(), dst.tolist())):
-                pair = np.flatnonzero((src == i) & (dst == j))
-                copies[pair, net.slices[j]] = sign[pair, None] * copies[pair, net.slices[i]]
-            samples.append(copies[test(copies)])
-            count += len(samples[-1])
+    try:
+        while count < spec.n_samples and ti < 8 * n_tie:
+            k = min(spec.n_samples - count, 8 * n_tie - ti)
+            ti += k
+            rows, src, dst, sign = ties.take(k)
+            if len(rows):
+                copies = inside[rows]
+                for i, j in set(zip(src.tolist(), dst.tolist())):
+                    pair = np.flatnonzero((src == i) & (dst == j))
+                    copies[pair, net.slices[j]] = sign[pair, None] * copies[pair, net.slices[i]]
+                samples.append(copies[test(copies)])
+                count += len(samples[-1])
+    finally:
+        ties.close()
     # top up with plain inside draws if strata fell short
     samples.append(uniform(spec.n_samples - count, 0)[0])
     out = np.concatenate(samples)
@@ -163,14 +166,15 @@ _WORDS = 1 << 12  # raw generator words per chunk of tie draws; bounds their mem
 _LOW = 0xFFFFFFFF
 
 
-def _tie_draws(rng: np.random.Generator, n_inside: int, net: NetworkSpec, k: int):
-    """The draws of ``k`` tie attempts, replayed from the generator's raw words.
+class _TieDecoder:
+    """The draws of one tie stratum's attempts, replayed from the generator's raw words.
 
     One attempt calls ``rng.integers(n_inside)`` for an inside row, then
     ``rng.integers(net.n)`` for ``i`` and for ``j``, and, if blocks ``i != j`` have
     one dim, ``rng.random() < 0.5`` for a minus sign.  Those calls cost
     microseconds each, so numpy's rules for them are replayed on the raw words
-    of PCG64 (the bit generator of ``default_rng``), taken in chunks from a copy:
+    of PCG64 (the bit generator of ``default_rng``), taken in chunks of at most
+    ``_WORDS`` from a copy:
 
     * ``integers(m)`` draws nothing for ``m == 1``; otherwise it is Lemire's
       multiply-shift with its rejection loop on 32-bit words, each the low
@@ -178,49 +182,189 @@ def _tie_draws(rng: np.random.Generator, n_inside: int, net: NetworkSpec, k: int
     * ``random()`` is ``(w >> 11) * 2**-53`` of a fresh word and leaves the
       buffered half alone, so it is below 0.5 exactly when ``w < 2**63``.
 
-    The generator then ends in the state those calls leave, the buffered half
-    (stale or not) included.  Returns the inside row, ``i``, ``j`` and sign of
-    each attempt with a usable pair, in attempt order.  Bounds stay below 2**32.
+    Without a rejection, an attempt that starts with the buffer empty at word
+    ``p`` takes its row from the low half of ``p``, ``i`` from its high half and
+    ``j`` from the low half of ``p + 1``, and leaves the high half of ``p + 1``
+    buffered; the next attempt takes its row from that half and ``i``, ``j``
+    from the next word ``q``.  So a chunk is decoded on arrays: both kinds of
+    attempt at every position, a table of where the next pair of attempts
+    starts (``p + 3`` plus one sign word per usable pair), one walk along that
+    chain (eight pairs a step, through the table composed with itself), and a
+    gather.  The scalar rule replays a pair of attempts with a rejection, and
+    the attempts after it until the buffer is empty again, the first attempts
+    of a stratum entered with a buffered half until it is empty, and every
+    attempt when a bound is 1.
+
+    :meth:`take` hands out the next attempts in order; :meth:`close` leaves the
+    generator in the state the scalar calls of every attempt handed out leave,
+    the buffered half (stale or not) included.  Nothing may draw from the
+    generator in between.  Bounds stay below 2**32.
     """
-    bits = rng.bit_generator
-    state = bits.state
-    source = np.random.PCG64(0)
-    source.state = state
-    size = min(_WORDS, 3 * k + 1)  # 3 words per attempt unless Lemire rejects one
-    chunks = iter(lambda: source.random_raw(size).tolist(), None)
-    words = itertools.chain.from_iterable(chunks)
-    has_half, half, used = state["has_uint32"], state["uinteger"], 0
-    dims = [s.dim for s in net.subsystems]
-    usable = [[i != j and dims[i] == dims[j] for j in range(net.n)] for i in range(net.n)]
-    draws = [(slot, m, (1 << 32) % m) for slot, m in enumerate((n_inside, net.n, net.n)) if m > 1]
-    drawn = [0, 0, 0]  # integers(1) draws nothing and gives 0
-    rows, src, dst, sign = [], [], [], []
-    for _ in range(k):
-        for slot, m, threshold in draws:
-            while True:  # Lemire: a product whose low word is below 2**32 mod m is rejected
-                if has_half:
-                    has_half, word = 0, half
-                else:
-                    w = next(words)
-                    used += 1
-                    has_half, half, word = 1, w >> 32, w & _LOW
-                product = word * m
-                if product & _LOW >= threshold:
-                    break
-            drawn[slot] = product >> 32
-        row, i, j = drawn
-        if usable[i][j]:
-            used += 1
-            rows.append(row)
-            src.append(i)
-            dst.append(j)
-            sign.append(-1.0 if next(words) < 1 << 63 else 1.0)
-    bits.advance(used)  # advancing clears the buffered half; put it back
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = has_half, half
-    bits.state = state
-    return (np.array(rows, dtype=np.intp), np.array(src, dtype=np.intp),
-            np.array(dst, dtype=np.intp), np.array(sign, dtype=float))
+
+    def __init__(self, rng: np.random.Generator, n_inside: int, net: NetworkSpec):
+        self._bits = rng.bit_generator
+        state = self._bits.state
+        self._source = np.random.PCG64(0)
+        self._source.state = state
+        self._words = np.empty(0, dtype=np.uint64)  # words not yet decoded start at _pos
+        self._base = self._pos = 0  # generator words before _words[0], next word to decode
+        self._has, self._half = state["has_uint32"], state["uinteger"]
+        self._n_inside, self._n = n_inside, net.n
+        dims = [s.dim for s in net.subsystems]
+        self._usable = np.array([[i != j and dims[i] == dims[j] for j in range(net.n)]
+                                 for i in range(net.n)], dtype=bool)
+        self._draws = [(slot, m, (1 << 32) % m)
+                       for slot, m in enumerate((n_inside, net.n, net.n)) if m > 1]
+        # the decoded attempts: words used, buffer flag and half after each, and the
+        # row, i, j and sign of each usable one; _before[a] counts usable ones before a
+        self._after = np.zeros((0, 3), dtype=np.int64)
+        self._drawn = (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0),)
+        self._before = np.zeros(1, dtype=np.intp)
+        self._cursor = 0
+        self._taken = (0, self._has, self._half)  # the state after the attempts handed out
+
+    def take(self, k: int):
+        """The row, ``i``, ``j`` and sign of each of the next ``k`` attempts with a
+        usable pair, in attempt order."""
+        parts = []
+        while k:
+            if self._cursor == len(self._after):
+                self._decode(k)
+            a = self._cursor
+            b = a + min(k, len(self._after) - a)
+            lo, hi = self._before[a], self._before[b]
+            parts.append([col[lo:hi] for col in self._drawn])
+            self._cursor, k = b, k - (b - a)
+            self._taken = tuple(self._after[b - 1].tolist())
+        if len(parts) != 1:  # none for k == 0, or the attempts of two chunks
+            parts = [[np.concatenate([col[:0], *cols]) for col, *cols in zip(self._drawn, *parts)]]
+        return tuple(parts[0])
+
+    def close(self):
+        """Advance the generator past the attempts handed out."""
+        used, has, half = self._taken
+        self._bits.advance(used)  # advancing clears the buffered half; put it back
+        state = self._bits.state
+        state["has_uint32"], state["uinteger"] = has, half
+        self._bits.state = state
+
+    def _refill(self, size: int):
+        self._base += self._pos  # past the end of _words, the scalar rule drew words singly
+        self._words = np.concatenate([self._words[self._pos:], self._source.random_raw(size)])
+        self._pos = 0
+
+    def _word(self) -> int:
+        words, self._pos = self._words, self._pos + 1
+        if self._pos <= len(words):
+            return int(words[self._pos - 1])
+        return int(self._source.random_raw())
+
+    def _decode(self, wanted: int):
+        """Decode the next chunk of attempts, at least one."""
+        if not (self._n_inside > 1 and self._n > 1):  # integers(1) draws nothing
+            words = min(_WORDS, 3 * wanted + 1)  # 3 words an attempt unless Lemire rejects
+            self._refill(max(0, words - len(self._words) + self._pos))
+            segments = [self._scalar(wanted)]
+        else:
+            segments = self._chain()
+        columns = segments[0] if len(segments) == 1 else [np.concatenate(col)
+                                                          for col in zip(*segments)]
+        use, self._after, *self._drawn = columns
+        self._before = np.concatenate([[0], np.cumsum(use)])
+        self._cursor = 0
+
+    def _chain(self) -> list:
+        """The attempts of the next chunk of words, decoded on arrays."""
+        self._refill(_WORDS)
+        w = self._words
+        m, n = self._n_inside, self._n
+        # the 32-bit halves in draw order (low, then high half of each word), and
+        # what integers(m) and integers(n) make of each
+        halves = w.astype("<u8", copy=False).view("<u4")
+        bad_row = (halves * np.uint64(m) & _LOW) < (1 << 32) % m  # Lemire rejects a row from it
+        pick = halves * np.uint64(n)
+        bad_n = (pick & _LOW) < (1 << 32) % n
+        pick >>= 32
+        # the pair with j drawn from half x and i from half x - 1: usable, rejected
+        ok, bad = np.zeros(len(halves), dtype=bool), np.zeros(len(halves), dtype=bool)
+        ok[1:] = self._usable.ravel()[pick[:-1] * n + pick[1:]]
+        bad[1:] = bad_n[:-1] | bad_n[1:]
+        # a pair of attempts from word p with the buffer empty: the first draws its
+        # row, i and j from halves 2p, 2p + 1 and 2p + 2 and keeps half 2p + 3 for the
+        # second's row; that one draws i and j from the next word q
+        last = len(w) - 5  # a pair takes at most five words
+        use_a = ok[2:2 * last + 4:2]
+        q = np.arange(last + 1) + 2 + use_a
+        jb = 2 * q + 1
+        # step[p]: where the pair after the one at p starts; it stays at p where that
+        # pair has a rejection, and past the last pair
+        step = np.arange(len(w) + 1)
+        step[:last + 1] += np.where(bad_row[0:2 * last + 2:2] | bad[2:2 * last + 4:2]
+                                    | bad_row[3:2 * last + 5:2] | bad[jb], 0, 3 + use_a + ok[jb])
+        steps = [step]
+        for _ in range(3):
+            steps.append(steps[-1][steps[-1]])
+        eight = memoryview(steps.pop())  # eight pairs at a time
+        segments, p = [], 0
+        if self._has:  # a buffered half on entry goes through the scalar rule
+            segments.append(self._scalar())
+            p = self._pos
+        while p <= last:
+            P = [p]
+            while eight[p] != p:
+                p = eight[p]
+                P.append(p)
+            P = np.array(P)
+            for table in reversed(steps):
+                P = np.stack([P, table[P]], axis=1).ravel()
+            P = P[P < p]  # the clean pairs before the walk stopped
+            if len(P):
+                jx = np.stack([2 * P + 2, jb[P]], axis=1).ravel()  # the half j drew, per attempt
+                rx = np.stack([2 * P, 2 * P + 3], axis=1).ravel()  # the half the row drew
+                use = ok[jx]
+                ju = jx[use]
+                # an attempt ends past j's word and its sign word; the half after j's is
+                # buffered if j drew a low half
+                after = np.stack([self._base + (jx >> 1) + 1 + use, 1 - (jx & 1),
+                                  halves[jx | 1]], axis=1)
+                rows = (halves[rx[use]] * np.uint64(m) >> 32).astype(np.intp)
+                sign = np.where(w[(ju >> 1) + 1] < 1 << 63, -1.0, 1.0)
+                segments.append((use, after, rows, pick[ju - 1].astype(np.intp),
+                                 pick[ju].astype(np.intp), sign))
+            if p <= last:  # the pair at p has a rejection
+                self._pos = p
+                segments.append(self._scalar())
+                p = self._pos
+        self._pos = p
+        return segments
+
+    def _scalar(self, count: Optional[int] = None) -> tuple:
+        """``count`` attempts by numpy's scalar rules, or, by default, attempts
+        until the buffer is empty after one."""
+        use, after = [], []
+        drawn, out = [0, 0, 0], ([], [], [], [])
+        while count is None or len(use) < count:
+            for slot, m, threshold in self._draws:
+                while True:  # Lemire: a product whose low word is below 2**32 mod m is rejected
+                    if self._has:
+                        self._has, word = 0, self._half
+                    else:
+                        w = self._word()
+                        self._has, self._half, word = 1, w >> 32, w & _LOW
+                    product = word * m
+                    if product & _LOW >= threshold:
+                        break
+                drawn[slot] = product >> 32
+            row, i, j = drawn
+            use.append(bool(self._usable[i, j]))
+            if use[-1]:
+                for col, value in zip(out, (row, i, j, -1.0 if self._word() < 1 << 63 else 1.0)):
+                    col.append(value)
+            after.append((self._base + self._pos, self._has, self._half))
+            if count is None and not self._has:
+                break
+        return (np.array(use, dtype=bool), np.array(after, dtype=np.int64).reshape(-1, 3),
+                *(np.array(col, dtype=np.intp) for col in out[:3]), np.array(out[3], dtype=float))
 
 
 class SampleMemo:

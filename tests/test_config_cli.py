@@ -10,7 +10,7 @@ import pytest
 
 from conftest import config_path, load_json
 from hsgt.cli import main
-from hsgt.config import GRID_POINTS_MAX, ConfigError, build_config, load_config
+from hsgt.config import GRID_POINTS_MAX, SAMPLES_MAX, ConfigError, build_config, load_config
 
 
 @pytest.fixture()
@@ -66,6 +66,23 @@ def test_grid_points_at_the_bounds_load(points):
     cfg = load_json("e1_decoupled.json")
     cfg["analysis"]["grid"]["points"] = points
     assert build_config(cfg).sg_options.grid_points == points
+
+
+@pytest.mark.parametrize("n_samples", [10 ** 15, 1e300, SAMPLES_MAX + 1])
+def test_n_samples_above_the_cap_exit_2(tmp_path, capsys, n_samples):
+    """``verify`` would draw such a set in 65,536-row blocks until memory ran out."""
+    cfg = load_json("e1.json")
+    cfg["analysis"]["sampler"]["n_samples"] = n_samples
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--which", "subsystem"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: analysis.sampler.n_samples: need at most 10000000 samples")
+
+
+def test_n_samples_at_the_cap_loads():
+    cfg = load_json("e1.json")
+    cfg["analysis"]["sampler"]["n_samples"] = SAMPLES_MAX
+    assert build_config(cfg).sampler.n_samples == SAMPLES_MAX
 
 
 def test_integer_fields_reject_fractions():

@@ -5,12 +5,13 @@
 a time and tie attempts through scalar generator calls; both are kept verbatim
 as oracles.  For a fixed seed the sampler must return the same points in the
 same order, bit for bit, raise the same error where a guard fails, and leave its
-generator in the same state as the pair loop.  ``_tie_draws`` replays numpy's
-``integers`` and ``random`` on raw PCG64 words; a property pins it to the
-scalar calls.
+generator in the same state as the pair loop.  ``_TieDecoder`` replays numpy's
+``integers`` and ``random`` on raw PCG64 words, chunk by chunk; properties pin
+it to the scalar calls.
 """
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 from typing import List, Tuple
 
@@ -25,7 +26,7 @@ from hsgt import sampling
 from hsgt.config import build_config
 from hsgt.hybrid import SubsystemSpec, compose_network
 from hsgt.sampling import (_BLOCK, _WORDS, MAX_ATTEMPTS_FACTOR, SamplerEmptyError,
-                           SamplerSpec, _tie_draws, flow_set_samples, jump_set_samples,
+                           SamplerSpec, _TieDecoder, flow_set_samples, jump_set_samples,
                            sample_set)
 
 
@@ -425,13 +426,14 @@ def test_short_set_matches_pair_loop_and_keeps_its_note(monkeypatch):
 
 
 def _tie_entry_states(monkeypatch):
-    """Record the buffered-half flag the generator holds as each tie block starts."""
-    entered, real = [], sampling._tie_draws
+    """Record the buffered-half flag the replayed generator holds as each tie block
+    starts, and the bound of the row draws."""
+    entered, real = [], _TieDecoder.take
 
-    def spy(rng, n_inside, net, k):
-        entered.append((rng.bit_generator.state["has_uint32"], n_inside))
-        return real(rng, n_inside, net, k)
-    monkeypatch.setattr(sampling, "_tie_draws", spy)
+    def spy(self, k):
+        entered.append((self._taken[1], self._n_inside))
+        return real(self, k)
+    monkeypatch.setattr(_TieDecoder, "take", spy)
     return entered
 
 
@@ -501,6 +503,22 @@ _BOUNDS = st.one_of(st.integers(1, 2 ** 32 - 1),
                                      2 ** 32 - 1]))
 
 
+def _tie_net(dims):
+    return SimpleNamespace(n=len(dims), subsystems=[SimpleNamespace(dim=d) for d in dims])
+
+
+def _decoded(rng, n_inside, net, blocks):
+    """The decoder consumed in ``blocks`` of attempts, then closed: its four columns
+    as lists."""
+    decoder = _TieDecoder(rng, n_inside, net)
+    got = [decoder.take(k) for k in blocks]
+    decoder.close()
+    for cols in got:
+        for col, dtype in zip(cols, (np.intp, np.intp, np.intp, np.float64)):
+            assert col.dtype == dtype
+    return [np.concatenate(col).tolist() for col in zip(*got)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 64 - 1), _BOUNDS,
        st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(0, 400),
@@ -509,23 +527,106 @@ def test_tie_draws_match_scalar_calls(seed, n_inside, dims, k, prior):
     """Rows, pairs, signs and the final generator state, buffered half included,
     after prior draws that leave the buffer full, empty or stale.  Near 3*2**30
     about one 32-bit word in four is rejected, so Lemire's loop runs."""
-    net = SimpleNamespace(n=len(dims), subsystems=[SimpleNamespace(dim=d) for d in dims])
+    net = _tie_net(dims)
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     for bound in prior:
         for rng in (fast, slow):
             rng.random() if bound is None else rng.integers(bound)
-    got = _tie_draws(fast, n_inside, net, k)
-    expected = _scalar_tie_draws(slow, n_inside, net, k)
-    for col, want, dtype in zip(got, expected, (np.intp, np.intp, np.intp, np.float64)):
-        assert col.dtype == dtype and col.tolist() == want
+    assert _decoded(fast, n_inside, net, [k]) == _scalar_tie_draws(slow, n_inside, net, k)
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_tie_draws_cross_word_chunks():
     """Enough attempts to take several chunks of raw words, with rejections."""
-    net = SimpleNamespace(n=2, subsystems=[SimpleNamespace(dim=1)] * 2)
+    net = _tie_net([1, 1])
     fast, slow = np.random.default_rng(11), np.random.default_rng(11)
     k = 2 * _WORDS
-    got = _tie_draws(fast, 3 * 2 ** 30, net, k)
-    assert [col.tolist() for col in got] == _scalar_tie_draws(slow, 3 * 2 ** 30, net, k)
+    got = _decoded(fast, 3 * 2 ** 30, net, [k])
+    assert got == _scalar_tie_draws(slow, 3 * 2 ** 30, net, k)
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), _BOUNDS,
+       st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.lists(st.integers(1, 500), min_size=1, max_size=20),
+       st.lists(_PRIOR, max_size=5))
+def test_decoder_blocks_match_scalar_calls(seed, n_inside, dims, sizes, prior):
+    """One decoder consumed block by block, as the tie stratum does, past two chunks
+    of raw words: the attempts of all blocks, and the state after the stratum, are
+    those of the scalar calls."""
+    net = _tie_net(dims)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for bound in prior:
+        for rng in (fast, slow):
+            rng.random() if bound is None else rng.integers(bound)
+    decoder = _TieDecoder(fast, n_inside, net)
+    got, blocks = [], []
+    # until the attempts taken use more than two chunks of words, or number 2 * _WORDS
+    # (with both bounds 1, an attempt uses no word)
+    while decoder._taken[0] <= 2 * _WORDS and sum(blocks) < 2 * _WORDS:
+        blocks.append(sizes[len(blocks) % len(sizes)])
+        got.append(decoder.take(blocks[-1]))
+    decoder.close()
+    got = [np.concatenate(col).tolist() for col in zip(*got)]
+    assert got == _scalar_tie_draws(slow, n_inside, net, sum(blocks))
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def _scalar_runs(monkeypatch):
+    """Record each replay by the scalar rule inside the chain: the word it starts at,
+    the words of its chunk and the word after it."""
+    runs, real = [], _TieDecoder._scalar
+
+    def spy(self, count=None):
+        start, size = self._pos, len(self._words)
+        out = real(self, count)
+        if count is None:
+            runs.append((start, size, self._pos))
+        return out
+    monkeypatch.setattr(_TieDecoder, "_scalar", spy)
+    return runs
+
+
+@pytest.mark.parametrize("case", ["inside", "boundary"])
+def test_decoder_replays_rejections_like_scalar_calls(monkeypatch, case):
+    """A Lemire rejection in the middle of a chunk, with a bound that rejects about
+    one word in 1,024, and one whose replay reads past the end of its chunk, with
+    a bound that rejects one in four.  The seed is searched for; the case must
+    occur."""
+    n_inside = 2 ** 32 - 2 ** 22 if case == "inside" else 3 * 2 ** 30
+    net = _tie_net([1, 1])
+    runs = _scalar_runs(monkeypatch)
+    for seed in range(50):
+        runs.clear()
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        blocks = [7, 300, 1, 2000, 45, 500]
+        got = _decoded(fast, n_inside, net, blocks)
+        if case == "inside":
+            hit = any(0 < start and end < size - 5 for start, size, end in runs)
+        else:
+            hit = any(end > size for start, size, end in runs)
+        if hit:
+            break
+    assert hit
+    assert got == _scalar_tie_draws(slow, n_inside, net, sum(blocks))
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_decoder_memory_stays_within_a_chunk():
+    """The decoder holds one chunk of words and its decoded attempts, whatever the
+    budget: 10**6 attempts peak within 1.5 times 10**4."""
+    net = _tie_net([1, 1])
+
+    def peak(budget):
+        rng = np.random.default_rng(5)
+        decoder = _TieDecoder(rng, 10 ** 4, net)
+        tracemalloc.start()
+        try:
+            for _ in range(budget // 1000):
+                decoder.take(1000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    small, large = peak(10 ** 4), peak(10 ** 6)
+    assert large <= 1.5 * small, (small, large)

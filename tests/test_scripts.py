@@ -29,6 +29,13 @@ def test_dense_probe(tmp_path):
         assert re.fullmatch(re.escape(head) + r" small_gain_check_s=\d+\.\d{3}", line)
 
 
+def test_sampler_probe(tmp_path):
+    lines = _run(tmp_path, "sampler_probe.py", "--n", "500", "--repeat", "1")
+    assert len(lines) == 3
+    for line, head in zip(lines, ["flow samples=500", "jump samples=500", "tie attempts=500"]):
+        assert re.fullmatch(re.escape(head) + r" us_per_(sample|attempt)=\d+\.\d{3}", line)
+
+
 def test_coupling_sweep(tmp_path):
     assert _run(tmp_path, "coupling_sweep.py", "--couplings", "0.25", "1.5") == [
         " coupling   gain   margin small-gain  subsystem       tail",
