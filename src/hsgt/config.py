@@ -65,7 +65,7 @@ def _integer(value, path: str) -> int:
 def _as_int(value, path: str, minimum: int) -> int:
     out = _integer(value, path)
     if out < minimum:
-        _fail(path, f"must be at least {minimum}, got {out}")
+        _fail(path, f"must be at least {minimum}, got {value!r}")
     return out
 
 
@@ -114,9 +114,10 @@ def _budget(cfg: dict, base: str, horizon=None, max_jumps=None,
     horizon = _number(cfg, "horizon", base, horizon)
     if not (math.isfinite(horizon) and horizon >= 0.0):
         _fail(f"{base}.horizon", f"need a finite horizon >= 0, got {horizon!r}")
-    max_jumps = _number(cfg, "max_jumps", base, max_jumps, int)
+    written = _get(cfg, "max_jumps", base, required=max_jumps is None, default=max_jumps)
+    max_jumps = _integer(written, f"{base}.max_jumps")
     if max_jumps < 0:
-        _fail(f"{base}.max_jumps", f"need a jump budget >= 0, got {max_jumps}")
+        _fail(f"{base}.max_jumps", f"need a jump budget >= 0, got {written!r}")
     if nonzero and horizon == 0.0 and max_jumps == 0:
         _fail(base, "need a positive horizon or a positive jump budget")
     return horizon, max_jumps
@@ -149,44 +150,51 @@ def _parse_expr(text, allowed, path: str) -> ex.Expr:
         _fail(path, str(err))
 
 
-def _parse_kfun(text, path: str) -> KFun:
+def _parse_kfun(text, path: str, built: dict) -> KFun:
+    """``text`` as a comparison function.  ``built`` maps each expression already
+    built while loading this config to its function, so that a repeated
+    expression is built once; class checks stay with each use."""
     if text is None or text == "0":
         return KFun.zero()
-    return KFun.from_expr(_parse_expr(text, ("s",), path))
+    tree = _parse_expr(text, ("s",), path)
+    f = built.get(tree)
+    if f is None:
+        f = built[tree] = KFun.from_expr(tree)
+    return f
 
 
-def _classed_kfun(cfg: dict, key: str, base: str, floor: Classification) -> KFun:
+def _classed_kfun(cfg: dict, key: str, base: str, floor: Classification, built: dict) -> KFun:
     """``cfg[key]`` as a comparison function of at least class ``floor``."""
-    f = _parse_kfun(_get(cfg, key, base), f"{base}.{key}")
+    f = _parse_kfun(_get(cfg, key, base), f"{base}.{key}", built)
     if not at_least(f.classification, floor):
         _fail(f"{base}.{key}", f"classified {f.classification.value}; must be {floor.value}")
     return f
 
 
-def _parse_gain_entry(entry, path: str) -> KFun:
+def _parse_gain_entry(entry, path: str, built: dict) -> KFun:
     if entry is None or entry == "0":
         return KFun.zero()
     if isinstance(entry, dict):
-        flow = _parse_kfun(_get(entry, "flow", path), f"{path}.flow")
-        jump = _parse_kfun(_get(entry, "jump", path), f"{path}.jump")
+        flow = _parse_kfun(_get(entry, "flow", path), f"{path}.flow", built)
+        jump = _parse_kfun(_get(entry, "jump", path), f"{path}.jump", built)
         return pointwise_max([flow, jump])
-    return _parse_kfun(entry, path)
+    return _parse_kfun(entry, path, built)
 
 
-def _gain_list(entries, n: int, path: str) -> List[KFun]:
+def _gain_list(entries, n: int, path: str, built: dict) -> List[KFun]:
     if entries is None:
         return [KFun.zero()] * n
     if not isinstance(entries, list) or len(entries) != n:
         _fail(path, f"need one entry per subsystem ({n})")
-    return [_parse_gain_entry(e, f"{path}[{i}]") for i, e in enumerate(entries)]
+    return [_parse_gain_entry(e, f"{path}[{i}]", built) for i, e in enumerate(entries)]
 
 
-def _gain_rows(rows, n: int, path: str) -> List[List[KFun]]:
+def _gain_rows(rows, n: int, path: str, built: dict) -> List[List[KFun]]:
     if rows is None:
         return [[KFun.zero()] * n for _ in range(n)]
     if not isinstance(rows, list) or len(rows) != n:
         _fail(path, f"need an {n} x {n} matrix of entries")
-    return [_gain_list(row, n, f"{path}[{i}]") for i, row in enumerate(rows)]
+    return [_gain_list(row, n, f"{path}[{i}]", built) for i, row in enumerate(rows)]
 
 
 @dataclass
@@ -261,24 +269,25 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
             _fail("analysis.anchor", f"need {n} positive entries")
 
     grid_cfg = _object(analysis.get("grid", {}), "analysis.grid")
+    points = grid_cfg.get("points", 128)  # as written, for the range errors
     sg_options = SmallGainOptions(
         grid_lo=_number(grid_cfg, "lo", "analysis.grid", 1e-8),
         grid_hi=_number(grid_cfg, "hi", "analysis.grid", 1e8),
-        grid_points=_number(grid_cfg, "points", "analysis.grid", 128, int),
+        grid_points=_integer(points, "analysis.grid.points"),
         seed=seed)
     if sg_options.grid_points < 16:
-        _fail("analysis.grid.points", f"need at least 16 points, got {sg_options.grid_points}")
+        _fail("analysis.grid.points", f"need at least 16 points, got {points!r}")
     if sg_options.grid_points > GRID_POINTS_MAX:
-        _fail("analysis.grid.points",
-              f"need at most {GRID_POINTS_MAX} points, got {sg_options.grid_points}")
+        _fail("analysis.grid.points", f"need at most {GRID_POINTS_MAX} points, got {points!r}")
     if not (math.isfinite(sg_options.grid_hi) and 0.0 < sg_options.grid_lo < sg_options.grid_hi):
         _fail("analysis.grid", "need finite 0 < lo < hi, got "
               f"lo={sg_options.grid_lo!r}, hi={sg_options.grid_hi!r}")
 
     base = "analysis.sampler"
     sampler_cfg = _object(analysis.get("sampler", {}), base)
+    n_samples = sampler_cfg.get("n_samples", 10000)  # as written, for the range errors
     sampler = SamplerSpec(
-        n_samples=_number(sampler_cfg, "n_samples", base, 10000, int),
+        n_samples=_integer(n_samples, f"{base}.n_samples"),
         box_radius=_number(sampler_cfg, "box_radius", base, 1.0),
         u_box=_u_box(sampler_cfg.get("u_box"), net.input_dim, f"{base}.u_box"),
         boundary_fraction=_number(sampler_cfg, "boundary_fraction", base, 0.2),
@@ -287,9 +296,9 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
     if not (math.isfinite(sampler.box_radius) and sampler.box_radius > 0.0):
         _fail(f"{base}.box_radius", f"need a positive finite radius, got {sampler.box_radius!r}")
     if sampler.n_samples < 1:
-        _fail(f"{base}.n_samples", f"need at least 1 sample, got {sampler.n_samples}")
+        _fail(f"{base}.n_samples", f"need at least 1 sample, got {n_samples!r}")
     if sampler.n_samples > SAMPLES_MAX:
-        _fail(f"{base}.n_samples", f"need at most {SAMPLES_MAX} samples, got {sampler.n_samples}")
+        _fail(f"{base}.n_samples", f"need at most {SAMPLES_MAX} samples, got {n_samples!r}")
     for key in ("boundary_fraction", "tie_fraction"):
         if not getattr(sampler, key) >= 0.0:
             _fail(f"{base}.{key}", f"need a fraction >= 0, got {getattr(sampler, key)!r}")
@@ -303,15 +312,16 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
         **{key: _bounded(tol_cfg, key, "analysis.tolerances", getattr(VerifyTolerances, key))
            for key in ("flow", "jump_rel", "jump_abs", "sandwich_rel")})
 
+    built: dict = {}  # one function per distinct expression of this config
     gain_matrix = None
     gains_cfg = _object(raw.get("gains", {}), "gains")
     if "gains" in raw:
-        gain_matrix = _build_gain_matrix(gains_cfg, n)
-    externals = _gain_list(gains_cfg.get("external"), n, "gains.external")
+        gain_matrix = _build_gain_matrix(gains_cfg, n, built)
+    externals = _gain_list(gains_cfg.get("external"), n, "gains.external", built)
 
     candidates = None
     if "lyapunov" in raw:
-        candidates = _build_candidates(raw["lyapunov"], net, gain_matrix, externals)
+        candidates = _build_candidates(raw["lyapunov"], net, gain_matrix, externals, built)
 
     simulation = None
     if "simulation" in analysis:
@@ -319,7 +329,7 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
 
     trajectories = None
     if "trajectories" in analysis:
-        trajectories = _build_trajectories(analysis["trajectories"], net, priority, seed)
+        trajectories = _build_trajectories(analysis["trajectories"], net, priority, seed, built)
 
     return ProjectConfig(path=path, raw=raw, network=net, gain_matrix=gain_matrix,
                          candidates=candidates, anchor=anchor, seed=seed,
@@ -361,8 +371,8 @@ def _build_network(cfg: dict) -> NetworkSpec:
     return compose_network(specs, input_dim)
 
 
-def _build_gain_matrix(cfg: dict, n: int) -> GainMatrix:
-    rows = _gain_rows(_get(cfg, "internal", "gains"), n, "gains.internal")
+def _build_gain_matrix(cfg: dict, n: int, built: dict) -> GainMatrix:
+    rows = _gain_rows(_get(cfg, "internal", "gains"), n, "gains.internal", built)
     for i, row in enumerate(rows):
         for j, g in enumerate(row):
             if g.is_zero:
@@ -376,7 +386,7 @@ def _build_gain_matrix(cfg: dict, n: int) -> GainMatrix:
 
 
 def _build_candidates(cfg: dict, net: NetworkSpec, gm: Optional[GainMatrix],
-                      externals: Sequence[KFun]) -> List[SubsystemLyapunov]:
+                      externals: Sequence[KFun], built: dict) -> List[SubsystemLyapunov]:
     """Candidates per subsystem; one without its own external gain takes gains.external[i]."""
     subs = _get(_object(cfg, "lyapunov"), "subsystems", "lyapunov")
     if not isinstance(subs, list) or len(subs) != net.n:
@@ -387,19 +397,19 @@ def _build_candidates(cfg: dict, net: NetworkSpec, gm: Optional[GainMatrix],
         _object(s, base)
         sub_vars = net.state_vars()[net.slices[i]]
         v = _parse_expr(_get(s, "v", base), sub_vars, f"{base}.v")
-        psi1, psi2, alpha, lam = (_classed_kfun(s, key, base, floor) for key, floor in (
+        psi1, psi2, alpha, lam = (_classed_kfun(s, key, base, floor, built) for key, floor in (
             ("psi1", Classification.CLASS_K_INF), ("psi2", Classification.CLASS_K_INF),
             ("alpha", Classification.POSITIVE_DEFINITE),
             ("lambda", Classification.POSITIVE_DEFINITE)))
         internal = {}
         if "internal_gains" in s:
-            row = _gain_list(s["internal_gains"], net.n, f"{base}.internal_gains")
+            row = _gain_list(s["internal_gains"], net.n, f"{base}.internal_gains", built)
             internal = {j: g for j, g in enumerate(row) if not g.is_zero}
         elif gm is not None:
             for j in range(net.n):
                 if j != i and not gm.entries[i][j].is_zero:
                     internal[j] = gm.entries[i][j]
-        external = _parse_gain_entry(s.get("external_gain"), f"{base}.external_gain")
+        external = _parse_gain_entry(s.get("external_gain"), f"{base}.external_gain", built)
         if external.is_zero:
             external = externals[i]
         out.append(SubsystemLyapunov(v=v, psi1=psi1, psi2=psi2, alpha=alpha, lam=lam,
@@ -451,14 +461,14 @@ def _build_simulation(cfg: dict, net: NetworkSpec, priority: str) -> SimulationS
                              options=opts)
 
 
-def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
-                        seed: int) -> TrajectorySection:
+def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str, seed: int,
+                        built: dict) -> TrajectorySection:
     base = "analysis.trajectories"
     kind = _get(_object(cfg, base), "kind", base)
     tail_fraction = _bounded(cfg, "tail_fraction", base, 0.2, 1.0)
     gains = TrajectoryGains(
-        _gain_rows(cfg.get("internal_gains"), net.n, f"{base}.internal_gains"),
-        _gain_list(cfg.get("external_gains"), net.n, f"{base}.external_gains"))
+        _gain_rows(cfg.get("internal_gains"), net.n, f"{base}.internal_gains", built),
+        _gain_list(cfg.get("external_gains"), net.n, f"{base}.external_gains", built))
     if kind == "iss":
         beta_cfg = _object(_get(cfg, "beta", base), f"{base}.beta")
         if "expr" in beta_cfg:
@@ -473,15 +483,15 @@ def _build_trajectories(cfg: dict, net: NetworkSpec, priority: str,
         sigmas_cfg = _get(cfg, "sigmas", base)
         if not isinstance(sigmas_cfg, list) or len(sigmas_cfg) != net.n:
             _fail(f"{base}.sigmas", f"need a list of {net.n} entries")
-        sigmas = [_parse_kfun(t, f"{base}.sigmas[{i}]") for i, t in enumerate(sigmas_cfg)]
-        comp_sigma = _parse_kfun(cfg["composite_sigma"], f"{base}.composite_sigma") \
+        sigmas = [_parse_kfun(t, f"{base}.sigmas[{i}]", built) for i, t in enumerate(sigmas_cfg)]
+        comp_sigma = _parse_kfun(cfg["composite_sigma"], f"{base}.composite_sigma", built) \
             if "composite_sigma" in cfg else None
-        comp_gamma = _parse_kfun(cfg["composite_gamma"], f"{base}.composite_gamma") \
+        comp_gamma = _parse_kfun(cfg["composite_gamma"], f"{base}.composite_gamma", built) \
             if "composite_gamma" in cfg else None
         estimate = PreGSEstimate(sigmas=sigmas, gains=gains,
                                  composite_sigma=comp_sigma, composite_gamma=comp_gamma)
     elif kind == "ag":
-        comp_gamma = _parse_kfun(cfg["composite_gamma"], f"{base}.composite_gamma") \
+        comp_gamma = _parse_kfun(cfg["composite_gamma"], f"{base}.composite_gamma", built) \
             if "composite_gamma" in cfg else None
         estimate = AGEstimate(gains=gains, composite_gamma=comp_gamma,
                               tail_fraction=tail_fraction)

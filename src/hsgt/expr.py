@@ -11,10 +11,11 @@ with ``func`` one of ``abs``, ``min``, ``max``, ``exp``, ``log``.  Offsets in
 parse errors are 1-based character positions; errors at end of input report
 one position past the last character.
 
-One code generator backs :func:`compile_expr`, :func:`compile_bounds`,
-:func:`compile_array`, :func:`compile_bounds_array`, and the multi-expression
-functions that :func:`compile_lines` builds from :func:`emit_lines`;
-:func:`evaluate` is the reference interpreter.  All of them raise
+One code generator backs :func:`compile_expr`, :func:`compile_shaped`,
+:func:`compile_bounds`, :func:`compile_array`, :func:`compile_bounds_array`,
+the array kernels of :class:`Shape`, and the multi-expression functions that
+:func:`compile_lines` builds from :func:`emit_lines`; :func:`evaluate` is the
+reference interpreter.  All of them raise
 :class:`EvalDomainError` on a domain error, :class:`EvalOverflowError` on
 overflow.
 
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import CodeType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -379,7 +380,7 @@ def _scale(c: str, lo: str, hi: str, out: str = "l{j}, h{j}") -> str:
 
 # Per node type: the value line, then the directional-bound (chain-rule) lines.
 # v{j} l{j} h{j} are node j's value and bounds, {a} {b} number its children,
-# k{k} is its bound constant or exponent, {i} its variable index; c m n t w{j}
+# k{k} is its constant and e{k} its exponent, {i} its variable index; c m n t w{j}
 # are scratch.  {args} and {parts} end in a comma, so one argument makes a tuple.
 _MINMAX = ("t{j} = TIE_TOL * max(1.0, abs(v{j}))",
            "w{j} = [p for p in ({parts}) if abs(p[0] - v{j}) <= t{j}]",
@@ -396,8 +397,8 @@ _RULES = {
                                  "c{j} = -v{a} / (v{b} * v{b})",
                                  _scale("c{j}", "l{b}", "h{b}", "m{j}, n{j}"),
                                  "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}")),
-    Pow: ("v{j} = pow(v{a}, k{k})", ("if k{k} == 0.0: l{j} = h{j} = 0.0",
-                                     "else: c{j} = k{k} * pow(v{a}, k{k} - 1.0); "
+    Pow: ("v{j} = pow(v{a}, e{k})", ("if e{k} == 0.0: l{j} = h{j} = 0.0",
+                                     "else: c{j} = e{k} * pow(v{a}, e{k} - 1.0); "
                                      + _scale("c{j}", "l{a}", "h{a}"))),
     Abs: ("v{j} = abs(v{a})", ("t{j} = TIE_TOL * max(1.0, abs(v{a}))",
                                "if v{a} > t{j}: l{j} = l{a}; h{j} = h{a}",
@@ -421,27 +422,31 @@ _NAMESPACE = {"pow": math.pow, "exp": math.exp, "log": math.log, "isfinite": mat
 _CODE: Dict[str, CodeType] = {}
 
 
-# Array mode runs the same value lines on column arrays.  +, -, *, / and abs are
-# numpy's, which round as Python floats do; exp, log and pow stay libm's, lane by
-# lane, because numpy's own differ in the last bit.  ``bad`` marks every lane
-# where the scalar function could raise; those lanes are redone by it.  Its min
-# and max are calls, since a comparison cannot select between arrays.
+# Array mode runs the same value lines on column arrays, with the constants
+# passed in (see ``Shape``).  +, -, *, / and abs are numpy's, which round as
+# Python floats do; exp, log and pow stay libm's, lane by lane, because numpy's
+# own differ in the last bit.  ``bad`` marks every lane where the scalar
+# function could raise; those lanes are redone by it.  Its min and max are
+# calls, since a comparison cannot select between arrays.  Each temporary is
+# deleted once its parent has read it, so a call on a large block holds few
+# block-sized arrays at a time.
 _NAN_MARK = "bad = bad | (v{j} != v{j})"
 _MARKS = {Div: "bad = bad | (v{b} == 0.0)", Pow: _NAN_MARK, Exp: _NAN_MARK, Log: _NAN_MARK}
 
 
 def _lanewise(fn: Callable) -> Callable:
-    """``fn`` applied lane by lane; a lane where it raises holds NaN."""
+    """``fn`` applied lane by lane, keeping the array's shape; a lane where it
+    raises holds NaN."""
     def apply(a, *args):
         if not isinstance(a, np.ndarray):
             return fn(a, *args)
         out = []
-        for v in a.tolist():
+        for v in a.ravel().tolist():
             try:
                 out.append(fn(v, *args))
             except (ArithmeticError, ValueError):
                 out.append(math.nan)
-        return np.array(out, dtype=float)
+        return np.array(out, dtype=float).reshape(a.shape)
     return apply
 
 
@@ -537,8 +542,8 @@ _ARRAY_CHAIN = {
     Div: ("c{j} = 1.0 / v{b}", "l{j}, h{j} = scale(c{j}, l{a}, h{a})",
           "bad = bad | (v{b} * v{b} == 0.0)", "c{j} = -v{a} / (v{b} * v{b})",
           "m{j}, n{j} = scale(c{j}, l{b}, h{b})", "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}"),
-    Pow: ("if k{k} == 0.0: l{j} = h{j} = 0.0",
-          "else: c{j} = k{k} * pow(v{a}, k{k} - 1.0); bad = bad | (c{j} != c{j}); "
+    Pow: ("if e{k} == 0.0: l{j} = h{j} = 0.0",
+          "else: c{j} = e{k} * pow(v{a}, e{k} - 1.0); bad = bad | (c{j} != c{j}); "
           "l{j}, h{j} = scale(c{j}, l{a}, h{a})"),
     Abs: ("l{j}, h{j}, bad = abs_bounds(v{a}, l{a}, h{a}, bad)",),
     Exp: ("l{j}, h{j} = scale(v{j}, l{a}, h{a})",),
@@ -563,7 +568,8 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
     the tree's order.  Node n's temporaries are ``v``, ``l``, ``h`` ... followed
     by its id ``{tag}{n}``.  A variable reads ``vals[index[name]]``, or with
     ``var_ids`` emits no line and its id is ``var_ids[name]``, naming a local the
-    caller binds.  Constants and exponents are numbered into ``consts``.
+    caller binds.  Constants (``k``) and exponents (``e``) are numbered into
+    ``consts`` together.
     """
     preorder, stack = [], [expr]
     while stack:  # reversed right-first preorder is left-first post-order
@@ -577,9 +583,12 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
         split = len(temps) - arity
         kids, temps[split:] = temps[split:], [j]
         fields = dict(zip("ab", kids), j=j)
-        if isinstance(node, (Const, Pow)):
+        if isinstance(node, Const):
             fields["k"] = len(consts)
-            consts[f"k{len(consts)}"] = node.value if isinstance(node, Const) else node.exponent
+            consts[f"k{len(consts)}"] = node.value
+        elif isinstance(node, Pow):
+            fields["k"] = len(consts)
+            consts[f"e{len(consts)}"] = node.exponent
         elif isinstance(node, Var):
             if var_ids is not None:
                 temps[-1] = var_ids[node.name]
@@ -598,6 +607,8 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
         lines.append(value.format(**fields))
         if mode in ("array", "bounds_array") and type(node) in _MARKS:
             lines.append(_MARKS[type(node)].format(**fields))
+        if mode == "array" and kids:  # only the parent reads a child's lanes
+            lines.append("del " + ", ".join(f"v{kid}" for kid in kids))
         if mode == "bounds_array":
             chain = _ARRAY_CHAIN.get(type(node), chain)
         if mode in ("bounds", "bounds_array"):
@@ -646,13 +657,14 @@ def _mixes_nans(expr: Expr) -> bool:
     return False
 
 
-def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
-    """Emit straight-line Python for ``expr`` (one temporary per node), compile, bind.
+def _generate(expr: Expr, var_order: Sequence[str],
+              mode: str) -> Tuple[List[str], Dict[str, float]]:
+    """The body of ``expr``'s function in ``mode`` (one temporary per node) and its
+    constants and exponents by name.
 
     ``mode`` is ``value``, ``bounds`` (adds the chain-rule lines), ``array``
     (adds the lane marks) or ``bounds_array`` (both, with the chain rule on
-    lanes).  Constants and exponents are bound by name, so no config text
-    reaches ``compile`` and trees of one shape share a code object.
+    lanes).
     """
     index = {name: i for i, name in enumerate(var_order)}
     missing = free_vars(expr) - set(index)
@@ -675,11 +687,22 @@ def _generate(expr: Expr, var_order: Sequence[str], mode: str) -> Callable:
                   f"return v{root}, l{root}, h{root}, bad"]
     else:
         lines.append(f"return v{root}, bad" if mode == "array" else f"return v{root}")
-    scalar = mode in ("value", "bounds")
-    lines = translated(lines) if scalar else ["bad = False", *lines]
-    return _define("vals, dirs" if mode.startswith("bounds") else "vals", lines,
-                   {**(_NAMESPACE if scalar else _ARRAY_NAMESPACE), **consts,
-                    "EXPR": expr, "render": render})
+    if mode in ("value", "bounds"):
+        return translated(lines), consts
+    if mode == "array":  # the first mark starts the mask: False | lanes is a slow loop
+        first = next((i for i, line in enumerate(lines) if line.startswith("bad = bad | ")), None)
+        if first is not None:
+            lines[first] = "bad = " + lines[first][len("bad = bad | "):]
+            return lines, consts
+    return ["bad = False", *lines], consts
+
+
+def _bind(expr: Expr, lines: List[str], consts: Dict[str, float], params: str,
+          namespace: dict) -> Callable:
+    """The function of ``lines`` from :func:`_generate`.  Constants and exponents are
+    bound by name, so no config text reaches ``compile`` and trees of one shape
+    share a code object."""
+    return _define(params, lines, {**namespace, **consts, "EXPR": expr, "render": render})
 
 
 def compile_expr(expr: Expr, var_order: Sequence[str]) -> Callable:
@@ -687,7 +710,74 @@ def compile_expr(expr: Expr, var_order: Sequence[str]) -> Callable:
 
     A NaN value of a tree with +, -, * or / is ``math.nan``, bit for bit.
     """
-    return _generate(expr, var_order, "value")
+    return compile_shaped(expr, var_order)[0]
+
+
+def compile_shaped(expr: Expr, var_order: Sequence[str]) -> Tuple[Callable, "Shape", tuple]:
+    """:func:`compile_expr`'s function, with the :class:`Shape` of ``expr`` and
+    the values of its constants in the order its kernel takes them.  One emit
+    gives all three."""
+    lines, consts = _generate(expr, var_order, "value")
+    shape = Shape("\n".join(lines), tuple(v for k, v in consts.items() if k[0] == "e"),
+                  expr, tuple(var_order))
+    return (_bind(expr, lines, consts, "vals", _NAMESPACE), shape,
+            tuple(v for k, v in consts.items() if k[0] == "k"))
+
+
+@dataclass(frozen=True)
+class Shape:
+    """An expression tree with its ``Const`` values taken out.
+
+    Trees of one shape share one array kernel ``f(vals, k0, k1, ...)``: each
+    passes its own constants.  ``Pow`` exponents stay part of the shape,
+    because ``pow`` runs lane by lane through libm.  A shape is its value-mode
+    source and exponents; ``tree`` is any one of its trees, from which the
+    kernel is generated on first use and then kept by that source.
+    """
+
+    source: str
+    exponents: tuple
+    tree: Expr = field(compare=False, repr=False)
+    var_order: tuple = field(compare=False, repr=False)
+
+    def lanes(self, vals, consts: Sequence, out: np.ndarray):
+        """Write the kernel's values on the columns ``vals`` into ``out`` and
+        return the mask of lanes to redo, broadcastable to ``out``.
+
+        Lane p is the scalar function's value bit for bit unless it is marked;
+        every lane where that function could raise, or return NaN, is marked,
+        and a failure of the whole call (a constant subtree failed) marks them
+        all.  ``consts`` are floats, or (rows, 1) columns that give each row of
+        a (rows, width) block its own tree of this shape.
+        """
+        kernel = _KERNELS.get(self)
+        if kernel is None:
+            lines, consts_of_tree = _generate(self.tree, self.var_order, "array")
+            params = ["vals", *(k for k in consts_of_tree if k[0] == "k")]
+            exponents = {k: v for k, v in consts_of_tree.items() if k[0] == "e"}
+            kernel = _KERNELS[self] = _define(", ".join(params), lines,
+                                              {**_ARRAY_NAMESPACE, **exponents})
+        try:
+            with np.errstate(all="ignore"):
+                value, bad = kernel(vals, *consts)
+        except (ArithmeticError, ValueError):
+            value, bad = math.nan, True
+        out[...] = value  # a constant tree gives one float for every lane
+        return bad
+
+    def array(self, vals, consts: Sequence, scalar: Callable) -> np.ndarray:
+        """:meth:`lanes` on 1-D columns, each marked lane redone in lane order by
+        ``scalar`` on that lane's values; the first lane where it raises raises."""
+        out = np.empty(len(vals[0]))
+        bad = self.lanes(vals, consts, out)
+        if np.any(bad):
+            for p in np.flatnonzero(np.broadcast_to(bad, out.shape)).tolist():
+                out[p] = scalar([float(v[p]) for v in vals])
+        return out
+
+
+# The array kernel of each shape in use, generated on first use.
+_KERNELS: Dict[Shape, Callable] = {}
 
 
 def compile_array(expr: Expr, var_order: Sequence[str]) -> Callable:
@@ -698,8 +788,8 @@ def compile_array(expr: Expr, var_order: Sequence[str]) -> Callable:
     if that function raises on some lane, ``fn`` raises the first such lane's
     error, with the same class and message.
     """
-    return _lanes_or_scalar(_generate(expr, var_order, "array"),
-                            _generate(expr, var_order, "value"), 1)
+    scalar, shape, consts = compile_shaped(expr, var_order)
+    return lambda vals: shape.array(vals, consts, scalar)
 
 
 def compile_bounds(expr: Expr, var_order: Sequence[str]) -> Callable:
@@ -709,7 +799,7 @@ def compile_bounds(expr: Expr, var_order: Sequence[str]) -> Callable:
     ``dirs`` and collapses to the chain-rule derivative where every
     abs/min/max branch is unambiguous.
     """
-    return _generate(expr, var_order, "bounds")
+    return _bind(expr, *_generate(expr, var_order, "bounds"), "vals, dirs", _NAMESPACE)
 
 
 def compile_bounds_array(expr: Expr, var_order: Sequence[str]) -> Callable:
@@ -725,38 +815,36 @@ def compile_bounds_array(expr: Expr, var_order: Sequence[str]) -> Callable:
     def call(vals, dirs):
         nonlocal fn
         if fn is None:
-            fn = _lanes_or_scalar(_generate(expr, var_order, "bounds_array"),
-                                  _generate(expr, var_order, "bounds"), 3)
+            fn = _lanes_or_scalar(
+                _bind(expr, *_generate(expr, var_order, "bounds_array"), "vals, dirs",
+                      _ARRAY_NAMESPACE),
+                _bind(expr, *_generate(expr, var_order, "bounds"), "vals, dirs", _NAMESPACE))
         return fn(vals, dirs)
     return call
 
 
-def _lanes_or_scalar(lanes_fn: Callable, scalar: Callable, width: int) -> Callable:
-    """Run ``lanes_fn`` on columns and redo each lane it marks with ``scalar``.
+def _lanes_or_scalar(lanes_fn: Callable, scalar: Callable) -> Callable:
+    """Run the bounds kernel ``lanes_fn`` on columns and redo each lane it marks
+    with the scalar bounds function ``scalar``.
 
-    ``lanes_fn`` returns ``width`` results and the mark; a failure of the whole
-    call (a constant subtree failed) marks every lane.  The result is one array,
-    or a tuple of ``width`` arrays.
+    ``lanes_fn`` returns the value, lo and hi and the mark; a failure of the
+    whole call (a constant subtree failed) marks every lane.
     """
-    def fn(*columns):
-        lanes = len(columns[0][0])
+    def fn(vals, dirs):
+        lanes = len(vals[0])
         try:
             with np.errstate(all="ignore"):
-                *results, bad = lanes_fn(*columns)
+                *results, bad = lanes_fn(vals, dirs)
         except (ArithmeticError, ValueError):
-            results, bad = [math.nan] * width, True
-        outs = [np.empty(lanes) for _ in range(width)]
+            results, bad = [math.nan] * 3, True
+        outs = [np.empty(lanes) for _ in range(3)]
         for out, result in zip(outs, results):
             out[...] = result  # a constant tree gives one float for every lane
-        if isinstance(bad, np.ndarray):
-            redo = np.flatnonzero(bad).tolist()
-        else:  # no lane reached a mark, or every lane did
-            redo = range(lanes) if bad else ()
-        for p in redo:
-            redone = scalar(*([float(v[p]) for v in cols] for cols in columns))
-            for out, value in zip(outs, redone if width > 1 else (redone,)):
+        for p in np.flatnonzero(np.broadcast_to(bad, (lanes,))).tolist():
+            redone = scalar([float(v[p]) for v in vals], [float(d[p]) for d in dirs])
+            for out, value in zip(outs, redone):
                 out[p] = value
-        return outs[0] if width == 1 else tuple(outs)
+        return tuple(outs)
     return fn
 
 

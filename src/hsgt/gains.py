@@ -74,6 +74,11 @@ class GainMatrix:
         return tuple(tuple((j, g) for j, g in enumerate(row) if not g.is_zero)
                      for row in self.entries)
 
+    @functools.cached_property
+    def by_shape(self) -> "_ShapeTable":
+        """The nonzero gains grouped by the shape they are evaluated with."""
+        return _ShapeTable.of(self)
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Optional[KFun]]]) -> "GainMatrix":
         fixed = tuple(tuple(KFun.zero() if g is None else g for g in row) for row in rows)
@@ -97,13 +102,110 @@ class GainMatrix:
                             for row in self.entries]}
 
 
+@dataclass(frozen=True)
+class _ShapeTable:
+    """The nonzero gains of a matrix grouped by the shape they are evaluated with.
+
+    Edge a -> b, whose gain is ``entries[b][a]``, has id ``a * n + b``.
+    ``group[e]`` numbers its group (-1 for a zero gain), and ``rank[e]`` sorts
+    edges by group, then id; ``edges`` lists the nonzero gains' edges in rank
+    order.  A group is an expression shape, whose members' constants are the
+    rows ``group_consts[group][e]``, with a linear slope counting as the shape
+    ``slope * s``; or a gain with no expression, alone, whose shape is None.
+    """
+
+    group: np.ndarray
+    rank: np.ndarray
+    edges: np.ndarray
+    group_shape: tuple
+    group_consts: tuple
+
+    @staticmethod
+    def of(gm: GainMatrix) -> "_ShapeTable":
+        n = gm.n
+        group = np.full(n * n, -1)
+        ids, shapes, consts_of = {}, [], []
+        for i, row in enumerate(gm.nonzero_rows):
+            for j, g in row:
+                e = j * n + i
+                if g.linear_slope is not None:
+                    key, consts = "slope", (g.linear_slope,)
+                elif g.shape is not None:
+                    key, consts = g.shape, g.consts
+                else:
+                    key, consts = e, ()  # a group of its own
+                if key not in ids:
+                    ids[key] = len(shapes)
+                    shapes.append(_slope_shape() if key == "slope" else
+                                  key if isinstance(key, ex.Shape) else None)
+                    consts_of.append(np.zeros((n * n, len(consts))))
+                group[e] = ids[key]
+                consts_of[ids[key]][e] = consts
+        rank = group * (n * n) + np.arange(n * n)
+        edges = np.argsort(rank)[np.count_nonzero(group < 0):]  # zero gains rank first
+        return _ShapeTable(group=group, rank=rank, edges=edges, group_shape=tuple(shapes),
+                           group_consts=tuple(consts_of))
+
+
+def _slope_shape() -> ex.Shape:
+    """The shape ``k0 * s``: lane p of its kernel is ``slope * S[p]``, as
+    ``KFun.array`` takes a linear slope."""
+    return ex.compile_shaped(ex.Mul(ex.Const(1.0), ex.Var("s")), ("s",))[1]
+
+
+def _rows_by_shape(gm: GainMatrix, edge: np.ndarray, X: np.ndarray,
+                   redo_key: np.ndarray) -> np.ndarray:
+    """Row k is ``g.array(X[k])`` for the gain g on edge ``edge[k]``, bit for bit.
+
+    ``edge`` is in rank order, so each group's rows are adjacent, and each
+    shape takes all of its rows in one kernel call, with each row's constants
+    as (rows, 1) columns.  Then, rows in ascending ``redo_key`` (ties in row
+    order), each marked lane is redone by its gain's scalar call and each gain
+    alone takes its row in its own array call.  So the first error raised is
+    the one that a loop over the rows in that order raises.
+    """
+    out = np.empty(X.shape)
+    if not len(edge):
+        return out
+    table = gm.by_shape
+    group = table.group[edge]
+    starts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
+    redo = []  # (lo, hi, mask) of each group with lanes to redo
+    for lo, hi in zip([0] + starts, starts + [len(edge)]):
+        shape = table.group_shape[group[lo]]
+        if shape is None:
+            redo.append((lo, hi, True))
+            continue
+        c = table.group_consts[group[lo]][edge[lo:hi]]
+        bad = shape.lanes([X[lo:hi]], [c[:, m, None] for m in range(c.shape[1])], out[lo:hi])
+        if np.any(bad):
+            redo.append((lo, hi, bad))
+    if not redo:
+        return out
+    marked = np.zeros(X.shape, dtype=bool)
+    for lo, hi, bad in redo:
+        marked[lo:hi] = bad
+    todo = np.flatnonzero(marked.any(axis=1))
+    for k in todo[np.argsort(redo_key[todo], kind="stable")].tolist():
+        a, b = divmod(int(edge[k]), gm.n)
+        g = gm.entries[b][a]
+        if table.group_shape[group[k]] is None:
+            out[k] = g.array(X[k])
+        else:
+            for p in np.flatnonzero(marked[k]).tolist():
+                out[k, p] = g(float(X[k, p]))
+    return out
+
+
 def gamma_max_apply(gm: GainMatrix, s: Sequence[float]) -> np.ndarray:
     """Componentwise max of row gains applied to the vector; zero rows give 0.
 
     ``s`` is one vector of length n or a (B, n) block of them.  A block is
-    evaluated one gain at a time over its column (``KFun.array``), and each
-    of its rows is bit for bit the image of that row on its own.  Either way
-    a later gain wins only if it is greater, starting from 0.0.
+    evaluated one shape at a time over the stacked columns of its gains (see
+    ``_rows_by_shape``), and each of its rows is bit for bit the image of that
+    row on its own; a marked lane is redone in row, column, lane order, so an
+    error is the one a loop over the gains of each row raises.  Either way a
+    later gain wins only if it is greater, starting from 0.0.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != gm.n:
@@ -121,9 +223,12 @@ def gamma_max_apply(gm: GainMatrix, s: Sequence[float]) -> np.ndarray:
                     best = v
             out[i] = best
         return out
+    n, edges = gm.n, gm.by_shape.edges
+    column, row = divmod(edges, n)  # gain (row, column) on edge column -> row
+    images = np.full((n * n, len(s)), np.nan)  # NaN where there is no gain: it never wins
+    images[edges] = _rows_by_shape(gm, edges, s.T[column], row * n + column)
     out = np.zeros(s.shape)
-    for i, row in enumerate(gm.nonzero_rows):
-        out[:, i] = ex.lane_max([0.0, *(g.array(s[:, j]) for j, g in row)])
+    out.T[...] = ex.lane_max([0.0, *images.reshape(n, n, len(s))])  # over columns in order
     return out
 
 
@@ -301,12 +406,14 @@ def _block_rows(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray,
     The cycles are consecutive in ``simple_gain_cycles`` order, so those that
     share their first d + 1 nodes are adjacent.  Depth by depth, each distinct
     prefix is composed once, and only the prefixes still growing are kept.
-    The edges taken at a depth, into a longer prefix or closing a cycle, are
-    grouped by their nodes a -> b, and each group is one ``factor *
-    g.array(...)`` over its parents' stacked rows; lane p of an array call
-    does not depend on the other lanes.
+    The rows taken at a depth, into a longer prefix or closing a cycle, are
+    sorted by the shape of their edge's gain, then by edge, and each shape is
+    one kernel call over its rows' parents (``_rows_by_shape``); lane p of a
+    call does not depend on the other lanes.  A marked lane is redone in edge
+    order, as one array call per edge would redo it.
     """
     m, n, width = len(cycles), gm.n, grid.size
+    rank = gm.by_shape.rank
     lengths = np.array([len(c) for c in cycles])
     # nodes[k, d] -> nodes[k, d + 1] is cycle k's edge at depth d; the closing
     # edge goes back to the start, and -1 pads the rest
@@ -326,15 +433,11 @@ def _block_rows(gm: GainMatrix, cycles: List[List[int]], grid: np.ndarray,
         grows = (lengths > depth + 1) & new[:, depth + 1]  # the first cycle of each longer prefix
         taken = np.flatnonzero(grows | closing)
         edge = nodes[taken, depth] * n + nodes[taken, depth + 1]
-        order = np.argsort(edge, kind="stable")
+        order = np.argsort(rank[edge], kind="stable")
         taken, edge = taken[order], edge[order]
-        parents = prefix[taken]
-        values = np.empty((taken.size, width))  # the values after d + 1 edges, in taken order
-        starts = (np.flatnonzero(np.diff(edge)) + 1).tolist()
-        for lo, hi in zip([0] + starts, starts + [taken.size]):
-            a, b = divmod(int(edge[lo]), n)
-            composed = gm.entries[b][a].array(prefix_rows[parents[lo:hi]].ravel())
-            np.multiply(factor, composed.reshape(hi - lo, width), out=values[lo:hi])
+        # the values after d + 1 edges, in taken order
+        values = _rows_by_shape(gm, edge, prefix_rows[prefix[taken]], edge)
+        np.multiply(factor, values, out=values)
         growing = grows[taken]
         out[taken[~growing]] = values[~growing]
         if not growing.any():

@@ -10,7 +10,6 @@ symbolically: a failed check refutes a class.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from bisect import bisect_left
@@ -70,9 +69,11 @@ class KFun:
     """A scalar monotone-candidate function with a sampled classification.
 
     Backed by an expression tree in the single variable ``s`` when one is
-    available; numerically defined functions (bisection inverses, grid fits)
-    carry only the evaluator and a description, and optionally an array rule:
-    lane p of ``array_rule(S)`` is ``fn(float(S[p]))`` bit for bit, unless it raises.
+    available, with the tree's ``shape`` and constants ``consts``, which its
+    array calls pass to the shape's kernel; numerically defined functions
+    (bisection inverses, grid fits) carry only the evaluator and a description,
+    and optionally an array rule: lane p of ``array_rule(S)`` is
+    ``fn(float(S[p]))`` bit for bit, unless it raises.
     """
 
     fn: Callable[[float], float]
@@ -82,6 +83,8 @@ class KFun:
     linear_slope: Optional[float] = None
     nodes: Optional[tuple] = field(default=None, repr=False)  # piecewise-linear knots
     array_rule: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
+    shape: Optional[ex.Shape] = field(default=None, repr=False)
+    consts: tuple = field(default=(), repr=False)
 
     def __call__(self, s: float) -> float:
         if self.linear_slope is not None:
@@ -96,14 +99,9 @@ class KFun:
         """
         if self.linear_slope is not None:
             return self.linear_slope * S
-        if self.expr is not None:
-            return self._array_fn([S])
+        if self.shape is not None:
+            return self.shape.array([S], self.consts, lambda lane: self.fn(*lane))
         return np.array(list(_values_at(self.fn, self.array_rule, S)), dtype=float)
-
-    @functools.cached_property
-    def _array_fn(self) -> Callable:
-        # Compiled on the first array call, so building a KFun does not pay for it.
-        return ex.compile_array(self.expr, ("s",))
 
     @property
     def is_zero(self) -> bool:
@@ -129,8 +127,9 @@ class KFun:
             raise KFunError(f"expected a function of 's', found variables {sorted(names)}")
         if expression == ex.Const(0.0):
             return KFun.zero()
-        compiled = ex.compile_expr(expression, ("s",))
-        return KFun.from_callable(lambda s: compiled((s,)), "", expression)
+        compiled, shape, consts = ex.compile_shaped(expression, ("s",))
+        f = KFun.from_callable(lambda s: compiled((s,)), "", expression)
+        return replace(f, shape=shape, consts=consts)
 
     @staticmethod
     def from_text(text: str) -> "KFun":

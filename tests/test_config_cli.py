@@ -9,8 +9,10 @@ import os
 import pytest
 
 from conftest import config_path, load_json
+from hsgt import expr as ex
 from hsgt.cli import main
 from hsgt.config import GRID_POINTS_MAX, SAMPLES_MAX, ConfigError, build_config, load_config
+from hsgt.kfun import KFun
 
 
 @pytest.fixture()
@@ -83,6 +85,53 @@ def test_n_samples_at_the_cap_loads():
     cfg = load_json("e1.json")
     cfg["analysis"]["sampler"]["n_samples"] = SAMPLES_MAX
     assert build_config(cfg).sampler.n_samples == SAMPLES_MAX
+
+
+@pytest.mark.parametrize("command, path, value, message", [
+    (["check-gains"], "analysis.grid.points", 1e300, "need at most 1000000 points"),
+    (["check-gains"], "analysis.grid.points", -1e300, "need at least 16 points"),
+    (["verify", "--which", "subsystem"], "analysis.sampler.n_samples", 1e300,
+     "need at most 10000000 samples"),
+    (["verify", "--which", "subsystem"], "analysis.sampler.n_samples", -1e300,
+     "need at least 1 sample"),
+    (["simulate"], "analysis.simulation.max_jumps", -1e300, "need a jump budget >= 0"),
+    (["check-gains"], "analysis.seed", -1e300, "must be at least 0"),
+])
+def test_range_errors_echo_the_value_as_written(tmp_path, capsys, command, path, value,
+                                                message):
+    """Not the integer it converts to, which for 1e300 has 301 digits."""
+    cfg = load_json("e1.json")
+    *parents, key = path.split(".")
+    section = cfg
+    for name in parents:
+        section = section.setdefault(name, {})
+    section[key] = value
+    assert main([*command, "--config", write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}, got {value!r}\n" and len(err) < 80
+
+
+def test_repeated_expressions_are_built_once_per_load(monkeypatch):
+    built = []
+    from_expr = KFun.from_expr
+    monkeypatch.setattr(KFun, "from_expr", staticmethod(lambda e: built.append(e) or from_expr(e)))
+    raw = load_json("e1.json")
+    cfg = build_config(raw)
+    # "0.5*s" (gains, alpha, lambda, external gains) and "s" (psi1, psi2): 14 uses
+    assert sorted(map(ex.render, built)) == ["0.5*s", "s"]
+    first, second = cfg.candidates
+    assert first.psi1 is first.psi2 is second.psi1 and first.alpha is cfg.gain_matrix.entries[0][1]
+    built.clear()
+    build_config(raw)  # a new load builds its own functions
+    assert len(built) == 2
+    # the class floor is checked at every use: the second use here needs class-Kinf
+    subs = raw["lyapunov"]["subsystems"]
+    subs[0]["alpha"] = subs[1]["psi1"] = "s/(1 + s)"
+    built.clear()
+    with pytest.raises(ConfigError) as err:
+        build_config(raw)
+    assert str(err.value) == "lyapunov.subsystems[1].psi1: classified class-K; must be class-Kinf"
+    assert list(map(ex.render, built)).count("s/(1.0 + s)") == 1
 
 
 def test_integer_fields_reject_fractions():

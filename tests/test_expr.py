@@ -227,6 +227,70 @@ def test_nan_of_two_nans_keeps_its_bits_from_call_to_call():
         assert struct.pack("<d", array(np.array([point]).T.copy())[0]) == want
 
 
+def test_lanewise_functions_keep_the_shape_of_a_block():
+    block = np.array([[0.5, 1.0, 710.0], [-1.0, 2.0, math.nan]])
+    for name, args, fn in (("exp", (), math.exp), ("log", (), math.log),
+                           ("pow", (1.5,), lambda v: math.pow(v, 1.5))):
+        got = ex._ARRAY_NAMESPACE[name](block, *args)
+        assert got.shape == block.shape
+        for value, v in zip(got.ravel().tolist(), block.ravel().tolist()):
+            try:
+                want = fn(v)
+            except (ArithmeticError, ValueError):  # a lane that raises holds NaN
+                want = math.nan
+            assert struct.pack("<d", value) == struct.pack("<d", want)
+
+
+def _with_consts(tree, values):
+    """``tree`` with its constants, in left-to-right order, taken from ``values``."""
+    if isinstance(tree, ex.Const):
+        return ex.Const(next(values))
+    if isinstance(tree, (ex.Min, ex.Max)):
+        return type(tree)(tuple(_with_consts(a, values) for a in tree.args))
+    if isinstance(tree, ex.Pow):
+        return ex.Pow(_with_consts(tree.base, values), tree.exponent)
+    kids = {k: _with_consts(v, values) if isinstance(v, ex.Expr) else v
+            for k, v in vars(tree).items()}
+    return type(tree)(**kids)
+
+
+_CONSTS = st.sampled_from([0.0, -0.0, 1.0, 2.0, -0.5, 1e-12, 1e300, 1e999, 3.7])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(), st.lists(st.lists(_CONSTS, min_size=10, max_size=10), min_size=1, max_size=4),
+       st.lists(st.tuples(_LANES, _LANES), min_size=1, max_size=5), st.randoms())
+def test_shape_kernel_rows_match_their_own_trees(tree, consts, lanes, rng):
+    """One kernel call over a (rows, width) block, each row a tree of one shape
+    with its own constants as (rows, 1) columns, with the marked lanes redone
+    row by row, equals each row's own array call, errors included."""
+    trees = [_with_consts(tree, iter(c)) for c in consts]
+    compiled = [ex.compile_shaped(t, ("x", "y")) for t in trees]
+    shape = compiled[0][1]
+    assert all(c[1] == shape for c in compiled)
+    X, Y = (np.array([[rng.choice(lanes)[i] for _ in lanes] for _ in trees]) for i in (0, 1))
+    cols = [np.array(col)[:, None] for col in zip(*(c[2] for c in compiled))]
+
+    def by_shape():
+        out = np.empty(X.shape)
+        bad = np.broadcast_to(shape.lanes([X, Y], cols, out), out.shape)
+        for r, (scalar, _shape, _consts) in enumerate(compiled):
+            for p in np.flatnonzero(bad[r]).tolist():
+                out[r, p] = scalar((float(X[r, p]), float(Y[r, p])))
+        return out
+
+    def per_tree():
+        return np.array([ex.compile_array(t, ("x", "y"))([X[r], Y[r]])
+                         for r, t in enumerate(trees)])
+
+    got, want = _raised(by_shape), _raised(per_tree)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert [struct.pack("<d", v) for v in got.ravel().tolist()] == \
+            [struct.pack("<d", v) for v in want.ravel().tolist()]
+
+
 _DIRS = st.sampled_from([0.0, -0.0, 1.0, -2.0, 1e300]) | st.floats(-2.0, 2.0)
 
 

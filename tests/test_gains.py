@@ -769,13 +769,13 @@ def test_direct_search_matches_scalar_search():
                 assert new.tobytes() == ref.tobytes()
 
 
-def _block_calls(cycles, per_block: int, width: int) -> list:
-    """Lanes of each array call the block composition makes, in call order.
+def _block_calls(cycles, per_block: int, width: int, group) -> list:
+    """Lanes of each kernel call the block composition makes, in call order.
 
     Per block of ``per_block`` consecutive cycles and per depth d, one call per
-    edge a -> b taken at d, in ascending (a, b) order, over one grid row for
-    each distinct prefix the edge extends (its first d + 2 nodes) and each
-    cycle it closes.
+    shape of the gains on the edges a -> b taken at d, in ascending
+    ``group(a, b)`` order, over one grid row for each distinct prefix such an
+    edge extends (its first d + 2 nodes) and each cycle it closes.
     """
     calls = []
     for first in range(0, len(cycles), per_block):
@@ -785,9 +785,9 @@ def _block_calls(cycles, per_block: int, width: int) -> list:
             for c in block:
                 if len(c) > depth:
                     edge = (c[depth], c[(depth + 1) % len(c)])
-                    rows.setdefault(edge, set()).add(
+                    rows.setdefault(group(*edge), set()).add(
                         tuple(c[:depth + 2]) if depth + 1 < len(c) else (tuple(c), "closed"))
-            calls += [width * len(rows[edge]) for edge in sorted(rows)]
+            calls += [width * len(rows[g]) for g in sorted(rows)]
     return calls
 
 
@@ -797,31 +797,144 @@ def test_holding_check_makes_only_grid_array_calls(monkeypatch):
     texts = [[None if i == j else _entry(rng, ("linear", "saturating")[(i + j) % 2])
               for j in range(n)] for i in range(n)]
     gm = _from_texts(texts)
-    scalar_calls, array_lanes = [], []
-    call, array = KFun.__call__, KFun.array
+    scalar_calls, array_lanes, kernel_lanes = [], [], []
+    call, array, lanes = KFun.__call__, KFun.array, ex.Shape.lanes
     monkeypatch.setattr(KFun, "__call__", lambda f, s: scalar_calls.append(s) or call(f, s))
     monkeypatch.setattr(KFun, "array",
                         lambda f, S: array_lanes.append(len(S)) or array(f, S))
+    monkeypatch.setattr(ex.Shape, "lanes", lambda shape, vals, consts, out: kernel_lanes.append(
+        out.size) or lanes(shape, vals, consts, out))
     verdict = small_gain_check(gm)
     assert verdict.holds and not verdict.inconclusive
-    # no witness, so nothing is re-evaluated with the scalar call
-    assert scalar_calls == []
-    # one array call per (block, depth, edge) over the 128-point grid rows of
-    # the block's distinct prefixes, where composing each cycle on its own
-    # would take one per (cycle, edge)
+    # no witness, so nothing is re-evaluated with the scalar call, and no gain
+    # is evaluated on its own
+    assert scalar_calls == [] and array_lanes == []
+    # one kernel call per (block, depth, shape) over the 128-point grid rows of
+    # the block's distinct prefixes: the linear slopes are one shape and the
+    # saturating gains another
     assert len(verdict.cycles) == 2365 and sum(len(c) for c in verdict.cycles) == 13692
     per_block = gains.BUDGET // 128
     assert per_block == 256
-    expected = _block_calls(verdict.cycles, per_block, 128)
-    assert len(expected) == 1141 and sum(expected) == 128 * 4763
-    assert array_lanes[:len(expected)] == expected
-    # ... and one per nonzero gain and block of direct-search directions
+    group = gm.by_shape.group.reshape(n, n)
+    assert sorted(set(group[~np.eye(n, dtype=bool)].tolist())) == [0, 1]
+    expected = _block_calls(verdict.cycles, per_block, 128, lambda a, b: group[a, b])
+    # at most 10 blocks x 7 depths x 2 shapes; one array call per (block,
+    # depth, edge) took 1,141 calls
+    assert len(expected) == 132 and sum(expected) == 128 * 4763
+    assert kernel_lanes[:len(expected)] == expected
+    # ... and one per shape and block of direct-search directions
     blocks = -(-(2 ** n - 1 + RANDOM_DIRECTIONS) // SEARCH_BLOCK)
-    assert len(array_lanes) - len(expected) <= blocks * n * (n - 1)
+    assert len(kernel_lanes) - len(expected) == blocks * 2
     # the inflated scan over every cycle makes the same calls
-    array_lanes.clear()
+    kernel_lanes.clear()
     assert gains._inflated_cycles_ok(gm, verdict.cycles, 1e-6, SmallGainOptions().grid())
-    assert scalar_calls == [] and array_lanes == expected
+    assert scalar_calls == [] and array_lanes == [] and kernel_lanes == expected
+
+
+# ---------------------------------------------------------------------------
+# evaluation by shape against the per-gain array calls it replaced.  The
+# ``_per_gain_*`` functions are the former block code, verbatim but for their
+# names: one ``KFun.array`` call per gain of a row, and per edge of a depth.
+
+
+def _per_gain_gamma_max_apply(gm: GainMatrix, s: np.ndarray) -> np.ndarray:
+    out = np.zeros(s.shape)
+    for i, row in enumerate(gm.nonzero_rows):
+        out[:, i] = ex.lane_max([0.0, *(g.array(s[:, j]) for j, g in row)])
+    return out
+
+
+def _per_edge_block_rows(gm: GainMatrix, cycles, grid: np.ndarray, factor: float) -> np.ndarray:
+    m, n, width = len(cycles), gm.n, grid.size
+    lengths = np.array([len(c) for c in cycles])
+    nodes = np.full((m, lengths.max() + 1), -1)
+    rows = np.repeat(np.arange(m), lengths)
+    nodes[rows, np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = \
+        list(itertools.chain.from_iterable(cycles))
+    nodes[np.arange(m), lengths] = nodes[:, 0]
+    new = np.ones(nodes.shape, dtype=bool)
+    new[1:] = np.logical_or.accumulate(nodes[1:] != nodes[:-1], axis=1)
+    out = np.empty((m, width))
+    prefix_rows = grid[None, :]
+    prefix = np.zeros(m, dtype=int)
+    for depth in range(nodes.shape[1] - 1):
+        closing = lengths == depth + 1
+        grows = (lengths > depth + 1) & new[:, depth + 1]
+        taken = np.flatnonzero(grows | closing)
+        edge = nodes[taken, depth] * n + nodes[taken, depth + 1]
+        order = np.argsort(edge, kind="stable")
+        taken, edge = taken[order], edge[order]
+        parents = prefix[taken]
+        values = np.empty((taken.size, width))
+        starts = (np.flatnonzero(np.diff(edge)) + 1).tolist()
+        for lo, hi in zip([0] + starts, starts + [taken.size]):
+            a, b = divmod(int(edge[lo]), n)
+            composed = gm.entries[b][a].array(prefix_rows[parents[lo:hi]].ravel())
+            np.multiply(factor, composed.reshape(hi - lo, width), out=values[lo:hi])
+        growing = grows[taken]
+        out[taken[~growing]] = values[~growing]
+        if not growing.any():
+            break
+        at = np.empty(m, dtype=int)
+        at[taken[growing]] = np.arange(np.count_nonzero(growing))
+        prefix = at[np.flatnonzero(grows)][np.cumsum(grows) - 1]
+        prefix_rows = values[growing]
+    return out
+
+
+# class-Kinf gains of several shapes, each drawn with its own constants a, b;
+# at 1e300 the exp, pow and squared terms overflow
+_SHAPED = {"linear": "{a}*s", "div": "{a}*s/(1 + s) + {b}*s", "pow": "{a}*s^1.5 + {b}*s",
+           "exp": "{a}*(exp({b}*s) - 1)", "log": "{a}*s*log(1 + s) + {b}*s",
+           "abs": "abs({a}*s) + {b}*s^2", "min": "min({a}*s, {b}*s + s^2)",
+           "max": "max({a}*s, {b}*s/(1 + s)) + {b}*s"}
+_SHAPE_LANES = st.sampled_from([0.0, -0.0, 1e-300, 1e300, math.inf, math.nan, 1e-6, 1.0, 1e6]) \
+    | st.floats(min_value=0.0, max_value=1e3)
+
+
+def _bits_or_error(fn):
+    value = _outcome(fn)
+    return value if isinstance(value, tuple) else _lane_bits(value.ravel().tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(_SHAPE_LANES, min_size=1, max_size=8), st.sampled_from([1.0, 1.03]))
+def test_evaluation_by_shape_matches_per_gain_array_calls(n, seed, lanes, factor):
+    rng = random.Random(seed)
+    kinds = [*_SHAPED, None, "alone"]
+    entries = [[None] * n for _ in range(n)]
+    for i, j in itertools.permutations(range(n), 2):
+        kind = rng.choice(kinds)
+        if kind == "alone":  # no expression: evaluated by its own array call
+            entries[i][j] = _negative_zero_gain()
+        elif kind is not None:
+            a, b = (round(rng.uniform(0.05, 2.0), 3) for _ in range(2))
+            entries[i][j] = KFun.from_text(_SHAPED[kind].format(a=a, b=b))
+    gm = GainMatrix.from_rows(entries)
+    lanes = np.array(lanes)
+    block = np.array([rng.sample(list(lanes), 1) * n if k % 2 else
+                      [rng.choice(lanes) for _ in range(n)] for k in range(len(lanes))])
+    assert _bits_or_error(lambda: gamma_max_apply(gm, block)) == \
+        _bits_or_error(lambda: _per_gain_gamma_max_apply(gm, block))
+    cycles = simple_gain_cycles(gm)
+    if cycles:
+        assert _bits_or_error(lambda: gains._block_rows(gm, cycles, lanes, factor)) == \
+            _bits_or_error(lambda: _per_edge_block_rows(gm, cycles, lanes, factor))
+
+
+def test_evaluation_by_shape_raises_the_per_gain_error():
+    # every exp gain overflows at 1e300, and one kernel call takes them all; the
+    # per-gain loop meets row 0's second gain first, though in that call the
+    # exp gains of rows 1, 2 and 3 come before it
+    gm = _from_texts([[None, "0.5*s", "0.5*(exp(0.2*s) - 1)", None],
+                      ["0.3*(exp(0.1*s) - 1)", None, "2*s", "0.2*(exp(0.3*s) - 1)"],
+                      ["1e-3*(exp(1e-3*s) - 1)", "s", None, None],
+                      [None, "0.4*(exp(0.5*s) - 1)", "3*s", None]])
+    block = np.array([[1.0] * 4, [1e300] * 4])
+    got = _outcome(lambda: gamma_max_apply(gm, block))
+    assert got[:2] == ("raised", ex.EvalOverflowError) and "0.5*(exp(0.2*s) - 1.0)" in got[2]
+    assert got == _outcome(lambda: _per_gain_gamma_max_apply(gm, block))
 
 
 # Every cycle through node 0 of a complete 4-node network starts with the edge

@@ -249,10 +249,18 @@ def test_array_call_matches_scalar_call_lane_by_lane(name, lanes):
 
 
 def test_array_compiles_lazily():
-    f = KFun.from_text("0.3*s/(1 + s) + 0.2*s")
-    assert "_array_fn" not in vars(f)
+    # the exponent gives the two trees a shape that no other test uses
+    before = dict(ex._KERNELS)
+    f = KFun.from_text("0.3*s/(1 + s) + 0.2*s^1.375")
+    g = KFun.from_text("0.7*s/(2 + s) + 0.1*s^1.375")
+    assert f.shape == g.shape and f.consts == (0.3, 1.0, 0.2) and g.consts == (0.7, 2.0, 0.1)
+    assert ex._KERNELS == before  # building a KFun compiles no array code
     f.array(np.array([1.0, 2.0]))
-    assert "_array_fn" in vars(f)
+    assert ex._KERNELS.keys() - before.keys() == {f.shape}
+    kernel = ex._KERNELS[f.shape]
+    g.array(np.array([1.0, 2.0]))  # one kernel per shape, not per function
+    assert ex._KERNELS.keys() - before.keys() == {f.shape} and ex._KERNELS[g.shape] is kernel
+    assert KFun.from_text("0.3*s/(1 + s) + 0.2*s^1.5").shape != f.shape  # exponents stay
 
 
 # ---------------------------------------------------------------------------
