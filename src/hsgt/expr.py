@@ -553,16 +553,38 @@ _ARRAY_CHAIN = {
 }
 
 
-def _children(node: Expr) -> tuple:
-    if isinstance(node, (Min, Max)):
+def children(node: Expr) -> tuple:
+    """The subtrees of ``node``, left to right."""
+    kind = type(node)
+    if kind in (Add, Sub, Mul, Div):
+        return node.a, node.b
+    if kind in (Abs, Exp, Log):
+        return node.a,
+    if kind is Pow:
+        return node.base,
+    if kind in (Min, Max):
         return node.args
-    return tuple(v for v in vars(node).values() if isinstance(v, Expr))
+    return ()
+
+
+# Value mode writes each arithmetic node inline, as the right side of its value
+# rule with every child's text in place of ``v{a}`` and ``v{b}``; a binary node
+# is parenthesised, so the text keeps the tree's grouping.  Of these nodes only
+# the ones in _RAISES can raise on floats.  A text nested deeper than _NESTING
+# is computed into its temporary: the tokenizer allows 200 nested parentheses.
+_INLINE = {node: value.partition(" = ")[2].replace("v{", "{")
+           for node, (value, _chain) in _RULES.items() if node not in (Min, Max)}
+_INLINE.update({node: f"({_INLINE[node]})" for node in (Add, Sub, Mul, Div)})
+_RAISES = {Div, Pow, Exp, Log}
+_NESTING = 50
 
 
 def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float],
                index: Optional[Mapping[str, int]] = None,
-               var_ids: Optional[Mapping[str, str]] = None, tag: str = "") -> str:
-    """Append the rule lines of ``expr`` to ``lines``, in post-order; return the root's id.
+               var_ids: Optional[Mapping[str, str]] = None, tag: str = "",
+               memo: Optional[Dict[str, Optional[str]]] = None) -> str:
+    """Append the rule lines of ``expr`` to ``lines``, in post-order; return the id
+    of the root, whose value is then in the local ``v{id}``.
 
     One walk emits each node's rule lines, so the arithmetic is the tree's, in
     the tree's order.  Node n's temporaries are ``v``, ``l``, ``h`` ... followed
@@ -570,40 +592,104 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
     ``var_ids`` emits no line and its id is ``var_ids[name]``, naming a local the
     caller binds.  Constants (``k``) and exponents (``e``) are numbered into
     ``consts`` together.
+
+    Value mode writes arithmetic inline (see ``_INLINE``): a node gets a line of
+    its own only as a min/max fold (with each argument after the first that is
+    not a plain name), as the root, past ``_NESTING``, or in ``memo``.  Before
+    a fold, and before any other line that evaluates something that can raise,
+    every pending text that can raise is computed into its temporary, oldest
+    first, so the evaluation stays in post-order and the first error is the
+    one a line per node raises.
+    ``memo`` maps the :func:`tree_key` of subtrees to share: one with an id is
+    read from ``v{id}``, and one with ``None`` is computed into its temporary
+    and given its id (see :func:`repeated_subtrees`).
     """
+    inline = mode == "value"
+    shared = memo if memo is not None else {}
     preorder, stack = [], [expr]
     while stack:  # reversed right-first preorder is left-first post-order
         node = stack.pop()
-        kids = _children(node)
-        preorder.append((node, len(kids)))
+        key = tree_key(node) if shared and not isinstance(node, Var) else None
+        kids = () if shared.get(key) is not None else children(node)
+        preorder.append((node, key, len(kids)))
         stack.extend(kids)
-    temps: List[str] = []
-    for n, (node, arity) in enumerate(reversed(preorder)):
+    # the finished subtrees not yet read by their parent: their ids, or in value
+    # mode (id, text, nesting, raises); a text of nesting 0 is a plain name
+    temps: list = []
+
+    def flush():
+        for p, (jid, text, _nesting, raises) in enumerate(temps):
+            if raises:
+                lines.append(f"v{jid} = {text}")
+                temps[p] = (jid, f"v{jid}", 0, False)
+
+    def compute(jid: str, text: str, raises: bool) -> tuple:
+        if raises:
+            flush()
+        lines.append(f"v{jid} = {text}")
+        return jid, f"v{jid}", 0, False
+
+    for n, (node, key, arity) in enumerate(reversed(preorder)):
         j = f"{tag}{n}"
         split = len(temps) - arity
-        kids, temps[split:] = temps[split:], [j]
+        kids, temps[split:] = temps[split:], []
+        known = shared.get(key)  # a subtree computed before, maybe earlier in this walk
+        if known is not None:
+            temps.append((known, f"v{known}", 0, False))
+            continue
+        kind = type(node)
+        if inline:
+            if kind is Const:
+                consts[f"k{len(consts)}"] = node.value
+                entry = (j, f"k{len(consts) - 1}", 0, False)
+            elif kind is Var:
+                vid = var_ids[node.name] if var_ids is not None else None
+                entry = (vid, f"v{vid}", 0, False) if vid is not None \
+                    else (j, f"vals[{index[node.name]}]", 0, False)
+            elif kind is Min or kind is Max:
+                # the builtin's own fold: a later argument wins only if strictly better
+                better = "<" if kind is Min else ">"
+                flush()
+                entry = compute(j, kids[0][1], kids[0][3])
+                for jid, text, nesting, raises in kids[1:]:
+                    name = text if nesting == 0 else compute(jid, text, raises)[1]
+                    lines.append(f"if {name} {better} v{j}: v{j} = {name}")
+            else:
+                a = kids[0]
+                nesting, raises = a[2] + 1, a[3] or kind in _RAISES
+                if arity == 2:
+                    b = kids[1]
+                    nesting, raises = max(nesting, b[2] + 1), raises or b[3]
+                    text = _INLINE[kind].format(a=a[1], b=b[1])
+                elif kind is Pow:
+                    consts[f"e{len(consts)}"] = node.exponent
+                    text = _INLINE[kind].format(a=a[1], k=len(consts) - 1)
+                else:
+                    text = _INLINE[kind].format(a=a[1])
+                entry = (j, text, nesting, raises)
+            if (key in shared or entry[2] > _NESTING) and entry[1] != f"v{entry[0]}":
+                entry = compute(j, entry[1], entry[3])
+            if key in shared:
+                shared[key] = entry[0]
+            temps.append(entry)
+            continue
         fields = dict(zip("ab", kids), j=j)
-        if isinstance(node, Const):
+        if kind is Const:
             fields["k"] = len(consts)
             consts[f"k{len(consts)}"] = node.value
-        elif isinstance(node, Pow):
+        elif kind is Pow:
             fields["k"] = len(consts)
             consts[f"e{len(consts)}"] = node.exponent
-        elif isinstance(node, Var):
+        elif kind is Var:
             if var_ids is not None:
-                temps[-1] = var_ids[node.name]
+                temps.append(var_ids[node.name])
                 continue
             fields["i"] = index[node.name]
-        elif isinstance(node, (Min, Max)):
+        elif kind is Min or kind is Max:
             fields["args"] = "".join(f"v{kid}, " for kid in kids)
             fields["parts"] = "".join(f"(v{kid}, l{kid}, h{kid}), " for kid in kids)
+        temps.append(j)
         value, chain = _RULES[type(node)]
-        if mode == "value" and isinstance(node, (Min, Max)):
-            # the builtin's own fold: a later argument wins only if strictly better
-            better = "<" if isinstance(node, Min) else ">"
-            lines.append(f"v{j} = v{kids[0]}")
-            lines.extend(f"if v{kid} {better} v{j}: v{j} = v{kid}" for kid in kids[1:])
-            continue
         lines.append(value.format(**fields))
         if mode in ("array", "bounds_array") and type(node) in _MARKS:
             lines.append(_MARKS[type(node)].format(**fields))
@@ -613,7 +699,38 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
             chain = _ARRAY_CHAIN.get(type(node), chain)
         if mode in ("bounds", "bounds_array"):
             lines.extend(rule.format(**fields) for rule in chain)
-    return temps[0]
+    if not inline:
+        return temps[0]
+    jid, text, _nesting, _raises = temps[0]
+    if text != f"v{jid}":
+        lines.append(f"v{jid} = {text}")
+    return jid
+
+
+def tree_key(expr: Expr) -> str:
+    """A key that two trees share only if they compute the same values, up to
+    the sign of a NaN: ``Const(0.0) == Const(-0.0)``, but their keys differ."""
+    return repr(expr)
+
+
+def repeated_subtrees(trees: Sequence[Expr]) -> Dict[str, None]:
+    """The ``memo`` of :func:`emit_lines` that computes once each subtree other
+    than a variable met again in ``trees``, in order: their keys, each mapped
+    to None.  What lies inside a repeat is not visited again."""
+    seen, memo = set(), {}
+    for tree in trees:
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Var):
+                continue
+            key = tree_key(node)
+            if key in seen:
+                memo[key] = None
+            else:
+                seen.add(key)
+                stack.extend(children(node))
+    return memo
 
 
 def _define(params: str, lines: Sequence[str], namespace: dict) -> Callable:
@@ -653,7 +770,7 @@ def _mixes_nans(expr: Expr) -> bool:
         node = stack.pop()
         if isinstance(node, (Add, Sub, Mul, Div)):
             return True
-        stack.extend(_children(node))
+        stack.extend(children(node))
     return False
 
 

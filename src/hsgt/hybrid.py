@@ -69,17 +69,45 @@ class HybridSignal:
     def __post_init__(self):
         if len(self.times) != len(self.domain.intervals) or len(self.values) != len(self.times):
             raise DomainError("one sample block per domain interval is required")
-        for (lo, hi, _k), ts, vs in zip(self.domain.intervals, self.times, self.values):
-            if len(ts) != len(vs) or len(ts) == 0:
-                raise DomainError("each interval needs matching nonempty samples")
-            if np.any(np.diff(ts) <= 0.0):
-                raise DomainError("sample times must strictly increase inside an interval")
-            if ts[0] < lo - 1e-12 or ts[-1] > hi + 1e-12:
-                raise DomainError("samples outside their interval")
+        message = _first_bad_interval(self.domain.intervals, self.times, self.values)
+        if message is not None:
+            raise DomainError(message)
 
     @property
     def dim(self) -> int:
         return self.values[0].shape[1]
+
+
+def _first_bad_interval(intervals, times, values) -> Optional[str]:
+    """The message of the first interval whose samples are bad, in one pass over
+    all of them: an interval fails the first of these checks that it fails, and
+    the first interval that fails any of them decides.  Its samples must match in
+    number and be nonempty, their times must strictly increase, and they must lie
+    in the interval (to 1e-12)."""
+    lengths = np.array([len(ts) for ts in times], dtype=np.intp)
+    sizes = np.array([len(vs) for vs in values], dtype=np.intp)
+    problems = [("each interval needs matching nonempty samples",
+                 (lengths != sizes) | (lengths == 0))]
+    if len(lengths) and lengths.sum():
+        flat = np.concatenate([np.asarray(ts, dtype=float).ravel() for ts in times])
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        # the steps inside each interval; one across two intervals is not a step
+        across = np.zeros(len(flat), dtype=bool)
+        across[starts[starts > 0] - 1] = True
+        falls = np.flatnonzero((np.diff(flat) <= 0.0) & ~across[:-1])
+        decreasing = np.zeros(len(lengths), dtype=bool)
+        decreasing[np.searchsorted(ends, falls, side="right")] = True
+        nonempty = np.flatnonzero(lengths)
+        bounds = np.array([(intervals[i][0], intervals[i][1]) for i in nonempty.tolist()],
+                          dtype=float).reshape(-1, 2)
+        outside = np.zeros(len(lengths), dtype=bool)
+        outside[nonempty] = ((flat[starts[nonempty]] < bounds[:, 0] - 1e-12)
+                             | (flat[ends[nonempty] - 1] > bounds[:, 1] + 1e-12))
+        problems += [("sample times must strictly increase inside an interval", decreasing),
+                     ("samples outside their interval", outside)]
+    firsts = [(int(np.argmax(bad)), rank) for rank, (_m, bad) in enumerate(problems) if bad.any()]
+    return problems[min(firsts)[1]][0] if firsts else None
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +137,16 @@ class InputSignal:
     ``values(t, k)`` is the input as a plain list of floats.  It must be a pure
     function of (t, k), as the four constructors below make it: the simulator
     reads the input at a step's start once, as the previous step's end input.
+    ``constant`` and ``zero`` set ``is_constant``: the simulator then reads the
+    input once per interval and reuses that list inside every step.
     """
 
-    def __init__(self, fn: Callable[[float, int], list], dim: int, description: str):
+    def __init__(self, fn: Callable[[float, int], list], dim: int, description: str,
+                 is_constant: bool = False):
         self.values = fn
         self.dim = dim
         self.description = description
+        self.is_constant = is_constant
 
     def __call__(self, t: float, k: int) -> np.ndarray:
         return np.asarray(self.values(t, k))
@@ -122,12 +154,13 @@ class InputSignal:
     @staticmethod
     def constant(values: Sequence[float]) -> "InputSignal":
         vals = [float(v) for v in values]
-        return InputSignal(lambda t, k: vals, len(vals), f"constant {vals}")
+        return InputSignal(lambda t, k: vals, len(vals), f"constant {vals}",
+                           is_constant=True)
 
     @staticmethod
     def zero(dim: int) -> "InputSignal":
         vals = [0.0] * dim
-        return InputSignal(lambda t, k: vals, dim, "zero")
+        return InputSignal(lambda t, k: vals, dim, "zero", is_constant=True)
 
     @staticmethod
     def from_exprs(exprs: Sequence[ex.Expr]) -> "InputSignal":
@@ -168,7 +201,7 @@ class NetworkSpec:
     _jump_fns: list = field(default_factory=list, repr=False)
     _c_fns: list = field(default_factory=list, repr=False)
     _d_fns: list = field(default_factory=list, repr=False)
-    _array_fns: dict = field(default_factory=dict, repr=False)  # compiled on first use
+    _array_fns: dict = field(default_factory=dict, repr=False)  # found on first use
     _kernel: Optional[Callable] = field(default=None, repr=False)  # see run_kernel
 
     @property
@@ -212,8 +245,22 @@ class NetworkSpec:
         fns = [group[0] for group in self._compiled(kind)]
         if sub is not None:
             fns = fns[sub:sub + 1]
+        else:
+            fns = [fns[i] for i in self._distinct_guards(kind)]
         fold = ex.lane_max if kind == "c" else ex.lane_min  # the fold of c_raw / d_raw
         return ex.in_row_order(lambda cols: fold([fn(cols) for fn in fns]), Z)
+
+    def _distinct_guards(self, kind: str) -> List[int]:
+        """The subsystems whose guard (``c``, ``d``) no earlier one repeats.  A
+        repeat cannot change a fold where a later value wins only if strictly
+        better."""
+        found = self._array_fns.get(kind + " distinct")
+        if found is None:
+            firsts = {}
+            for i, s in enumerate(self.subsystems):
+                firsts.setdefault(ex.tree_key(s.c_guard if kind == "c" else s.d_guard), i)
+            found = self._array_fns[kind + " distinct"] = list(firsts.values())
+        return found
 
     def jump_raw(self, vals: list) -> list:
         """Composed jump: each subsystem maps only when inside its own jump set."""
@@ -423,6 +470,7 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
 
     run = net.run_kernel()
     values = u.values
+    reader = None if u.is_constant else values  # the kernel reuses a constant input
     t, k, jumps = 0.0, 0, 0
     rec = _Recorder(net.state_dim, u.dim)
     rec.open_interval(t, k)
@@ -437,7 +485,7 @@ def simulate(net: NetworkSpec, x0: Sequence[float], u: InputSignal,
         rec.record(t, x, u_now)
         while all(map(math.isfinite, x)):  # the initial point or a jump's image
             end, t, x, u_now = run(x, u_now, t, k, opts.step, horizon, opts.record_every,
-                                   values, jump_priority, rec.ts, rec.xs, rec.us)
+                                   reader, jump_priority, rec.ts, rec.xs, rec.us)
             if end == HORIZON or end == NUMERICAL_FAILURE:
                 return rec.finalize(end, end == HORIZON, jumps)
             if not all(map(math.isfinite, x)):  # an event point
@@ -470,25 +518,28 @@ def _classify_lines(net: NetworkSpec, ids: dict, consts: dict) -> List[str]:
     (NaN is outside), else JUMP under ``jump_priority`` if the jump guard (the
     ``d_raw`` fold) is <= 0, else FLOW.
 
-    The jump guards are evaluated only where they decide the outcome.
-    Structurally equal guards are evaluated once: a repeat cannot change a
-    fold where a later value wins only if strictly better.
+    The jump guards are evaluated only where they decide the outcome.  A subtree
+    met again, in a guard or across the two folds, is read from the local that
+    its first evaluation set, so structurally equal guards are evaluated once:
+    a repeat cannot change a fold where a later value wins only if strictly
+    better.
     """
-    roots: dict = {}
+    c_guards = [s.c_guard for s in net.subsystems]
+    d_guards = [s.d_guard for s in net.subsystems]
+    memo = ex.repeated_subtrees(c_guards + d_guards)
+    tags = iter(range(2 * net.n))
 
     def fold(guards, better: str, name: str) -> List[str]:
         lines: List[str] = []
-        for g in guards:
-            if g not in roots:
-                roots[g] = ex.emit_lines(g, "value", lines, consts, var_ids=ids,
-                                         tag=f"g{len(roots)}_")
-        first, *rest = dict.fromkeys(roots[g] for g in guards)
+        first, *rest = dict.fromkeys([
+            ex.emit_lines(g, "value", lines, consts, var_ids=ids, tag=f"g{next(tags)}_",
+                          memo=memo) for g in guards])
         lines.append(f"{name} = v{first}")
         lines.extend(f"if v{r} {better} {name}: {name} = v{r}" for r in rest)
         return lines
 
-    c_lines = fold([s.c_guard for s in net.subsystems], ">", "c")
-    d_lines = fold([s.d_guard for s in net.subsystems], "<", "d")
+    c_lines = fold(c_guards, ">", "c")
+    d_lines = fold(d_guards, "<", "d")
     return [*c_lines, "if not c <= 0.0:", "    mode = OUTSIDE_C", "elif jump_priority:",
             *(f"    {line}" for line in d_lines), "    mode = JUMP if d <= 0.0 else FLOW",
             "else:", "    mode = FLOW"]
@@ -512,44 +563,55 @@ def _run_kernel(net: NetworkSpec) -> Callable:
     and k4 at x + h*k3, each component by component, then
     x + h/6*(k1 + 2*k2 + 2*k3 + k4).  Only the inputs at t + h/2 and t + h are
     read, with ``values``: the input at t is the previous step's end input.
-    Input reads stay outside the error translation of the arithmetic.
+    ``values`` None marks a constant input, which is not read at all: every
+    stage takes the input at t.  Input reads stay outside the error translation
+    of the arithmetic.
 
     A step whose end is finite and flows is accepted; every ``every``-th one,
     and the one reaching the horizon, is recorded into the flat lists ``ts``,
     ``xs`` and ``us``.  A sample is recorded only at a time after the last
     recorded one: a time less than 1e-15 before it, or equal, is a duplicate and
     dropped, and an earlier one raises SimulationError.  A step end that
-    does not flow is bisected down to ``TIME_TOL`` in time; the event point is
-    recorded and returned with its mode (JUMP or OUTSIDE_C) as ``end``.  At
-    the horizon, and at a step end that is not finite, ``end`` is HORIZON or
-    NUMERICAL_FAILURE and the rest is None.
+    does not flow is bisected down to ``TIME_TOL`` in time; each trial step
+    takes the slopes k1 of the failed step, which depend on neither its length
+    nor the inputs read.  The event point is recorded and returned with its
+    mode (JUMP or OUTSIDE_C) as ``end``.  At the horizon, and at a step end
+    that is not finite, ``end`` is HORIZON or NUMERICAL_FAILURE and the rest is
+    None.
     """
     n, m = net.state_dim, net.input_dim
     x1, xe, xh = ([f"{p}_{i}" for i in range(n)] for p in ("x1", "xe", "xh"))
     u1, u2, u3 = ([f"{p}_{r}" for r in range(m)] for p in ("u1", "u2", "u3"))
     consts: dict = {}
 
-    # one RK4 step of length hm from (t, x1, u1), into xe
-    step = _unpack(u2, "u2") + _unpack(u3, "u3") + ["half = 0.5 * hm"]
-    flows = [e for s in net.subsystems for e in s.flow]
-    slopes = []
-    stages = ((u1, ""), (u2, "half"), (u2, "half"), (u3, "hm"))  # inputs, state offset
-    for stage, (us, scale) in enumerate(stages, 1):
-        state_ids = x1 if stage == 1 else [f"x{stage}_{i}" for i in range(n)]
-        if scale:
-            step += [f"v{xi} = vx1_{i} + {scale} * v{ki}"
-                     for i, (xi, ki) in enumerate(zip(state_ids, slopes[-1]))]
-        ids = dict(zip(net.var_order, state_ids + us))
-        slopes.append([ex.emit_lines(e, "value", step, consts, var_ids=ids, tag=f"{stage}_{i}_")
-                       for i, e in enumerate(flows)])
-    step.append("w = hm / 6.0")
-    step += [f"vxe_{i} = vx1_{i} + w * (v{a} + 2.0 * v{b} + 2.0 * v{c} + v{d})"
-             for i, (a, b, c, d) in enumerate(zip(*slopes))]
-    step = ["u2 = values(t + 0.5 * hm, k)", "u3 = values(t + hm, k)", *ex.translated(step)]
-    classify = ex.translated(_classify_lines(net, dict(zip(net.var_order, xe + u3)), consts))
-
     def nest(depth: int, block: List[str]) -> List[str]:
         return ["    " * depth + line for line in block]
+
+    # one RK4 step of length hm from (t, x1, u1), into xe: the inputs read (or, for
+    # a constant input, the input at t), the slopes k1, then the rest of the step
+    read = ["if values is None:", "    u3 = u1", "else:", "    u2 = values(t + 0.5 * hm, k)",
+            "    u3 = values(t + hm, k)"]
+    unpack = ["if values is None:",
+              *nest(1, [f"v{a} = v{b} = v{c}" for a, b, c in zip(u2, u3, u1)]),
+              "else:", *nest(1, _unpack(u2, "u2") + _unpack(u3, "u3"))] if m else []
+    flows = [e for s in net.subsystems for e in s.flow]
+    slopes, slope1, rest = [], [], ["half = 0.5 * hm"]
+    stages = ((u1, ""), (u2, "half"), (u2, "half"), (u3, "hm"))  # inputs, state offset
+    for stage, (us, scale) in enumerate(stages, 1):
+        lines = slope1 if stage == 1 else rest
+        state_ids = x1 if stage == 1 else [f"x{stage}_{i}" for i in range(n)]
+        if scale:
+            lines += [f"v{xi} = vx1_{i} + {scale} * v{ki}"
+                      for i, (xi, ki) in enumerate(zip(state_ids, slopes[-1]))]
+        ids = dict(zip(net.var_order, state_ids + us))
+        slopes.append([ex.emit_lines(e, "value", lines, consts, var_ids=ids, tag=f"{stage}_{i}_")
+                       for i, e in enumerate(flows)])
+    rest.append("w = hm / 6.0")
+    rest += [f"vxe_{i} = vx1_{i} + w * (v{a} + 2.0 * v{b} + 2.0 * v{c} + v{d})"
+             for i, (a, b, c, d) in enumerate(zip(*slopes))]
+    step = [*read, *ex.translated(unpack + slope1 + rest)]
+    trial = [*read, *ex.translated(unpack + rest)]  # a bisection step: k1 is the failed step's
+    classify = ex.translated(_classify_lines(net, dict(zip(net.var_order, xe + u3)), consts))
 
     def assign(dst: List[str], src: List[str]) -> List[str]:
         return [f"v{a} = v{b}" for a, b in zip(dst, src)]
@@ -564,7 +626,7 @@ def _run_kernel(net: NetworkSpec) -> Callable:
     accept = [*assign(x1, xe), *assign(u1, u3), "u1 = u3", "t = t + hs", "since += 1",
               "if since >= every or t >= end:", "    since = 0",
               *nest(1, record("(" + "".join(f"v{i}, " for i in x1) + ")", "u1")), "continue"]
-    bisect = ["mid = 0.5 * (lo + hi)", "hm = mid * hs", *step, *classify,
+    bisect = ["mid = 0.5 * (lo + hi)", "hm = mid * hs", *trial, *classify,
               "if mode == FLOW:", "    lo = mid", "else:", "    hi, mode_hi, uh = mid, mode, u3",
               *nest(1, assign(xh, xe))]
     start = _unpack(x1, "x") + _unpack(u1, "u1")

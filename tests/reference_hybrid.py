@@ -4,10 +4,12 @@ row writer replaced, kept as test oracles.
 ``rk4`` and ``mode`` are the former per-expression RK4 step and point
 classification of ``hsgt.hybrid.simulate``: they call the network's compiled
 flow and guard closures one at a time on joined lists of plain floats.
-``step_kernel`` and ``bisect_event`` are the generated RK4-step kernel and the
-event bisection that the run kernel replaced, and ``flow`` is the flow phase
+``step_kernel`` and ``bisect_event`` are the generated RK4-step kernel (on the
+former one-temporary-per-node emitter of ``reference_expr``) and the event
+bisection that the run kernel replaced, and ``flow`` is the flow phase
 of the former loop on them, with the former recorder rule.
-``Recorder`` is the former per-interval recorder of ``simulate``.
+``Recorder`` is the former per-interval recorder of ``simulate``, and
+``check_signal`` the former per-interval check of a ``HybridSignal``.
 ``write_trajectory_csv`` is the former two-pass CSV writer.  ``iter_samples``,
 ``value_at`` and ``sup_norm`` read a ``HybridSignal`` sample by sample, by
 interpolation and by windowed maximum.  ``flow_raw`` is the stacked flow map
@@ -22,9 +24,23 @@ from typing import IO, Callable, List, Tuple
 
 import numpy as np
 
+import reference_expr
 from hsgt import expr as ex
 from hsgt.hybrid import FLOW, JUMP, OUTSIDE_C, TIME_TOL, DomainError, HybridSignal, \
     HybridTimeDomain, InputSignal, NetworkSpec, SimulationError, SolutionPair, _unpack
+
+
+def check_signal(domain: HybridTimeDomain, times, values):
+    """The former check of ``HybridSignal``, one interval at a time."""
+    if len(times) != len(domain.intervals) or len(values) != len(times):
+        raise DomainError("one sample block per domain interval is required")
+    for (lo, hi, _k), ts, vs in zip(domain.intervals, times, values):
+        if len(ts) != len(vs) or len(ts) == 0:
+            raise DomainError("each interval needs matching nonempty samples")
+        if np.any(np.diff(ts) <= 0.0):
+            raise DomainError("sample times must strictly increase inside an interval")
+        if ts[0] < lo - 1e-12 or ts[-1] > hi + 1e-12:
+            raise DomainError("samples outside their interval")
 
 
 def iter_samples(signal: HybridSignal):
@@ -89,7 +105,8 @@ def step_kernel(net: NetworkSpec) -> Callable:
                      for i, ki in enumerate(slopes[-1])]
         ids = dict(zip(net.var_order, [f"x{stage}_{i}" for i in range(n)]
                        + [f"{us}_{r}" for r in range(m)]))
-        slopes.append([ex.emit_lines(e, "value", body, consts, var_ids=ids, tag=f"{stage}_{i}_")
+        slopes.append([reference_expr.emit_lines(e, "value", body, consts, var_ids=ids,
+                                                 tag=f"{stage}_{i}_")
                        for i, e in enumerate(flows)])
     body.append("w = h / 6.0")
     body.append("return [" + ", ".join(f"vx1_{i} + w * (v{a} + 2.0 * v{b} + 2.0 * v{c} + v{d})"

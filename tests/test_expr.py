@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_expr
 from hsgt import expr as ex
 
 
@@ -153,7 +154,7 @@ _POINTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 1e300, 
     | st.floats(min_value=-1e6, max_value=1e6)
 
 
-def _trees():
+def _trees(max_leaves=10):
     leaves = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, -0.5, 1e-12, 1e300, 1e999])
                        .map(ex.Const), st.sampled_from(["x", "y"]).map(ex.Var))
 
@@ -167,7 +168,7 @@ def _trees():
             .map(lambda p: ex.Pow(*p)),
             ch.map(ex.Abs), ch.map(ex.Exp), ch.map(ex.Log),
             args.map(ex.Min), args.map(ex.Max))
-    return st.recursive(leaves, extend, max_leaves=10)
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
 def _outcome(fn):
@@ -310,6 +311,64 @@ def test_array_bounds_match_scalar_bounds_lane_by_lane(tree, lanes):
     for lane, (x, y, dx, dy) in zip(zip(*got), lanes):
         assert [struct.pack("<d", v) for v in lane] == \
             [struct.pack("<d", v) for v in scalar([x, y], [dx, dy])]
+
+
+def _bits_or_error(fn):
+    try:
+        return struct.pack("<d", fn())
+    except ex.EvalDomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_trees(30), st.lists(st.tuples(_LANES, _LANES), min_size=1, max_size=4))
+def test_inline_value_code_matches_one_temporary_per_node(tree, points):
+    """Value mode writes arithmetic inline; the former emitter, kept in
+    ``reference_expr``, wrote one temporary per node.  Both give the same bits,
+    NaN bits included, or the same error class and message."""
+    inline = ex.compile_expr(tree, ("x", "y"))
+    former = reference_expr.compile_expr(tree, ("x", "y"))
+    for point in points:
+        assert _bits_or_error(lambda: inline(point)) == _bits_or_error(lambda: former(point))
+
+
+def test_inline_value_code_keeps_the_first_error():
+    """The division is evaluated before the fold after it, so its error comes
+    first, with its own class and message, as a line per node had it."""
+    tree = ex.parse("x/y + max(exp(x), log(y))", ["x", "y"])
+    lines: list = []
+    ex.emit_lines(tree, "value", lines, {}, {"x": 0, "y": 1})
+    assert lines[0].endswith("(vals[0] / vals[1])")  # computed before the fold
+    # also before a fold that cannot raise, so the operations keep their order
+    lines = []
+    ex.emit_lines(ex.parse("x/y + max(x, y)", ["x", "y"]), "value", lines, {}, {"x": 0, "y": 1})
+    assert lines[0].endswith("(vals[0] / vals[1])")
+    for point in ((1.0, 0.0), (1000.0, 0.0), (1000.0, -1.0), (1.0, -1.0), (2.0, 3.0)):
+        got = _bits_or_error(lambda: ex.compile_expr(tree, ("x", "y"))(point))
+        assert got == _bits_or_error(lambda: reference_expr.compile_expr(tree, ("x", "y"))(point))
+    assert _bits_or_error(lambda: ex.compile_expr(tree, ("x", "y"))((1000.0, 0.0)))[0] \
+        is ex.EvalDomainError
+    # a subtree nested past the limit is computed into its temporary: the pending
+    # division goes first there too
+    deep = ex.Var("x")
+    for _ in range(60):
+        deep = ex.Exp(deep)
+    tree = ex.Add(ex.Div(ex.Var("x"), ex.Var("y")), deep)
+    got = _bits_or_error(lambda: ex.compile_expr(tree, ("x", "y"))((1.0, 0.0)))
+    assert got == _bits_or_error(lambda: reference_expr.compile_expr(tree, ("x", "y"))((1.0, 0.0)))
+    assert got[0] is ex.EvalDomainError  # not the overflow of the exp chain
+
+
+def test_deeply_nested_value_code_compiles():
+    """Texts nested past the limit are computed into temporaries, so a tree much
+    deeper than the tokenizer's 200 nested parentheses compiles."""
+    tree = ex.Var("x")
+    for i in range(400):
+        tree = ex.Sub(ex.Const(0.5 * i), ex.Abs(tree)) if i % 2 \
+            else ex.Log(ex.Add(tree, ex.Const(3.0)))
+    for x in (0.0, 1.0, -2.0, 1e300):
+        assert _bits_or_error(lambda: ex.compile_expr(tree, ("x",))((x,))) == \
+            _bits_or_error(lambda: reference_expr.compile_expr(tree, ("x",))((x,)))
 
 
 def test_long_sum_compiles_straight_line():

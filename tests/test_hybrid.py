@@ -80,6 +80,81 @@ def test_signal_times_strictly_increase():
         HybridSignal(dom, [np.array([0.0, 0.0, 1.0])], [np.zeros((3, 1))])
 
 
+def _raised_message(fn):
+    try:
+        fn()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+_SAMPLE_TIMES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 1e-12, 1.0 + 1e-11, 2.0, -1e-11,
+                                 math.nan, math.inf]) | st.floats(-0.5, 3.0)
+
+
+@st.composite
+def _signal_cases(draw):
+    """A hybrid time domain and sample blocks that are mostly valid: each interval's
+    times are drawn sorted inside it, then some are disturbed (dropped, repeated,
+    moved, shifted out or by less than the tolerance, repeated and shifted, or
+    left with one value too many)."""
+    ends = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 1.5]), min_size=1, max_size=5))
+    intervals, t = [], 0.0
+    for k, length in enumerate(ends):
+        intervals.append((t, t + length, k))
+        t += length
+    times, values = [], []
+    for lo, hi, _k in intervals:
+        ts = sorted(draw(st.lists(st.floats(lo, hi), min_size=1, max_size=6)))
+        ts = list(dict.fromkeys(ts))  # strictly increasing
+        fault = draw(st.sampled_from(["none"] * 5 + ["empty", "repeat", "moved", "shifted",
+                                                     "repeat and shifted", "extra"]))
+        if fault == "empty":
+            ts = []
+        elif fault.startswith("repeat"):
+            ts.insert(draw(st.integers(0, len(ts) - 1)), ts[0])
+        elif fault == "moved":
+            ts[draw(st.integers(0, len(ts) - 1))] = draw(_SAMPLE_TIMES)
+        if fault.endswith("shifted"):
+            shift = draw(st.sampled_from([1e-13, -1e-13, 1e-11, -1e-11, 0.3, -0.3]))
+            ts = [v + shift for v in ts]
+        rows = len(ts) + (fault == "extra")
+        times.append(np.array(ts, dtype=float))
+        values.append(np.zeros((rows, 2)))
+    return HybridTimeDomain(tuple(intervals)), times, values
+
+
+@settings(max_examples=400, deadline=None)
+@given(_signal_cases())
+def test_signal_check_matches_the_per_interval_loop(case):
+    """One pass over all intervals raises the message of the first bad interval,
+    its checks taken in the loop's order: counts, strict increase, bounds."""
+    domain, times, values = case
+    assert _raised_message(lambda: HybridSignal(domain, times, values)) == \
+        _raised_message(lambda: reference_hybrid.check_signal(domain, times, values))
+
+
+def test_signal_check_reports_the_first_bad_interval():
+    dom = HybridTimeDomain(((0.0, 1.0, 0), (1.0, 2.0, 1), (2.0, 3.0, 2)))
+    good = [np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([2.0, 3.0])]
+    cases = [  # (times, value rows per interval, message)
+        ([good[0], np.array([1.0, 2.5]), np.array([2.0, 2.0])], [2, 2, 2],
+         "samples outside their interval"),
+        ([good[0], np.array([1.5, 1.5]), np.array([2.0, 4.0])], [2, 2, 2],
+         "sample times must strictly increase inside an interval"),
+        ([good[0], np.array([1.5, 1.5]), good[2]], [2, 3, 2],
+         "each interval needs matching nonempty samples"),
+        ([good[0], np.array([1.5, 1.5, 2.5]), good[2]], [2, 3, 2],
+         "sample times must strictly increase inside an interval"),
+        ([np.array([0.0, 1.0 + 2e-12]), good[1], np.array([])], [2, 2, 0],
+         "samples outside their interval"),
+        (good, [2, 2, 2], None)]
+    for times, rows, message in cases:
+        values = [np.zeros((r, 1)) for r in rows]
+        assert _raised_message(lambda: HybridSignal(dom, times, values)) == message
+        assert _raised_message(lambda: reference_hybrid.check_signal(dom, times, values)) == message
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -512,7 +587,63 @@ def test_simulate_matches_reference_loop_on_edge_cases(case):
     assert occurs(simulate(net, x0, u, horizon, max_jumps, opts))
 
 
-def test_each_accepted_step_evaluates_each_guard_once():
+# flow and jump guards that share a subtree without being equal: e1's max of
+# abs values, and a log that can leave its domain (C is x <= e^1.2 - 2, D is
+# x >= e^0.8 - 2, and a jump moves x down by 1)
+SHARED_SUBTREE_NETWORKS = {
+    "e1": (two_sub_network, ([0.9, -0.4], [1.5, 0.2], [-0.2, 0.1])),
+    "log": (lambda: one_dim("1 + u_1", "log(x_1 + 2)*0.5 - 0.6", "0.2 - log(x_1 + 2)*0.25",
+                            jump="x_1 - 1"), ([0.0], [1.0], [-1.5])),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_SUBTREE_NETWORKS)
+def test_run_kernel_matches_reference_loop_where_guards_share_a_subtree(name):
+    make, initial_states = SHARED_SUBTREE_NETWORKS[name]
+    net = make()
+    inputs = [InputSignal.constant([0.7]), InputSignal.piecewise([0.0, 0.4, 1.1],
+                                                                 [[0.2], [-3.5], [0.6]]),
+              InputSignal.from_exprs([ex.parse("0.5*exp(0 - t) + 0.1*k", ("t", "k"))])]
+    ends, jumps = set(), 0
+    for x0, u, priority in itertools.product(initial_states, inputs, ("jump", "flow")):
+        opts = SimOptions(step=0.01, priority=priority)
+        new = fingerprint(simulate, net, x0, u, opts, horizon=3.0, max_jumps=40)
+        assert new == fingerprint(_reference_simulate, net, x0, u, opts, horizon=3.0,
+                                  max_jumps=40), (name, x0, u.description, priority)
+        ends.add(new[0])
+        jumps += new[2]
+    # the log leaves its domain where the piecewise input drives x below -2
+    assert jumps >= 5 and "horizon" in ends and ("numerical_failure" in ends) == (name == "log")
+
+
+@pytest.mark.parametrize("u", [
+    InputSignal.constant([40.0]), InputSignal.piecewise([0.0, 0.5], [[40.0], [39.0]]),
+    InputSignal.from_exprs([ex.parse("40 - 0.5*t", ("t", "k"))])],
+    ids=["constant", "piecewise", "expression"])
+def test_run_kernel_matches_reference_loop_over_many_bisections(monkeypatch, u):
+    """e1 driven toward u/3 = 13 reaches its jump set every few steps, as in the
+    benchmark's long simulate; every event is bisected down to ``TIME_TOL``."""
+    halvings = []
+    bisect = _bisect_event
+
+    def counting(net, x, u, t, k, h_step, jump_priority, time_tol):
+        width, n = 1.0, 0
+        while width * h_step > time_tol:  # the halvings of the loop it calls
+            width, n = 0.5 * width, n + 1
+        halvings.append(n)
+        return bisect(net, x, u, t, k, h_step, jump_priority, time_tol)
+    monkeypatch.setitem(globals(), "_bisect_event", counting)
+    net, opts = two_sub_network(), SimOptions(step=0.004)
+    assert fingerprint(simulate, net, [0.3, -0.6], u, opts, horizon=1.0, max_jumps=10 ** 6) == \
+        fingerprint(_reference_simulate, net, [0.3, -0.6], u, opts, horizon=1.0,
+                    max_jumps=10 ** 6)
+    assert len(halvings) >= 10 and sum(halvings) >= 100
+
+
+def _guard_and_read_counts(u: InputSignal):
+    """Run e1 from inside its flow set to the horizon without an event under ``u``,
+    counting union checks, input reads and ``abs`` calls; returns the counts and
+    the number of accepted steps."""
     net = two_sub_network()
     calls = {"c": 0, "d": 0, "read": 0, "abs": 0}
     c_raw, d_raw = net.c_raw, net.d_raw
@@ -522,19 +653,34 @@ def test_each_accepted_step_evaluates_each_guard_once():
     def counting_abs(v):
         calls["abs"] += 1
         return abs(v)
-    # e1's flows call nothing, and its flow and jump guards (each pair structurally
-    # equal, so evaluated once) take abs of both states once: four abs calls are
-    # one classification, of the start or of a step end in the run kernel
     net.run_kernel().__globals__["abs"] = counting_abs
-    u = InputSignal.constant([0.3])
     read = u.values
     u.values = lambda t, k: calls.__setitem__("read", calls["read"] + 1) or read(t, k)
     sol = simulate(net, [0.5, 0.2], u, horizon=1.0, max_jumps=3, opts=SimOptions(step=0.01))
     steps = len(sol.x.times[0]) - 1
     assert sol.termination == "horizon" and sol.jumps_applied == 0 and steps == 100
-    # the start is read once, seen by the union check and classified once; then each
-    # accepted step reads the input at its middle and end and classifies its end once
-    assert calls == {"c": 1, "d": 0, "read": 1 + 2 * steps, "abs": 4 * (steps + 1)}
+    return calls, steps
+
+
+def test_each_accepted_step_evaluates_each_guard_once():
+    # e1's flows call nothing.  Its flow guards max(abs(x_1), abs(x_2)) - 1 are
+    # equal, and so are its jump guards 1 - max(abs(x_1), abs(x_2)); the max is
+    # computed once by the flow fold and read by the jump fold.  So two abs calls
+    # are one classification, of the start or of a step end in the run kernel
+    calls, steps = _guard_and_read_counts(InputSignal.constant([0.3]))
+    # a constant input is read once, at the start, which is seen by the union
+    # check and classified once; then each accepted step classifies its end once
+    assert calls == {"c": 1, "d": 0, "read": 1, "abs": 2 * (steps + 1)}
+
+
+@pytest.mark.parametrize("u", [
+    InputSignal.piecewise([0.0], [[0.3]]),
+    InputSignal.from_exprs([ex.parse("0.3 + 0*t", ("t", "k"))])], ids=["piecewise", "expression"])
+def test_each_accepted_step_reads_an_input_that_may_vary_twice(u):
+    # the same run under inputs not marked constant, though they hold 0.3: each
+    # accepted step reads the input at its middle and end
+    calls, steps = _guard_and_read_counts(u)
+    assert calls == {"c": 1, "d": 0, "read": 1 + 2 * steps, "abs": 2 * (steps + 1)}
 
 
 def test_flow_priority_skips_the_jump_guard_inside_the_flow_set():

@@ -11,13 +11,15 @@ it to the scalar calls.
 """
 
 import dataclasses
+import math
+import struct
 import tracemalloc
 from types import SimpleNamespace
 from typing import List, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_json
@@ -361,6 +363,53 @@ def test_array_guard_fold_raises_the_first_failing_row():
         net.c_array(Z)
 
 
+_GUARD_POOL = ["x_1", "0 - x_2", "min(x_2, x_1*x_3)", "max(abs(x_1), abs(x_3)) - 1",
+               "log(x_3)", "x_1*0"]
+_GUARD_LANES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300, math.inf, -math.inf,
+                                math.nan, -math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_GUARD_POOL), st.sampled_from(_GUARD_POOL)),
+                min_size=3, max_size=3),
+       st.lists(st.tuples(_GUARD_LANES, _GUARD_LANES, _GUARD_LANES, _GUARD_LANES),
+                min_size=1, max_size=6))
+def test_network_guard_folds_each_distinct_guard_once(guards, rows):
+    """The network-wide guard folds a repeated guard once; a repeat cannot change
+    the keep-first fold, so the bits, NaN and signed zeros included, and the first
+    error are those of the fold over every subsystem's guard."""
+    try:
+        net = _network(guards, dims=(1, 1, 1))
+    except ex.EvalDomainError:  # the jump-set comparison met an undefined jump guard
+        assume(False)
+    Z = np.array(rows, dtype=float)
+
+    def bits(fn):
+        out = _outcome(fn)
+        return out if isinstance(out, tuple) else [struct.pack("<d", v) for v in out.tolist()]
+    for kind, fold, sides in (("c", ex.lane_max, 0), ("d", ex.lane_min, 1)):
+        texts = [pair[sides] for pair in guards]
+        assert net._distinct_guards(kind) == [texts.index(t) for t in dict.fromkeys(texts)]
+        every = [ex.compile_array(ex.parse(t, net.var_order), net.var_order) for t in texts]
+        got = bits(lambda: net.c_array(Z) if kind == "c" else net.d_array(Z))
+        want = bits(lambda: ex.in_row_order(lambda cols: fold([fn(cols) for fn in every]), Z))
+        assert got == want
+
+
+def test_network_guards_that_differ_only_in_a_zero_sign_are_both_folded():
+    """``Const(0.0) == Const(-0.0)``, so ``==`` takes these guards for repeats; they
+    are kept apart, and the fold is the builtin's over both."""
+    x = ex.Var("x_1")
+    plus, minus = (ex.Min((ex.Const(z), ex.Mul(ex.Const(0.0), x))) for z in (0.0, -0.0))
+    assert plus == minus
+    subs = [SubsystemSpec(dim=1, flow=[ex.Const(0.0)], jump=[ex.Var(f"x_{i + 1}")],
+                          c_guard=g, d_guard=g) for i, g in enumerate((plus, minus))]
+    net = compose_network(subs, input_dim=1)
+    assert net._distinct_guards("c") == [0, 1]
+    Z = np.array([[1.0, 0.0, 0.0]])
+    assert struct.pack("<d", net.d_array(Z)[0]) == struct.pack("<d", min(0.0, -0.0, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # block pair draws against the pair-at-a-time sampler
 
@@ -571,6 +620,26 @@ def test_decoder_blocks_match_scalar_calls(seed, n_inside, dims, sizes, prior):
     got = [np.concatenate(col).tolist() for col in zip(*got)]
     assert got == _scalar_tie_draws(slow, n_inside, net, sum(blocks))
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("dims", [[1, 1], [1, 2, 1], [2, 2, 2, 2]])
+def test_decoder_decodes_no_chunk_ahead_of_the_attempts_taken(monkeypatch, dims):
+    """A stratum takes shrinking blocks, each the attempts it still wants.  A new
+    chunk is decoded only once every decoded attempt is taken, so the attempts
+    decoded exceed those taken by less than the last chunk holds."""
+    chunks, real = [], _TieDecoder._decode
+
+    def counting(self, wanted):
+        real(self, wanted)
+        chunks.append(len(self._after))
+    monkeypatch.setattr(_TieDecoder, "_decode", counting)
+    net = _tie_net(dims)
+    for seed in range(4):
+        chunks.clear()
+        blocks = [2000, 1003, 498, 256, 133, 65, 41, 18, 10, 7, 2]
+        _decoded(np.random.default_rng(seed), 1500, net, blocks)
+        assert 0 <= sum(chunks) - sum(blocks) < chunks[-1]
+        assert len(chunks) <= -(-sum(blocks) // (_WORDS // 3)) + 1  # a chunk holds >= _WORDS/3
 
 
 def _scalar_runs(monkeypatch):
