@@ -69,23 +69,30 @@ def cmd_check_gains(args) -> int:
     return PASS if verdict.holds else FAIL
 
 
-def cmd_build_lyapunov(args) -> int:
-    cfg = _load(args)
+def _certify(cfg: ProjectConfig, head: dict, out: Optional[str]) -> tuple:
+    """The small-gain verdict of ``cfg`` and the composite certificate built on
+    it; where the condition fails, ``head`` is written with the verdict as the
+    report, and the certificate is None."""
     if cfg.gain_matrix is None:
         raise ConfigError("config has no gains section")
     if cfg.candidates is None:
         raise ConfigError("config has no lyapunov section")
     verdict = small_gain_check(cfg.gain_matrix, cfg.sg_options)
     if not verdict.holds:
-        _emit({"command": "build-lyapunov", "seed": cfg.seed,
-               "small_gain": verdict.to_json()}, args.out)
+        _emit({**head, "small_gain": verdict.to_json()}, out)
+        return verdict, None
+    return verdict, build_composite(cfg.candidates, cfg.gain_matrix, cfg.network,
+                                    anchor=cfg.anchor, verdict=verdict, options=cfg.sg_options)
+
+
+def cmd_build_lyapunov(args) -> int:
+    cfg = _load(args)
+    head = {"command": "build-lyapunov", "seed": cfg.seed}
+    verdict, cert = _certify(cfg, head, args.out)
+    if cert is None:
         return FAIL
-    cert = build_composite(cfg.candidates, cfg.gain_matrix, cfg.network,
-                           anchor=cfg.anchor, verdict=verdict, options=cfg.sg_options)
-    report = {"command": "build-lyapunov", "seed": cfg.seed,
-              "small_gain": verdict.to_json(), "certificate": cert.to_json(),
-              "warnings": list(cfg.network.warnings)}
-    _emit(report, args.out)
+    _emit({**head, "small_gain": verdict.to_json(), "certificate": cert.to_json(),
+           "warnings": list(cfg.network.warnings)}, args.out)
     return PASS
 
 
@@ -104,15 +111,10 @@ def cmd_verify(args) -> int:
             print(rep.summary_line())
             ok = ok and rep.passed
     else:
-        if cfg.gain_matrix is None:
-            raise ConfigError("config has no gains section")
-        verdict = small_gain_check(cfg.gain_matrix, cfg.sg_options)
-        if not verdict.holds:
-            _emit({"command": "verify", "which": args.which, "seed": cfg.seed,
-                   "small_gain": verdict.to_json()}, args.out)
+        _verdict, cert = _certify(cfg, {"command": "verify", "which": args.which,
+                                        "seed": cfg.seed}, args.out)
+        if cert is None:
             return FAIL
-        cert = build_composite(cfg.candidates, cfg.gain_matrix, cfg.network,
-                               anchor=cfg.anchor, verdict=verdict, options=cfg.sg_options)
         if args.which == "composite":
             for rep in (verify_composite_flow(cert, cfg.network, cfg.sampler, cfg.tolerances,
                                               memo),

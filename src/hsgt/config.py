@@ -447,8 +447,8 @@ def _sim_options(cfg: dict, priority: str, base: str) -> SimOptions:
     step = _number(cfg, "step", base, 1e-3)
     if not (math.isfinite(step) and step > 0.0):
         _fail(f"{base}.step", f"need a positive finite step, got {step!r}")
-    return SimOptions(step=step, priority=priority,
-                      record_every=_number(cfg, "record_every", base, 1, int))
+    record_every = _as_int(cfg.get("record_every", 1), f"{base}.record_every", 1)
+    return SimOptions(step=step, priority=priority, record_every=record_every)
 
 
 def _build_simulation(cfg: dict, net: NetworkSpec, priority: str) -> SimulationSection:

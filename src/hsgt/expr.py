@@ -13,9 +13,9 @@ one position past the last character.
 
 One code generator backs :func:`compile_expr`, :func:`compile_shaped`,
 :func:`compile_bounds`, :func:`compile_array`, :func:`compile_bounds_array`,
-the array kernels of :class:`Shape`, and the multi-expression functions that
-:func:`compile_lines` builds from :func:`emit_lines`; :func:`evaluate` is the
-reference interpreter.  All of them raise
+the array and bounds kernels of :class:`Shape`, and the multi-expression
+functions that :func:`compile_lines` builds from :func:`emit_lines`;
+:func:`evaluate` is the reference interpreter.  All of them raise
 :class:`EvalDomainError` on a domain error, :class:`EvalOverflowError` on
 overflow.
 
@@ -372,43 +372,61 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
 
 _TIE_TOL = 1e-12  # relative tolerance for a tie between abs/min/max branches
 
-
-def _scale(c: str, lo: str, hi: str, out: str = "l{j}, h{j}") -> str:
-    """Line setting ``out`` to ``c * [lo, hi]``, endpoints ordered by the sign of c."""
-    return f"{out} = ({c} * {lo}, {c} * {hi}) if {c} >= 0.0 else ({c} * {hi}, {c} * {lo})"
-
-
-# Per node type: the value line, then the directional-bound (chain-rule) lines.
-# v{j} l{j} h{j} are node j's value and bounds, {a} {b} number its children,
-# k{k} is its constant and e{k} its exponent, {i} its variable index; c m n t w{j}
-# are scratch.  {args} and {parts} end in a comma, so one argument makes a tuple.
-_MINMAX = ("t{j} = TIE_TOL * max(1.0, abs(v{j}))",
-           "w{j} = [p for p in ({parts}) if abs(p[0] - v{j}) <= t{j}]",
-           "l{j} = min([p[1] for p in w{j}])", "h{j} = max([p[2] for p in w{j}])")
+# Per node type: the value text, then the directional-bound (chain-rule) lines.
+# The value text holds {A} {B} for its children's texts, and {args} for all of
+# them; a binary node's is parenthesised, so nested texts keep the tree's
+# grouping.  In the chain rule v{j} l{j} h{j} are node j's value and bounds and
+# {a} {b} number its children; c m n{j} are scratch.  k{k} is the node's
+# constant and e{k} its exponent, {i} its variable index.  {args} and {parts}
+# end in a comma, so one argument makes a tuple.  ``scale``, ``abs_bounds`` and
+# ``band`` take floats or lanes by the namespace.  ``bad`` marks each lane where
+# the rule branches on a tie band or could raise; a scalar function computes
+# the marks and ignores them.
 _RULES = {
-    Const: ("v{j} = k{k}", ("l{j} = h{j} = 0.0",)),
-    Var: ("v{j} = vals[{i}]", ("l{j} = h{j} = dirs[{i}]",)),
-    Add: ("v{j} = v{a} + v{b}", ("l{j} = l{a} + l{b}", "h{j} = h{a} + h{b}")),
-    Sub: ("v{j} = v{a} - v{b}", ("l{j} = l{a} - h{b}", "h{j} = h{a} - l{b}")),
-    Mul: ("v{j} = v{a} * v{b}", (_scale("v{b}", "l{a}", "h{a}"),
-                                 _scale("v{a}", "l{b}", "h{b}", "m{j}, n{j}"),
-                                 "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}")),
-    Div: ("v{j} = v{a} / v{b}", ("c{j} = 1.0 / v{b}", _scale("c{j}", "l{a}", "h{a}"),
-                                 "c{j} = -v{a} / (v{b} * v{b})",
-                                 _scale("c{j}", "l{b}", "h{b}", "m{j}, n{j}"),
-                                 "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}")),
-    Pow: ("v{j} = pow(v{a}, e{k})", ("if e{k} == 0.0: l{j} = h{j} = 0.0",
-                                     "else: c{j} = e{k} * pow(v{a}, e{k} - 1.0); "
-                                     + _scale("c{j}", "l{a}", "h{a}"))),
-    Abs: ("v{j} = abs(v{a})", ("t{j} = TIE_TOL * max(1.0, abs(v{a}))",
-                               "if v{a} > t{j}: l{j} = l{a}; h{j} = h{a}",
-                               "elif v{a} < -t{j}: l{j} = -h{a}; h{j} = -l{a}",
-                               "else: l{j} = min(l{a}, -h{a}); h{j} = max(h{a}, -l{a})")),
-    Exp: ("v{j} = exp(v{a})", (_scale("v{j}", "l{a}", "h{a}"),)),
-    Log: ("v{j} = log(v{a})", ("c{j} = 1.0 / v{a}", _scale("c{j}", "l{a}", "h{a}"))),
-    Min: ("v{j} = min(({args}))", _MINMAX),
-    Max: ("v{j} = max(({args}))", _MINMAX),
+    Const: ("k{k}", ("l{j} = h{j} = 0.0",)),
+    Var: ("vals[{i}]", ("l{j} = h{j} = dirs[{i}]",)),
+    Add: ("({A} + {B})", ("l{j} = l{a} + l{b}", "h{j} = h{a} + h{b}")),
+    Sub: ("({A} - {B})", ("l{j} = l{a} - h{b}", "h{j} = h{a} - l{b}")),
+    Mul: ("({A} * {B})", ("l{j}, h{j} = scale(v{b}, l{a}, h{a})",
+                          "m{j}, n{j} = scale(v{a}, l{b}, h{b})",
+                          "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}")),
+    Div: ("({A} / {B})", ("c{j} = 1.0 / v{b}", "l{j}, h{j} = scale(c{j}, l{a}, h{a})",
+                          "bad = bad | (v{b} * v{b} == 0.0)", "c{j} = -v{a} / (v{b} * v{b})",
+                          "m{j}, n{j} = scale(c{j}, l{b}, h{b})", "l{j} = l{j} + m{j}",
+                          "h{j} = h{j} + n{j}")),
+    Pow: ("pow({A}, e{k})", ("if e{k} == 0.0: l{j} = h{j} = 0.0",
+                             "else: c{j} = e{k} * pow(v{a}, e{k} - 1.0); "
+                             "bad = bad | (c{j} != c{j}); l{j}, h{j} = scale(c{j}, l{a}, h{a})")),
+    Abs: ("abs({A})", ("l{j}, h{j}, bad = abs_bounds(v{a}, l{a}, h{a}, bad)",)),
+    Exp: ("exp({A})", ("l{j}, h{j} = scale(v{j}, l{a}, h{a})",)),
+    Log: ("log({A})", ("c{j} = 1.0 / v{a}", "l{j}, h{j} = scale(c{j}, l{a}, h{a})")),
+    Min: ("min(({args}))", ("l{j}, h{j}, bad = band(v{j}, ({parts}), bad)",)),
+    Max: ("max(({args}))", ("l{j}, h{j}, bad = band(v{j}, ({parts}), bad)",)),
 }
+
+
+def _scale_floats(c, lo, hi):
+    """``c * [lo, hi]``, endpoints ordered by the sign of c."""
+    return (c * lo, c * hi) if c >= 0.0 else (c * hi, c * lo)
+
+
+def _abs_floats(v, lo, hi, bad):
+    """The abs chain rule: [lo, hi] by the sign of v, their hull in its tie band."""
+    t = _TIE_TOL * max(1.0, abs(v))
+    if v > t:
+        return lo, hi, bad
+    if v < -t:
+        return -hi, -lo, bad
+    return min(lo, -hi), max(hi, -lo), bad
+
+
+def _band_floats(v, parts, bad):
+    """The min/max chain rule: the hull of the bounds of the arguments in the tie
+    band of ``v``; with none in it, the empty ``min`` raises."""
+    t = _TIE_TOL * max(1.0, abs(v))
+    near = [p for p in parts if abs(p[0] - v) <= t]
+    return min([p[1] for p in near]), max([p[2] for p in near]), bad
+
 
 # Every scalar generated function maps arithmetic failures to the evaluation-error
 # contract, in the ``except`` clauses that close each ``translated`` block.
@@ -417,19 +435,20 @@ _TRANSLATE = ("except OverflowError as exc:",
               "except (ZeroDivisionError, ValueError) as exc:",
               "    raise EvalDomainError(f'{exc} in {render(EXPR)}') from exc")
 _NAMESPACE = {"pow": math.pow, "exp": math.exp, "log": math.log, "isfinite": math.isfinite,
-              "NAN": math.nan, "TIE_TOL": _TIE_TOL, "EvalDomainError": EvalDomainError,
-              "EvalOverflowError": EvalOverflowError}
+              "NAN": math.nan, "EvalDomainError": EvalDomainError,
+              "EvalOverflowError": EvalOverflowError,
+              "scale": _scale_floats, "abs_bounds": _abs_floats, "band": _band_floats}
 _CODE: Dict[str, CodeType] = {}
 
 
-# Array mode runs the same value lines on column arrays, with the constants
-# passed in (see ``Shape``).  +, -, *, / and abs are numpy's, which round as
-# Python floats do; exp, log and pow stay libm's, lane by lane, because numpy's
-# own differ in the last bit.  ``bad`` marks every lane where the scalar
-# function could raise; those lanes are redone by it.  Its min and max are
-# calls, since a comparison cannot select between arrays.  Each temporary is
-# deleted once its parent has read it, so a call on a large block holds few
-# block-sized arrays at a time.
+# The lane modes run the same lines on column arrays, with the constants passed
+# in (see ``Shape``).  +, -, *, / and abs are numpy's, which round as Python
+# floats do; exp, log and pow stay libm's, lane by lane, because numpy's own
+# differ in the last bit.  ``bad`` marks every lane where the scalar function
+# could raise; those lanes are redone by it.  Their min and max are calls,
+# since a comparison cannot select between arrays.  In array mode each
+# temporary is deleted once its parent has read it, so a call on a large block
+# holds few block-sized arrays at a time.
 _NAN_MARK = "bad = bad | (v{j} != v{j})"
 _MARKS = {Div: "bad = bad | (v{b} == 0.0)", Pow: _NAN_MARK, Exp: _NAN_MARK, Log: _NAN_MARK}
 
@@ -507,7 +526,7 @@ def rows_in_order(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray):
 
 
 def _scale_lanes(c, lo, hi):
-    """``_scale`` lane by lane: ``c * [lo, hi]``, endpoints ordered by the sign of c."""
+    """``scale`` lane by lane: ``c * [lo, hi]``, endpoints ordered by the sign of c."""
     pos = c >= 0.0
     return np.where(pos, c * lo, c * hi), np.where(pos, c * hi, c * lo)
 
@@ -534,24 +553,6 @@ _ARRAY_NAMESPACE = {**_NAMESPACE, "pow": _lanewise(math.pow), "exp": _lanewise(m
                     "isfinite": np.isfinite,
                     "scale": _scale_lanes, "abs_bounds": _abs_lanes, "band": _band_lanes}
 
-# Array bounds mode: the chain rule on lanes.  Where the scalar rule branches on
-# a tie band, or could raise, the lane is marked and redone by the scalar rule.
-_ARRAY_CHAIN = {
-    Mul: ("l{j}, h{j} = scale(v{b}, l{a}, h{a})", "m{j}, n{j} = scale(v{a}, l{b}, h{b})",
-          "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}"),
-    Div: ("c{j} = 1.0 / v{b}", "l{j}, h{j} = scale(c{j}, l{a}, h{a})",
-          "bad = bad | (v{b} * v{b} == 0.0)", "c{j} = -v{a} / (v{b} * v{b})",
-          "m{j}, n{j} = scale(c{j}, l{b}, h{b})", "l{j} = l{j} + m{j}", "h{j} = h{j} + n{j}"),
-    Pow: ("if e{k} == 0.0: l{j} = h{j} = 0.0",
-          "else: c{j} = e{k} * pow(v{a}, e{k} - 1.0); bad = bad | (c{j} != c{j}); "
-          "l{j}, h{j} = scale(c{j}, l{a}, h{a})"),
-    Abs: ("l{j}, h{j}, bad = abs_bounds(v{a}, l{a}, h{a}, bad)",),
-    Exp: ("l{j}, h{j} = scale(v{j}, l{a}, h{a})",),
-    Log: ("c{j} = 1.0 / v{a}", "l{j}, h{j} = scale(c{j}, l{a}, h{a})"),
-    Min: ("l{j}, h{j}, bad = band(v{j}, ({parts}), bad)",),
-    Max: ("l{j}, h{j}, bad = band(v{j}, ({parts}), bad)",),
-}
-
 
 def children(node: Expr) -> tuple:
     """The subtrees of ``node``, left to right."""
@@ -567,14 +568,9 @@ def children(node: Expr) -> tuple:
     return ()
 
 
-# Value mode writes each arithmetic node inline, as the right side of its value
-# rule with every child's text in place of ``v{a}`` and ``v{b}``; a binary node
-# is parenthesised, so the text keeps the tree's grouping.  Of these nodes only
-# the ones in _RAISES can raise on floats.  A text nested deeper than _NESTING
-# is computed into its temporary: the tokenizer allows 200 nested parentheses.
-_INLINE = {node: value.partition(" = ")[2].replace("v{", "{")
-           for node, (value, _chain) in _RULES.items() if node not in (Min, Max)}
-_INLINE.update({node: f"({_INLINE[node]})" for node in (Add, Sub, Mul, Div)})
+# Of the nodes that value mode writes inline, only the ones in _RAISES can raise
+# on floats.  A text nested deeper than _NESTING is computed into its
+# temporary: the tokenizer allows 200 nested parentheses.
 _RAISES = {Div, Pow, Exp, Log}
 _NESTING = 50
 
@@ -586,20 +582,23 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
     """Append the rule lines of ``expr`` to ``lines``, in post-order; return the id
     of the root, whose value is then in the local ``v{id}``.
 
-    One walk emits each node's rule lines, so the arithmetic is the tree's, in
-    the tree's order.  Node n's temporaries are ``v``, ``l``, ``h`` ... followed
-    by its id ``{tag}{n}``.  A variable reads ``vals[index[name]]``, or with
-    ``var_ids`` emits no line and its id is ``var_ids[name]``, naming a local the
-    caller binds.  Constants (``k``) and exponents (``e``) are numbered into
-    ``consts`` together.
+    One walk serves every mode, so the arithmetic is the tree's, in the tree's
+    order.  Node n's temporaries are ``v``, ``l``, ``h`` ... followed by its id
+    ``{tag}{n}``.  A variable reads ``vals[index[name]]``, or with ``var_ids``
+    emits no line and its id is ``var_ids[name]``, naming a local the caller
+    binds.  Constants (``k``) and exponents (``e``) are numbered into ``consts``
+    together.
 
-    Value mode writes arithmetic inline (see ``_INLINE``): a node gets a line of
-    its own only as a min/max fold (with each argument after the first that is
-    not a plain name), as the root, past ``_NESTING``, or in ``memo``.  Before
-    a fold, and before any other line that evaluates something that can raise,
-    every pending text that can raise is computed into its temporary, oldest
-    first, so the evaluation stays in post-order and the first error is the
-    one a line per node raises.
+    Value mode writes arithmetic inline, each node as its rule's value text with
+    its children's texts in place: a node gets a line of its own only as a
+    min/max fold (with each argument after the first that is not a plain name),
+    as the root, past ``_NESTING``, or in ``memo``.  Before a fold, and before
+    any other line that evaluates something that can raise, every pending text
+    that can raise is computed into its temporary, oldest first, so the
+    evaluation stays in post-order and the first error is the one a line per
+    node raises.  The other modes compute every node into its temporary; on
+    lanes its mark follows (see ``_MARKS``), in ``array`` mode the ``del`` of its
+    children, in ``bounds`` and ``bounds_array`` its chain rule.
     ``memo`` maps the :func:`tree_key` of subtrees to share: one with an id is
     read from ``v{id}``, and one with ``None`` is computed into its temporary
     and given its id (see :func:`repeated_subtrees`).
@@ -613,8 +612,8 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
         kids = () if shared.get(key) is not None else children(node)
         preorder.append((node, key, len(kids)))
         stack.extend(kids)
-    # the finished subtrees not yet read by their parent: their ids, or in value
-    # mode (id, text, nesting, raises); a text of nesting 0 is a plain name
+    # (id, text, nesting, raises) of each finished subtree not yet read by its
+    # parent; a text of nesting 0 is a plain name
     temps: list = []
 
     def flush():
@@ -638,42 +637,11 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
             temps.append((known, f"v{known}", 0, False))
             continue
         kind = type(node)
-        if inline:
-            if kind is Const:
-                consts[f"k{len(consts)}"] = node.value
-                entry = (j, f"k{len(consts) - 1}", 0, False)
-            elif kind is Var:
-                vid = var_ids[node.name] if var_ids is not None else None
-                entry = (vid, f"v{vid}", 0, False) if vid is not None \
-                    else (j, f"vals[{index[node.name]}]", 0, False)
-            elif kind is Min or kind is Max:
-                # the builtin's own fold: a later argument wins only if strictly better
-                better = "<" if kind is Min else ">"
-                flush()
-                entry = compute(j, kids[0][1], kids[0][3])
-                for jid, text, nesting, raises in kids[1:]:
-                    name = text if nesting == 0 else compute(jid, text, raises)[1]
-                    lines.append(f"if {name} {better} v{j}: v{j} = {name}")
-            else:
-                a = kids[0]
-                nesting, raises = a[2] + 1, a[3] or kind in _RAISES
-                if arity == 2:
-                    b = kids[1]
-                    nesting, raises = max(nesting, b[2] + 1), raises or b[3]
-                    text = _INLINE[kind].format(a=a[1], b=b[1])
-                elif kind is Pow:
-                    consts[f"e{len(consts)}"] = node.exponent
-                    text = _INLINE[kind].format(a=a[1], k=len(consts) - 1)
-                else:
-                    text = _INLINE[kind].format(a=a[1])
-                entry = (j, text, nesting, raises)
-            if (key in shared or entry[2] > _NESTING) and entry[1] != f"v{entry[0]}":
-                entry = compute(j, entry[1], entry[3])
-            if key in shared:
-                shared[key] = entry[0]
-            temps.append(entry)
-            continue
-        fields = dict(zip("ab", kids), j=j)
+        fields, nesting, raises = {"j": j}, 0, kind in _RAISES
+        for ab, AB, (jid, text, depth, fails) in zip("ab", "AB", kids):
+            fields[ab], fields[AB], raises = jid, text, raises or fails
+            if depth >= nesting:
+                nesting = depth + 1
         if kind is Const:
             fields["k"] = len(consts)
             consts[f"k{len(consts)}"] = node.value
@@ -682,25 +650,36 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
             consts[f"e{len(consts)}"] = node.exponent
         elif kind is Var:
             if var_ids is not None:
-                temps.append(var_ids[node.name])
+                vid = var_ids[node.name]
+                temps.append((vid, f"v{vid}", 0, False))
                 continue
             fields["i"] = index[node.name]
-        elif kind is Min or kind is Max:
-            fields["args"] = "".join(f"v{kid}, " for kid in kids)
-            fields["parts"] = "".join(f"(v{kid}, l{kid}, h{kid}), " for kid in kids)
-        temps.append(j)
-        value, chain = _RULES[type(node)]
-        lines.append(value.format(**fields))
-        if mode in ("array", "bounds_array") and type(node) in _MARKS:
-            lines.append(_MARKS[type(node)].format(**fields))
-        if mode == "array" and kids:  # only the parent reads a child's lanes
-            lines.append("del " + ", ".join(f"v{kid}" for kid in kids))
-        if mode == "bounds_array":
-            chain = _ARRAY_CHAIN.get(type(node), chain)
-        if mode in ("bounds", "bounds_array"):
-            lines.extend(rule.format(**fields) for rule in chain)
-    if not inline:
-        return temps[0]
+        value, chain = _RULES[kind]
+        if (kind is Min or kind is Max) and inline:
+            # the builtin's own fold: a later argument wins only if strictly better
+            better = "<" if kind is Min else ">"
+            flush()
+            entry = compute(j, kids[0][1], kids[0][3])
+            for jid, text, depth, fails in kids[1:]:
+                name = text if depth == 0 else compute(jid, text, fails)[1]
+                lines.append(f"if {name} {better} v{j}: v{j} = {name}")
+        else:
+            if kind is Min or kind is Max:
+                fields["args"] = "".join(f"{kid[1]}, " for kid in kids)
+                fields["parts"] = "".join(f"(v{kid[0]}, l{kid[0]}, h{kid[0]}), " for kid in kids)
+            entry = (j, value.format_map(fields), nesting, raises)
+        if (not inline or key in shared or entry[2] > _NESTING) and entry[1] != f"v{j}":
+            entry = compute(j, entry[1], entry[3])
+        if not inline:
+            if mode != "bounds" and kind in _MARKS:
+                lines.append(_MARKS[kind].format_map(fields))
+            if mode == "array" and kids:  # only the parent reads a child's lanes
+                lines.append("del " + ", ".join(f"v{kid[0]}" for kid in kids))
+            if mode != "array":
+                lines.extend(rule.format_map(fields) for rule in chain)
+        if key in shared:
+            shared[key] = entry[0]
+        temps.append(entry)
     jid, text, _nesting, _raises = temps[0]
     if text != f"v{jid}":
         lines.append(f"v{jid} = {text}")
@@ -776,12 +755,11 @@ def _mixes_nans(expr: Expr) -> bool:
 
 def _generate(expr: Expr, var_order: Sequence[str],
               mode: str) -> Tuple[List[str], Dict[str, float]]:
-    """The body of ``expr``'s function in ``mode`` (one temporary per node) and its
-    constants and exponents by name.
+    """The body of ``expr``'s function in ``mode`` and its constants and exponents
+    by name.
 
-    ``mode`` is ``value``, ``bounds`` (adds the chain-rule lines), ``array``
-    (adds the lane marks) or ``bounds_array`` (both, with the chain rule on
-    lanes).
+    ``mode`` is ``value``, ``bounds`` (adds the chain rule), ``array`` (the value
+    on lanes, with their marks) or ``bounds_array`` (the chain rule on lanes).
     """
     index = {name: i for i, name in enumerate(var_order)}
     missing = free_vars(expr) - set(index)
@@ -804,14 +782,15 @@ def _generate(expr: Expr, var_order: Sequence[str],
                   f"return v{root}, l{root}, h{root}, bad"]
     else:
         lines.append(f"return v{root}, bad" if mode == "array" else f"return v{root}")
-    if mode in ("value", "bounds"):
+    if mode == "value":
         return translated(lines), consts
     if mode == "array":  # the first mark starts the mask: False | lanes is a slow loop
         first = next((i for i, line in enumerate(lines) if line.startswith("bad = bad | ")), None)
         if first is not None:
             lines[first] = "bad = " + lines[first][len("bad = bad | "):]
             return lines, consts
-    return ["bad = False", *lines], consts
+    lines = ["bad = False", *lines]
+    return (translated(lines) if mode == "bounds" else lines), consts
 
 
 def _bind(expr: Expr, lines: List[str], consts: Dict[str, float], params: str,
@@ -845,11 +824,12 @@ def compile_shaped(expr: Expr, var_order: Sequence[str]) -> Tuple[Callable, "Sha
 class Shape:
     """An expression tree with its ``Const`` values taken out.
 
-    Trees of one shape share one array kernel ``f(vals, k0, k1, ...)``: each
-    passes its own constants.  ``Pow`` exponents stay part of the shape,
-    because ``pow`` runs lane by lane through libm.  A shape is its value-mode
-    source and exponents; ``tree`` is any one of its trees, from which the
-    kernel is generated on first use and then kept by that source.
+    Trees of one shape share one array kernel ``f(vals, k0, k1, ...)`` and one
+    bounds kernel ``f(vals, dirs, k0, k1, ...)``: each passes its own
+    constants.  ``Pow`` exponents stay part of the shape, because ``pow`` runs
+    lane by lane through libm.  A shape is its value-mode source and exponents;
+    ``tree`` is any one of its trees, from which each kernel is generated on
+    first use and then kept by that source.
     """
 
     source: str
@@ -857,44 +837,53 @@ class Shape:
     tree: Expr = field(compare=False, repr=False)
     var_order: tuple = field(compare=False, repr=False)
 
-    def lanes(self, vals, consts: Sequence, out: np.ndarray):
+    def lanes(self, vals, consts: Sequence, out: np.ndarray, dirs=None):
         """Write the kernel's values on the columns ``vals`` into ``out`` and
-        return the mask of lanes to redo, broadcastable to ``out``.
+        return the mask of lanes to redo, broadcastable to ``out``'s lanes.
 
-        Lane p is the scalar function's value bit for bit unless it is marked;
-        every lane where that function could raise, or return NaN, is marked,
-        and a failure of the whole call (a constant subtree failed) marks them
-        all.  ``consts`` are floats, or (rows, 1) columns that give each row of
-        a (rows, width) block its own tree of this shape.
+        With ``dirs``, the bounds kernel writes the value, lo and hi at the
+        directions ``dirs`` into ``out[0]``, ``out[1]`` and ``out[2]``.  Lane p
+        is the scalar function's bit for bit unless it is marked; every lane
+        where that function could raise, or return NaN, is marked, and a
+        failure of the whole call (a constant subtree failed) marks them all.
+        ``consts`` are floats, or (rows, 1) columns that give each row of a
+        (rows, width) block its own tree of this shape.
         """
-        kernel = _KERNELS.get(self)
+        mode, args = ("array", (vals,)) if dirs is None else ("bounds_array", (vals, dirs))
+        kernel = _KERNELS.get((self, mode))
         if kernel is None:
-            lines, consts_of_tree = _generate(self.tree, self.var_order, "array")
-            params = ["vals", *(k for k in consts_of_tree if k[0] == "k")]
+            lines, consts_of_tree = _generate(self.tree, self.var_order, mode)
+            params = ["vals", "dirs"][:len(args)] + [k for k in consts_of_tree if k[0] == "k"]
             exponents = {k: v for k, v in consts_of_tree.items() if k[0] == "e"}
-            kernel = _KERNELS[self] = _define(", ".join(params), lines,
-                                              {**_ARRAY_NAMESPACE, **exponents})
+            kernel = _KERNELS[self, mode] = _define(", ".join(params), lines,
+                                                    {**_ARRAY_NAMESPACE, **exponents})
         try:
             with np.errstate(all="ignore"):
-                value, bad = kernel(vals, *consts)
+                *results, bad = kernel(*args, *consts)
         except (ArithmeticError, ValueError):
-            value, bad = math.nan, True
-        out[...] = value  # a constant tree gives one float for every lane
+            results, bad = (math.nan,) * 3, True
+        for part, result in zip(out if dirs is not None else (out,), results):
+            part[...] = result  # a constant tree gives one float for every lane
         return bad
 
-    def array(self, vals, consts: Sequence, scalar: Callable) -> np.ndarray:
+    def array(self, vals, consts: Sequence, scalar: Callable, dirs=None) -> np.ndarray:
         """:meth:`lanes` on 1-D columns, each marked lane redone in lane order by
-        ``scalar`` on that lane's values; the first lane where it raises raises."""
-        out = np.empty(len(vals[0]))
-        bad = self.lanes(vals, consts, out)
+        ``scalar`` on that lane's values (and directions); the first lane where
+        it raises raises.  With ``dirs`` the result is (3, lanes)."""
+        width = len(vals[0])
+        out = np.empty(width if dirs is None else (3, width))
+        bad = self.lanes(vals, consts, out, dirs)
         if np.any(bad):
-            for p in np.flatnonzero(np.broadcast_to(bad, out.shape)).tolist():
-                out[p] = scalar([float(v[p]) for v in vals])
+            for p in np.flatnonzero(np.broadcast_to(bad, (width,))).tolist():
+                lane = [float(v[p]) for v in vals]
+                out[..., p] = scalar(lane) if dirs is None else \
+                    scalar(lane, [float(d[p]) for d in dirs])
         return out
 
 
-# The array kernel of each shape in use, generated on first use.
-_KERNELS: Dict[Shape, Callable] = {}
+# The array and bounds kernels of each shape in use, by (shape, mode), each
+# generated on first use.
+_KERNELS: Dict[Tuple[Shape, str], Callable] = {}
 
 
 def compile_array(expr: Expr, var_order: Sequence[str]) -> Callable:
@@ -920,49 +909,23 @@ def compile_bounds(expr: Expr, var_order: Sequence[str]) -> Callable:
 
 
 def compile_bounds_array(expr: Expr, var_order: Sequence[str]) -> Callable:
-    """Array mode of :func:`compile_bounds`: ``fn(vals, dirs) -> (value, lo, hi)`` on columns.
+    """Array mode of :func:`compile_bounds`: ``fn(vals, dirs)`` gives the value,
+    lo and hi on columns, as the rows of one (3, lanes) array.
 
-    Lane p of each array equals the scalar bounds at ``[vals[i][p] for i]`` and
+    Lane p equals the scalar bounds at ``[vals[i][p] for i]`` and
     ``[dirs[i][p] for i]`` bit for bit, under :func:`compile_array`'s error
-    contract.  Lanes near an abs/min/max tie band, or with a non-finite result,
+    contract: lanes near an abs/min/max tie band, or with a non-finite result,
     are redone by the scalar bounds function.  Compiled on the first call.
     """
-    fn = None
+    built = None
 
     def call(vals, dirs):
-        nonlocal fn
-        if fn is None:
-            fn = _lanes_or_scalar(
-                _bind(expr, *_generate(expr, var_order, "bounds_array"), "vals, dirs",
-                      _ARRAY_NAMESPACE),
-                _bind(expr, *_generate(expr, var_order, "bounds"), "vals, dirs", _NAMESPACE))
-        return fn(vals, dirs)
+        nonlocal built
+        if built is None:
+            built = (*compile_shaped(expr, var_order)[1:], compile_bounds(expr, var_order))
+        shape, consts, scalar = built
+        return shape.array(vals, consts, scalar, dirs)
     return call
-
-
-def _lanes_or_scalar(lanes_fn: Callable, scalar: Callable) -> Callable:
-    """Run the bounds kernel ``lanes_fn`` on columns and redo each lane it marks
-    with the scalar bounds function ``scalar``.
-
-    ``lanes_fn`` returns the value, lo and hi and the mark; a failure of the
-    whole call (a constant subtree failed) marks every lane.
-    """
-    def fn(vals, dirs):
-        lanes = len(vals[0])
-        try:
-            with np.errstate(all="ignore"):
-                *results, bad = lanes_fn(vals, dirs)
-        except (ArithmeticError, ValueError):
-            results, bad = [math.nan] * 3, True
-        outs = [np.empty(lanes) for _ in range(3)]
-        for out, result in zip(outs, results):
-            out[...] = result  # a constant tree gives one float for every lane
-        for p in np.flatnonzero(np.broadcast_to(bad, (lanes,))).tolist():
-            redone = scalar([float(v[p]) for v in vals], [float(d[p]) for d in dirs])
-            for out, value in zip(outs, redone):
-                out[p] = value
-        return tuple(outs)
-    return fn
 
 
 def directional_bounds(expr: Expr, env: Mapping[str, float], seed: Mapping[str, float]):
@@ -972,7 +935,7 @@ def directional_bounds(expr: Expr, env: Mapping[str, float], seed: Mapping[str, 
                                        [seed.get(n, 0.0) for n in names])
 
 
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
+_PREC_ADD, _PREC_MUL, _PREC_ATOM = 1, 2, 4
 
 
 def render(expr: Expr) -> str:

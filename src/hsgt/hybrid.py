@@ -387,6 +387,8 @@ class SimOptions:
             raise SimulationError("integration step must be positive")
         if self.priority not in ("jump", "flow"):
             raise SimulationError("priority must be 'jump' or 'flow'")
+        if self.record_every < 1:
+            raise SimulationError("record_every must be at least 1")
 
 
 @dataclass

@@ -327,6 +327,8 @@ def test_bounds_array_matches_scalar_bounds_lane_by_lane(text):
 
 
 def test_bounds_array_compiles_on_first_call(monkeypatch):
+    """Building a bounds function compiles nothing; its first call compiles its
+    value and scalar bounds code and, once per shape, its shape's bounds kernel."""
     made = []
     real = ex._generate
 
@@ -334,11 +336,20 @@ def test_bounds_array_compiles_on_first_call(monkeypatch):
         made.append(mode)
         return real(expr, var_order, mode)
     monkeypatch.setattr(ex, "_generate", counting)
-    fn = ex.compile_bounds_array(ex.parse("abs(x)", ["x"]), ("x",))
-    assert made == []
+    before = dict(ex._KERNELS)
+    # the exponent gives the two trees a shape that no other test uses
+    fn = ex.compile_bounds_array(ex.parse("abs(x)^1.625 + 0.5", ["x"]), ("x",))
+    other = ex.compile_bounds_array(ex.parse("abs(x)^1.625 + 2", ["x"]), ("x",))
+    assert made == [] and ex._KERNELS == before
     fn(np.array([[1.0]]), np.array([[1.0]]))
     fn(np.array([[2.0]]), np.array([[1.0]]))
-    assert sorted(made) == ["bounds", "bounds_array"]
+    assert sorted(made) == ["bounds", "bounds_array", "value"]
+    (key,) = ex._KERNELS.keys() - before.keys()
+    assert key[1] == "bounds_array"
+    kernel = ex._KERNELS[key]
+    other(np.array([[1.0]]), np.array([[1.0]]))  # one kernel per shape, not per function
+    assert sorted(made) == ["bounds", "bounds", "bounds_array", "value", "value"]
+    assert ex._KERNELS.keys() - before.keys() == {key} and ex._KERNELS[key] is kernel
 
 
 def test_config_load_compiles_no_array_code(monkeypatch):

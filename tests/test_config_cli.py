@@ -345,6 +345,20 @@ def test_build_lyapunov_missing_candidates(tmp_path):
     assert main(["build-lyapunov", "--config", write_cfg(tmp_path, cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, message", [
+    (["build-lyapunov"], "config has no gains section"),
+    (["verify", "--which", "composite"], "config has no lyapunov section"),
+    (["verify", "--which", "wform"], "config has no lyapunov section")])
+def test_config_missing_gains_and_lyapunov_names_the_first_missing_section(tmp_path, capsys,
+                                                                          command, message):
+    """build-lyapunov looks for gains first, verify for the candidates first."""
+    cfg = load_json("e1.json")
+    del cfg["gains"], cfg["lyapunov"]
+    assert main([*command, "--config", write_cfg(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_build_lyapunov_small_gain_failure(tmp_path):
     assert main(["build-lyapunov", "--config", config_path("e1_unstable.json"),
                  "--out", str(tmp_path / "r.json")]) == 1
@@ -522,6 +536,20 @@ def test_malformed_trajectory_config_exits_2_with_one_error_line(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("name, command, section", [
+    ("e1.json", "simulate", "simulation"), ("e1_traj_pregs.json", "check-traj", "trajectories")])
+def test_record_every_below_1_exits_2_with_its_path(tmp_path, capsys, name, command, section,
+                                                    value):
+    cfg = load_json(name)
+    cfg["analysis"][section]["record_every"] = value
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: analysis.{section}.record_every: must be at least 1, got {value}"]
 
 
 @pytest.mark.parametrize("value, shown", [(1e999, "inf"), (float("nan"), "nan"),

@@ -225,6 +225,14 @@ def test_zero_budget_rejected():
         simulate(net, [0.5], InputSignal.zero(1), horizon=0.0, max_jumps=0)
 
 
+@pytest.mark.parametrize("every", [0, -3])
+def test_record_every_below_1_rejected(every):
+    net = single_decaying_subsystem()
+    with pytest.raises(SimulationError, match="record_every must be at least 1"):
+        simulate(net, [0.5], InputSignal.zero(1), horizon=1.0, max_jumps=0,
+                 opts=SimOptions(record_every=every))
+
+
 def test_left_domain_termination():
     allowed = ("x_1", "u_1")
     spec = SubsystemSpec(dim=1, flow=[ex.parse("x_1", allowed)],

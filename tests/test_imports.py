@@ -1,4 +1,5 @@
-"""Every module-level import under ``src/hsgt`` is used, and every ``def`` is read.
+"""Every module-level import under ``src/hsgt`` is used, and every ``def`` and
+module-level name is read.
 
 An ``ast`` scan in place of a linter: a name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in the same module.  The package's
@@ -6,8 +7,9 @@ An ``ast`` scan in place of a linter: a name bound by a top-level ``import`` or
 A function defined under ``src/hsgt`` must have its name read (as a name or an
 attribute) somewhere in ``src/``, ``scripts/`` or ``perfbench/``, and a method
 must be read as an attribute of something other than an imported module, so
-that ``np.full`` is no read of a method ``full``.  Code that only tests use
-belongs in ``tests/``.
+that ``np.full`` is no read of a method ``full``.  A name that a module-level
+assignment binds must be read there too, as a name or an attribute.  Code and
+tables that only tests use belong in ``tests/``.
 """
 
 import ast
@@ -63,11 +65,9 @@ def module_aliases(tree: ast.AST) -> set:
     return out
 
 
-def unread_defs(modules: dict, readers: list, allowed: set) -> list:
-    """``(module, line, name)`` of each def in ``modules`` (name -> source) that
-    no source in ``readers`` reads.  A function is read where its name is loaded
-    as a name or an attribute; a method only where it is loaded as an attribute
-    of something other than an imported module."""
+def reads(readers: list) -> tuple:
+    """The names that ``readers`` load, as names or as attributes of an imported
+    module, and the attributes they load of anything else."""
     names, attrs = set(), set()
     for source in readers:
         tree = ast.parse(source)
@@ -78,6 +78,15 @@ def unread_defs(modules: dict, readers: list, allowed: set) -> list:
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 of_module = isinstance(node.value, ast.Name) and node.value.id in aliases
                 (names if of_module else attrs).add(node.attr)
+    return names, attrs
+
+
+def unread_defs(modules: dict, readers: list, allowed: set) -> list:
+    """``(module, line, name)`` of each def in ``modules`` (name -> source) that
+    no source in ``readers`` reads.  A function is read where its name is loaded
+    as a name or an attribute; a method only where it is loaded as an attribute
+    of something other than an imported module."""
+    names, attrs = reads(readers)
     unread = []
     for module, source in modules.items():
         tree = ast.parse(source)
@@ -89,6 +98,24 @@ def unread_defs(modules: dict, readers: list, allowed: set) -> list:
             read = attrs if id(node) in methods else names | attrs
             if node.name not in read | allowed:
                 unread.append((module, node.lineno, node.name))
+    return sorted(unread)
+
+
+def unread_names(modules: dict, readers: list, allowed: set) -> list:
+    """``(module, line, name)`` of each name that a module-level assignment in
+    ``modules`` binds and that no source in ``readers`` loads, as a name or an
+    attribute.  Dunders (``__all__``) are exempt."""
+    names, attrs = reads(readers)
+    unread = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id not in names | attrs | allowed \
+                            and not (name.id.startswith("__") and name.id.endswith("__")):
+                        unread.append((module, node.lineno, name.id))
     return sorted(unread)
 
 
@@ -109,6 +136,21 @@ def test_every_def_is_read_outside_tests():
     sources = {path: text for top in READERS for path, text in _sources(top).items()}
     modules = {path: text for path, text in sources.items() if path.startswith("src/hsgt/")}
     assert unread_defs(modules, list(sources.values()), ALLOWED_UNREAD | exports) == []
+
+
+def test_every_module_level_name_is_read_outside_tests():
+    sources = {path: text for top in READERS for path, text in _sources(top).items()}
+    modules = {path: text for path, text in sources.items() if path.startswith("src/hsgt/")}
+    assert unread_names(modules, list(sources.values()), set()) == []
+
+
+def test_scan_finds_an_unread_module_level_name():
+    module = ("__all__ = ['A']\nA, (B, C) = 1, (2, 3)\nD: int = 4\nE = F = 5\n"
+              "G = [A]\n\n\ndef f():\n    H = 6\n    return H\n")
+    reader = "from m import G\nG, E\nimport m\nm.C\nB = 7\n"  # a store is no read
+    assert unread_names({"m.py": module}, [module, reader], set()) == [
+        ("m.py", 2, "B"), ("m.py", 3, "D"), ("m.py", 4, "F")]
+    assert unread_names({"m.py": module}, [module, reader], {"B", "D"}) == [("m.py", 4, "F")]
 
 
 def test_scan_finds_an_unread_def():

@@ -256,10 +256,11 @@ def test_array_compiles_lazily():
     assert f.shape == g.shape and f.consts == (0.3, 1.0, 0.2) and g.consts == (0.7, 2.0, 0.1)
     assert ex._KERNELS == before  # building a KFun compiles no array code
     f.array(np.array([1.0, 2.0]))
-    assert ex._KERNELS.keys() - before.keys() == {f.shape}
-    kernel = ex._KERNELS[f.shape]
+    assert ex._KERNELS.keys() - before.keys() == {(f.shape, "array")}
+    kernel = ex._KERNELS[f.shape, "array"]
     g.array(np.array([1.0, 2.0]))  # one kernel per shape, not per function
-    assert ex._KERNELS.keys() - before.keys() == {f.shape} and ex._KERNELS[g.shape] is kernel
+    assert ex._KERNELS.keys() - before.keys() == {(f.shape, "array")}
+    assert ex._KERNELS[g.shape, "array"] is kernel
     assert KFun.from_text("0.3*s/(1 + s) + 0.2*s^1.5").shape != f.shape  # exponents stay
 
 
