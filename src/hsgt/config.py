@@ -151,15 +151,16 @@ def _parse_expr(text, allowed, path: str) -> ex.Expr:
 
 
 def _parse_kfun(text, path: str, built: dict) -> KFun:
-    """``text`` as a comparison function.  ``built`` maps each expression already
-    built while loading this config to its function, so that a repeated
-    expression is built once; class checks stay with each use."""
+    """``text`` as a comparison function.  ``built`` maps the ``tree_key`` of each
+    expression already built while loading this config to its function, so that
+    a repeated expression is built once; class checks stay with each use."""
     if text is None or text == "0":
         return KFun.zero()
     tree = _parse_expr(text, ("s",), path)
-    f = built.get(tree)
+    key = ex.tree_key(tree)
+    f = built.get(key)
     if f is None:
-        f = built[tree] = KFun.from_expr(tree)
+        f = built[key] = KFun.from_expr(tree)
     return f
 
 
@@ -248,7 +249,7 @@ def load_config(path: str) -> ProjectConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return build_config(raw, path)
 

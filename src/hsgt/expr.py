@@ -11,13 +11,15 @@ with ``func`` one of ``abs``, ``min``, ``max``, ``exp``, ``log``.  Offsets in
 parse errors are 1-based character positions; errors at end of input report
 one position past the last character.
 
+Parentheses and calls nest at most ``NESTING_MAX`` deep; sums and products
+have no length limit, as every walk over a tree is a loop over :func:`children`.
+
 One code generator backs :func:`compile_expr`, :func:`compile_shaped`,
 :func:`compile_bounds`, :func:`compile_array`, :func:`compile_bounds_array`,
 the array and bounds kernels of :class:`Shape`, and the multi-expression
-functions that :func:`compile_lines` builds from :func:`emit_lines`;
-:func:`evaluate` is the reference interpreter.  All of them raise
-:class:`EvalDomainError` on a domain error, :class:`EvalOverflowError` on
-overflow.
+functions that :func:`compile_lines` builds from :func:`emit_lines`.  All of
+them raise :class:`EvalDomainError` on a domain error,
+:class:`EvalOverflowError` on overflow.
 
 The rules that make a block of lanes read as a row-by-row scalar pass live
 here too: :func:`lane_max` and :func:`lane_min` fold lanes as Python's
@@ -137,7 +139,17 @@ class Max(Expr):
     args: tuple
 
 
-_FUNCTIONS = {"abs", "exp", "log", "min", "max"}
+# The functions of the grammar by name: what the parser calls and render writes.
+_CALLS = {"abs": Abs, "exp": Exp, "log": Log, "min": Min, "max": Max}
+_NAMES = {kind: name for name, kind in _CALLS.items()}
+# The binary operators as render writes them, with their precedence.
+_PREC_ADD, _PREC_MUL, _PREC_ATOM = 1, 2, 4
+_BINARY = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD),
+           Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
+
+# The parser takes a few Python frames per level, so a level past this bound is
+# a ParseError rather than a RecursionError.
+NESTING_MAX = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -172,6 +184,7 @@ class _Parser:
     def __init__(self, text: str, allowed_vars: Iterable[str]):
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
         self.allowed = frozenset(allowed_vars)
 
     def peek(self):
@@ -187,6 +200,20 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected '{op}'", offset)
         return self.advance()
+
+    def group(self, offset: int, several: bool) -> List[Expr]:
+        """The expressions (``several``: comma-separated) after the '(' at
+        ``offset``, through its ')': one more level of nesting."""
+        if self.depth == NESTING_MAX:
+            raise ParseError(f"parentheses nested deeper than {NESTING_MAX} levels", offset)
+        self.depth += 1
+        args = [self.expr()]
+        while several and self.peek()[:2] == ("op", ","):
+            self.advance()
+            args.append(self.expr())
+        self.expect_op(")")
+        self.depth -= 1
+        return args
 
     def parse(self) -> Expr:
         node = self.expr()
@@ -239,41 +266,21 @@ class _Parser:
         if kind == "num":
             return Const(float(value))
         if kind == "ident":
-            if value in _FUNCTIONS:
-                self.expect_op("(")
-                args = [self.expr()]
-                while True:
-                    k, v, _ = self.peek()
-                    if k == "op" and v == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
-                self.expect_op(")")
-                return _make_call(value, args, offset)
+            call = _CALLS.get(value)
+            if call is not None:
+                args = self.group(self.expect_op("(")[2], True)
+                if call is Min or call is Max:
+                    return call(tuple(args))
+                if len(args) != 1:
+                    raise ParseError(f"{value}() takes exactly one argument", offset)
+                return call(args[0])
             if value not in self.allowed:
                 raise UnknownIdentifierError(value, offset)
             return Var(value)
         if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            return self.group(offset, False)[0]
         shown = "end of input" if kind == "end" else f"'{value}'"
         raise ParseError(f"expected expression, found {shown}", offset)
-
-
-def _make_call(name: str, args, offset: int) -> Expr:
-    if name in ("abs", "exp", "log") and len(args) != 1:
-        raise ParseError(f"{name}() takes exactly one argument", offset)
-    if name == "abs":
-        return Abs(args[0])
-    if name == "exp":
-        return Exp(args[0])
-    if name == "log":
-        return Log(args[0])
-    if name == "min":
-        return Min(tuple(args))
-    return Max(tuple(args))
 
 
 def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
@@ -281,90 +288,59 @@ def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
     return _Parser(text, allowed_vars).parse()
 
 
+def children(node: Expr) -> tuple:
+    """The subtrees of ``node``, left to right."""
+    kind = type(node)
+    if kind in (Add, Sub, Mul, Div):
+        return node.a, node.b
+    if kind in (Abs, Exp, Log):
+        return node.a,
+    if kind is Pow:
+        return node.base,
+    if kind in (Min, Max):
+        return node.args
+    return ()
+
+
+def _postorder(expr: Expr, leaf: Optional[Callable[[Expr], bool]] = None) -> list:
+    """``(node, arity)`` of each node of ``expr``, children first, left to right,
+    leaving out the children of a ``leaf`` node: a pass that stacks its results
+    finds a node's children's as the last ``arity`` entries."""
+    preorder, stack = [], [expr]
+    while stack:  # reversed right-first preorder is left-first post-order
+        node = stack.pop()
+        kids = () if leaf is not None and leaf(node) else children(node)
+        preorder.append((node, len(kids)))
+        stack.extend(kids)
+    preorder.reverse()
+    return preorder
+
+
 def free_vars(expr: Expr) -> frozenset:
-    if isinstance(expr, Const):
-        return frozenset()
-    if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return free_vars(expr.a) | free_vars(expr.b)
-    if isinstance(expr, Pow):
-        return free_vars(expr.base)
-    if isinstance(expr, (Abs, Exp, Log)):
-        return free_vars(expr.a)
-    return frozenset().union(*(free_vars(a) for a in expr.args)) if expr.args else frozenset()
+    names, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is Var:
+            names.add(node.name)
+        else:
+            stack.extend(children(node))
+    return frozenset(names)
 
 
 def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by subtrees; realizes function composition."""
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Var):
-        return mapping.get(expr.name, expr)
-    if isinstance(expr, Add):
-        return Add(substitute(expr.a, mapping), substitute(expr.b, mapping))
-    if isinstance(expr, Sub):
-        return Sub(substitute(expr.a, mapping), substitute(expr.b, mapping))
-    if isinstance(expr, Mul):
-        return Mul(substitute(expr.a, mapping), substitute(expr.b, mapping))
-    if isinstance(expr, Div):
-        return Div(substitute(expr.a, mapping), substitute(expr.b, mapping))
-    if isinstance(expr, Pow):
-        return Pow(substitute(expr.base, mapping), expr.exponent)
-    if isinstance(expr, Abs):
-        return Abs(substitute(expr.a, mapping))
-    if isinstance(expr, Exp):
-        return Exp(substitute(expr.a, mapping))
-    if isinstance(expr, Log):
-        return Log(substitute(expr.a, mapping))
-    if isinstance(expr, Min):
-        return Min(tuple(substitute(a, mapping) for a in expr.args))
-    return Max(tuple(substitute(a, mapping) for a in expr.args))
-
-
-def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate at a full binding of the free variables (the reference interpreter)."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnboundVariableError(expr.name) from None
-    try:
-        if isinstance(expr, Add):
-            return evaluate(expr.a, env) + evaluate(expr.b, env)
-        if isinstance(expr, Sub):
-            return evaluate(expr.a, env) - evaluate(expr.b, env)
-        if isinstance(expr, Mul):
-            return evaluate(expr.a, env) * evaluate(expr.b, env)
-        if isinstance(expr, Div):
-            num, denom = evaluate(expr.a, env), evaluate(expr.b, env)
-            if denom == 0.0:
-                raise EvalDomainError("division by zero")
-            return num / denom
-        if isinstance(expr, Pow):
-            base = evaluate(expr.base, env)
-            try:
-                return math.pow(base, expr.exponent)
-            except ValueError as exc:
-                raise EvalDomainError(f"invalid power {base!r}^{expr.exponent!r}") from exc
-        if isinstance(expr, Abs):
-            return abs(evaluate(expr.a, env))
-        if isinstance(expr, Exp):
-            return math.exp(evaluate(expr.a, env))
-        if isinstance(expr, Log):
-            v = evaluate(expr.a, env)
-            if v <= 0.0:
-                raise EvalDomainError(f"log of non-positive value {v!r}")
-            return math.log(v)
-        if isinstance(expr, Min):
-            return min(evaluate(a, env) for a in expr.args)
-        if isinstance(expr, Max):
-            return max(evaluate(a, env) for a in expr.args)
-    except OverflowError as exc:
-        raise EvalOverflowError("overflow during evaluation") from exc
-    raise TypeError(f"unknown node {expr!r}")
+    done: list = []
+    for node, arity in _postorder(expr):
+        kind = type(node)
+        if arity:
+            kids = done[-arity:]
+            del done[-arity:]
+            node = Pow(kids[0], node.exponent) if kind is Pow else \
+                kind(tuple(kids)) if kind is Min or kind is Max else kind(*kids)
+        elif kind is Var:
+            node = mapping.get(node.name, node)
+        done.append(node)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -554,23 +530,9 @@ _ARRAY_NAMESPACE = {**_NAMESPACE, "pow": _lanewise(math.pow), "exp": _lanewise(m
                     "scale": _scale_lanes, "abs_bounds": _abs_lanes, "band": _band_lanes}
 
 
-def children(node: Expr) -> tuple:
-    """The subtrees of ``node``, left to right."""
-    kind = type(node)
-    if kind in (Add, Sub, Mul, Div):
-        return node.a, node.b
-    if kind in (Abs, Exp, Log):
-        return node.a,
-    if kind is Pow:
-        return node.base,
-    if kind in (Min, Max):
-        return node.args
-    return ()
-
-
 # Of the nodes that value mode writes inline, only the ones in _RAISES can raise
 # on floats.  A text nested deeper than _NESTING is computed into its
-# temporary: the tokenizer allows 200 nested parentheses.
+# temporary: Python's tokenizer allows 200 nested parentheses.
 _RAISES = {Div, Pow, Exp, Log}
 _NESTING = 50
 
@@ -578,7 +540,7 @@ _NESTING = 50
 def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float],
                index: Optional[Mapping[str, int]] = None,
                var_ids: Optional[Mapping[str, str]] = None, tag: str = "",
-               memo: Optional[Dict[str, Optional[str]]] = None) -> str:
+               memo: Optional[Dict[int, list]] = None) -> str:
     """Append the rule lines of ``expr`` to ``lines``, in post-order; return the id
     of the root, whose value is then in the local ``v{id}``.
 
@@ -599,19 +561,16 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
     node raises.  The other modes compute every node into its temporary; on
     lanes its mark follows (see ``_MARKS``), in ``array`` mode the ``del`` of its
     children, in ``bounds`` and ``bounds_array`` its chain rule.
-    ``memo`` maps the :func:`tree_key` of subtrees to share: one with an id is
-    read from ``v{id}``, and one with ``None`` is computed into its temporary
-    and given its id (see :func:`repeated_subtrees`).
+    ``memo`` maps the ``id`` of each node to share to its structure's cell: a
+    node whose cell holds an id is read from ``v{id}``, and one whose cell holds
+    ``None`` is computed into its temporary and its id is written into the cell
+    (see :func:`repeated_subtrees`).
     """
     inline = mode == "value"
     shared = memo if memo is not None else {}
-    preorder, stack = [], [expr]
-    while stack:  # reversed right-first preorder is left-first post-order
-        node = stack.pop()
-        key = tree_key(node) if shared and not isinstance(node, Var) else None
-        kids = () if shared.get(key) is not None else children(node)
-        preorder.append((node, key, len(kids)))
-        stack.extend(kids)
+    # a subtree computed before this walk is not walked into
+    order = _postorder(expr, (lambda node: shared.get(id(node), (None,))[0] is not None)
+                       if shared else None)
     # (id, text, nesting, raises) of each finished subtree not yet read by its
     # parent; a text of nesting 0 is a plain name
     temps: list = []
@@ -628,11 +587,12 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
         lines.append(f"v{jid} = {text}")
         return jid, f"v{jid}", 0, False
 
-    for n, (node, key, arity) in enumerate(reversed(preorder)):
+    for n, (node, arity) in enumerate(order):
         j = f"{tag}{n}"
         split = len(temps) - arity
         kids, temps[split:] = temps[split:], []
-        known = shared.get(key)  # a subtree computed before, maybe earlier in this walk
+        cell = shared.get(id(node))
+        known = None if cell is None else cell[0]  # computed before, maybe in this walk
         if known is not None:
             temps.append((known, f"v{known}", 0, False))
             continue
@@ -668,7 +628,7 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
                 fields["args"] = "".join(f"{kid[1]}, " for kid in kids)
                 fields["parts"] = "".join(f"(v{kid[0]}, l{kid[0]}, h{kid[0]}), " for kid in kids)
             entry = (j, value.format_map(fields), nesting, raises)
-        if (not inline or key in shared or entry[2] > _NESTING) and entry[1] != f"v{j}":
+        if (not inline or cell is not None or entry[2] > _NESTING) and entry[1] != f"v{j}":
             entry = compute(j, entry[1], entry[3])
         if not inline:
             if mode != "bounds" and kind in _MARKS:
@@ -677,8 +637,8 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
                 lines.append("del " + ", ".join(f"v{kid[0]}" for kid in kids))
             if mode != "array":
                 lines.extend(rule.format_map(fields) for rule in chain)
-        if key in shared:
-            shared[key] = entry[0]
+        if cell is not None:
+            cell[0] = entry[0]
         temps.append(entry)
     jid, text, _nesting, _raises = temps[0]
     if text != f"v{jid}":
@@ -686,30 +646,69 @@ def emit_lines(expr: Expr, mode: str, lines: List[str], consts: Dict[str, float]
     return jid
 
 
+def _label(node: Expr, arity: int) -> str:
+    """The type of ``node`` and what it holds besides its ``arity`` children: a
+    constant's or an exponent's ``repr``, a name, or the number of children."""
+    kind = type(node)
+    if kind is Const:
+        return f"k{node.value!r}"
+    if kind is Var:
+        return f"v{node.name}"
+    if kind is Pow:
+        return f"^{node.exponent!r}"
+    return f"{kind.__name__}{arity}"
+
+
 def tree_key(expr: Expr) -> str:
     """A key that two trees share only if they compute the same values, up to
-    the sign of a NaN: ``Const(0.0) == Const(-0.0)``, but their keys differ."""
-    return repr(expr)
+    the sign of a NaN: ``Const(0.0) == Const(-0.0)``, but their keys differ.
+
+    It is the labels of the nodes in pre-order, right to left (see
+    :func:`_label`), which read back as exactly one tree: a label gives its
+    node's number of children.
+    """
+    labels, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        kids = children(node)
+        labels.append(_label(node, len(kids)))
+        stack.extend(kids)
+    return " ".join(labels)
 
 
-def repeated_subtrees(trees: Sequence[Expr]) -> Dict[str, None]:
+def repeated_subtrees(trees: Sequence[Expr]) -> Dict[int, list]:
     """The ``memo`` of :func:`emit_lines` that computes once each subtree other
-    than a variable met again in ``trees``, in order: their keys, each mapped
-    to None.  What lies inside a repeat is not visited again."""
-    seen, memo = set(), {}
+    than a variable met again in ``trees``, in order.  What lies inside a
+    repeat is not visited again.
+
+    One bottom-up pass numbers the structures: two nodes share a number exactly
+    when they share a :func:`tree_key`.  The memo maps the ``id`` of every node
+    of a repeated structure to that structure's one cell, ``[None]``, so it
+    holds while ``trees`` live.
+    """
+    number: Dict[int, int] = {}  # id(node) -> its structure
+    structures: Dict[tuple, int] = {}
+    for tree in trees:
+        done: list = []
+        for node, arity in _postorder(tree, lambda node: id(node) in number):
+            key = (_label(node, arity), *done[len(done) - arity:])
+            del done[len(done) - arity:]
+            if id(node) not in number:
+                number[id(node)] = structures.setdefault(key, len(structures))
+            done.append(number[id(node)])
+    seen, cells = set(), {}
     for tree in trees:
         stack = [tree]
         while stack:
             node = stack.pop()
-            if isinstance(node, Var):
-                continue
-            key = tree_key(node)
-            if key in seen:
-                memo[key] = None
-            else:
-                seen.add(key)
-                stack.extend(children(node))
-    return memo
+            if type(node) is not Var:
+                s = number[id(node)]
+                if s in seen:
+                    cells[s] = [None]
+                else:
+                    seen.add(s)
+                    stack.extend(children(node))
+    return {i: cells[s] for i, s in number.items() if s in cells}
 
 
 def _define(params: str, lines: Sequence[str], namespace: dict) -> Callable:
@@ -747,7 +746,7 @@ def _mixes_nans(expr: Expr) -> bool:
     stack = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, (Add, Sub, Mul, Div)):
+        if type(node) in _BINARY:
             return True
         stack.extend(children(node))
     return False
@@ -928,6 +927,12 @@ def compile_bounds_array(expr: Expr, var_order: Sequence[str]) -> Callable:
     return call
 
 
+def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
+    """:func:`compile_expr` at a full binding of the free variables, given by name."""
+    names = tuple(env)
+    return compile_expr(expr, names)([env[n] for n in names])
+
+
 def directional_bounds(expr: Expr, env: Mapping[str, float], seed: Mapping[str, float]):
     """:func:`compile_bounds` at a point and direction given by name (unnamed: 0)."""
     names = tuple(env)
@@ -935,41 +940,34 @@ def directional_bounds(expr: Expr, env: Mapping[str, float], seed: Mapping[str, 
                                        [seed.get(n, 0.0) for n in names])
 
 
-_PREC_ADD, _PREC_MUL, _PREC_ATOM = 1, 2, 4
-
-
 def render(expr: Expr) -> str:
-    """Pretty-print; re-parsing the result is evaluation-preserving."""
-    return _render(expr, 0)
+    """Pretty-print; re-parsing the result is evaluation-preserving.
 
-
-def _render(expr: Expr, parent_prec: int) -> str:
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Sub) and expr.a == Const(0.0):
-        text = "-" + _render(expr.b, _PREC_MUL)
-        return f"({text})" if parent_prec > _PREC_ADD else text
-    if isinstance(expr, (Add, Sub)):
-        op = "+" if isinstance(expr, Add) else "-"
-        text = f"{_render(expr.a, _PREC_ADD)} {op} {_render(expr.b, _PREC_ADD + 1)}"
-        return f"({text})" if parent_prec > _PREC_ADD else text
-    if isinstance(expr, (Mul, Div)):
-        op = "*" if isinstance(expr, Mul) else "/"
-        text = f"{_render(expr.a, _PREC_MUL)}{op}{_render(expr.b, _PREC_MUL + 1)}"
-        return f"({text})" if parent_prec > _PREC_MUL else text
-    if isinstance(expr, Pow):
-        return f"{_render(expr.base, _PREC_ATOM)}^{repr(expr.exponent)}"
-    if isinstance(expr, Abs):
-        return f"abs({_render(expr.a, 0)})"
-    if isinstance(expr, Exp):
-        return f"exp({_render(expr.a, 0)})"
-    if isinstance(expr, Log):
-        return f"log({_render(expr.a, 0)})"
-    if isinstance(expr, Min):
-        return "min(" + ", ".join(_render(a, 0) for a in expr.args) + ")"
-    if isinstance(expr, Max):
-        return "max(" + ", ".join(_render(a, 0) for a in expr.args) + ")"
-    raise TypeError(f"unknown node {expr!r}")
-
+    A pre-order walk over tokens: each node carries the precedence its position
+    requires and is parenthesised where its own is lower.
+    """
+    out, stack = [], [(expr, 0)]
+    while stack:  # tokens are pushed last first
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, prec = item
+        kind = type(node)
+        if kind is Const:
+            out.append(repr(node.value))
+        elif kind is Var:
+            out.append(node.name)
+        elif kind is Pow:
+            stack += [f"^{node.exponent!r}", (node.base, _PREC_ATOM)]
+        elif kind in _NAMES:
+            args = [part for arg in reversed(children(node)) for part in ((arg, 0), ", ")]
+            stack += [")", *args[:-1], f"{_NAMES[kind]}("]
+        else:
+            op, own = _BINARY[kind]
+            if kind is Sub and type(node.a) is Const and node.a.value == 0.0:
+                parts = [(node.b, _PREC_MUL), "-"]
+            else:
+                parts = [(node.b, own + 1), op, (node.a, own)]
+            stack += [")", *parts, "("] if prec > own else parts
+    return "".join(out)

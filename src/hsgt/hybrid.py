@@ -352,10 +352,10 @@ def compose_network(specs: Sequence[SubsystemSpec], input_dim: int) -> NetworkSp
 
 
 def _jump_sets_equal(net: NetworkSpec, specs) -> bool:
-    """Structurally equal jump guards, or 256 seeded points in [-2, 2]^(n+m) that
+    """Jump guards of one ``tree_key``, or 256 seeded points in [-2, 2]^(n+m) that
     every jump guard classifies alike."""
-    first = specs[0].d_guard
-    if all(s.d_guard == first for s in specs[1:]):
+    first = ex.tree_key(specs[0].d_guard)
+    if all(ex.tree_key(s.d_guard) == first for s in specs[1:]):
         return True
     rng = np.random.default_rng(20240801)
     for _ in range(256):

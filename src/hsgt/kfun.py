@@ -125,7 +125,7 @@ class KFun:
         names = ex.free_vars(expression)
         if not names <= {"s"}:
             raise KFunError(f"expected a function of 's', found variables {sorted(names)}")
-        if expression == ex.Const(0.0):
+        if type(expression) is ex.Const and expression.value == 0.0:
             return KFun.zero()
         compiled, shape, consts = ex.compile_shaped(expression, ("s",))
         f = KFun.from_callable(lambda s: compiled((s,)), "", expression)

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .expr import EvalDomainError
+from .expr import EvalDomainError, tree_key
 from .hybrid import NetworkSpec
 
 
@@ -370,17 +370,17 @@ class _TieDecoder:
 class SampleMemo:
     """The sample sets of one command, drawn once each.
 
-    A set is keyed by its kind (flow or jump), the guard expressions its guard
-    folds over and the sampler spec; within one network those decide the
-    samples.  A memo belongs to one command and one network: a draw that raises
-    is not kept.
+    A set is keyed by its kind (flow or jump), the ``tree_key`` of each guard
+    expression its guard folds over and the sampler spec; within one network
+    those decide the samples.  A memo belongs to one command and one network: a
+    draw that raises is not kept.
     """
 
     def __init__(self):
         self._sets: Dict[tuple, np.ndarray] = {}
 
     def get(self, net: NetworkSpec, kind: str, spec: SamplerSpec, sub: Optional[int]):
-        guards = tuple(s.c_guard if kind == "c" else s.d_guard for s in
+        guards = tuple(tree_key(s.c_guard if kind == "c" else s.d_guard) for s in
                        (net.subsystems if sub is None else [net.subsystems[sub]]))
         key = (kind, guards, tuple(_frozen(getattr(spec, f.name))
                                    for f in dataclasses.fields(spec)))

@@ -8,6 +8,11 @@ lines in post-order.  ``_generate`` is the former body builder.  On them,
 ``compile_expr``, ``compile_array``, ``compile_bounds`` and
 ``compile_bounds_array`` build the former functions, each with the
 lane-redo rule that ``hsgt.expr`` wrapped around its kernels.
+
+``evaluate``, ``free_vars``, ``substitute``, ``render`` (with ``_render``) and
+``repeated_subtrees`` are the former recursive tree walks, verbatim but for the
+module prefix; ``repeated_subtrees`` keys subtrees by their ``repr``, as the
+former ``tree_key`` did.  ``evaluate`` is the former reference interpreter.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from hsgt import expr as ex
-from hsgt.expr import (Abs, Add, Const, Div, Exp, Expr, Log, Max, Min, Mul, Pow, Sub,
-                       UnboundVariableError, Var)
+from hsgt.expr import (Abs, Add, Const, Div, EvalDomainError, EvalOverflowError, Exp, Expr,
+                       Log, Max, Min, Mul, Pow, Sub, UnboundVariableError, Var)
 
 
 def _scale(c: str, lo: str, hi: str, out: str = "l{j}, h{j}") -> str:
@@ -238,3 +243,152 @@ def _lanes_or_scalar(lanes_fn: Callable, scalar: Callable) -> Callable:
                 out[p] = value
         return tuple(outs)
     return fn
+
+
+# ---------------------------------------------------------------------------
+# the former recursive tree walks
+
+
+def free_vars(expr: Expr) -> frozenset:
+    if isinstance(expr, Const):
+        return frozenset()
+    if isinstance(expr, Var):
+        return frozenset((expr.name,))
+    if isinstance(expr, (Add, Sub, Mul, Div)):
+        return free_vars(expr.a) | free_vars(expr.b)
+    if isinstance(expr, Pow):
+        return free_vars(expr.base)
+    if isinstance(expr, (Abs, Exp, Log)):
+        return free_vars(expr.a)
+    return frozenset().union(*(free_vars(a) for a in expr.args)) if expr.args else frozenset()
+
+
+def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
+    """Replace variables by subtrees; realizes function composition."""
+    if isinstance(expr, Const):
+        return expr
+    if isinstance(expr, Var):
+        return mapping.get(expr.name, expr)
+    if isinstance(expr, Add):
+        return Add(substitute(expr.a, mapping), substitute(expr.b, mapping))
+    if isinstance(expr, Sub):
+        return Sub(substitute(expr.a, mapping), substitute(expr.b, mapping))
+    if isinstance(expr, Mul):
+        return Mul(substitute(expr.a, mapping), substitute(expr.b, mapping))
+    if isinstance(expr, Div):
+        return Div(substitute(expr.a, mapping), substitute(expr.b, mapping))
+    if isinstance(expr, Pow):
+        return Pow(substitute(expr.base, mapping), expr.exponent)
+    if isinstance(expr, Abs):
+        return Abs(substitute(expr.a, mapping))
+    if isinstance(expr, Exp):
+        return Exp(substitute(expr.a, mapping))
+    if isinstance(expr, Log):
+        return Log(substitute(expr.a, mapping))
+    if isinstance(expr, Min):
+        return Min(tuple(substitute(a, mapping) for a in expr.args))
+    return Max(tuple(substitute(a, mapping) for a in expr.args))
+
+
+def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
+    """Evaluate at a full binding of the free variables (the reference interpreter)."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Var):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise UnboundVariableError(expr.name) from None
+    try:
+        if isinstance(expr, Add):
+            return evaluate(expr.a, env) + evaluate(expr.b, env)
+        if isinstance(expr, Sub):
+            return evaluate(expr.a, env) - evaluate(expr.b, env)
+        if isinstance(expr, Mul):
+            return evaluate(expr.a, env) * evaluate(expr.b, env)
+        if isinstance(expr, Div):
+            num, denom = evaluate(expr.a, env), evaluate(expr.b, env)
+            if denom == 0.0:
+                raise EvalDomainError("division by zero")
+            return num / denom
+        if isinstance(expr, Pow):
+            base = evaluate(expr.base, env)
+            try:
+                return math.pow(base, expr.exponent)
+            except ValueError as exc:
+                raise EvalDomainError(f"invalid power {base!r}^{expr.exponent!r}") from exc
+        if isinstance(expr, Abs):
+            return abs(evaluate(expr.a, env))
+        if isinstance(expr, Exp):
+            return math.exp(evaluate(expr.a, env))
+        if isinstance(expr, Log):
+            v = evaluate(expr.a, env)
+            if v <= 0.0:
+                raise EvalDomainError(f"log of non-positive value {v!r}")
+            return math.log(v)
+        if isinstance(expr, Min):
+            return min(evaluate(a, env) for a in expr.args)
+        if isinstance(expr, Max):
+            return max(evaluate(a, env) for a in expr.args)
+    except OverflowError as exc:
+        raise EvalOverflowError("overflow during evaluation") from exc
+    raise TypeError(f"unknown node {expr!r}")
+
+
+def repeated_subtrees(trees: Sequence[Expr]) -> Dict[str, None]:
+    """The ``memo`` of :func:`emit_lines` that computes once each subtree other
+    than a variable met again in ``trees``, in order: their keys, each mapped
+    to None.  What lies inside a repeat is not visited again."""
+    seen, memo = set(), {}
+    for tree in trees:
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Var):
+                continue
+            key = repr(node)
+            if key in seen:
+                memo[key] = None
+            else:
+                seen.add(key)
+                stack.extend(ex.children(node))
+    return memo
+
+
+_PREC_ADD, _PREC_MUL, _PREC_ATOM = 1, 2, 4
+
+
+def render(expr: Expr) -> str:
+    """Pretty-print; re-parsing the result is evaluation-preserving."""
+    return _render(expr, 0)
+
+
+def _render(expr: Expr, parent_prec: int) -> str:
+    if isinstance(expr, Const):
+        return repr(expr.value)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Sub) and expr.a == Const(0.0):
+        text = "-" + _render(expr.b, _PREC_MUL)
+        return f"({text})" if parent_prec > _PREC_ADD else text
+    if isinstance(expr, (Add, Sub)):
+        op = "+" if isinstance(expr, Add) else "-"
+        text = f"{_render(expr.a, _PREC_ADD)} {op} {_render(expr.b, _PREC_ADD + 1)}"
+        return f"({text})" if parent_prec > _PREC_ADD else text
+    if isinstance(expr, (Mul, Div)):
+        op = "*" if isinstance(expr, Mul) else "/"
+        text = f"{_render(expr.a, _PREC_MUL)}{op}{_render(expr.b, _PREC_MUL + 1)}"
+        return f"({text})" if parent_prec > _PREC_MUL else text
+    if isinstance(expr, Pow):
+        return f"{_render(expr.base, _PREC_ATOM)}^{repr(expr.exponent)}"
+    if isinstance(expr, Abs):
+        return f"abs({_render(expr.a, 0)})"
+    if isinstance(expr, Exp):
+        return f"exp({_render(expr.a, 0)})"
+    if isinstance(expr, Log):
+        return f"log({_render(expr.a, 0)})"
+    if isinstance(expr, Min):
+        return "min(" + ", ".join(_render(a, 0) for a in expr.args) + ")"
+    if isinstance(expr, Max):
+        return "max(" + ", ".join(_render(a, 0) for a in expr.args) + ")"
+    raise TypeError(f"unknown node {expr!r}")

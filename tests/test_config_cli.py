@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -586,3 +587,133 @@ def test_seed_zero_is_accepted(tmp_path):
     assert main(["check-gains", "--config", config_path("e1.json"), "--seed", "0",
                  "--out", out]) == 0
     assert json.load(open(out))["seed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# long and deep inputs: one error line or the usual result, never a traceback
+
+LONG_TERMS = 5000
+
+
+def _long_sum(term: str, total: float) -> str:
+    """``total*term`` as a sum of LONG_TERMS equal terms: a tree LONG_TERMS deep."""
+    return " + ".join([f"{total / LONG_TERMS!r}*{term}"] * LONG_TERMS)
+
+
+def _padded(text: str, var: str) -> str:
+    """``text`` plus a LONG_TERMS-term sum of zeros: as long, cheaper to sample."""
+    return f"{text} + ({_long_sum(var, 0.0)})"
+
+
+_FLOW_GUARD = _padded("max(abs(x_1), abs(x_2)) - 1", "x_1")
+_JUMP_GUARD = _padded("1 - max(abs(x_1), abs(x_2))", "x_2")
+
+
+def _light(name: str) -> dict:
+    """``configs/name`` with small samplers, horizons and batches."""
+    cfg = load_json(name)
+    analysis = cfg["analysis"]
+    analysis["sampler"]["n_samples"] = 100
+    analysis["simulation"]["horizon"] = 0.1
+    traj = analysis.get("trajectories")
+    if traj is not None:
+        traj.update(horizon=2.0, input_levels=[0.0, 1.0])
+        if isinstance(traj["initial_conditions"], dict):
+            traj["initial_conditions"]["count"] = 2
+    return cfg
+
+
+def _subsystems(cfg):
+    return cfg["network"]["subsystems"]
+
+
+def _lyapunov(key: str, total: float):
+    return lambda c: c["lyapunov"]["subsystems"][0].update({key: _long_sum("s", total)})
+
+
+def _trajectories(key: str, value):
+    return lambda c: c["analysis"]["trajectories"].update({key: value})
+
+
+_SIMULATE, _SUBSYSTEM, _COMPOSITE = ["simulate"], ["verify", "--which", "subsystem"], \
+    ["verify", "--which", "composite"]
+_LONG_FIELDS = {
+    "flow": ("e1.json", lambda c: _subsystems(c)[0].update(
+        flow=["0.25*x_2 - (" + _long_sum("x_1", 1.0) + ")"]), [_SIMULATE, _SUBSYSTEM]),
+    "jump": ("e1.json", lambda c: _subsystems(c)[0].update(jump=[_long_sum("x_1", 0.5)]),
+             [_SIMULATE, _SUBSYSTEM]),
+    "flow_guard": ("e1.json", lambda c: _subsystems(c)[1].update(flow_guard=_FLOW_GUARD),
+                   [_SIMULATE, _SUBSYSTEM]),
+    "jump_guard": ("e1.json", lambda c: _subsystems(c)[1].update(jump_guard=_JUMP_GUARD),
+                   [_SIMULATE, _SUBSYSTEM]),
+    "gains.internal": ("e1.json", lambda c: c["gains"]["internal"][0].__setitem__(
+        1, _long_sum("s", 0.5)), [["check-gains"], ["build-lyapunov"]]),
+    "gains.external": ("e1.json", lambda c: c["gains"]["external"].__setitem__(
+        0, _long_sum("s", 0.5)), [["check-gains"], ["build-lyapunov"]]),
+    "v": ("e1.json", lambda c: c["lyapunov"]["subsystems"][0].update(
+        v=_padded("abs(x_1)", "x_1")), [["build-lyapunov"], _SUBSYSTEM, _COMPOSITE]),
+    **{key: ("e1.json", _lyapunov(key, total), [["build-lyapunov"], _SUBSYSTEM, _COMPOSITE])
+       for key, total in (("psi1", 0.5), ("psi2", 2.0), ("alpha", 0.5), ("lambda", 0.5),
+                          ("external_gain", 0.5))},
+    "beta.expr": ("e1_traj_iss.json", _trajectories(
+        "beta", {"expr": "exp(0 - 0.4*t)*(" + _long_sum("r", 1.0) + ")"}), [["check-traj"]]),
+    "sigmas": ("e1_traj_pregs.json", _trajectories(
+        "sigmas", [_long_sum("s", 1.0), "s"]), [["check-traj"]]),
+    "composite_sigma": ("e1_traj_pregs.json", _trajectories(
+        "composite_sigma", _long_sum("s", 1.0)), [["check-traj"]]),
+    "composite_gamma": ("e1_traj_pregs.json", _trajectories(
+        "composite_gamma", _long_sum("s", 0.5)), [["check-traj"]]),
+    "input.exprs": ("e1.json", lambda c: c["analysis"]["simulation"].update(
+        input={"type": "expr", "exprs": [_long_sum("t", 0.0)]}), [_SIMULATE]),
+}
+
+
+@pytest.mark.parametrize("field, command", [
+    (field, command) for field, (_name, _edit, commands) in _LONG_FIELDS.items()
+    for command in commands], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+def test_a_5000_term_sum_runs_in_every_field(tmp_path, capsys, field, command):
+    """Each walk over a tree is a loop, so a long sum runs as a short one does:
+    every case here passes, as the light config without it does."""
+    name, edit, _commands = _LONG_FIELDS[field]
+    cfg = _light(name)
+    edit(cfg)
+    out = str(tmp_path / ("out.csv" if command[0] == "simulate" else "out.json"))
+    assert main(command + ["--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_5000_term_guard_shared_by_every_subsystem_simulates_in_seconds(tmp_path):
+    """The run kernel computes a guard that every subsystem repeats once; numbering
+    the repeated subtrees is linear in the tree, so this takes seconds, not the
+    minutes of a memo that keys each subtree by its own walk."""
+    cfg = _light("e1.json")
+    for sub in _subsystems(cfg):
+        sub.update(flow_guard=_FLOW_GUARD, jump_guard=_JUMP_GUARD)
+    path = write_cfg(tmp_path, cfg)
+    start = time.perf_counter()
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out.csv")]) == 0
+    assert time.perf_counter() - start < 30.0
+
+
+@pytest.mark.parametrize("depth", [100, 101])
+def test_parentheses_nested_past_the_bound_exit_2_with_the_offset(tmp_path, capsys, depth):
+    cfg = _light("e1.json")
+    _subsystems(cfg)[0]["flow"] = ["(" * depth + "0 - x_1" + ")" * depth]
+    code = main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    if depth <= ex.NESTING_MAX:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: network.subsystems[0].flow[0]: parentheses nested deeper than "
+            f"{ex.NESTING_MAX} levels (offset {depth})"]
+
+
+def test_deeply_nested_json_exits_2_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["check-gains", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: invalid JSON in {path}: ")

@@ -1,4 +1,4 @@
-"""Parser, reference evaluator, generated backend, renderer, and directional-bound tests."""
+"""Parser, tree walks, generated backend, renderer, and directional-bound tests."""
 
 import math
 import struct
@@ -181,7 +181,7 @@ def _outcome(fn):
 @settings(max_examples=400, deadline=None)
 @given(_trees(), _POINTS, _POINTS, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_generated_code_matches_reference_interpreter(tree, x, y, dx, dy):
-    reference = _outcome(lambda: ex.evaluate(tree, {"x": x, "y": y}))
+    reference = _outcome(lambda: reference_expr.evaluate(tree, {"x": x, "y": y}))
     assert _outcome(lambda: ex.compile_expr(tree, ("x", "y"))((x, y))) == reference
     try:
         value, lo, hi = ex.compile_bounds(tree, ("x", "y"))([x, y], [dx, dy])
@@ -412,6 +412,32 @@ def test_deeply_nested_value_code_compiles():
             _bits_or_error(lambda: reference_expr.compile_expr(tree, ("x",))((x,)))
 
 
+def test_parentheses_nest_up_to_the_bound():
+    """Each level takes a few parser frames, so the bound keeps a deep text from
+    exhausting the interpreter's stack; past it the '(' that opens one level too
+    many is named."""
+    bound = ex.NESTING_MAX
+    assert ex.parse("(" * bound + "s" + ")" * bound, ["s"]) == ex.Var("s")
+    assert ex.parse("abs(" * bound + "s" + ")" * bound, ["s"]) is not None
+    for text, offset in (("(" * (bound + 1) + "s" + ")" * (bound + 1), bound + 1),
+                         ("max(s, " * (bound + 1) + "s" + ")" * (bound + 1), 7 * bound + 4)):
+        with pytest.raises(ex.ParseError) as err:
+            ex.parse(text, ["s"])
+        assert err.value.offset == offset
+        assert str(err.value) == f"parentheses nested deeper than {bound} levels (offset {offset})"
+
+
+def test_tree_walks_take_a_5000_term_sum():
+    text = " + ".join(["s"] * 5000)
+    tree = ex.parse(text, ["s"])
+    assert ex.render(tree) == text
+    assert ex.free_vars(tree) == {"s"}
+    assert ex.tree_key(ex.substitute(tree, {"s": ex.Var("s")})) == ex.tree_key(tree)
+    assert ex.evaluate(tree, {"s": 0.5}) == 2500.0
+    memo = ex.repeated_subtrees([tree, ex.parse(text, ["s"])])  # the roots share one cell
+    assert len(memo) == 2 and len({id(cell) for cell in memo.values()}) == 1
+
+
 def test_long_sum_compiles_straight_line():
     tree = ex.parse(" + ".join(["s"] * 600), ["s"])
     assert ex.compile_expr(tree, ("s",))((0.5,)) == ex.evaluate(tree, {"s": 0.5}) == 300.0
@@ -463,3 +489,97 @@ def test_generated_domain_errors_follow_the_contract():
     for text, value in (("1/s", 0.0), ("log(s)", -1.0), ("s^0.5", -2.0)):
         with pytest.raises(ex.EvalDomainError):
             ex.compile_expr(ex.parse(text, ["s"]), ("s",))((value,))
+
+
+# ---------------------------------------------------------------------------
+# the tree walks against the former recursive ones in ``reference_expr``
+
+_EDGES = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, 0.5])
+
+
+def _edge_trees(max_leaves=12):
+    """Trees over constants at the edges of the float line, with ``0 - x`` of
+    either zero among them (the parser's leading minus builds ``0.0 - x``)."""
+    leaves = _EDGES.map(ex.Const) | st.sampled_from(["x", "y"]).map(ex.Var)
+
+    def extend(ch):
+        pair = st.tuples(ch, ch)
+        args = st.lists(ch, min_size=1, max_size=3).map(tuple)
+        return st.one_of(
+            pair.map(lambda p: ex.Add(*p)), pair.map(lambda p: ex.Sub(*p)),
+            pair.map(lambda p: ex.Mul(*p)), pair.map(lambda p: ex.Div(*p)),
+            st.tuples(st.sampled_from([0.0, -0.0]), ch).map(lambda p: ex.Sub(ex.Const(p[0]), p[1])),
+            st.tuples(ch, _EDGES).map(lambda p: ex.Pow(*p)),
+            ch.map(ex.Abs), ch.map(ex.Exp), ch.map(ex.Log), args.map(ex.Min), args.map(ex.Max))
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edge_trees(), _edge_trees(max_leaves=4))
+@example(ex.Mul(ex.Sub(ex.Const(-0.0), ex.Var("x")), ex.Sub(ex.Const(0.0), ex.Var("y"))),
+         ex.Const(math.nan))
+def test_tree_walks_match_the_former_recursive_ones(tree, inner):
+    assert ex.render(tree) == reference_expr.render(tree)
+    assert ex.free_vars(tree) == reference_expr.free_vars(tree)
+    for mapping in ({"x": inner}, {"x": inner, "y": ex.Var("x")}, {}):
+        assert repr(ex.substitute(tree, mapping)) == repr(reference_expr.substitute(tree, mapping))
+
+
+_SMALL = st.recursive(
+    st.sampled_from([ex.Const(0.0), ex.Const(-0.0), ex.Const(math.nan), ex.Const(-math.nan),
+                     ex.Const(1.0), ex.Var("x")]),
+    lambda ch: st.one_of(st.tuples(ch, ch).map(lambda p: ex.Sub(*p)),
+                         st.tuples(ch, ch).map(lambda p: ex.Add(*p)),
+                         st.lists(ch, min_size=1, max_size=2).map(tuple).map(ex.Min),
+                         ch.map(ex.Abs), st.tuples(ch, _EDGES).map(lambda p: ex.Pow(*p))),
+    max_leaves=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_SMALL, min_size=2, max_size=8))
+@example([ex.Const(0.0), ex.Const(-0.0)])
+@example([ex.Pow(ex.Var("x"), 0.0), ex.Pow(ex.Var("x"), -0.0)])
+@example([ex.Min((ex.Var("x"), ex.Var("x"))), ex.Min((ex.Var("x"),))])
+def test_tree_key_is_shared_exactly_by_equal_reprs(trees):
+    """Small trees over few leaves, so that many pairs are equal: NaN of either
+    sign has one ``repr``, a zero of each sign its own."""
+    for a in trees:
+        for b in trees:
+            assert (ex.tree_key(a) == ex.tree_key(b)) == (repr(a) == repr(b))
+
+
+def _cells_by_id(memo, trees):
+    """The former ``repr``-keyed ``memo`` in the form :func:`ex.emit_lines` reads:
+    one cell per key, under the ``id`` of each node with that key."""
+    cells = {key: [None] for key in memo}
+    out, stack = {}, list(trees)
+    while stack:
+        node = stack.pop()
+        if repr(node) in cells:
+            out[id(node)] = cells[repr(node)]
+        stack.extend(ex.children(node))
+    return out
+
+
+@st.composite
+def _guard_lists(draw):
+    """Guards that share subtrees: as objects, as equal copies, and inside sums
+    and maxima of each other."""
+    pool = draw(st.lists(_edge_trees(max_leaves=5), min_size=1, max_size=3))
+    pick = st.sampled_from(pool)
+    guard = st.one_of(pick, pick.map(lambda t: reference_expr.substitute(t, {})),
+                      st.tuples(pick, pick).map(lambda p: ex.Add(*p)),
+                      st.tuples(pick, pick).map(ex.Max), _edge_trees(max_leaves=3))
+    return draw(st.lists(guard, min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_guard_lists())
+def test_shared_subtrees_emit_as_with_the_former_repr_keyed_memo(guards):
+    def emit(memo):
+        lines, consts = [], {}
+        roots = [ex.emit_lines(g, "value", lines, consts, {"x": 0, "y": 1}, tag=f"g{i}_",
+                               memo=memo) for i, g in enumerate(guards)]
+        return lines, repr(consts), roots
+    assert emit(ex.repeated_subtrees(guards)) == \
+        emit(_cells_by_id(reference_expr.repeated_subtrees(guards), guards))

@@ -1,5 +1,5 @@
-"""Every module-level import under ``src/hsgt`` is used, and every ``def`` and
-module-level name is read.
+"""Every module-level import under ``src/hsgt`` is used, every ``def`` and
+module-level name is read, and no module-level function calls itself.
 
 An ``ast`` scan in place of a linter: a name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in the same module.  The package's
@@ -9,7 +9,9 @@ attribute) somewhere in ``src/``, ``scripts/`` or ``perfbench/``, and a method
 must be read as an attribute of something other than an imported module, so
 that ``np.full`` is no read of a method ``full``.  A name that a module-level
 assignment binds must be read there too, as a name or an attribute.  Code and
-tables that only tests use belong in ``tests/``.
+tables that only tests use belong in ``tests/``.  A module-level function must
+not load its own name: recursion on a config's input ends in a
+``RecursionError`` once the input is deep enough, so tree walks are loops.
 """
 
 import ast
@@ -23,7 +25,7 @@ MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__ini
 READERS = ("src", "scripts", "perfbench")
 # defs kept without a reader in READERS, besides the package exports and dunders
 ALLOWED_UNREAD = {
-    "evaluate",  # expr's reference interpreter, which perfbench/tracer.py wraps
+    "evaluate",  # a by-name call of compile_expr, kept because perfbench/tracer.py wraps it
     "directional_bounds",  # perfbench/tracer.py wraps it by its name as a string
 }
 
@@ -127,6 +129,40 @@ def _sources(top: str) -> dict:
                 with open(os.path.join(root, name), encoding="utf-8") as fh:
                     out[os.path.relpath(os.path.join(root, name), REPO)] = fh.read()
     return out
+
+
+# module-level functions allowed to call themselves, with the reason
+ALLOWED_RECURSIVE = {
+    "sampling.py:_frozen",  # over the sampler spec's u_box pairs, whose shape the loader checks
+}
+
+
+def recursive_functions(modules: dict) -> list:
+    """``(module, line, name)`` of each module-level function in ``modules``
+    (name -> source) that loads its own name."""
+    found = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Name) and n.id == node.name and isinstance(n.ctx, ast.Load)
+                    for n in ast.walk(node)):
+                found.append((module, node.lineno, node.name))
+    return sorted(found)
+
+
+def test_no_module_level_function_recurses():
+    found = recursive_functions({m: open(os.path.join(SRC, m), encoding="utf-8").read()
+                                 for m in MODULES})
+    assert [(m, name) for m, _line, name in found
+            if f"{m}:{name}" not in ALLOWED_RECURSIVE] == []
+
+
+def test_scan_finds_a_recursive_function():
+    module = ("def walk(t):\n    return [walk(c) for c in t]\n\n\n"
+              "def loop(t):\n    stack = [t]\n    while stack:\n        stack.pop()\n\n\n"
+              "class C:\n    def m(self):\n        return self.m\n\n\n"
+              "def outer():\n    def inner():\n        return inner\n    return inner\n")
+    assert recursive_functions({"m.py": module}) == [("m.py", 1, "walk")]
 
 
 def test_every_def_is_read_outside_tests():
