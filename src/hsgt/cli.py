@@ -25,7 +25,8 @@ from .config import ConfigError, ProjectConfig, load_config
 from .equiv import TransformError, to_v_form, to_w_form
 from .expr import EvalDomainError
 from .gains import OmegaPathError, SmallGainError, small_gain_check
-from .hybrid import HybridError, InputSignal, write_trajectory_csv, simulate
+from .hybrid import HybridError, InputSignal, simulate, trajectory_csv_header, \
+    write_trajectory_csv
 from .kfun import KFunError, kfun_to_json
 from .lyapunov import (CertificateError, build_composite, verify_composite_flow,
                        verify_composite_jump, verify_subsystem)
@@ -41,12 +42,16 @@ def _emit(report: dict, out: Optional[str]) -> None:
     # its token.  A finite float's repr reads back as the same float, and the
     # keys keep the order of the first, sorting pass.
     strict = json.loads(json.dumps(report, sort_keys=True), parse_constant=str)
-    text = json.dumps(strict, indent=2, allow_nan=False)
+    _write(json.dumps(strict, indent=2, allow_nan=False) + "\n", out)
+
+
+def _write(text: str, out: Optional[str]) -> None:
+    """``text`` as it is, into the file ``out`` or else to stdout."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _load(args) -> ProjectConfig:
@@ -144,26 +149,15 @@ def cmd_simulate(args) -> int:
     if cfg.simulation is None:
         raise ConfigError("config has no analysis.simulation section")
     sim = cfg.simulation
-    n, m = cfg.network.state_dim, cfg.network.input_dim
     if sim.horizon <= 0.0 and sim.max_jumps <= 0:
-        header = ",".join(["t", "k"] + [f"x_{i + 1}" for i in range(n)]
-                          + [f"u_{j + 1}" for j in range(m)] + ["phase"])
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(header + "\r\n")
-        else:
-            print(header)
+        _write(trajectory_csv_header(cfg.network.state_dim, cfg.network.input_dim), args.out)
         print("domain: 0 intervals, 0 jumps", file=sys.stderr)
         return PASS
     sol = simulate(cfg.network, sim.x0, sim.input_signal, sim.horizon,
                    sim.max_jumps, sim.options)
     buffer = io.StringIO()
     rows = write_trajectory_csv(sol, buffer)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
+    _write(buffer.getvalue(), args.out)
     summary = (f"domain: {len(sol.domain.intervals)} intervals, "
                f"{sol.jumps_applied} jumps, termination={sol.termination}, rows={rows}")
     print(summary, file=sys.stderr if not args.out else sys.stdout)

@@ -74,13 +74,11 @@ def _seed(cfg: dict, path: str, default: int) -> int:
     return _as_int(cfg.get("seed", default), f"{path}.seed", 0)
 
 
-def _number(cfg: dict, key: str, path: str, default=None, cast=float):
-    """``cfg[key]`` converted by ``cast``; required when ``default`` is None."""
+def _number(cfg: dict, key: str, path: str, default=None) -> float:
+    """``cfg[key]`` as a float; required when ``default`` is None."""
     value = _get(cfg, key, path, required=default is None, default=default)
-    if cast is int:
-        return _integer(value, f"{path}.{key}")
     try:
-        return cast(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         _fail(f"{path}.{key}", f"expected a number, got {value!r}")
 
@@ -223,8 +221,6 @@ class TrajectorySection:
 
 @dataclass
 class ProjectConfig:
-    path: str
-    raw: dict
     network: NetworkSpec
     gain_matrix: Optional[GainMatrix]
     candidates: Optional[List[SubsystemLyapunov]]
@@ -251,10 +247,10 @@ def load_config(path: str) -> ProjectConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return build_config(raw, path)
+    return build_config(raw)
 
 
-def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
+def build_config(raw: dict) -> ProjectConfig:
     net = _build_network(_object(_get(_object(raw, "config"), "network", "config"), "network"))
     n = net.n
 
@@ -332,10 +328,9 @@ def build_config(raw: dict, path: str = "<dict>") -> ProjectConfig:
     if "trajectories" in analysis:
         trajectories = _build_trajectories(analysis["trajectories"], net, priority, seed, built)
 
-    return ProjectConfig(path=path, raw=raw, network=net, gain_matrix=gain_matrix,
-                         candidates=candidates, anchor=anchor, seed=seed,
-                         priority=priority, sg_options=sg_options, sampler=sampler,
-                         tolerances=tolerances, simulation=simulation,
+    return ProjectConfig(network=net, gain_matrix=gain_matrix, candidates=candidates,
+                         anchor=anchor, seed=seed, priority=priority, sg_options=sg_options,
+                         sampler=sampler, tolerances=tolerances, simulation=simulation,
                          trajectories=trajectories)
 
 

@@ -157,7 +157,7 @@ def _verify_w_form(wf: WFormCertificate, net: NetworkSpec, sampler: SamplerSpec,
     report = VerificationReport(condition="norm-threshold-form")
     drawn = _draw_samples(report, net, sampler, jump_seed=3, memo=memo)
     if drawn is None:
-        return report
+        return report.finalize()
     flow_pts, jump_pts = drawn
     n = net.state_dim
 
@@ -180,15 +180,13 @@ def _verify_w_form(wf: WFormCertificate, net: NetworkSpec, sampler: SamplerSpec,
         premise, x_mag = above_threshold(cols)
         on = cols[:, premise]
         drop = cert.values(net.jump_array(on)) - cert.values(on[:n])
-        return premise, drop, -wf.alpha2_bar.array(x_mag), tol.flow, "norm-threshold jump decrease"
+        rhs = -wf.alpha2_bar.array(x_mag)
+        return premise, drop, rhs, tol.jump_slack(rhs), "norm-threshold jump decrease"
 
     _check_samples(report, "flow", flow_pts, n, flow)
     _check_samples(report, "jump", jump_pts, n, jump)
-    if report.samples_checked == 0:
-        report.verdict = "inconclusive"
-        report.notes.append("no sample passed the norm threshold")
-        return report
-    return report.finalize()
+    return report.finalize(None if report.samples_checked else
+                           "no sample passed the norm threshold")
 
 
 def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
@@ -222,8 +220,7 @@ def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
 
     report = VerificationReport(condition="gain-implication-jump")
     if not at_least(lam.classification, Classification.CLASS_K):
-        report.verdict = "inconclusive"
-        report.notes.append("identity minus the decrement failed monotonicity checks")
+        report.finalize("identity minus the decrement failed monotonicity checks")
         return gamma, lam, report
     for r in FORM_GRID:
         if lam(float(r)) >= float(r):
@@ -232,22 +229,10 @@ def to_v_form(wf: WFormCertificate, sampler: SamplerSpec,
     gamma_tilde = _fit_jump_input_gain(wf, gamma, sampler)
 
     drawn = _draw_samples(report, net, sampler, flow=False, jump_seed=5, memo=memo)
-    if drawn is None:
-        return gamma, lam, report
-    pts = drawn[1]
-    if not len(pts):  # empty jump set: vacuous, and no input gain to report
-        return gamma, lam, report.finalize()
-    n = net.state_dim
-
-    def jump(cols):
-        rhs = lam.array(cert.values(cols[:n]))
-        if not gamma_tilde.is_zero:
-            rhs = ex.lane_max([rhs, gamma_tilde.array(_max_norm(cols[n:]))])
-        return (_everywhere(cols), cert.values(net.jump_array(cols)), rhs,
-                ex.lane_max([tol.flow, tol.jump_rel * np.abs(rhs)]), "recovered jump inequality")
-
-    _check_samples(report, "jump", pts, n, jump)
-    report.extras["gamma_tilde"] = kfun_to_json(gamma_tilde)
+    if drawn is not None and len(drawn[1]):  # an empty jump set is vacuous: no input gain
+        _check_samples(report, "jump", drawn[1], net.state_dim, cert.jump_condition(
+            net, lam, gamma_tilde, tol, "recovered jump inequality"))
+        report.extras["gamma_tilde"] = kfun_to_json(gamma_tilde)
     return gamma, lam, report.finalize()
 
 

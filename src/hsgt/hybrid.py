@@ -514,7 +514,7 @@ def _unpack(ids: List[str], seq: str) -> List[str]:
     return ["".join(f"v{i}, " for i in ids) + f"= {seq}"] if ids else []
 
 
-def _classify_lines(net: NetworkSpec, ids: dict, consts: dict) -> List[str]:
+def _classify_lines(net: NetworkSpec, ids: dict, consts: dict, shared: dict) -> List[str]:
     """Lines setting ``mode`` at the point whose coordinates are the locals that
     ``ids`` names: OUTSIDE_C unless the flow guard (the ``c_raw`` fold) is <= 0
     (NaN is outside), else JUMP under ``jump_priority`` if the jump guard (the
@@ -524,11 +524,13 @@ def _classify_lines(net: NetworkSpec, ids: dict, consts: dict) -> List[str]:
     met again, in a guard or across the two folds, is read from the local that
     its first evaluation set, so structurally equal guards are evaluated once:
     a repeat cannot change a fold where a later value wins only if strictly
-    better.
+    better.  ``shared`` is ``expr.repeated_subtrees`` of the flow guards, then
+    the jump guards; these lines fill fresh cells of it, one per structure.
     """
     c_guards = [s.c_guard for s in net.subsystems]
     d_guards = [s.d_guard for s in net.subsystems]
-    memo = ex.repeated_subtrees(c_guards + d_guards)
+    cells: dict = {}
+    memo = {node: cells.setdefault(id(cell), [None]) for node, cell in shared.items()}
     tags = iter(range(2 * net.n))
 
     def fold(guards, better: str, name: str) -> List[str]:
@@ -585,6 +587,8 @@ def _run_kernel(net: NetworkSpec) -> Callable:
     x1, xe, xh = ([f"{p}_{i}" for i in range(n)] for p in ("x1", "xe", "xh"))
     u1, u2, u3 = ([f"{p}_{r}" for r in range(m)] for p in ("u1", "u2", "u3"))
     consts: dict = {}
+    shared = ex.repeated_subtrees([s.c_guard for s in net.subsystems]
+                                  + [s.d_guard for s in net.subsystems])
 
     def nest(depth: int, block: List[str]) -> List[str]:
         return ["    " * depth + line for line in block]
@@ -613,7 +617,8 @@ def _run_kernel(net: NetworkSpec) -> Callable:
              for i, (a, b, c, d) in enumerate(zip(*slopes))]
     step = [*read, *ex.translated(unpack + slope1 + rest)]
     trial = [*read, *ex.translated(unpack + rest)]  # a bisection step: k1 is the failed step's
-    classify = ex.translated(_classify_lines(net, dict(zip(net.var_order, xe + u3)), consts))
+    classify = ex.translated(_classify_lines(net, dict(zip(net.var_order, xe + u3)), consts,
+                                             shared))
 
     def assign(dst: List[str], src: List[str]) -> List[str]:
         return [f"v{a} = v{b}" for a, b in zip(dst, src)]
@@ -632,7 +637,7 @@ def _run_kernel(net: NetworkSpec) -> Callable:
               "if mode == FLOW:", "    lo = mid", "else:", "    hi, mode_hi, uh = mid, mode, u3",
               *nest(1, assign(xh, xe))]
     start = _unpack(x1, "x") + _unpack(u1, "u1")
-    start += _classify_lines(net, dict(zip(net.var_order, x1 + u1)), consts)
+    start += _classify_lines(net, dict(zip(net.var_order, x1 + u1)), consts, shared)
     lines = [
         *ex.translated(start), "if mode != FLOW:", "    return mode, t, x, u1",
         "end = horizon - 1e-15", "last = ts[-1]", "since = 0",
@@ -655,6 +660,12 @@ def _run_kernel(net: NetworkSpec) -> Callable:
 # trajectory export
 
 
+def trajectory_csv_header(state_dim: int, input_dim: int) -> str:
+    """The header row of a trajectory CSV, ``\\r\\n`` included."""
+    return ",".join(["t", "k"] + [f"x_{i + 1}" for i in range(state_dim)]
+                    + [f"u_{j + 1}" for j in range(input_dim)] + ["phase"]) + "\r\n"
+
+
 def write_trajectory_csv(sol: SolutionPair, stream: IO[str]) -> int:
     """Write t, k, state, input, and phase columns; returns the row count.
 
@@ -663,9 +674,7 @@ def write_trajectory_csv(sol: SolutionPair, stream: IO[str]) -> int:
     Rows are comma-joined ``repr`` values ending in ``\\r\\n``, as ``csv.writer``
     writes them (no value needs quoting), one write per interval.
     """
-    n, m = sol.x.dim, sol.u.dim
-    stream.write(",".join(["t", "k"] + [f"x_{i + 1}" for i in range(n)]
-                          + [f"u_{j + 1}" for j in range(m)] + ["phase"]) + "\r\n")
+    stream.write(trajectory_csv_header(sol.x.dim, sol.u.dim))
     last = len(sol.domain.intervals) - 1
     for idx, ((_lo, _hi, k), ts, xs, us) in enumerate(
             zip(sol.domain.intervals, sol.x.times, sol.x.values, sol.u.values)):

@@ -51,6 +51,10 @@ class VerifyTolerances:
     jump_abs: float = 1e-12
     sandwich_rel: float = 1e-9
 
+    def jump_slack(self, rhs: np.ndarray) -> np.ndarray:
+        """The slack of every jump check at each lane: ``max(jump_abs, jump_rel * |rhs|)``."""
+        return ex.lane_max([self.jump_abs, self.jump_rel * np.abs(rhs)])
+
 
 @dataclass
 class SubsystemLyapunov:
@@ -83,7 +87,6 @@ class CompositeCertificate:
 
     path: OmegaPath
     phi: KFun
-    phi_inv: KFun
     gamma: KFun
     lam: KFun
     psi1: KFun
@@ -115,6 +118,20 @@ class CompositeCertificate:
     def values(self, state: np.ndarray) -> np.ndarray:
         """The composite value at each lane of ``state``."""
         return _top_level(self.pieces(state)[1])
+
+    def jump_condition(self, net: NetworkSpec, lam: KFun, gamma: KFun, tol: VerifyTolerances,
+                       detail: str) -> Callable:
+        """The condition ``V(g(x, u)) <= max(lam(V(x)), gamma(|u|))`` at every jump
+        sample, up to the jump slack, for :func:`_check_samples`."""
+        n = net.state_dim
+
+        def jump(cols):
+            rhs = lam.array(self.values(cols[:n]))
+            if not gamma.is_zero:
+                rhs = ex.lane_max([rhs, gamma.array(_max_norm(cols[n:]))])
+            return _everywhere(cols), self.values(net.jump_array(cols)), rhs, \
+                tol.jump_slack(rhs), detail
+        return jump
 
     def to_json(self) -> dict:
         return {
@@ -195,9 +212,8 @@ def build_composite(cands: Sequence[SubsystemLyapunov], gm: GainMatrix,
     alpha = _default_alpha(path, cands)
     require_class(alpha, Classification.POSITIVE_DEFINITE, "alpha")
 
-    cert = CompositeCertificate(path=path, phi=phi, phi_inv=phi_inv, gamma=gamma,
-                                lam=lam, psi1=psi1, psi2=psi2, alpha=alpha,
-                                candidates=cands, net=net)
+    cert = CompositeCertificate(path=path, phi=phi, gamma=gamma, lam=lam, psi1=psi1, psi2=psi2,
+                                alpha=alpha, candidates=cands, net=net)
     cert._v_fns = [ex.compile_array(c.v, net.state_vars()) for c in cands]
     cert._bound_fns = [ex.compile_bounds_array(c.v, net.state_vars()) for c in cands]
     return cert
@@ -394,7 +410,7 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
     report = VerificationReport(condition=f"subsystem-{index + 1}")
     drawn = _draw_samples(report, net, sampler, jump_seed=1, sub=index, memo=memo)
     if drawn is None:
-        return report
+        return report.finalize()
     flow_pts, jump_pts = drawn
     n = net.state_dim
     v_fns = [ex.compile_array(c.v, net.state_vars()) for c in cands]
@@ -427,8 +443,7 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
         x_new[sub_slice] = net.sub_jump_array(index, cols)
         rhs = ex.lane_max([cand.lam.array(v_fns[index](cols[:n]))] + neighbour_gains(cols)
                           + input_gain(cols))
-        return (_everywhere(cols), v_fns[index](x_new), rhs,
-                ex.lane_max([tol.jump_abs, tol.jump_rel * np.abs(rhs)]), "jump contraction")
+        return _everywhere(cols), v_fns[index](x_new), rhs, tol.jump_slack(rhs), "jump contraction"
 
     if len(flow_pts):
         x_sub = flow_pts[:, sub_slice]
@@ -436,11 +451,7 @@ def verify_subsystem(cands: Sequence[SubsystemLyapunov], index: int, net: Networ
     _check_samples(report, "flow", flow_pts, n, flow)
     checked_flow = report.samples_checked
     _check_samples(report, "jump", jump_pts, n, jump)
-    if checked_flow == 0:
-        report.verdict = "inconclusive"
-        report.notes.append("no flow sample satisfied the gain premise")
-        return report
-    return report.finalize()
+    return report.finalize(None if checked_flow else "no flow sample satisfied the gain premise")
 
 
 def _check_sandwich(report: VerificationReport, x_sub: np.ndarray, vi: np.ndarray,
@@ -481,7 +492,7 @@ def verify_composite_flow(cert: CompositeCertificate, net: NetworkSpec,
     report = VerificationReport(condition="composite-flow")
     drawn = _draw_samples(report, net, sampler, memo=memo)
     if drawn is None:
-        return report
+        return report.finalize()
     n = net.state_dim
     details = np.array(["flow decay with no active piece"]
                        + [f"flow decay at active index {i + 1}" for i in range(cert.n)])
@@ -507,11 +518,8 @@ def verify_composite_flow(cert: CompositeCertificate, net: NetworkSpec,
                 alpha_ratio = ratio
     if math.isfinite(alpha_ratio):
         report.extras["empirical_alpha_min_ratio"] = alpha_ratio
-    if report.samples_checked == 0:
-        report.verdict = "inconclusive"
-        report.notes.append("no flow sample passed the input-gain threshold")
-        return report
-    return report.finalize()
+    return report.finalize(None if report.samples_checked else
+                           "no flow sample passed the input-gain threshold")
 
 
 def verify_composite_jump(cert: CompositeCertificate, net: NetworkSpec,
@@ -523,18 +531,7 @@ def verify_composite_jump(cert: CompositeCertificate, net: NetworkSpec,
     _require_shared_jump_set(net)
     report = VerificationReport(condition="composite-jump")
     drawn = _draw_samples(report, net, sampler, flow=False, jump_seed=0, memo=memo)
-    if drawn is None:
-        return report
-    n = net.state_dim
-
-    def jump(cols):
-        rhs = cert.lam.array(cert.values(cols[:n]))
-        if not cert.gamma.is_zero:
-            rhs = ex.lane_max([rhs, cert.gamma.array(_max_norm(cols[n:]))])
-        return (_everywhere(cols), cert.values(net.jump_array(cols)), rhs,
-                ex.lane_max([tol.jump_abs, tol.jump_rel * np.abs(rhs)]),
-                "composite jump contraction")
-
-    pts = drawn[1]
-    _check_samples(report, "jump", pts, n, jump)
+    if drawn is not None:
+        _check_samples(report, "jump", drawn[1], net.state_dim, cert.jump_condition(
+            net, cert.lam, cert.gamma, tol, "composite jump contraction"))
     return report.finalize()

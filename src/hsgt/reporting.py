@@ -36,13 +36,17 @@ class VerificationReport:
     notes: List[str] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def finalize(self) -> "VerificationReport":
-        """Set the verdict from the sorted violations."""
+    def finalize(self, unchecked: Optional[str] = None) -> "VerificationReport":
+        """Sort the violations and set the verdict: ``fail`` with any violation,
+        else ``inconclusive`` after an empty draw or with ``unchecked`` (why no
+        sample met the premise, kept as a note), else ``pass``."""
         self.violations.sort(key=lambda v: (v.check, v.sample_index))
+        if unchecked is not None:
+            self.notes.append(unchecked)
         if self.violations:
             self.verdict = "fail"
         elif self.verdict != "inconclusive":
-            self.verdict = "pass"
+            self.verdict = "inconclusive" if unchecked is not None else "pass"
         return self
 
     @property

@@ -4,14 +4,13 @@ Violations of Lyapunov-type inequalities concentrate where guards vanish and
 where the active index of a max-type function changes, so the sampler mixes
 uniform draws with guard-boundary points (found by bisecting between an
 inside and an outside point) and tie points (coordinate blocks copied across
-subsystems up to sign).  One command can hand its draws to a :class:`SampleMemo`,
-so a set asked for twice (same guard expressions, same sampler spec) is drawn
-once.
+subsystems up to sign).  Every draw goes through a :class:`SampleMemo`; one
+command can hand all its draws to one, so a set asked for twice (same guard
+expressions, same sampler spec) is drawn once.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -371,9 +370,9 @@ class SampleMemo:
     """The sample sets of one command, drawn once each.
 
     A set is keyed by its kind (flow or jump), the ``tree_key`` of each guard
-    expression its guard folds over and the sampler spec; within one network
-    those decide the samples.  A memo belongs to one command and one network: a
-    draw that raises is not kept.
+    expression its guard folds over and the sampler spec's ``repr``, which shows
+    every field; within one network those decide the samples.  A memo belongs to
+    one command and one network: a draw that raises is not kept.
     """
 
     def __init__(self):
@@ -382,33 +381,24 @@ class SampleMemo:
     def get(self, net: NetworkSpec, kind: str, spec: SamplerSpec, sub: Optional[int]):
         guards = tuple(tree_key(s.c_guard if kind == "c" else s.d_guard) for s in
                        (net.subsystems if sub is None else [net.subsystems[sub]]))
-        key = (kind, guards, tuple(_frozen(getattr(spec, f.name))
-                                   for f in dataclasses.fields(spec)))
+        key = (kind, guards, repr(spec))
         found = self._sets.get(key)
         if found is None:
-            found = self._sets[key] = _draw(net, kind, spec, sub)
+            guard = net.c_array if kind == "c" else net.d_array
+            found = self._sets[key] = sample_set(net, lambda Z: guard(Z, sub), spec)
         return found
-
-
-def _frozen(value):
-    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
-
-
-def _draw(net: NetworkSpec, kind: str, spec: SamplerSpec, sub: Optional[int]) -> np.ndarray:
-    guard = net.c_array if kind == "c" else net.d_array
-    return sample_set(net, lambda Z: guard(Z, sub), spec)
 
 
 def flow_set_samples(net: NetworkSpec, spec: SamplerSpec, sub: Optional[int] = None,
                      memo: Optional[SampleMemo] = None) -> np.ndarray:
     """Samples of the flow set (of subsystem ``sub``, or of the network)."""
-    return _draw(net, "c", spec, sub) if memo is None else memo.get(net, "c", spec, sub)
+    return (memo or SampleMemo()).get(net, "c", spec, sub)
 
 
 def jump_set_samples(net: NetworkSpec, spec: SamplerSpec, sub: Optional[int] = None,
                      memo: Optional[SampleMemo] = None) -> np.ndarray:
     """Samples of the jump set (of subsystem ``sub``, or of the network)."""
-    return _draw(net, "d", spec, sub) if memo is None else memo.get(net, "d", spec, sub)
+    return (memo or SampleMemo()).get(net, "d", spec, sub)
 
 
 def sphere_directions(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

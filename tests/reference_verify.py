@@ -207,11 +207,7 @@ def verify_subsystem(cands, index, net, sampler, tol):
     _check_samples(report, "flow", flow_pts, flow)
     checked_flow = report.samples_checked
     _check_samples(report, "jump", jump_pts, jump)
-    if checked_flow == 0:
-        report.verdict = "inconclusive"
-        report.notes.append("no flow sample satisfied the gain premise")
-        return report
-    return report.finalize()
+    return report.finalize(None if checked_flow else "no flow sample satisfied the gain premise")
 
 
 def _require_shared_jump_set(net):
@@ -347,7 +343,9 @@ def _verify_w_form(wf, sc, net, sampler, tol):
         if x_mag is None:
             return None
         drop = sc.value(net.jump_raw(x + u)) - sc.value(x)
-        return drop, -wf.alpha2_bar(x_mag), tol.flow, "norm-threshold jump decrease"
+        rhs = -wf.alpha2_bar(x_mag)
+        return drop, rhs, max(tol.jump_abs, tol.jump_rel * abs(rhs)), \
+            "norm-threshold jump decrease"
 
     _check_samples(report, "flow", flow_pts, flow)
     _check_samples(report, "jump", jump_pts, jump)
@@ -395,7 +393,7 @@ def to_v_form(wf, sampler, tol):
         if not gamma_tilde.is_zero:
             rhs = max(rhs, gamma_tilde(_max_norm(u)))
         return (sc.value(net.jump_raw(x + u)), rhs,
-                max(tol.flow, tol.jump_rel * abs(rhs)), "recovered jump inequality")
+                max(tol.jump_abs, tol.jump_rel * abs(rhs)), "recovered jump inequality")
 
     _check_samples(report, "jump", drawn[1], jump)
     report.extras["gamma_tilde"] = kfun_to_json(gamma_tilde)

@@ -45,11 +45,19 @@ def _candidate(index, **fields):
     return lambda cfg: cfg["lyapunov"]["subsystems"][index].update(fields)
 
 
+def _premise_never_met(cfg):
+    """Subsystem 1's sandwich and jump fail, and no flow sample meets its gain premise."""
+    _candidate(0, psi1="2*s")(cfg)
+    cfg["gains"]["internal"][0][1] = "1000000*s"
+    _subsystems(cfg, "jump", ["1e7*x_1", "0.5*x_2"])
+
+
 BOX = "max(abs(x_1), abs(x_2))"
 VARIANTS = {
     "e1": lambda cfg: None,
     "u_box": lambda cfg: cfg["analysis"]["sampler"].update(u_box=[[-1.0, 1.0]]),
     "psi1_2s": _candidate(0, psi1="2*s"),
+    "premise_never_met": _premise_never_met,
     "jump_0.6": lambda cfg: _subsystems(cfg, "jump", ["0.6*x_1", "0.6*x_2"]),
     "jump_1.0": lambda cfg: _subsystems(cfg, "jump", ["1.0*x_1", "1.0*x_2"]),
     "alpha_0.9": lambda cfg: [_candidate(i, alpha="0.9*s")(cfg) for i in (0, 1)],

@@ -442,6 +442,20 @@ def test_simulate_zero_budget_header_only(tmp_path):
     assert lines[0].startswith("t,k,x_1")
 
 
+def test_simulate_zero_budget_writes_the_trajectory_header(tmp_path, capsys):
+    """Without a budget, stdout and the --out file hold the header row that a
+    trajectory CSV starts with, ending in \\r\\n as its other rows do."""
+    cfg = load_json("e1_decoupled.json")
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 0
+    header = capsys.readouterr().out.split("\r\n")[0] + "\r\n"
+    cfg["analysis"]["simulation"].update(horizon=0.0, max_jumps=0)
+    path, out = write_cfg(tmp_path, cfg, "empty.json"), tmp_path / "empty.csv"
+    assert main(["simulate", "--config", path]) == 0
+    assert capsys.readouterr().out == header
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert out.read_bytes() == header.encode()
+
+
 def test_simulate_frozen_rows(tmp_path):
     out = str(tmp_path / "frozen.csv")
     assert main(["simulate", "--config", config_path("frozen.json"), "--out", out]) == 0

@@ -17,7 +17,8 @@ from hsgt import expr as ex
 from hsgt.config import load_config
 from hsgt.hybrid import (FLOW, TIME_TOL, DomainError, HybridSignal, HybridTimeDomain,
                          InputSignal, NetworkSpec, SimOptions, SimulationError, SolutionPair,
-                         SubsystemSpec, compose_network, simulate, write_trajectory_csv)
+                         SubsystemSpec, _run_kernel, compose_network, simulate,
+                         write_trajectory_csv)
 from reference_hybrid import Recorder, iter_samples, rk4, sup_norm, value_at
 from test_expr import _LANES, _trees
 
@@ -622,6 +623,16 @@ def test_run_kernel_matches_reference_loop_where_guards_share_a_subtree(name):
         jumps += new[2]
     # the log leaves its domain where the piecewise input drives x below -2
     assert jumps >= 5 and "horizon" in ends and ("numerical_failure" in ends) == (name == "log")
+
+
+def test_run_kernel_numbers_the_guards_shared_subtrees_once(monkeypatch):
+    """The start point and the step end are classified with fresh cells of one numbering."""
+    calls = []
+    numbering = ex.repeated_subtrees
+    monkeypatch.setattr(ex, "repeated_subtrees",
+                        lambda trees: calls.append(len(trees)) or numbering(trees))
+    _run_kernel(two_sub_network())
+    assert calls == [4]  # both flow guards, then both jump guards
 
 
 @pytest.mark.parametrize("u", [

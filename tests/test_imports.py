@@ -131,12 +131,6 @@ def _sources(top: str) -> dict:
     return out
 
 
-# module-level functions allowed to call themselves, with the reason
-ALLOWED_RECURSIVE = {
-    "sampling.py:_frozen",  # over the sampler spec's u_box pairs, whose shape the loader checks
-}
-
-
 def recursive_functions(modules: dict) -> list:
     """``(module, line, name)`` of each module-level function in ``modules``
     (name -> source) that loads its own name."""
@@ -151,10 +145,8 @@ def recursive_functions(modules: dict) -> list:
 
 
 def test_no_module_level_function_recurses():
-    found = recursive_functions({m: open(os.path.join(SRC, m), encoding="utf-8").read()
-                                 for m in MODULES})
-    assert [(m, name) for m, _line, name in found
-            if f"{m}:{name}" not in ALLOWED_RECURSIVE] == []
+    assert recursive_functions({m: open(os.path.join(SRC, m), encoding="utf-8").read()
+                                for m in MODULES}) == []
 
 
 def test_scan_finds_a_recursive_function():

@@ -16,9 +16,10 @@ from hsgt.config import load_config
 from hsgt.equiv import _verify_w_form, to_w_form
 from hsgt.expr import EvalDomainError
 from hsgt.lyapunov import VerifyTolerances, _check_sandwich, _check_samples, build_composite, \
-    verify_composite_flow
+    verify_composite_flow, verify_subsystem
 from hsgt.reporting import VerificationReport, Violation
 from reference_verify import add_margin
+from test_block_verify import _premise_never_met
 
 
 def _psi1_doubled(cfg):
@@ -105,6 +106,77 @@ def test_violations_sort_by_check_then_index():
     assert [(v.check, v.sample_index) for v in report.violations] == [
         ("flow", 1_500_000), ("jump", 0), ("jump", 3), ("sandwich", 0)]
     assert report.to_json()["violations"][0]["check"] == "flow"
+
+
+def test_violations_fail_a_report_whose_premise_no_sample_met(tmp_path):
+    cfg = load_config(_e1_with(tmp_path, _premise_never_met, n_samples=300))
+    report = verify_subsystem(cfg.candidates, 0, cfg.network, cfg.sampler, cfg.tolerances)
+    assert report.verdict == "fail"
+    assert report.notes == ["no flow sample satisfied the gain premise"]
+    order = [(v.check, v.sample_index) for v in report.violations]
+    assert order == sorted(order) and {c for c, _i in order} == {"jump", "sandwich"}
+    assert report.summary_line().startswith("[FAIL] subsystem-1: 300/600 samples checked")
+
+
+def test_finalize_sets_the_verdict():
+    def verdict(violations=0, empty_draw=False, unchecked=None):
+        report = VerificationReport(condition="rule")
+        report.violations = [Violation(sample_index=i, point={}, measured=1.0, required=0.0)
+                             for i in range(violations)]
+        if empty_draw:
+            report.verdict = "inconclusive"
+        return report.finalize(unchecked).verdict, report.notes
+
+    assert verdict() == ("pass", [])
+    assert verdict(violations=1) == ("fail", [])
+    assert verdict(violations=1, unchecked="why") == ("fail", ["why"])
+    assert verdict(violations=1, empty_draw=True) == ("fail", [])
+    assert verdict(unchecked="why") == ("inconclusive", ["why"])
+    assert verdict(empty_draw=True) == ("inconclusive", [])
+
+
+# every jump check: forge, --which, report, detail
+JUMP_CHECKS = [
+    ("jump_0.6", "subsystem", "subsystem-1", "jump contraction"),
+    ("jump_0.6", "composite", "composite-jump", "composite jump contraction"),
+    ("jump_1.0", "wform", "norm-threshold-form", "norm-threshold jump decrease"),
+    ("jump_1.0", "wform", "gain-implication-jump", "recovered jump inequality"),
+]
+
+
+def _verify_reports(tmp_path, capsys, path, which):
+    out = tmp_path / "report.json"
+    main(["verify", "--config", path, "--which", which, "--out", str(out)])
+    capsys.readouterr()
+    return {r["condition"]: r for r in json.loads(out.read_text())["reports"]
+            if "condition" in r}
+
+
+@pytest.mark.parametrize("forge,which,condition,detail", JUMP_CHECKS,
+                         ids=[c for _f, _w, c, _d in JUMP_CHECKS])
+def test_jump_checks_take_the_jump_slack_not_the_flow_slack(tmp_path, capsys, forge, which,
+                                                            condition, detail):
+    """With the flow slack at 1, a jump sample that exceeds its bound by less than 1
+    but by more than the jump slack is still a violation."""
+    def edit(cfg):
+        FORGES[forge](cfg)
+        cfg["analysis"]["tolerances"]["flow"] = 1.0
+    report = _verify_reports(tmp_path, capsys, _e1_with(tmp_path, edit, n_samples=300),
+                             which)[condition]
+    excess = [v["measured"] - v["required"] for v in report["violations"]
+              if v["check"] == "jump" and v["detail"] == detail]
+    assert report["verdict"] == "fail"
+    assert excess and all(0.0 < e < 1.0 for e in excess)
+
+
+def test_recovered_jump_margin_ignores_the_flow_slack(tmp_path, capsys):
+    margins = []
+    for flow in (1e-7, 1.0):
+        path = _e1_with(tmp_path, lambda c: c["analysis"]["tolerances"].update(flow=flow),
+                        n_samples=300)
+        report = _verify_reports(tmp_path, capsys, path, "wform")["gain-implication-jump"]
+        margins.append(report["margin_min"])
+    assert margins[0] == margins[1]
 
 
 # ---------------------------------------------------------------------------
